@@ -18,7 +18,7 @@ import numpy as np
 from .catalog import catalog, catalog_names
 from .curvature import (einstein_calibrated_residual, einstein_residual, ricci,
                         ricci_operator, scal_from_torsion, scalar_curvature,
-                        soliton_solve, star_ricci, star_scal)
+                        soliton_solve, star_ricci)
 from .exterior import KForm, Metric
 from .flow import (FlowOptions, closed_form_n2, closed_form_n2_velocity,
                    closed_form_n12, closed_form_n12_velocity, flow_integrate,
@@ -224,7 +224,7 @@ def cmd_torsion(args, tol):
             "tau2_membership": t.tau2.wedge(G.star_phi).norm(),
             "tau3_membership": max(t.tau3.wedge(G.phi).norm(),
                                    t.tau3.wedge(G.star_phi).norm()),
-            "lee_vs_3tau1": (lee_form(G) - 3.0 * t.tau1).norm(),
+            "lee_vs_3tau1": (results["lee_form"] - 3.0 * t.tau1).norm(),
         },
         "tolerances": {"vanishing": tol},
     }
@@ -295,8 +295,9 @@ def cmd_einstein(args, tol):
         cls = classify(t, tol=tol)
         if cls.tau0_zero and cls.tau1_zero and cls.tau3_zero:
             residuals["einstein_calibrated"] = einstein_calibrated_residual(G, tol=tol)
-        results["star_scal"] = star_scal(G)
-        results["star_ricci"] = star_ricci(G)
+        ric_star = star_ricci(G)
+        results["star_scal"] = float(np.trace(G.metric.inverse @ ric_star))
+        results["star_ricci"] = ric_star
     report = {
         "command": "einstein",
         "input": _input_block(doc, source),
@@ -427,6 +428,7 @@ def cmd_catalog(args, tol):
         entry = catalog(name)
     except KeyError as exc:
         raise ValidationFailure(str(exc)) from exc
+    jac = jacobi_residual(entry.algebra)
     report = {
         "command": "catalog",
         "input": {"source": f"catalog:{name}", "dim": entry.algebra.dim,
@@ -435,9 +437,9 @@ def cmd_catalog(args, tol):
             "name": entry.name,
             "description": entry.description,
             "document": format_document(entry.document),
-            "jacobi_residual": jacobi_residual(entry.algebra),
+            "jacobi_residual": jac,
         },
-        "residuals": {"jacobi": jacobi_residual(entry.algebra)},
+        "residuals": {"jacobi": jac},
         "tolerances": {"jacobi": tol},
     }
     return report, EXIT_OK

@@ -9,14 +9,14 @@ is read off from d phi and d star(phi) by least squares over the invariant
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .exterior import (KForm, Metric, complement_data, compound_matrix, hodge_star,
-                       index_positions, multi_indices, sort_with_sign, standard_volume,
-                       wedge, wedge_matrix)
+                       multi_indices, sort_with_sign, standard_volume, wedge, wedge_matrix)
 from .liealg import ce_diff
 
 VANISH_TOL = 1e-8
@@ -30,48 +30,17 @@ class TorsionSolveError(RuntimeError):
     """Raised when the two torsion equations disagree about tau1."""
 
 
-@lru_cache(maxsize=None)
-def _b_contraction_table():
-    # COO table: B[i,j] = sum sgn * phi_a phi_b phi_c over basis triples with
-    # iota_i e^a ^ iota_j e^b ^ e^c a nonzero multiple of e^{1..7}.
-    keys3 = multi_indices(7, 3)
-    pos3 = index_positions(7, 3)
-    ti, tj, ta, tb, tc, sg = [], [], [], [], [], []
-    for i in range(1, 8):
-        for ka in keys3:
-            if i not in ka:
-                continue
-            sa = (-1.0) ** ka.index(i)
-            ra = tuple(x for x in ka if x != i)
-            for j in range(1, 8):
-                for kb in keys3:
-                    if j not in kb:
-                        continue
-                    sb = (-1.0) ** kb.index(j)
-                    rb = tuple(x for x in kb if x != j)
-                    if set(ra) & set(rb):
-                        continue
-                    kc = tuple(sorted(set(range(1, 8)) - set(ra) - set(rb)))
-                    _, s = sort_with_sign(ra + rb + kc)
-                    if s == 0:
-                        continue
-                    ti.append(i - 1)
-                    tj.append(j - 1)
-                    ta.append(pos3[ka])
-                    tb.append(pos3[kb])
-                    tc.append(pos3[kc])
-                    sg.append(sa * sb * s)
-    return (np.array(ti, dtype=np.intp), np.array(tj, dtype=np.intp),
-            np.array(ta, dtype=np.intp), np.array(tb, dtype=np.intp),
-            np.array(tc, dtype=np.intp), np.array(sg))
-
-
 def gram_matrix_from_phi(phi_vec):
-    """B_ij = coefficient of e^{1..7} in iota_i phi ^ iota_j phi ^ phi."""
-    ti, tj, ta, tb, tc, sg = _b_contraction_table()
-    flat = np.bincount(ti * 7 + tj, weights=sg * phi_vec[ta] * phi_vec[tb] * phi_vec[tc],
-                       minlength=49)
-    B = flat.reshape(7, 7)
+    """B_ij = coefficient of e^{1..7} in iota_i phi ^ iota_j phi ^ phi.
+
+    As dense tensors B_ij = 1/4 phi_iab phi_jcd psi^abcd, where psi^I =
+    sign(I, Ic) phi_Ic is the signed complement of phi.
+    """
+    pos, s = complement_data(7, 3)
+    psi = np.empty(35)
+    psi[pos] = s * phi_vec
+    A = _dense(phi_vec, 3).reshape(7, 49)
+    B = A @ (_dense(psi, 4).reshape(49, 49) @ A.T) / 4.0
     return (B + B.T) / 2.0
 
 
@@ -81,6 +50,92 @@ def _gram_from_complement(comp_gram_low, degree, det_g):
     pos, s = complement_data(7, degree)
     M = comp_gram_low[np.ix_(pos, pos)]
     return (s[:, None] * s[None, :]) * M / det_g
+
+
+def _phi_metric(phi_vec):
+    """(B, det B, orientation, Metric) of a 3-form's coefficient vector.
+
+    g = (36 |det B|)^{-1/9} sign(det B) B; raises PositivityError when B is
+    degenerate or g is not positive definite.
+    """
+    B = gram_matrix_from_phi(phi_vec)
+    det_b = float(np.linalg.det(B))
+    if det_b == 0:
+        raise PositivityError("not a positive G2 form (det B = 0)")
+    eps = 1.0 if det_b > 0 else -1.0
+    metric = Metric((36.0 * abs(det_b)) ** (-1.0 / 9.0) * eps * B)
+    if not metric.positive_definite:
+        raise PositivityError("not a positive G2 form (metric not positive definite)")
+    return B, det_b, eps, metric
+
+
+@lru_cache(maxsize=None)
+def _dense_tables(degree):
+    # Scatter table of the dense antisymmetric 7^degree tensor of a k-form:
+    # for every increasing tuple (source position) and every ordering of it,
+    # the flat tensor index and the ordering's sign; plus the flat index of
+    # each increasing tuple, to gather the result back.
+    def flat(idx):
+        return sum((i - 1) * 7 ** (degree - 1 - a) for a, i in enumerate(idx))
+
+    keys = multi_indices(7, degree)
+    src, dst, sgn = [], [], []
+    for p, key in enumerate(keys):
+        for perm in itertools.permutations(key):
+            src.append(p)
+            dst.append(flat(perm))
+            sgn.append(float(sort_with_sign(perm)[1]))
+    return (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(sgn),
+            np.array([flat(key) for key in keys], dtype=np.intp))
+
+
+def _dense(vec, degree):
+    """Flat dense antisymmetric 7^degree tensor of a k-form's coefficients."""
+    src, dst, sgn, _ = _dense_tables(degree)
+    t = np.zeros(7 ** degree)
+    t[dst] = sgn * vec[src]
+    return t
+
+
+def _compound_apply(M, vec, degree):
+    """Degree-k compound of the symmetric 7x7 matrix M applied to a k-form's
+    coefficients (k <= 3): M acts on every index of the dense tensor."""
+    t = _dense(vec, degree)
+    for _ in range(degree):
+        # acts on the leading index and rotates it to the back
+        t = (M @ t.reshape(7, -1)).T
+    return t.reshape(-1)[_dense_tables(degree)[3]]
+
+
+def _star(vec, degree, metric):
+    """Hodge star of a k-form's coefficients, positively oriented on e^{1..7}.
+
+    Degrees <= 3 raise every index with g^{-1}; degrees >= 4 place the signed
+    complement first and lower its 7-k indices with g (the complementary-minor
+    identity of _gram_from_complement), so no tensor exceeds rank 3.
+    """
+    pos, s = complement_data(7, degree)
+    out = np.empty(len(pos))
+    if degree <= 3:
+        out[pos] = s * (metric.sqrt_det * _compound_apply(metric.inverse, vec, degree))
+        return out
+    out[pos] = s * vec
+    return _compound_apply(metric.g, out, 7 - degree) / metric.sqrt_det
+
+
+def phi_laplacian(algebra, phi_vec):
+    """Coefficients of the Hodge Laplacian d delta phi + delta d phi of a 3-form.
+
+    Works on the 35 coefficients of phi alone, in the metric phi induces; raises
+    PositivityError when phi is not a positive form.
+    """
+    if algebra.dim != 7:
+        raise ValueError("G2 structures need a 7-dimensional algebra")
+    metric = _phi_metric(phi_vec)[3]
+    d2, d3, d4 = algebra.diff_matrix(2), algebra.diff_matrix(3), algebra.diff_matrix(4)
+    delta_phi = -_star(d4 @ _star(phi_vec, 3, metric), 5, metric)
+    delta_dphi = _star(d3 @ _star(d3 @ phi_vec, 4, metric), 4, metric)
+    return d2 @ delta_phi + delta_dphi
 
 
 class G2Structure:
@@ -93,7 +148,7 @@ class G2Structure:
     form and the Hodge star are always taken positively oriented on
     e^{1..7}, which is the convention the torsion conventions below assume.
 
-    All caches (metric, Gram matrices of degrees 2..5, star of phi) are
+    All caches (metric, Gram matrices of degrees 2..4, star of phi) are
     computed at construction; instances are immutable and shareable.
     """
 
@@ -106,19 +161,11 @@ class G2Structure:
         if phi.dim != 7 or phi.degree != 3:
             raise ValueError("phi must be a 3-form in dimension 7")
         v = phi.to_vector()
-        B = gram_matrix_from_phi(v)
-        det_b = float(np.linalg.det(B))
-        if det_b == 0:
-            raise PositivityError("not a positive G2 form (det B = 0)")
-        eps = 1.0 if det_b > 0 else -1.0
-        metric = Metric((36.0 * abs(det_b)) ** (-1.0 / 9.0) * eps * B)
-        if not metric.positive_definite:
-            raise PositivityError("not a positive G2 form (metric not positive definite)")
+        B, det_b, eps, metric = _phi_metric(v)
         grams = {
             2: compound_matrix(metric.inverse, 2),
             3: compound_matrix(metric.inverse, 3),
             4: _gram_from_complement(compound_matrix(metric.g, 3), 4, metric.det),
-            5: _gram_from_complement(compound_matrix(metric.g, 2), 5, metric.det),
         }
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "phi", phi)
@@ -137,7 +184,7 @@ class G2Structure:
         raise AttributeError("G2Structure is immutable")
 
     def star_vec(self, vec, degree):
-        """Fast Hodge star on coefficient vectors for degrees 2..5."""
+        """Fast Hodge star on coefficient vectors for degrees 2..4."""
         gram = self._grams[degree]
         pos, s = complement_data(7, degree)
         out = np.empty(len(pos))
@@ -165,12 +212,7 @@ class G2Structure:
 
     def laplacian_vec(self):
         """Coefficient vector of the Hodge Laplacian of phi (degree 3)."""
-        L = self.algebra
-        v = self._phi_vec
-        d2, d3, d4 = L.diff_matrix(2), L.diff_matrix(3), L.diff_matrix(4)
-        delta_phi = -self.star_vec(d4 @ self.star_vec(v, 3), 5)
-        delta_dphi = self.star_vec(d3 @ self.star_vec(d3 @ v, 4), 4)
-        return d2 @ delta_phi + delta_dphi
+        return phi_laplacian(self.algebra, self._phi_vec)
 
     def __repr__(self):
         return f"G2Structure(algebra={self.algebra!r}, det_B={self.gram_det:.6g})"
@@ -227,15 +269,13 @@ def torsion_forms(structure, tau1_tol=1e-8):
     basis14 = lambda2_14_basis(G)
     basis27 = lambda3_27_basis(G)
 
-    e_wedge_phi = np.column_stack(
-        [wedge(KForm.basis(7, (i,)), G.phi).to_vector() for i in range(1, 8)])
+    e_wedge_phi = wedge_matrix(7, 1, 3, G._phi_vec)
     star27 = np.column_stack([G.star_vec(basis27[:, j], 3) for j in range(basis27.shape[1])])
     A1 = np.column_stack([G._star_phi_vec, 3.0 * e_wedge_phi, star27])
     b1 = dphi.to_vector()
     x, *_ = np.linalg.lstsq(A1, b1, rcond=None)
 
-    e_wedge_star = np.column_stack(
-        [wedge(KForm.basis(7, (i,)), G.star_phi).to_vector() for i in range(1, 8)])
+    e_wedge_star = wedge_matrix(7, 1, 4, G._star_phi_vec)
     phi_wedge = wedge_matrix(7, 2, 3, G._phi_vec)
     A2 = np.column_stack([4.0 * e_wedge_star, phi_wedge @ basis14])
     b2 = dstar.to_vector()

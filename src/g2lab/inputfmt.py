@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .exterior import KForm
 from .liealg import LieAlgebra
@@ -244,11 +245,9 @@ def parse_document(text):
 def _format_number(x):
     r = repr(float(x))
     if "e" in r or "E" in r:
-        # keep the grammar's plain-decimal lexicon; only reachable for
-        # coefficients far outside the catalog's magnitude range
-        r = f"{float(x):.25f}".rstrip("0")
-        if r.endswith("."):
-            r += "0"
+        # keep the grammar's plain-decimal lexicon: repr's shortest
+        # round-trip digits, written out in full
+        r = format(Decimal(r), "f")
     return r
 
 

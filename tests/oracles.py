@@ -5,6 +5,7 @@ basis tuples; products and stars are computed from the pointwise definitions
 (permutation sums, linear solves), sharing no index-merging logic with the
 package under test.
 """
+import functools
 import itertools
 import math
 
@@ -72,17 +73,20 @@ def brute_inner(metric, a, b):
     return float(np.tensordot(ta, tb, axes=a.degree)) / math.factorial(a.degree)
 
 
+@functools.lru_cache(maxsize=None)
+def _top_pairing(n, k):
+    """Matrix of the e^{1..n} coefficients of e^I ^ e^J, I a k-tuple and J an
+    (n-k)-tuple; it depends on (n, k) alone, so it is built once."""
+    full = tuple(range(1, n + 1))
+    return np.array([[brute_wedge(KForm.basis(n, key), KForm.basis(n, out)).coefficient(full)
+                      for out in multi_indices(n, n - k)]
+                     for key in multi_indices(n, k)])
+
+
 def brute_hodge(metric, a):
     """Solve e^I ^ x = <e^I, a> sqrt(det g) e^{1..n} for x over the basis."""
     n, k = a.dim, a.degree
-    basis_out = multi_indices(n, n - k)
-    full = tuple(range(1, n + 1))
-    rows = []
-    rhs = []
-    for key in multi_indices(n, k):
-        e_i = KForm.basis(n, key)
-        row = [brute_wedge(e_i, KForm.basis(n, out)).coefficient(full) for out in basis_out]
-        rows.append(row)
-        rhs.append(brute_inner(metric, e_i, a) * math.sqrt(np.linalg.det(metric.g)))
-    sol = np.linalg.solve(np.array(rows), np.array(rhs))
+    rhs = [brute_inner(metric, KForm.basis(n, key), a) * math.sqrt(np.linalg.det(metric.g))
+           for key in multi_indices(n, k)]
+    sol = np.linalg.solve(_top_pairing(n, k), np.array(rhs))
     return KForm.from_vector(n, n - k, sol)

@@ -1,8 +1,13 @@
 import csv
+import itertools
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import g2lab.flow as flow_mod
 from g2lab.catalog import catalog
@@ -11,8 +16,14 @@ from g2lab.flow import (CSV_COLUMNS, FlowOptions, closed_form_n2,
                         closed_form_n2_velocity, closed_form_n12,
                         closed_form_n12_velocity, flow_integrate, hodge_laplacian,
                         oracle_residual)
-from g2lab.g2core import G2Structure, PositivityError
+from g2lab.g2core import G2Structure, PositivityError, phi_laplacian
+from g2lab.inputfmt import parse_document
+from g2lab.liealg import ce_diff
 
+from conftest import positive_3form_strategy
+from oracles import brute_hodge, dense, perm_sign
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 N2 = catalog("n2").algebra
 N12M = catalog("n12_modified_basis").algebra
 STD = catalog("std_g2")
@@ -41,6 +52,91 @@ class TestHodgeLaplacian:
             slow = (ce_diff(G.algebra, codifferential(G.algebra, G.metric, G.phi))
                     + codifferential(G.algebra, G.metric, ce_diff(G.algebra, G.phi)))
             assert hodge_laplacian(G).allclose(slow, tol=1e-10)
+
+
+_PERMS7 = np.array(list(itertools.permutations(range(7))))
+_SIGNS7 = np.array([perm_sign(p) for p in _PERMS7], dtype=float)
+_KERNEL_CATALOG = ("std_g2", "n2", "n4", "n6", "n12_modified_basis", "s_ext_h2")
+
+
+def _oracle_metric(phi):
+    """g from its definition g_ij vol_g = 1/6 iota_i phi ^ iota_j phi ^ phi,
+    with B_ij = 1/24 eps^{abcdefg} phi_iab phi_jcd phi_efg summed over S_7."""
+    t = dense(phi)
+    p = _PERMS7.T
+    B = ((t[:, p[0], p[1]] * (_SIGNS7 * t[p[4], p[5], p[6]])) @ t[:, p[2], p[3]].T) / 24.0
+    det_b = np.linalg.det(B)
+    det_g = (abs(det_b) / 6.0 ** 7) ** (2.0 / 9.0)
+    return SimpleNamespace(g=np.sign(det_b) * B / (6.0 * math.sqrt(det_g)))
+
+
+def _oracle_laplacian(algebra, phi):
+    """d delta phi + delta d phi with delta = (-1)^k star d star on k-forms in
+    dimension 7, every star the brute-force one of tests/oracles."""
+    g = _oracle_metric(phi)
+    delta_phi = -1.0 * brute_hodge(g, ce_diff(algebra, brute_hodge(g, phi)))
+    dphi = ce_diff(algebra, phi)
+    delta_dphi = brute_hodge(g, ce_diff(algebra, brute_hodge(g, dphi)))
+    return (ce_diff(algebra, delta_phi) + delta_dphi).to_vector()
+
+
+def _assert_matches_oracle(algebra, phi):
+    expected = _oracle_laplacian(algebra, phi)
+    got = phi_laplacian(algebra, phi.to_vector())
+    np.testing.assert_allclose(got, expected, rtol=1e-10,
+                               atol=1e-10 * np.linalg.norm(expected))
+
+
+class TestPhiLaplacianKernel:
+    @pytest.mark.parametrize("name", _KERNEL_CATALOG)
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 2.7])
+    def test_catalog_against_brute_force(self, name, scale):
+        entry = catalog(name)
+        _assert_matches_oracle(entry.algebra, scale * entry.forms["phi"])
+
+    @settings(max_examples=12, deadline=None)
+    @given(positive_3form_strategy(), st.sampled_from(_KERNEL_CATALOG),
+           st.floats(min_value=-2.0, max_value=2.0), st.sampled_from([1.0, -1.0]))
+    def test_random_positive_forms(self, phi, name, log10_scale, orientation):
+        # -phi is the same metric with the opposite orientation
+        _assert_matches_oracle(catalog(name).algebra,
+                               (orientation * 10.0 ** log10_scale) * phi)
+
+    def test_structure_method_is_the_kernel(self, catalog_structures):
+        for G in catalog_structures.values():
+            assert np.array_equal(G.laplacian_vec(), phi_laplacian(G.algebra, G._phi_vec))
+
+    def test_degenerate_rejected(self):
+        with pytest.raises(PositivityError, match="det B = 0"):
+            phi_laplacian(N2, KForm.basis(7, (1, 2, 3)).to_vector())
+
+    def test_indefinite_corpus_form_rejected(self):
+        doc = parse_document((CORPUS / "broken" / "indefinite_phi.g2").read_text(encoding="utf-8"))
+        with pytest.raises(PositivityError):
+            phi_laplacian(doc.algebra, doc.forms["phi"].to_vector())
+
+    @pytest.mark.parametrize("n_steps,sample_every", [(1, 10), (7, 3), (12, 4)])
+    def test_flow_evaluation_count(self, monkeypatch, n_steps, sample_every):
+        # four kernel calls per step plus one at phi0; structures only at samples
+        calls, builds = [], []
+        real_kernel, real_structure = flow_mod.phi_laplacian, flow_mod.G2Structure
+
+        def counted(algebra, phi_vec):
+            calls.append(None)
+            return real_kernel(algebra, phi_vec)
+
+        class Counted(real_structure):
+            def __init__(self, algebra, phi):
+                builds.append(None)
+                super().__init__(algebra, phi)
+
+        monkeypatch.setattr(flow_mod, "phi_laplacian", counted)
+        monkeypatch.setattr(flow_mod, "G2Structure", Counted)
+        traj = flow_integrate(N2, closed_form_n2(0.0), n_steps * 1e-2, 1e-2,
+                              FlowOptions(sample_every=sample_every))
+        assert traj.termination == "reached_t_end"
+        assert len(calls) == 4 * n_steps + 1
+        assert len(builds) == len(traj.states)
 
 
 class TestClosedFormSolutions:
@@ -128,15 +224,14 @@ class TestIntegration:
                            FlowOptions(max_steps=1000))
 
     def test_positivity_loss_truncates(self, monkeypatch):
-        real = G2Structure
+        real = flow_mod.phi_laplacian
 
-        class Guarded(real):
-            def __init__(self, algebra, phi):
-                if phi.coefficient((1, 2, 3)) > 1.5:
-                    raise PositivityError("synthetic cone exit")
-                super().__init__(algebra, phi)
+        def guarded(algebra, phi_vec):
+            if phi_vec[0] > 1.5:  # the e^{123} coefficient
+                raise PositivityError("synthetic cone exit")
+            return real(algebra, phi_vec)
 
-        monkeypatch.setattr(flow_mod, "G2Structure", Guarded)
+        monkeypatch.setattr(flow_mod, "phi_laplacian", guarded)
         traj = flow_integrate(N2, closed_form_n2(0.0), 2.0, 1e-2)
         assert traj.termination == "positivity_lost"
         assert traj.final.t < 2.0

@@ -95,6 +95,13 @@ class TestRoundTrip:
     def test_format_form_zero(self):
         assert format_form(KForm.zero(7, 2)) == "0"
 
+    @pytest.mark.parametrize("value", [1.8895965452204654e-10, 7.000000000000001e-12,
+                                       1.2345678901234567e22])
+    def test_extreme_magnitudes_round_trip(self, value):
+        form = KForm(7, 2, {(1, 2): value, (3, 4): -value})
+        text = format_document(InputDocument(catalog("n2").algebra, {"f": form}))
+        assert parse_document(text).forms["f"].allclose(form, tol=0)
+
     @settings(max_examples=30, deadline=None)
     @given(st.dictionaries(
         st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(lambda t: t[0] < t[1]),

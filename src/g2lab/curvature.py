@@ -1,9 +1,9 @@
 """Left-invariant curvature of a metric Lie algebra.
 
 The Levi-Civita connection comes from the Koszul formula, which for
-left-invariant fields has no derivative terms; Ricci is contracted from the
-full curvature tensor, so one code path serves nilpotent and solvable
-(non-unimodular) algebras alike.
+left-invariant fields has no derivative terms; Ricci is the trace of the
+full curvature tensor taken inside its formula, so one code path serves
+nilpotent and solvable (non-unimodular) algebras alike.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exterior import KForm, Metric, form_inner
-from .g2core import G2Structure, classify, torsion_forms
+from .g2core import _dense, classify, torsion_forms
 from .liealg import LieAlgebra, ce_diff, codifferential, derivation_residual, derivation_space
 
 SOLITON_CUTOFF = 1e-10
@@ -25,24 +25,32 @@ def levi_civita(algebra, metric):
     """
     if not metric.positive_definite:
         raise ValueError("metric is not positive definite")
-    bg = np.einsum("ijk,km->ijm", algebra.bracket, metric.g)
-    k = 0.5 * (bg - np.einsum("jmi->ijm", bg) + np.einsum("mij->ijm", bg))
-    return np.einsum("km,ijm->ijk", metric.inverse, k)
+    bg = algebra.bracket @ metric.g
+    k = 0.5 * (bg - bg.transpose(2, 0, 1) + bg.transpose(1, 2, 0))
+    return k @ metric.inverse.T
 
 
 def riemann(algebra, metric):
     """Curvature R[i,j,k,l]: R(e_i,e_j)e_k = sum_l R[i,j,k,l] e_l,
     with R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_{[X,Y]}."""
     gamma = levi_civita(algebra, metric)
-    first = np.einsum("jkm,iml->ijkl", gamma, gamma)
+    n = algebra.dim
+    # first[i,j,k,l] = sum_m gamma[j,k,m] gamma[i,m,l]
+    first = (gamma.reshape(n * n, n) @ gamma).reshape(n, n, n, n)
     return (first - np.transpose(first, (1, 0, 2, 3))
-            - np.einsum("ijm,mkl->ijkl", algebra.bracket, gamma))
+            - (algebra.bracket.reshape(n * n, n) @ gamma.reshape(n, n * n)).reshape(n, n, n, n))
 
 
 def ricci(algebra, metric):
-    """Ricci as a symmetric bilinear form (matrix in the e_i basis)."""
-    R = riemann(algebra, metric)
-    ric = np.einsum("ijki->jk", R)
+    """Ricci as a symmetric bilinear form (matrix in the e_i basis), the trace
+    R[i,j,k,i] contracted in the formula itself:
+    Ric_jk = G_jkm G_imi - G_ikm G_jmi - c_ijm G_mki with G = levi_civita."""
+    gamma = levi_civita(algebra, metric)
+    n = algebra.dim
+    ric = (gamma @ np.einsum("imi->m", gamma)
+           - gamma.reshape(n, n * n) @ gamma.transpose(2, 0, 1).reshape(n * n, n)
+           - algebra.bracket.transpose(1, 2, 0).reshape(n, n * n)
+           @ gamma.transpose(0, 2, 1).reshape(n * n, n))
     return (ric + ric.T) / 2.0
 
 
@@ -75,34 +83,15 @@ def scal_from_torsion(structure):
             - 0.5 * form_inner(g, t.tau3, t.tau3))
 
 
-def _sqrt_spd(g):
-    w, v = np.linalg.eigh(g)
-    if np.any(w <= 0):
-        raise ValueError("matrix is not positive definite")
-    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
-
-
-def _dense_3form(form):
-    t = np.zeros((7, 7, 7))
-    for (i, j, k), c in form.items():
-        for (a, b, d), s in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
-                             ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)):
-            t[a - 1, b - 1, d - 1] = s * c
-    return t
-
-
 def star_ricci(structure):
-    """Star-Ricci tensor: contraction of Riemann with two copies of phi in a
-    g-orthonormal frame, returned as a bilinear form in the e_i basis."""
+    """Star-Ricci tensor Ric*_cf = R_ijkl phi^ij_c phi^kl_f, symmetrised, as a
+    bilinear form in the e_i basis (the two upper indices raised with g^-1)."""
     g = structure.metric
-    s, s_inv = _sqrt_spd(g.g)
-    r = riemann(structure.algebra, g)
-    r4 = np.einsum("ijkm,ml->ijkl", r, g.g)
-    r4f = np.einsum("ia,jb,kc,ld,ijkl->abcd", s_inv, s_inv, s_inv, s_inv, r4)
-    phif = np.einsum("ia,jb,kc,ijk->abc", s_inv, s_inv, s_inv, _dense_3form(structure.phi))
-    ric_f = np.einsum("ijkl,ijs,klm->sm", r4f, phif, phif)
-    ric_f = (ric_f + ric_f.T) / 2.0
-    return s @ ric_f @ s
+    r4 = riemann(structure.algebra, g).reshape(-1, 7) @ g.g
+    p = (g.inverse @ _dense(structure._phi_vec, 3).reshape(7, 49)).reshape(7, 7, 7)
+    p = (g.inverse @ p).reshape(49, 7)
+    ric = p.T @ (r4.reshape(49, 49) @ p)
+    return (ric + ric.T) / 2.0
 
 
 def star_scal(structure):
@@ -143,11 +132,10 @@ def soliton_solve(algebra, metric, cutoff=SOLITON_CUTOFF):
     n = algebra.dim
     ric_op = ricci_operator(algebra, metric)
     ders = derivation_space(algebra, cutoff=cutoff)
-    cols = [np.eye(n).reshape(-1)] + [d.reshape(-1) for d in ders]
-    A = np.column_stack(cols)
+    A = np.column_stack([np.eye(n).reshape(-1)] + [d.reshape(-1) for d in ders])
     x, *_ = np.linalg.lstsq(A, ric_op.reshape(-1), rcond=cutoff)
     lam = float(x[0])
-    D = sum((c * d for c, d in zip(x[1:], ders)), np.zeros((n, n)))
+    D = (A[:, 1:] @ x[1:]).reshape(n, n)
     residual = float(np.linalg.norm(ric_op - lam * np.eye(n) - D))
     scale = max(1.0, float(np.linalg.norm(ric_op)))
     if abs(lam) <= 1e-10 * scale:

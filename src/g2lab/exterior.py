@@ -288,18 +288,23 @@ class Metric:
         g.setflags(write=False)
         object.__setattr__(self, "dim", g.shape[0])
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "det", float(np.linalg.det(g)))
         try:
-            np.linalg.cholesky(g)
-            pd = True
+            # sqrt(det g) is the product of the Cholesky diagonal, which stays
+            # representable when det g itself under- or overflows
+            sqrt_det = float(np.prod(np.diag(np.linalg.cholesky(g))))
+            det, pd = sqrt_det * sqrt_det, True
         except np.linalg.LinAlgError:
-            pd = False
-        object.__setattr__(self, "positive_definite", pd)
-        inv = np.linalg.inv(g) if abs(self.det) > 1e-300 else None
-        if inv is not None:
+            det, pd = float(np.linalg.det(g)), False
+            sqrt_det = math.sqrt(det) if det > 0 else float("nan")
+        try:
+            inv = np.linalg.inv(g)
             inv.setflags(write=False)
+        except np.linalg.LinAlgError:  # exactly singular, whatever the scale
+            inv = None
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "positive_definite", pd)
         object.__setattr__(self, "inverse", inv)
-        object.__setattr__(self, "sqrt_det", math.sqrt(self.det) if self.det > 0 else float("nan"))
+        object.__setattr__(self, "sqrt_det", sqrt_det)
 
     def __setattr__(self, name, value):
         raise AttributeError("Metric is immutable")

@@ -253,7 +253,8 @@ def _format_number(x):
 
 def format_form(form):
     if not form.coeffs:
-        return "0"
+        # a zero coefficient on the first monomial keeps the degree parseable
+        return "0 e" + "".join(map(str, range(1, form.degree + 1)))
     parts = []
     for key, value in form.items():
         mono = "e" + "".join(map(str, key))

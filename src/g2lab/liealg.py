@@ -141,6 +141,20 @@ def derivation_residual(algebra, D):
     return float(np.max(np.linalg.norm(lhs - rhs, axis=2)))
 
 
+def _derivation_equations(algebra):
+    """Rows (i<j, k) of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] = 0, linear in the
+    entries of D, as an (n(n-1)/2 n) x n^2 matrix."""
+    n = algebra.dim
+    B = algebra.bracket
+    i, j = np.triu_indices(n, 1)
+    p, k = np.arange(len(i)), np.arange(n)
+    eqs = np.zeros((len(i), n, n, n))
+    eqs[:, k, k, :] = B[i, j][:, None, :]              # D[x,y] term: c^m_{ij} D_{km}
+    eqs[p, :, :, i] -= B[:, j, :].transpose(1, 2, 0)   # [Dx,y] term: D_{mi} c^k_{mj}
+    eqs[p, :, :, j] -= B[i].transpose(0, 2, 1)         # [x,Dy] term: D_{mj} c^k_{im}
+    return eqs.reshape(len(i) * n, n * n)
+
+
 def derivation_space(algebra, cutoff=1e-10):
     """Orthonormal basis of the space of derivations, as n x n matrices.
 
@@ -148,17 +162,9 @@ def derivation_space(algebra, cutoff=1e-10):
     SVD null space with relative singular-value cutoff `cutoff`.
     """
     n = algebra.dim
-    B = algebra.bracket
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    eqs = np.zeros((len(pairs) * n, n * n))
-    for r, (i, j) in enumerate(pairs):
-        for k in range(n):
-            row = np.zeros((n, n))
-            row[k, :] += B[i, j, :]          # D[x,y] term: c^m_{ij} D_{km}
-            row[:, i] -= B[:, j, k]          # [Dx,y] term: D_{mi} c^k_{mj}
-            row[:, j] -= B[i, :, k]          # [x,Dy] term: D_{mj} c^k_{im}
-            eqs[r * n + k] = row.reshape(-1)
-    _, s, vh = np.linalg.svd(eqs)
+    eqs = _derivation_equations(algebra)
+    eqs = eqs[np.any(eqs, axis=1)]  # a zero row constrains nothing
+    _, s, vh = np.linalg.svd(eqs, full_matrices=eqs.shape[0] < eqs.shape[1])
     smax = s[0] if s.size else 0.0
     rank = int((s > cutoff * max(smax, 1.0)).sum())
     return [vh[m].reshape(n, n) for m in range(rank, vh.shape[0])]

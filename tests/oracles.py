@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from g2lab.curvature import riemann
 from g2lab.exterior import KForm, multi_indices
 
 
@@ -90,3 +91,34 @@ def brute_hodge(metric, a):
            for key in multi_indices(n, k)]
     sol = np.linalg.solve(_top_pairing(n, k), np.array(rhs))
     return KForm.from_vector(n, n - k, sol)
+
+
+def frame_star_ricci(structure):
+    """Ric* contracted in a g-orthonormal frame f = g^{-1/2} e with the
+    five-operand einsums (R_abcd phi_abs phi_cdm), mapped back to the e_i basis."""
+    g = structure.metric.g
+    w, v = np.linalg.eigh(g)
+    s, s_inv = (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+    r4 = np.einsum("ijkm,ml->ijkl", riemann(structure.algebra, structure.metric), g)
+    r4f = np.einsum("ia,jb,kc,ld,ijkl->abcd", s_inv, s_inv, s_inv, s_inv, r4, optimize=True)
+    phif = np.einsum("ia,jb,kc,ijk->abc", s_inv, s_inv, s_inv, dense(structure.phi),
+                     optimize=True)
+    ric_f = np.einsum("ijkl,ijs,klm->sm", r4f, phif, phif, optimize=True)
+    return s @ ((ric_f + ric_f.T) / 2.0) @ s
+
+
+def loop_derivation_equations(algebra):
+    """Derivation equations D[e_i,e_j] = [De_i,e_j] + [e_i,De_j], one row per
+    (i<j, k), filled one row at a time."""
+    n = algebra.dim
+    B = algebra.bracket
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    eqs = np.zeros((len(pairs) * n, n * n))
+    for r, (i, j) in enumerate(pairs):
+        for k in range(n):
+            row = np.zeros((n, n))
+            row[k, :] += B[i, j, :]          # D[x,y] term: c^m_{ij} D_{km}
+            row[:, i] -= B[:, j, k]          # [Dx,y] term: D_{mi} c^k_{mj}
+            row[:, j] -= B[i, :, k]          # [x,Dy] term: D_{mj} c^k_{im}
+            eqs[r * n + k] = row.reshape(-1)
+    return eqs

@@ -10,10 +10,11 @@ from g2lab.curvature import (SolitonCertificate, einstein_calibrated_residual,
                              scalar_curvature, soliton_solve, star_einstein_residual,
                              star_ricci, star_scal)
 from g2lab.exterior import KForm, Metric
-from g2lab.g2core import metric_from_phi
+from g2lab.g2core import G2Structure, metric_from_phi
 from g2lab.liealg import jacobi_residual
 
-from conftest import metric_strategy
+from conftest import metric_strategy, positive_3form_strategy
+from oracles import frame_star_ricci
 
 N2 = catalog("n2").algebra
 H2 = catalog("h2").algebra
@@ -22,6 +23,11 @@ I6 = Metric.identity(6)
 I7 = Metric.identity(7)
 
 CURVED_NAMES = ("n2", "n4", "n6", "n8", "n12", "n12_modified_basis", "s_ext_h2")
+G2_NAMES = ("std_g2", "n2", "n4", "n6", "n12_modified_basis", "s_ext_h2")
+
+
+def _assert_close(got, want, rtol=1e-10):
+    assert np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
 
 
 class TestLeviCivita:
@@ -72,6 +78,22 @@ class TestRicci:
         assert np.abs(ric - ric.T).max() < 1e-10
         assert abs(scalar_curvature(algebra, g)
                    - float(np.trace(g.inverse @ ric))) < 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(("n2", "n6", "s_ext_h2", "n1")), metric_strategy(7))
+    def test_equals_riemann_trace(self, name, g):
+        algebra = catalog(name).algebra
+        ric = np.einsum("ijki->jk", riemann(algebra, g))
+        _assert_close(ricci(algebra, g), (ric + ric.T) / 2.0, rtol=1e-13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(CURVED_NAMES), metric_strategy(7),
+           st.floats(min_value=-60.0, max_value=60.0))
+    def test_scale_invariant(self, name, g, log10_scale):
+        # Ric of c g equals Ric of g as a bilinear form, for every c > 0
+        algebra = catalog(name).algebra
+        scaled = Metric((10.0 ** log10_scale) * g.g)
+        _assert_close(ricci(algebra, scaled), ricci(algebra, g))
 
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from(CURVED_NAMES), metric_strategy(7))
@@ -202,6 +224,19 @@ class TestStarRicci:
         for G in catalog_structures.values():
             m = star_ricci(G)
             assert np.abs(m - m.T).max() < 1e-10
+
+    @pytest.mark.parametrize("name", G2_NAMES)
+    def test_matches_frame_oracle_on_catalog(self, name, catalog_structures):
+        G = catalog_structures[name]
+        _assert_close(star_ricci(G), frame_star_ricci(G), rtol=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(positive_3form_strategy(), st.sampled_from(G2_NAMES),
+           st.floats(min_value=-2.0, max_value=2.0), st.sampled_from([1.0, -1.0]))
+    def test_matches_frame_oracle_on_random_forms(self, phi, name, log10_scale,
+                                                  orientation):
+        G = G2Structure(catalog(name).algebra, (orientation * 10.0 ** log10_scale) * phi)
+        _assert_close(star_ricci(G), frame_star_ricci(G))
 
     def test_star_einstein_residual_nonnegative(self, catalog_structures):
         G = catalog_structures["n2"]

@@ -212,3 +212,19 @@ class TestMetric:
     def test_indefinite_flagged(self):
         g = Metric(np.diag([1.0, -1.0]))
         assert not g.positive_definite
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e-50, 1e-10, 1e50, 1e80])
+    def test_inverse_and_volume_at_any_scale(self, scale):
+        # det g under- or overflows at all but 1e-10; g^-1 and sqrt(det g) do not
+        base = np.eye(7) + 0.1 * np.ones((7, 7))
+        g, ref = Metric(scale * base), Metric(base)
+        assert g.positive_definite
+        np.testing.assert_allclose(g.inverse, ref.inverse / scale, rtol=1e-13)
+        assert math.isclose(g.sqrt_det, ref.sqrt_det * scale ** 3.5, rel_tol=1e-13)
+
+    def test_singular_has_no_inverse(self):
+        assert Metric(np.diag([1.0, 0.0, 2.0])).inverse is None
+        tiny_indefinite = Metric(1e-200 * np.diag([1.0, -1.0, 2.0]))
+        assert not tiny_indefinite.positive_definite
+        np.testing.assert_allclose(tiny_indefinite.inverse,
+                                   1e200 * np.diag([1.0, -1.0, 0.5]), rtol=1e-15)

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from g2lab.catalog import catalog, catalog_names
 from g2lab.exterior import KForm, Metric, form_inner, wedge
-from g2lab.liealg import (LieAlgebra, ce_diff, codifferential, derivation_residual,
-                          derivation_space, jacobi_residual)
+from g2lab.liealg import (LieAlgebra, _derivation_equations, ce_diff, codifferential,
+                          derivation_residual, derivation_space, jacobi_residual)
 
 from conftest import form_strategy, metric_strategy
+from oracles import loop_derivation_equations
 
 N2 = catalog("n2").algebra
 S_EXT = catalog("s_ext_h2").algebra
@@ -120,6 +121,33 @@ class TestDerivations:
     def test_space_members_are_derivations(self):
         for D in derivation_space(N2):
             assert derivation_residual(N2, D) < 1e-10
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_equations_match_row_loop(self, name):
+        algebra = catalog(name).algebra
+        got = _derivation_equations(algebra)
+        want = loop_derivation_equations(algebra)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name,count", [
+        ("n1", 49), ("n2", 27), ("n3", 25), ("n4", 19), ("n5", 18), ("n6", 19),
+        ("n7", 17), ("n8", 12), ("n9", 11), ("n10", 13), ("n11", 12), ("n12", 15),
+        ("n12_modified_basis", 15), ("h1", 10), ("h2", 16), ("s_ext_h2", 14),
+        ("std_g2", 49),
+    ])
+    def test_dimension_snapshot(self, name, count):
+        algebra = catalog(name).algebra
+        ders = derivation_space(algebra)
+        assert len(ders) == count
+        for D in ders:
+            assert derivation_residual(algebra, D) < 1e-10
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_small_abelian_has_full_space(self, dim):
+        # below dimension 3 there are fewer equations than unknowns
+        abelian = LieAlgebra([KForm.zero(dim, 2)] * dim)
+        assert len(derivation_space(abelian)) == dim * dim
 
 
 class TestBracketConventions:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .catalog import catalog, catalog_names
-from .curvature import (einstein_calibrated_residual, einstein_residual, ricci,
+from .curvature import (_einstein_calibrated_residual, einstein_residual, ricci,
                         ricci_operator, scal_from_torsion, scalar_curvature,
                         soliton_solve, star_ricci)
 from .exterior import KForm, Metric
@@ -294,7 +294,7 @@ def cmd_einstein(args, tol):
         t = torsion_forms(G)
         cls = classify(t, tol=tol)
         if cls.tau0_zero and cls.tau1_zero and cls.tau3_zero:
-            residuals["einstein_calibrated"] = einstein_calibrated_residual(G, tol=tol)
+            residuals["einstein_calibrated"] = _einstein_calibrated_residual(G, t, tol)
         ric_star = star_ricci(G)
         results["star_scal"] = float(np.trace(G.metric.inverse @ ric_star))
         results["star_ricci"] = ric_star

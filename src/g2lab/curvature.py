@@ -74,13 +74,12 @@ def scal_from_torsion(structure):
     12 delta(tau1) + 21/8 tau0^2 + 30 |tau1|^2 - 1/2 |tau2|^2 - 1/2 |tau3|^2.
     """
     t = torsion_forms(structure)
-    g = structure.metric
-    delta_tau1 = codifferential(structure.algebra, g, t.tau1).coefficient(())
+    delta_tau1 = codifferential(structure.algebra, structure.metric, t.tau1).coefficient(())
     return (12.0 * delta_tau1
             + (21.0 / 8.0) * t.tau0 ** 2
-            + 30.0 * form_inner(g, t.tau1, t.tau1)
-            - 0.5 * form_inner(g, t.tau2, t.tau2)
-            - 0.5 * form_inner(g, t.tau3, t.tau3))
+            + 30.0 * structure.inner(t.tau1, t.tau1)
+            - 0.5 * structure.inner(t.tau2, t.tau2)
+            - 0.5 * structure.inner(t.tau3, t.tau3))
 
 
 def star_ricci(structure):
@@ -153,7 +152,11 @@ def einstein_calibrated_residual(structure, tol=1e-8):
     Defined for calibrated structures only; vanishing is equivalent to the
     induced metric being Einstein.
     """
-    t = torsion_forms(structure)
+    return _einstein_calibrated_residual(structure, torsion_forms(structure), tol)
+
+
+def _einstein_calibrated_residual(structure, t, tol):
+    """einstein_calibrated_residual with the torsion forms `t` of the structure given."""
     cls = classify(t, tol=tol)
     if not (cls.tau0_zero and cls.tau1_zero and cls.tau3_zero):
         raise ValueError("structure is not calibrated (closed)")

@@ -4,8 +4,9 @@ A positive 3-form phi determines a metric through
     g(X, Y) dV = 1/6 iota_X phi ^ iota_Y phi ^ phi,
 inverted here as g = (36 det B)^{-1/9} B where B_ij is the e^{1..7}
 coefficient of iota_i phi ^ iota_j phi ^ phi.  The torsion of the structure
-is read off from d phi and d star(phi) by least squares over the invariant
-2- and 3-form subspaces.
+is read off from d phi and d star(phi) in closed form, by Bryant's explicit
+projections onto the G2-invariant parts (R. Bryant, Some remarks on
+G2-structures, arXiv:math/0305124), on coefficient vectors.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import (KForm, Metric, complement_data, compound_matrix, hodge_star,
-                       multi_indices, sort_with_sign, standard_volume, wedge, wedge_matrix)
+from .exterior import (KForm, Metric, complement_data, form_inner, multi_indices,
+                       sort_with_sign, standard_volume, wedge, wedge_matrix)
 from .liealg import ce_diff
 
 VANISH_TOL = 1e-8
@@ -42,14 +43,6 @@ def gram_matrix_from_phi(phi_vec):
     A = _dense(phi_vec, 3).reshape(7, 49)
     B = A @ (_dense(psi, 4).reshape(49, 49) @ A.T) / 4.0
     return (B + B.T) / 2.0
-
-
-def _gram_from_complement(comp_gram_low, degree, det_g):
-    # Jacobi complementary-minor identity: the degree-k Gram of g^{-1} equals
-    # sign(I,Ic) sign(J,Jc) det(g[Jc,Ic]) / det g.
-    pos, s = complement_data(7, degree)
-    M = comp_gram_low[np.ix_(pos, pos)]
-    return (s[:, None] * s[None, :]) * M / det_g
 
 
 def _phi_metric(phi_vec):
@@ -111,8 +104,9 @@ def _star(vec, degree, metric):
     """Hodge star of a k-form's coefficients, positively oriented on e^{1..7}.
 
     Degrees <= 3 raise every index with g^{-1}; degrees >= 4 place the signed
-    complement first and lower its 7-k indices with g (the complementary-minor
-    identity of _gram_from_complement), so no tensor exceeds rank 3.
+    complement first and lower its 7-k indices with g (Jacobi's
+    complementary-minor identity: the degree-k Gram of g^{-1} is
+    sign(I,Ic) sign(J,Jc) det(g[Jc,Ic]) / det g), so no tensor exceeds rank 3.
     """
     pos, s = complement_data(7, degree)
     out = np.empty(len(pos))
@@ -148,12 +142,13 @@ class G2Structure:
     form and the Hodge star are always taken positively oriented on
     e^{1..7}, which is the convention the torsion conventions below assume.
 
-    All caches (metric, Gram matrices of degrees 2..4, star of phi) are
-    computed at construction; instances are immutable and shareable.
+    The metric and the star of phi are computed at construction; stars and
+    inner products of other forms go through the dense kernels `_star` and
+    `_compound_apply`.  Instances are immutable and shareable.
     """
 
     __slots__ = ("algebra", "phi", "metric", "volume", "gram_det", "b_matrix",
-                 "orientation", "star_phi", "_phi_vec", "_star_phi_vec", "_grams")
+                 "orientation", "star_phi", "_phi_vec", "_star_phi_vec")
 
     def __init__(self, algebra, phi):
         if algebra.dim != 7:
@@ -162,11 +157,7 @@ class G2Structure:
             raise ValueError("phi must be a 3-form in dimension 7")
         v = phi.to_vector()
         B, det_b, eps, metric = _phi_metric(v)
-        grams = {
-            2: compound_matrix(metric.inverse, 2),
-            3: compound_matrix(metric.inverse, 3),
-            4: _gram_from_complement(compound_matrix(metric.g, 3), 4, metric.det),
-        }
+        spv = _star(v, 3, metric)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "metric", metric)
@@ -175,36 +166,23 @@ class G2Structure:
         object.__setattr__(self, "b_matrix", B)
         object.__setattr__(self, "orientation", eps)
         object.__setattr__(self, "_phi_vec", v)
-        object.__setattr__(self, "_grams", grams)
-        spv = self.star_vec(v, 3)
         object.__setattr__(self, "_star_phi_vec", spv)
         object.__setattr__(self, "star_phi", KForm.from_vector(7, 4, spv))
 
     def __setattr__(self, name, value):
         raise AttributeError("G2Structure is immutable")
 
-    def star_vec(self, vec, degree):
-        """Fast Hodge star on coefficient vectors for degrees 2..4."""
-        gram = self._grams[degree]
-        pos, s = complement_data(7, degree)
-        out = np.empty(len(pos))
-        out[pos] = s * (self.metric.sqrt_det * (gram @ vec))
-        return out
-
     def star(self, a):
-        """Hodge star in this structure's metric and orientation."""
-        if a.degree in self._grams:
-            return KForm.from_vector(7, 7 - a.degree, self.star_vec(a.to_vector(), a.degree))
-        return hodge_star(self.metric, a)
+        """Hodge star in this structure's metric, positively oriented on e^{1..7}."""
+        return KForm.from_vector(7, 7 - a.degree, _star(a.to_vector(), a.degree, self.metric))
 
     def d(self, a):
         return ce_diff(self.algebra, a)
 
     def inner(self, a, b):
-        gram = self._grams.get(a.degree)
-        if gram is not None and b.degree == a.degree:
-            return float(a.to_vector() @ gram @ b.to_vector())
-        from .exterior import form_inner
+        if a.degree == b.degree <= 3:
+            return float(a.to_vector() @ _compound_apply(self.metric.inverse, b.to_vector(),
+                                                         b.degree))
         return form_inner(self.metric, a, b)
 
     def norm(self, a):
@@ -256,42 +234,41 @@ class TorsionForms:
 
 
 def torsion_forms(structure, tau1_tol=1e-8):
-    """Extract (tau0, tau1, tau2, tau3) by least squares over invariant subspaces.
+    """Extract (tau0, tau1, tau2, tau3) by Bryant's projections:
 
-    The two equations each determine tau1; a disagreement beyond `tau1_tol`
-    means the input did not come from a positive G2 form and raises
-    TorsionSolveError.
+        tau0 = 1/7 star(phi ^ d phi)
+        tau1 = -1/12 star(star(d phi) ^ phi) = 1/12 star(star(d star phi) ^ star phi)
+        tau3 = star(d phi - tau0 star(phi) - 3 tau1 ^ phi)
+        tau2 = -epsilon star(d star(phi) - 4 tau1 ^ star(phi))
+
+    with epsilon the orientation.  The two formulas for tau1 read it from the
+    two equations; a disagreement beyond `tau1_tol` means the input did not
+    come from a positive G2 form and raises TorsionSolveError.  `residual` is
+    the largest of |tau3 ^ phi|, |tau3 ^ star(phi)| and |tau2 ^ star(phi)|,
+    the part of the data outside tau2 in Lambda^2_14 and tau3 in Lambda^3_27.
     """
     G = structure
-    dphi = G.d(G.phi)
-    dstar = G.d(G.star_phi)
+    m, phi, psi = G.metric, G._phi_vec, G._star_phi_vec
+    dphi = G.algebra.diff_matrix(3) @ phi
+    dpsi = G.algebra.diff_matrix(4) @ psi
+    wedge3_phi = wedge_matrix(7, 3, 3, phi)
+    wedge2_psi = wedge_matrix(7, 2, 4, psi)
 
-    basis14 = lambda2_14_basis(G)
-    basis27 = lambda3_27_basis(G)
-
-    e_wedge_phi = wedge_matrix(7, 1, 3, G._phi_vec)
-    star27 = np.column_stack([G.star_vec(basis27[:, j], 3) for j in range(basis27.shape[1])])
-    A1 = np.column_stack([G._star_phi_vec, 3.0 * e_wedge_phi, star27])
-    b1 = dphi.to_vector()
-    x, *_ = np.linalg.lstsq(A1, b1, rcond=None)
-
-    e_wedge_star = wedge_matrix(7, 1, 4, G._star_phi_vec)
-    phi_wedge = wedge_matrix(7, 2, 3, G._phi_vec)
-    A2 = np.column_stack([4.0 * e_wedge_star, phi_wedge @ basis14])
-    b2 = dstar.to_vector()
-    y, *_ = np.linalg.lstsq(A2, b2, rcond=None)
-
-    tau1_mismatch = float(np.linalg.norm(x[1:8] - y[:7]))
+    tau0 = float(_star(wedge_matrix(7, 4, 3, phi) @ dphi, 7, m)[0]) / 7.0
+    tau1 = -_star(wedge3_phi @ _star(dphi, 4, m), 6, m) / 12.0
+    tau1_b = _star(wedge2_psi @ _star(dpsi, 5, m), 6, m) / 12.0
+    tau1_mismatch = float(np.linalg.norm(tau1 - tau1_b))
     if tau1_mismatch > tau1_tol:
         raise TorsionSolveError(
             f"tau1 disagrees between the two torsion equations by {tau1_mismatch:.3e}")
 
-    tau0 = float(x[0])
-    tau1 = KForm.from_vector(7, 1, x[1:8])
-    tau3 = KForm.from_vector(7, 3, basis27 @ x[8:])
-    tau2 = KForm.from_vector(7, 2, basis14 @ y[7:])
-    residual = max(float(np.linalg.norm(A1 @ x - b1)), float(np.linalg.norm(A2 @ y - b2)))
-    return TorsionForms(tau0, tau1, tau2, tau3, residual, tau1_mismatch)
+    tau3 = _star(dphi - tau0 * psi - 3.0 * (wedge_matrix(7, 1, 3, phi) @ tau1), 4, m)
+    tau2 = -G.orientation * _star(dpsi - 4.0 * (wedge_matrix(7, 1, 4, psi) @ tau1), 5, m)
+    residual = max(float(np.linalg.norm(wedge3_phi @ tau3)),
+                   float(np.linalg.norm(wedge_matrix(7, 3, 4, psi) @ tau3)),
+                   float(np.linalg.norm(wedge2_psi @ tau2)))
+    return TorsionForms(tau0, KForm.from_vector(7, 1, tau1), KForm.from_vector(7, 2, tau2),
+                        KForm.from_vector(7, 3, tau3), residual, tau1_mismatch)
 
 
 def lee_form(structure):

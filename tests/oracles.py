@@ -12,7 +12,9 @@ import math
 import numpy as np
 
 from g2lab.curvature import riemann
-from g2lab.exterior import KForm, multi_indices
+from g2lab.exterior import KForm, complement_data, compound_matrix, multi_indices, wedge_matrix
+from g2lab.g2core import (TorsionForms, TorsionSolveError, lambda2_14_basis,
+                          lambda3_27_basis)
 
 
 def perm_sign(perm):
@@ -122,3 +124,43 @@ def loop_derivation_equations(algebra):
             row[:, j] -= B[i, :, k]          # [x,Dy] term: D_{mj} c^k_{im}
             eqs[r * n + k] = row.reshape(-1)
     return eqs
+
+
+def lstsq_torsion(structure, tau1_tol=1e-8):
+    """Torsion forms by least squares over the invariant subspaces: d phi over
+    [star(phi) | 3 e^i ^ phi | star(Lambda^3_27)] and d star(phi) over
+    [4 e^i ^ star(phi) | Lambda^2_14 ^ phi], the two null-space bases taken
+    by SVD and the 3-form stars through the compound Gram matrix."""
+    G = structure
+    dphi = G.d(G.phi)
+    dstar = G.d(G.star_phi)
+
+    basis14 = lambda2_14_basis(G)
+    basis27 = lambda3_27_basis(G)
+
+    e_wedge_phi = wedge_matrix(7, 1, 3, G._phi_vec)
+    pos, s = complement_data(7, 3)
+    star27 = np.empty_like(basis27)
+    star27[pos] = s[:, None] * (G.metric.sqrt_det * (compound_matrix(G.metric.inverse, 3)
+                                                     @ basis27))
+    A1 = np.column_stack([G._star_phi_vec, 3.0 * e_wedge_phi, star27])
+    b1 = dphi.to_vector()
+    x, *_ = np.linalg.lstsq(A1, b1, rcond=None)
+
+    e_wedge_star = wedge_matrix(7, 1, 4, G._star_phi_vec)
+    phi_wedge = wedge_matrix(7, 2, 3, G._phi_vec)
+    A2 = np.column_stack([4.0 * e_wedge_star, phi_wedge @ basis14])
+    b2 = dstar.to_vector()
+    y, *_ = np.linalg.lstsq(A2, b2, rcond=None)
+
+    tau1_mismatch = float(np.linalg.norm(x[1:8] - y[:7]))
+    if tau1_mismatch > tau1_tol:
+        raise TorsionSolveError(
+            f"tau1 disagrees between the two torsion equations by {tau1_mismatch:.3e}")
+
+    tau0 = float(x[0])
+    tau1 = KForm.from_vector(7, 1, x[1:8])
+    tau3 = KForm.from_vector(7, 3, basis27 @ x[8:])
+    tau2 = KForm.from_vector(7, 2, basis14 @ y[7:])
+    residual = max(float(np.linalg.norm(A1 @ x - b1)), float(np.linalg.norm(A2 @ y - b2)))
+    return TorsionForms(tau0, tau1, tau2, tau3, residual, tau1_mismatch)

@@ -121,6 +121,24 @@ class TestReports:
         assert report["results"]["einstein"] is True
         assert report["results"]["scalar_curvature"] == pytest.approx(-21.0)
 
+    def test_einstein_n2_computes_torsion_once(self, capsys, monkeypatch):
+        import g2lab.cli as cli
+        import g2lab.curvature as curvature
+        from g2lab.g2core import torsion_forms
+        calls = []
+
+        def counting(structure, *args, **kwargs):
+            calls.append(structure)
+            return torsion_forms(structure, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "torsion_forms", counting)
+        monkeypatch.setattr(curvature, "torsion_forms", counting)
+        code, report = run_cli(capsys, "einstein", "--catalog", "n2")
+        assert code == 0
+        assert len(calls) == 1
+        assert report["residuals"]["einstein_calibrated"] == \
+            curvature.einstein_calibrated_residual(calls[0])
+
     def test_su3_h2(self, capsys):
         code, report = run_cli(capsys, "su3", "--catalog", "h2")
         assert code == 0

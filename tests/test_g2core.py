@@ -4,13 +4,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
-from g2lab.exterior import KForm, form_inner, standard_volume, wedge
+from g2lab.exterior import (KForm, form_inner, hodge_star, multi_indices, standard_volume,
+                            wedge)
 from g2lab.g2core import (G2Structure, PositivityError, TorsionForms, classify,
                           lambda2_14_basis, lambda3_27_basis, lee_form,
                           metric_from_phi, torsion_forms)
 from g2lab.liealg import ce_diff
 
 from conftest import positive_3form_strategy
+from oracles import lstsq_torsion
+
+G2_CATALOG = ("std_g2", "n2", "n4", "n6", "n12_modified_basis", "s_ext_h2")
 
 STD = catalog("std_g2")
 N2 = catalog("n2")
@@ -140,6 +144,50 @@ class TestTorsionForms:
         t = torsion_forms(G)
         assert t.residual < 1e-9
         assert t.tau1_consistency < 1e-9
+
+
+def _torsion_gap(t, oracle):
+    return max([abs(t.tau0 - oracle.tau0)]
+               + [float(np.abs(getattr(t, k).to_vector() - getattr(oracle, k).to_vector()).max())
+                  for k in ("tau1", "tau2", "tau3")])
+
+
+class TestTorsionAgainstLeastSquares:
+    """The closed-form projections against the least-squares fit over the
+    invariant subspaces (tests/oracles.lstsq_torsion)."""
+
+    @pytest.mark.parametrize("name", G2_CATALOG)
+    def test_catalog(self, name, catalog_structures):
+        G = catalog_structures[name]
+        assert _torsion_gap(torsion_forms(G), lstsq_torsion(G)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(positive_3form_strategy(), st.sampled_from(G2_CATALOG),
+           st.floats(min_value=-2.0, max_value=2.0), st.sampled_from([1.0, -1.0]))
+    def test_random_positive_forms(self, phi, name, log10_scale, orientation):
+        G = G2Structure(catalog(name).algebra, (orientation * 10.0 ** log10_scale) * phi)
+        assert G.orientation == orientation
+        oracle = lstsq_torsion(G)
+        data = (np.linalg.norm(G.d(G.phi).to_vector())
+                + np.linalg.norm(G.d(G.star_phi).to_vector()))
+        tol = max(1e-10 * data, oracle.tau1_consistency)
+        assert _torsion_gap(torsion_forms(G), oracle) <= tol
+
+
+class TestStarAndInner:
+    """G2Structure.star/.inner against exterior.hodge_star/form_inner."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(positive_3form_strategy(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_every_degree(self, phi, seed):
+        G = G2Structure(STD.algebra, phi)
+        rng = np.random.default_rng(seed)
+        for k in range(8):
+            a, b = (KForm.from_vector(7, k, rng.uniform(-1.0, 1.0, len(multi_indices(7, k))))
+                    for _ in range(2))
+            assert G.star(a).allclose(hodge_star(G.metric, a), tol=1e-12)
+            assert G.inner(a, b) == pytest.approx(form_inner(G.metric, a, b),
+                                                  rel=1e-12, abs=1e-12)
 
 
 class TestLeeForm:

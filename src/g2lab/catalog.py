@@ -205,13 +205,6 @@ def catalog(name):
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(CATALOG_NAMES)}")
     if name not in _cache:
         description, source = _SOURCES[name]
-        doc = parse_document(source)
-        _cache[name] = CatalogEntry(name, description,
-                                    InputDocument(_named(doc.algebra, name), doc.forms),
+        _cache[name] = CatalogEntry(name, description, parse_document(source, name),
                                     source.strip() + "\n")
     return _cache[name]
-
-
-def _named(algebra, name):
-    from .liealg import LieAlgebra
-    return LieAlgebra(algebra.dual_differential, name=name)

@@ -140,10 +140,16 @@ class KForm:
 
     @classmethod
     def from_vector(cls, dim, degree, vec):
+        """Form with coefficients `vec` over `multi_indices(dim, degree)`.  Those keys
+        are canonical, so only the range checks and the prune (of NaN too) apply."""
+        form = cls(dim, degree)
         keys = multi_indices(dim, degree)
         if len(vec) != len(keys):
             raise ValueError(f"coefficient vector has length {len(vec)}, expected {len(keys)}")
-        return cls(dim, degree, {k: float(v) for k, v in zip(keys, vec) if v != 0.0})
+        vec = np.asarray(vec, dtype=float)
+        object.__setattr__(form, "_coeffs", {keys[p]: float(vec[p])
+                                             for p in np.flatnonzero(np.abs(vec) > PRUNE_TOL)})
+        return form
 
     @property
     def coeffs(self):
@@ -240,17 +246,15 @@ def standard_volume(dim):
 
 
 def wedge(a, b):
-    """Wedge product; bilinear, graded-commutative."""
+    """Wedge product; bilinear, graded-commutative.  One scatter through
+    `wedge_table`, summing the terms of each coefficient in (a, b) key order."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key, sign = sort_with_sign(ka + kb)
-            if sign == 0:
-                continue
-            out[key] = out.get(key, 0.0) + sign * va * vb
-    return KForm(a.dim, a.degree + b.degree, out)
+    n, k = a.dim, a.degree + b.degree
+    ia, ib, iout, sg = wedge_table(n, a.degree, b.degree)
+    vec = np.bincount(iout, weights=sg * a.to_vector()[ia] * b.to_vector()[ib],
+                      minlength=len(multi_indices(n, k)))
+    return KForm.from_vector(n, k, vec)
 
 
 def interior(vector, a):

@@ -113,7 +113,7 @@ class _Parser:
 
     # --- grammar ------------------------------------------------------
 
-    def document(self):
+    def document(self, name):
         self.expect("word", "algebra")
         self.expect("punct", "{")
         self.expect("word", "dim")
@@ -143,7 +143,8 @@ class _Parser:
                               f"got degree {form.degree}", basis_tok)
                 duals[index[0]] = form
         self.expect("punct", "}")
-        algebra = LieAlgebra([duals.get(i, KForm.zero(dim, 2)) for i in range(1, dim + 1)])
+        algebra = LieAlgebra([duals.get(i, KForm.zero(dim, 2)) for i in range(1, dim + 1)],
+                             name=name)
 
         forms = {}
         while self.peek().kind == "word" and self.peek().text == "form":
@@ -237,9 +238,11 @@ class _Parser:
         return tuple(digits)
 
 
-def parse_document(text):
-    """Parse a document; raises ParseError with line/column on bad input."""
-    return _Parser(text).document()
+def parse_document(text, name=None):
+    """Parse a document; raises ParseError with line/column on bad input.
+
+    `name` becomes the name of the document's `LieAlgebra`."""
+    return _Parser(text).document(name)
 
 
 def _format_number(x):

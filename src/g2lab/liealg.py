@@ -4,14 +4,18 @@ An algebra is specified by d e^1, ..., d e^n (2-forms); the bracket is
 recovered from d alpha(X, Y) = -alpha([X, Y]).  Sign convention:
 d e^k = sum_{i<j} c^k_{ij} e^{ij} corresponds to [e_i, e_j] = -sum_k c^k_{ij} e_k.
 
-Differentials of all basis forms are precomputed per algebra at
-construction, so instances carry read-only caches and stay shareable.
+The differential matrix of each degree is built at construction by one scatter
+of the de^i coefficients through a table cached per (dimension, degree), from
+d = sum_i de^i ^ iota_{e_i}; instances carry read-only caches and stay shareable.
 """
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
 
-from .exterior import KForm, Metric, hodge_star, multi_indices
+from .exterior import KForm, Metric, hodge_star, index_positions, multi_indices, sort_with_sign
 
 
 class LieAlgebra:
@@ -37,35 +41,19 @@ class LieAlgebra:
         bracket.setflags(write=False)
         object.__setattr__(self, "bracket", bracket)
 
-        diff = [self._build_diff_matrix(k) for k in range(n + 1)]
+        weights = np.concatenate([form.to_vector() for form in duals])
+        diff = []
+        for k in range(n + 1):
+            bins, widx, sg = _diff_table(n, k)
+            shape = (len(multi_indices(n, k + 1)), len(multi_indices(n, k)))
+            mat = np.bincount(bins, weights=sg * weights[widx],
+                              minlength=shape[0] * shape[1]).reshape(shape)
+            mat.setflags(write=False)
+            diff.append(mat)
         object.__setattr__(self, "_diff", tuple(diff))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
-
-    def _d_basis(self, key):
-        # Leibniz: d e^{i1..ik} = sum_m (-1)^{m-1} e^{<m} ^ de^{im} ^ e^{>m};
-        # de^{im} has even degree, so it can be pulled to the front.
-        n = self.dim
-        out = KForm.zero(n, len(key) + 1)
-        for m, i in enumerate(key):
-            rest = key[:m] + key[m + 1:]
-            term = self.dual_differential[i - 1]
-            if rest:
-                term = term.wedge(KForm.basis(n, rest))
-            out = out + ((-1.0) ** m) * term
-        return out
-
-    def _build_diff_matrix(self, k):
-        n = self.dim
-        keys = multi_indices(n, k)
-        rows = len(multi_indices(n, k + 1))
-        mat = np.zeros((rows, len(keys)))
-        if k > 0:
-            for col, key in enumerate(keys):
-                mat[:, col] = self._d_basis(key).to_vector()
-        mat.setflags(write=False)
-        return mat
 
     def diff_matrix(self, degree):
         """Matrix of the differential on degree-`degree` coefficient vectors."""
@@ -105,6 +93,26 @@ class LieAlgebra:
     def __repr__(self):
         label = self.name or f"dim={self.dim}"
         return f"LieAlgebra({label})"
+
+
+@lru_cache(maxsize=None)
+def _diff_table(n, k):
+    """COO table (bin, weight, sign) of d on k-forms.  With iota_{e_{i_m}} e^I =
+    (-1)^m e^{I minus i_m} (m counted from 0), d e^I = sum_m (-1)^m de^{i_m} ^
+    e^{I minus i_m}.  `bin` is row * C(n, k) + column, `weight` indexes the
+    concatenated de^i vectors, and the terms of each entry come in increasing m."""
+    pair_pos = index_positions(n, 2)
+    pos_out, ncols = index_positions(n, k + 1), len(multi_indices(n, k))
+    bins, widx, sg = [], [], []
+    for col, key in enumerate(multi_indices(n, k)):
+        for m, i in enumerate(key):
+            rest = key[:m] + key[m + 1:]
+            for pair in itertools.combinations([j for j in range(1, n + 1) if j not in rest], 2):
+                out, sign = sort_with_sign(pair + rest)
+                bins.append(pos_out[out] * ncols + col)
+                widx.append((i - 1) * len(pair_pos) + pair_pos[pair])
+                sg.append((-1.0) ** m * sign)
+    return np.array(bins, dtype=np.intp), np.array(widx, dtype=np.intp), np.array(sg)
 
 
 def ce_diff(algebra, a):

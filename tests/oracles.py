@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from g2lab.curvature import riemann
-from g2lab.exterior import KForm, complement_data, compound_matrix, multi_indices, wedge_matrix
+from g2lab.exterior import (KForm, complement_data, compound_matrix, multi_indices,
+                            sort_with_sign, wedge_matrix)
 from g2lab.g2core import (TorsionForms, TorsionSolveError, lambda2_14_basis,
                           lambda3_27_basis)
 
@@ -59,6 +60,48 @@ def brute_wedge(a, b):
             key = tuple(sorted(i + 1 for i in combined))
             out[key] = out.get(key, 0.0) + perm_sign(combined) * va * vb / norm
     return KForm(a.dim, k + l, out)
+
+
+def dict_wedge(a, b):
+    """Wedge by a dict loop over the key pairs of a and b, each product merged
+    into its sorted key with the permutation sign."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key, sign = sort_with_sign(ka + kb)
+            if sign == 0:
+                continue
+            out[key] = out.get(key, 0.0) + sign * va * vb
+    return KForm(a.dim, a.degree + b.degree, out)
+
+
+def _leibniz_d_basis(algebra, key):
+    # Leibniz: d e^{i1..ik} = sum_m (-1)^{m-1} e^{<m} ^ de^{im} ^ e^{>m};
+    # de^{im} has even degree, so it can be pulled to the front.
+    n = algebra.dim
+    out = KForm.zero(n, len(key) + 1)
+    for m, i in enumerate(key):
+        rest = key[:m] + key[m + 1:]
+        term = algebra.dual_differential[i - 1]
+        if rest:
+            term = dict_wedge(term, KForm.basis(n, rest))
+        out = out + ((-1.0) ** m) * term
+    return out
+
+
+def leibniz_diff_matrix(algebra, k):
+    """Matrix of d on k-forms, column by column: the Leibniz expansion of each
+    basis form through KForm sums and the dict-loop wedge."""
+    n = algebra.dim
+    keys = multi_indices(n, k)
+    rows = len(multi_indices(n, k + 1))
+    mat = np.zeros((rows, len(keys)))
+    if k > 0:
+        for col, key in enumerate(keys):
+            mat[:, col] = _leibniz_d_basis(algebra, key).to_vector()
+    return mat
 
 
 def brute_interior(vector, a):

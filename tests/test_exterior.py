@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
-from g2lab.exterior import (KForm, Metric, form_inner, hodge_star, interior,
-                            standard_volume, wedge)
+from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, form_inner, hodge_star,
+                            interior, multi_indices, standard_volume, wedge)
 
 from conftest import form_strategy, metric_strategy
-from oracles import brute_hodge, brute_inner, brute_interior, brute_wedge
+from oracles import brute_hodge, brute_inner, brute_interior, brute_wedge, dict_wedge
 
 PHI_STD = catalog("std_g2").forms["phi"]
 I7 = Metric.identity(7)
@@ -31,6 +31,38 @@ class TestKForm:
     def test_vector_round_trip(self):
         vec = PHI_STD.to_vector()
         assert KForm.from_vector(7, 3, vec).allclose(PHI_STD, tol=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_from_vector_matches_canonical_constructor(self, seed):
+        rng = np.random.default_rng(seed)
+        edge = [PRUNE_TOL, -PRUNE_TOL, 2 * PRUNE_TOL, -2 * PRUNE_TOL, -0.0, math.nan]
+        for dim in range(1, 8):
+            for k in range(dim + 1):
+                keys = multi_indices(dim, k)
+                vec = rng.uniform(-1.0, 1.0, len(keys))
+                vec[rng.random(len(keys)) < 0.3] = 0.0
+                picks = rng.integers(0, len(keys), min(len(keys), len(edge)))
+                vec[picks] = rng.choice(edge, len(picks))
+                got = KForm.from_vector(dim, k, vec)
+                want = KForm(dim, k, dict(zip(keys, vec)))
+                assert (got.dim, got.degree) == (dim, k)
+                assert dict(got.coeffs) == dict(want.coeffs)
+                assert list(got.coeffs) == list(want.coeffs)
+
+    def test_from_vector_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            KForm.from_vector(7, 2, np.zeros(20))
+        with pytest.raises(ValueError):
+            KForm.from_vector(0, 1, np.zeros(0))
+        with pytest.raises(ValueError):
+            KForm.from_vector(MAX_DIM + 1, 1, np.zeros(MAX_DIM + 1))
+
+    def test_from_vector_is_immutable(self):
+        form = KForm.from_vector(7, 3, PHI_STD.to_vector())
+        with pytest.raises(AttributeError):
+            form.degree = 2
+        with pytest.raises(TypeError):
+            form.coeffs[(1, 2, 3)] = 5.0
 
     def test_equality_tolerance(self):
         assert PHI_STD == PHI_STD + KForm(7, 3, {(1, 2, 3): 1e-13})
@@ -88,6 +120,24 @@ class TestWedge:
     @given(form_strategy(5, 2), form_strategy(5, 2))
     def test_against_brute_force(self, a, b):
         assert wedge(a, b).allclose(brute_wedge(a, b), tol=1e-10)
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_matches_dict_loop(self, dim):
+        # every degree pair, degree sums above dim included; same terms summed
+        # in the same order, so the coefficients agree bit for bit
+        rng = np.random.default_rng(dim)
+
+        def sparse_form(deg):
+            count = len(multi_indices(dim, deg))
+            vec = rng.uniform(-2.0, 2.0, count) * (rng.random(count) < 0.6)
+            return KForm.from_vector(dim, deg, vec)
+
+        for k in range(dim + 1):
+            for l in range(dim + 1):
+                a, b = sparse_form(k), sparse_form(l)
+                got, want = wedge(a, b), dict_wedge(a, b)
+                assert (got.dim, got.degree) == (want.dim, want.degree) == (dim, k + l)
+                assert list(got.items()) == list(want.items())
 
 
 class TestInterior:

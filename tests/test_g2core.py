@@ -12,7 +12,7 @@ from g2lab.g2core import (G2Structure, PositivityError, TorsionForms, classify,
 from g2lab.liealg import ce_diff
 
 from conftest import positive_3form_strategy
-from oracles import lstsq_torsion
+from oracles import brute_hodge, brute_wedge, lstsq_torsion
 
 G2_CATALOG = ("std_g2", "n2", "n4", "n6", "n12_modified_basis", "s_ext_h2")
 
@@ -207,6 +207,34 @@ class TestLeeForm:
             G = metric_from_phi(entry.algebra, entry.forms["phi"])
             t = torsion_forms(G)
             assert lee_form(G).allclose(3.0 * t.tau1, tol=1e-9)
+
+
+def _brute_lee_form(G):
+    """theta = -1/4 star(star(d phi) ^ phi) from the permutation-sum wedge and the
+    solved star; the two stars cancel the orientation, so sqrt(det g) e^{1..7} serves."""
+    star_dphi = brute_hodge(G.metric, G.d(G.phi))
+    return -0.25 * brute_hodge(G.metric, brute_wedge(star_dphi, G.phi))
+
+
+class TestLeeFormAgainstBruteForce:
+    """lee_form and torsion_forms share wedge_table; the brute-force theta shares
+    neither, so theta = 3 tau1 stays a check across independent code."""
+
+    @pytest.mark.parametrize("name", G2_CATALOG)
+    def test_catalog(self, name, catalog_structures):
+        G = catalog_structures[name]
+        theta = _brute_lee_form(G)
+        assert lee_form(G).allclose(theta, tol=1e-10)
+        assert (3.0 * torsion_forms(G).tau1).allclose(theta, tol=1e-10)
+
+    @settings(max_examples=15, deadline=None)
+    @given(positive_3form_strategy(), st.sampled_from(G2_CATALOG), st.sampled_from([1.0, -1.0]))
+    def test_random_positive_forms(self, phi, name, orientation):
+        G = G2Structure(catalog(name).algebra, orientation * phi)
+        assert G.orientation == orientation
+        theta = _brute_lee_form(G)
+        assert lee_form(G).allclose(theta, tol=1e-10)
+        assert (3.0 * torsion_forms(G).tau1).allclose(theta, tol=1e-10)
 
 
 def _torsion(tau0, tau1, tau2, tau3):

@@ -1,15 +1,19 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2lab.catalog import catalog, catalog_names
-from g2lab.exterior import KForm, Metric, form_inner, wedge
+from g2lab.curvature import rank_one_extension
+from g2lab.exterior import KForm, Metric, form_inner, multi_indices, wedge
 from g2lab.liealg import (LieAlgebra, _derivation_equations, ce_diff, codifferential,
                           derivation_residual, derivation_space, jacobi_residual)
+from g2lab.su3 import SU3Structure, g2_product
 
 from conftest import form_strategy, metric_strategy
-from oracles import loop_derivation_equations
+from oracles import leibniz_diff_matrix, loop_derivation_equations
 
 N2 = catalog("n2").algebra
 S_EXT = catalog("s_ext_h2").algebra
@@ -52,6 +56,66 @@ class TestCeDiff:
         left = ce_diff(algebra, wedge(a, b))
         right = wedge(ce_diff(algebra, a), b) + wedge(a, ce_diff(algebra, b))
         assert left.allclose(right, tol=1e-10)
+
+
+def _assert_diff_matches_leibniz(algebra):
+    for k in range(algebra.dim + 1):
+        got, want = algebra.diff_matrix(k), leibniz_diff_matrix(algebra, k)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), k
+
+
+def _dyadic_algebra(dim):
+    """Structure data with coefficients in (1/4)Z; Jacobi is not required."""
+    count = len(multi_indices(dim, 2))
+    coeffs = st.lists(st.integers(min_value=-8, max_value=8), min_size=count, max_size=count)
+    return st.lists(coeffs, min_size=dim, max_size=dim).map(lambda rows: LieAlgebra(
+        [KForm.from_vector(dim, 2, np.array(row) / 4.0) for row in rows]))
+
+
+class TestDiffMatrixAgainstLeibniz:
+    """The table-built differential matrices against the Leibniz expansion
+    through KForm sums and dict-loop wedges (tests/oracles.leibniz_diff_matrix),
+    entry for entry."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog(self, name):
+        _assert_diff_matches_leibniz(catalog(name).algebra)
+
+    @pytest.mark.parametrize("name", ["h1", "h2"])
+    def test_g2_product(self, name):
+        omega = KForm(6, 2, {(1, 2): 1.0, (3, 4): 1.0, (5, 6): 1.0})
+        psi = KForm(6, 3, {(1, 3, 5): 1.0, (1, 4, 6): -1.0, (2, 3, 6): -1.0, (2, 4, 5): -1.0})
+        _assert_diff_matches_leibniz(
+            g2_product(SU3Structure(catalog(name).algebra, omega, psi)).algebra)
+
+    def test_rank_one_extension(self):
+        n6 = catalog("n6").algebra
+        for D in (np.diag([0.5, 2.0, 2.0, 2.5, 2.5, 3.0, 3.0]), sum(derivation_space(n6))):
+            _assert_diff_matches_leibniz(rank_one_extension(n6, D))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=9).flatmap(_dyadic_algebra))
+    def test_dyadic_algebras(self, algebra):
+        _assert_diff_matches_leibniz(algebra)
+
+
+class TestCatalogBuilds:
+    def test_cold_lookup_builds_one_algebra(self, monkeypatch):
+        built = []
+
+        class Counting(LieAlgebra):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        # the package exports the function `catalog` under the module's name
+        for module in ("g2lab.liealg", "g2lab.inputfmt"):
+            monkeypatch.setattr(importlib.import_module(module), "LieAlgebra", Counting)
+        monkeypatch.setattr(importlib.import_module("g2lab.catalog"), "_cache", {})
+        entry = catalog("n6")
+        assert len(built) == 1
+        assert entry.algebra.name == "n6"
 
 
 class TestJacobi:

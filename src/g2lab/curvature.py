@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import KForm, Metric, form_inner
-from .g2core import _dense, classify, torsion_forms
+from .exterior import KForm, Metric, _dense, form_inner
+from .g2core import classify, torsion_forms
 from .liealg import LieAlgebra, ce_diff, codifferential, derivation_residual, derivation_space
 
 SOLITON_CUTOFF = 1e-10
@@ -87,7 +87,7 @@ def star_ricci(structure):
     bilinear form in the e_i basis (the two upper indices raised with g^-1)."""
     g = structure.metric
     r4 = riemann(structure.algebra, g).reshape(-1, 7) @ g.g
-    p = (g.inverse @ _dense(structure._phi_vec, 3).reshape(7, 49)).reshape(7, 7, 7)
+    p = (g.inverse @ _dense(structure._phi_vec, 7, 3).reshape(7, 49)).reshape(7, 7, 7)
     p = (g.inverse @ p).reshape(49, 7)
     ric = p.T @ (r4.reshape(49, 49) @ p)
     return (ric + ric.T) / 2.0

@@ -1,8 +1,13 @@
-"""Sparse exterior algebra over a fixed basis e1..en.
+"""Sparse exterior algebra over a fixed basis e1..en, with one dense kernel.
 
 A k-form is stored as a map from strictly increasing 1-based index tuples
 to float coefficients.  Everything is immutable after construction and all
 operations are pure functions, so values can be shared freely.
+
+Products scatter through cached COO tables (`wedge_table`; `interior` is its
+transpose).  The metric operations share one dense kernel: `_dense` expands a
+k-form to its antisymmetric n^k tensor, `_compound_apply` acts on every index
+of it, and `_star` is the Hodge star on coefficient vectors.
 
 Dimension is generic but capped at MAX_DIM: all operators here enumerate
 the full basis of each degree, which is only sensible for small n.
@@ -268,14 +273,13 @@ def interior(vector, a):
         raise ValueError(f"vector has shape {v.shape}, expected ({a.dim},)")
     if a.degree == 0:
         raise ValueError("interior product of a 0-form is undefined")
-    out = {}
-    for key, value in a.items():
-        for p, i in enumerate(key):
-            if v[i - 1] == 0.0:
-                continue
-            rest = key[:p] + key[p + 1:]
-            out[rest] = out.get(rest, 0.0) + ((-1.0) ** p) * v[i - 1] * value
-    return KForm(a.dim, a.degree - 1, out)
+    # (-1)^{k-1} times the transpose of b -> b ^ v, scattered through its
+    # wedge table: e^{I - i_p} ^ e^{i_p} = (-1)^{k-1-p} e^I
+    n, k = a.dim, a.degree
+    ia, ib, iout, sg = wedge_table(n, k - 1, 1)
+    vec = np.bincount(ia, weights=sg * v[ib] * a.to_vector()[iout],
+                      minlength=len(multi_indices(n, k - 1)))
+    return KForm.from_vector(n, k - 1, (-1.0) ** (k - 1) * vec)
 
 
 class Metric:
@@ -324,28 +328,61 @@ class Metric:
         return f"Metric(dim={self.dim}, det={self.det:.6g})"
 
 
-def compound_matrix(M, degree):
-    """k-th compound: matrix of minors det(M[I, J]) over increasing k-tuples.
+@lru_cache(maxsize=None)
+def _dense_tables(dim, degree):
+    # Scatter table of the dense antisymmetric dim^degree tensor of a k-form:
+    # for every increasing tuple (source position) and every ordering of it,
+    # the flat tensor index and the ordering's sign; plus the flat index of
+    # each increasing tuple, to gather the result back.
+    def flat(idx):
+        return sum((i - 1) * dim ** (degree - 1 - a) for a, i in enumerate(idx))
 
-    For a metric inverse this is the Gram matrix of basis k-forms.  Degrees
-    1..3 use closed-form determinants; larger ones fall back to batched LU.
-    """
+    keys = multi_indices(dim, degree)
+    src, dst, sgn = [], [], []
+    for p, key in enumerate(keys):
+        for perm in itertools.permutations(key):
+            src.append(p)
+            dst.append(flat(perm))
+            sgn.append(float(sort_with_sign(perm)[1]))
+    return (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(sgn),
+            np.array([flat(key) for key in keys], dtype=np.intp))
+
+
+def _dense(vec, dim, degree):
+    """Flat dense antisymmetric dim^degree tensor of a k-form's coefficients."""
+    src, dst, sgn, _ = _dense_tables(dim, degree)
+    t = np.zeros(dim ** degree)
+    t[dst] = sgn * vec[src]
+    return t
+
+
+def _compound_apply(M, vec, degree):
+    """Degree-k compound of the n x n matrix M (the minors det M[I, J]) applied
+    to a k-form's coefficients: M acts on every index of the dense tensor."""
     n = M.shape[0]
-    if degree == 0:
-        return np.ones((1, 1))
-    idx = np.array(multi_indices(n, degree), dtype=np.intp) - 1
-    if degree == 1:
-        return M.copy()
-    r = [idx[:, t][:, None] for t in range(degree)]
-    c = [idx[:, t][None, :] for t in range(degree)]
-    if degree == 2:
-        return M[r[0], c[0]] * M[r[1], c[1]] - M[r[0], c[1]] * M[r[1], c[0]]
-    if degree == 3:
-        return (M[r[0], c[0]] * (M[r[1], c[1]] * M[r[2], c[2]] - M[r[1], c[2]] * M[r[2], c[1]])
-                - M[r[0], c[1]] * (M[r[1], c[0]] * M[r[2], c[2]] - M[r[1], c[2]] * M[r[2], c[0]])
-                + M[r[0], c[2]] * (M[r[1], c[0]] * M[r[2], c[1]] - M[r[1], c[1]] * M[r[2], c[0]]))
-    sub = M[idx[:, None, :, None], idx[None, :, None, :]]
-    return np.linalg.det(sub)
+    t = _dense(vec, n, degree)
+    for _ in range(degree):
+        # acts on the leading index and rotates it to the back
+        t = (M @ t.reshape(n, -1)).T
+    return t.reshape(-1)[_dense_tables(n, degree)[3]]
+
+
+def _star(vec, degree, metric):
+    """Hodge star of a k-form's coefficients, positively oriented on e^{1..n}.
+
+    Degrees k <= n/2 raise every index with g^{-1}; higher degrees place the
+    signed complement first and lower its n-k indices with g (Jacobi's
+    complementary-minor identity: the degree-k Gram of g^{-1} is
+    sign(I,Ic) sign(J,Jc) det(g[Jc,Ic]) / det g), so no tensor exceeds rank n/2.
+    """
+    n = metric.dim
+    pos, s = complement_data(n, degree)
+    out = np.empty(len(pos))
+    if 2 * degree <= n:
+        out[pos] = s * (metric.sqrt_det * _compound_apply(metric.inverse, vec, degree))
+        return out
+    out[pos] = s * vec
+    return _compound_apply(metric.g, out, n - degree) / metric.sqrt_det
 
 
 def _orientation_sign(dim, orientation_volume):
@@ -369,13 +406,8 @@ def hodge_star(metric, a, orientation_volume=None):
     if not metric.positive_definite:
         raise ValueError("metric is not positive definite")
     orient = _orientation_sign(a.dim, orientation_volume)
-    n, k = a.dim, a.degree
-    gram = compound_matrix(metric.inverse, k)
-    w = metric.sqrt_det * (gram @ a.to_vector())
-    pos, signs = complement_data(n, k)
-    out = np.zeros(len(multi_indices(n, n - k)))
-    out[pos] = signs * w
-    return KForm.from_vector(n, n - k, orient * out)
+    star = _star(a.to_vector(), a.degree, metric)
+    return KForm.from_vector(a.dim, a.dim - a.degree, orient * star)
 
 
 def form_inner(metric, a, b):
@@ -384,5 +416,12 @@ def form_inner(metric, a, b):
         raise ValueError("dimension mismatch")
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    gram = compound_matrix(metric.inverse, a.degree)
-    return float(a.to_vector() @ gram @ b.to_vector())
+    n, k = a.dim, a.degree
+    if 2 * k <= n:
+        return float(a.to_vector() @ _compound_apply(metric.inverse, b.to_vector(), k))
+    # Jacobi's identity, as in _star: <a, b> = (sa . C_{n-k}(g) sb) / det g
+    # with sa, sb the signed complements; defined for indefinite g too
+    pos, s = complement_data(n, k)
+    sb = np.empty(len(pos))
+    sb[pos] = s * b.to_vector()
+    return float((s * a.to_vector()) @ _compound_apply(metric.g, sb, n - k)[pos]) / metric.det

@@ -6,18 +6,16 @@ inverted here as g = (36 det B)^{-1/9} B where B_ij is the e^{1..7}
 coefficient of iota_i phi ^ iota_j phi ^ phi.  The torsion of the structure
 is read off from d phi and d star(phi) in closed form, by Bryant's explicit
 projections onto the G2-invariant parts (R. Bryant, Some remarks on
-G2-structures, arXiv:math/0305124), on coefficient vectors.
+G2-structures, arXiv:math/0305124), on coefficient vectors with `exterior._star`.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .exterior import (KForm, Metric, complement_data, form_inner, multi_indices,
-                       sort_with_sign, standard_volume, wedge, wedge_matrix)
+from .exterior import (KForm, Metric, _dense, _star, complement_data, form_inner, hodge_star,
+                       standard_volume, wedge, wedge_matrix)
 from .liealg import ce_diff
 
 VANISH_TOL = 1e-8
@@ -40,8 +38,8 @@ def gram_matrix_from_phi(phi_vec):
     pos, s = complement_data(7, 3)
     psi = np.empty(35)
     psi[pos] = s * phi_vec
-    A = _dense(phi_vec, 3).reshape(7, 49)
-    B = A @ (_dense(psi, 4).reshape(49, 49) @ A.T) / 4.0
+    A = _dense(phi_vec, 7, 3).reshape(7, 49)
+    B = A @ (_dense(psi, 7, 4).reshape(49, 49) @ A.T) / 4.0
     return (B + B.T) / 2.0
 
 
@@ -60,61 +58,6 @@ def _phi_metric(phi_vec):
     if not metric.positive_definite:
         raise PositivityError("not a positive G2 form (metric not positive definite)")
     return B, det_b, eps, metric
-
-
-@lru_cache(maxsize=None)
-def _dense_tables(degree):
-    # Scatter table of the dense antisymmetric 7^degree tensor of a k-form:
-    # for every increasing tuple (source position) and every ordering of it,
-    # the flat tensor index and the ordering's sign; plus the flat index of
-    # each increasing tuple, to gather the result back.
-    def flat(idx):
-        return sum((i - 1) * 7 ** (degree - 1 - a) for a, i in enumerate(idx))
-
-    keys = multi_indices(7, degree)
-    src, dst, sgn = [], [], []
-    for p, key in enumerate(keys):
-        for perm in itertools.permutations(key):
-            src.append(p)
-            dst.append(flat(perm))
-            sgn.append(float(sort_with_sign(perm)[1]))
-    return (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(sgn),
-            np.array([flat(key) for key in keys], dtype=np.intp))
-
-
-def _dense(vec, degree):
-    """Flat dense antisymmetric 7^degree tensor of a k-form's coefficients."""
-    src, dst, sgn, _ = _dense_tables(degree)
-    t = np.zeros(7 ** degree)
-    t[dst] = sgn * vec[src]
-    return t
-
-
-def _compound_apply(M, vec, degree):
-    """Degree-k compound of the symmetric 7x7 matrix M applied to a k-form's
-    coefficients (k <= 3): M acts on every index of the dense tensor."""
-    t = _dense(vec, degree)
-    for _ in range(degree):
-        # acts on the leading index and rotates it to the back
-        t = (M @ t.reshape(7, -1)).T
-    return t.reshape(-1)[_dense_tables(degree)[3]]
-
-
-def _star(vec, degree, metric):
-    """Hodge star of a k-form's coefficients, positively oriented on e^{1..7}.
-
-    Degrees <= 3 raise every index with g^{-1}; degrees >= 4 place the signed
-    complement first and lower its 7-k indices with g (Jacobi's
-    complementary-minor identity: the degree-k Gram of g^{-1} is
-    sign(I,Ic) sign(J,Jc) det(g[Jc,Ic]) / det g), so no tensor exceeds rank 3.
-    """
-    pos, s = complement_data(7, degree)
-    out = np.empty(len(pos))
-    if degree <= 3:
-        out[pos] = s * (metric.sqrt_det * _compound_apply(metric.inverse, vec, degree))
-        return out
-    out[pos] = s * vec
-    return _compound_apply(metric.g, out, 7 - degree) / metric.sqrt_det
 
 
 def phi_laplacian(algebra, phi_vec):
@@ -143,8 +86,8 @@ class G2Structure:
     e^{1..7}, which is the convention the torsion conventions below assume.
 
     The metric and the star of phi are computed at construction; stars and
-    inner products of other forms go through the dense kernels `_star` and
-    `_compound_apply`.  Instances are immutable and shareable.
+    inner products of other forms are `hodge_star` and `form_inner` in that
+    metric.  Instances are immutable and shareable.
     """
 
     __slots__ = ("algebra", "phi", "metric", "volume", "gram_det", "b_matrix",
@@ -174,15 +117,12 @@ class G2Structure:
 
     def star(self, a):
         """Hodge star in this structure's metric, positively oriented on e^{1..7}."""
-        return KForm.from_vector(7, 7 - a.degree, _star(a.to_vector(), a.degree, self.metric))
+        return hodge_star(self.metric, a)
 
     def d(self, a):
         return ce_diff(self.algebra, a)
 
     def inner(self, a, b):
-        if a.degree == b.degree <= 3:
-            return float(a.to_vector() @ _compound_apply(self.metric.inverse, b.to_vector(),
-                                                         b.degree))
         return form_inner(self.metric, a, b)
 
     def norm(self, a):

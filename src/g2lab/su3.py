@@ -7,12 +7,12 @@ volume form, and the metric g = omega(., J.).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import KForm, Metric, interior, standard_volume, wedge
+from .exterior import (KForm, Metric, _dense, _dense_tables, complement_data, wedge,
+                       wedge_matrix, wedge_table)
 from .g2core import G2Structure
 from .liealg import LieAlgebra, ce_diff
 
@@ -26,59 +26,30 @@ def hitchin_j(algebra, psi):
     is relative to the reference orientation +e^{1..6}; pair it with a
     2-form to fix it geometrically.
     """
-    n = algebra.dim
-    if n != 6:
+    if algebra.dim != 6:
         raise ValueError("stable-form construction needs dimension 6")
     if psi.dim != 6 or psi.degree != 3:
         raise ValueError("psi must be a 3-form in dimension 6")
-    K = np.zeros((6, 6))
-    full = tuple(range(1, 7))
-    for j in range(6):
-        v = np.zeros(6)
-        v[j] = 1.0
-        mu = wedge(interior(v, psi), psi)
-        for i in range(6):
-            comp = full[:i] + full[i + 1:]
-            K[i, j] = ((-1.0) ** i) * mu.coefficient(comp)
+    # row j of `iota` is iota_{e_j} psi (the transpose of e^{ab} -> e^{ab} ^ e^j),
+    # column j of `mu` is iota_{e_j} psi ^ psi, read off at the complements of e^i
+    ia, ib, iout, sg = wedge_table(6, 2, 1)
+    v = psi.to_vector()
+    iota = np.bincount(ib * 15 + ia, weights=sg * v[iout], minlength=90).reshape(6, 15)
+    mu = wedge_matrix(6, 2, 3, v) @ iota.T
+    pos, signs = complement_data(6, 1)
+    K = signs[:, None] * mu[pos]
     lam = float(np.trace(K @ K)) / 6.0
     if lam >= 0:
         raise ValueError("3-form is not stable of complex type (lambda >= 0)")
     return K / np.sqrt(-lam), lam
 
 
-def _omega_matrix(omega):
-    m = np.zeros((6, 6))
-    for (i, j), c in omega.items():
-        m[i - 1, j - 1] = c
-        m[j - 1, i - 1] = -c
-    return m
-
-
-def _dense_3form6(form):
-    t = np.zeros((6, 6, 6))
-    for key, c in form.items():
-        for perm in itertools.permutations(range(3)):
-            sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
-            t[key[perm[0]] - 1, key[perm[1]] - 1, key[perm[2]] - 1] = sign * c
-    return t
-
-
 def _psi_hat(psi, J):
     # psi_hat(X,Y,Z) = -psi(JX,Y,Z), antisymmetrized; this is the imaginary
     # part of the complex volume form when J comes from psi itself.
-    p = _dense_3form6(psi)
-    t = -np.einsum("ma,mbc->abc", J, p)
-    alt = (t + np.einsum("bca->abc", t) + np.einsum("cab->abc", t)
-           - np.einsum("bac->abc", t) - np.einsum("acb->abc", t)
-           - np.einsum("cba->abc", t)) / 6.0
-    coeffs = {}
-    for i in range(1, 7):
-        for j in range(i + 1, 7):
-            for k in range(j + 1, 7):
-                c = alt[i - 1, j - 1, k - 1]
-                if c != 0.0:
-                    coeffs[(i, j, k)] = c
-    return KForm(6, 3, coeffs)
+    t = -(J.T @ _dense(psi.to_vector(), 6, 3).reshape(6, 36)).reshape(-1)
+    src, dst, sgn, _ = _dense_tables(6, 3)
+    return KForm.from_vector(6, 3, np.bincount(src, weights=sgn * t[dst], minlength=20) / 6.0)
 
 
 class SU3Structure:
@@ -104,10 +75,11 @@ class SU3Structure:
         if compat > 1e-10 * max(1.0, omega.norm() * psi.norm()):
             raise ValueError(f"omega ^ psi != 0 (norm {compat:.3e})")
         J, lam = hitchin_j(algebra, psi)
-        g = _omega_matrix(omega) @ J
+        w = _dense(omega.to_vector(), 6, 2).reshape(6, 6)
+        g = w @ J
         if not Metric(g).positive_definite:
             J = -J
-            g = _omega_matrix(omega) @ J
+            g = w @ J
         metric = Metric(g)
         if not metric.positive_definite:
             raise ValueError("omega(., J.) is not positive definite for either sign of J")

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -5,6 +8,12 @@ from hypothesis import strategies as st
 from g2lab.catalog import catalog
 from g2lab.exterior import KForm, Metric, multi_indices
 from g2lab.g2core import G2Structure
+
+# subprocesses (`python -m g2lab`, the scripts, the console-script launcher)
+# import this checkout's package too, with or without PYTHONPATH set
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 
 def form_strategy(dim, degree, max_abs=3.0):

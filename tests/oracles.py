@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from g2lab.curvature import riemann
-from g2lab.exterior import (KForm, complement_data, compound_matrix, multi_indices,
-                            sort_with_sign, wedge_matrix)
+from g2lab.exterior import KForm, complement_data, multi_indices, sort_with_sign, wedge_matrix
 from g2lab.g2core import (TorsionForms, TorsionSolveError, lambda2_14_basis,
                           lambda3_27_basis)
 
@@ -110,6 +109,45 @@ def brute_interior(vector, a):
     return dense_to_form(a.dim, a.degree - 1, contracted)
 
 
+def compound_matrix(M, degree):
+    """k-th compound: matrix of minors det(M[I, J]) over increasing k-tuples.
+
+    For a metric inverse this is the Gram matrix of basis k-forms.  Degrees
+    1..3 use closed-form determinants; larger ones fall back to batched LU.
+    """
+    n = M.shape[0]
+    if degree == 0:
+        return np.ones((1, 1))
+    idx = np.array(multi_indices(n, degree), dtype=np.intp) - 1
+    if degree == 1:
+        return M.copy()
+    r = [idx[:, t][:, None] for t in range(degree)]
+    c = [idx[:, t][None, :] for t in range(degree)]
+    if degree == 2:
+        return M[r[0], c[0]] * M[r[1], c[1]] - M[r[0], c[1]] * M[r[1], c[0]]
+    if degree == 3:
+        return (M[r[0], c[0]] * (M[r[1], c[1]] * M[r[2], c[2]] - M[r[1], c[2]] * M[r[2], c[1]])
+                - M[r[0], c[1]] * (M[r[1], c[0]] * M[r[2], c[2]] - M[r[1], c[2]] * M[r[2], c[0]])
+                + M[r[0], c[2]] * (M[r[1], c[0]] * M[r[2], c[1]] - M[r[1], c[1]] * M[r[2], c[0]]))
+    sub = M[idx[:, None, :, None], idx[None, :, None, :]]
+    return np.linalg.det(sub)
+
+
+def compound_star(metric, a):
+    """Hodge star through the compound Gram matrix of the metric inverse:
+    star(a)_{Ic} = sign(I, Ic) sqrt(det g) (C_k(g^{-1}) a)_I."""
+    n, k = a.dim, a.degree
+    pos, s = complement_data(n, k)
+    out = np.empty(len(pos))
+    out[pos] = s * (metric.sqrt_det * (compound_matrix(metric.inverse, k) @ a.to_vector()))
+    return KForm.from_vector(n, n - k, out)
+
+
+def compound_inner(metric, a, b):
+    """<a, b> = a . C_k(g^{-1}) b."""
+    return float(a.to_vector() @ compound_matrix(metric.inverse, a.degree) @ b.to_vector())
+
+
 def brute_inner(metric, a, b):
     """<a, b> = 1/k! a_{i...} b^{i...} with indices raised by the metric inverse."""
     ta, tb = dense(a), dense(b)
@@ -136,6 +174,35 @@ def brute_hodge(metric, a):
            for key in multi_indices(n, k)]
     sol = np.linalg.solve(_top_pairing(n, k), np.array(rhs))
     return KForm.from_vector(n, n - k, sol)
+
+
+def loop_hitchin_j(psi):
+    """(J, lambda) of a stable 3-form in dimension 6, one basis vector at a
+    time: K[i, j] = (-1)^i times the e^{1..6 - (i+1)} coefficient of
+    iota_{e_j} psi ^ psi, with the brute-force interior and the dict wedge.
+
+    The loops run on psi / s, s its largest coefficient, so that the KForm
+    prune of the intermediate forms stays below 1e-13 relative at any scale;
+    J is scale-invariant and lambda = s^4 lambda(psi / s)."""
+    s = psi.sup_norm()
+    K = np.zeros((6, 6))
+    full = tuple(range(1, 7))
+    for j in range(6):
+        mu = dict_wedge(brute_interior(np.eye(6)[j], psi / s), psi / s)
+        for i in range(6):
+            K[i, j] = ((-1.0) ** i) * mu.coefficient(full[:i] + full[i + 1:])
+    lam = float(np.trace(K @ K)) / 6.0
+    return K / np.sqrt(-lam), s ** 4 * lam
+
+
+def loop_psi_hat(psi, J):
+    """psi_hat(X, Y, Z) = -psi(JX, Y, Z), antisymmetrised over the six
+    permutations of the dense tensor and read off one increasing key at a time."""
+    t = -np.einsum("ma,mbc->abc", J, dense(psi))
+    alt = (t + np.einsum("bca->abc", t) + np.einsum("cab->abc", t)
+           - np.einsum("bac->abc", t) - np.einsum("acb->abc", t)
+           - np.einsum("cba->abc", t)) / 6.0
+    return KForm(6, 3, {key: alt[tuple(i - 1 for i in key)] for key in multi_indices(6, 3)})
 
 
 def frame_star_ricci(structure):

@@ -1,5 +1,4 @@
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -223,12 +222,8 @@ class TestEntryPoints:
         launcher.write_text(LAUNCHER.format(python=sys.executable,
                                             module=module, attr=attr))
         launcher.chmod(0o755)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.run([str(launcher), "check", "--catalog", "n2"],
-                              capture_output=True, text=True, cwd=tmp_path,
-                              env=env)
+                              capture_output=True, text=True, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         jsonschema.validate(report, SCHEMA)

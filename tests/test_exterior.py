@@ -10,7 +10,8 @@ from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, form_inner, hodge
                             interior, multi_indices, standard_volume, wedge)
 
 from conftest import form_strategy, metric_strategy
-from oracles import brute_hodge, brute_inner, brute_interior, brute_wedge, dict_wedge
+from oracles import (brute_hodge, brute_inner, brute_interior, brute_wedge, compound_inner,
+                     compound_matrix, compound_star, dict_wedge)
 
 PHI_STD = catalog("std_g2").forms["phi"]
 I7 = Metric.identity(7)
@@ -170,6 +171,15 @@ class TestInterior:
     def test_against_brute_force(self, a, v):
         assert interior(np.array(v), a).allclose(brute_interior(np.array(v), a), tol=1e-10)
 
+    @pytest.mark.parametrize("dim, degree", [(n, k) for n in range(1, 8)
+                                             for k in range(1, n + 1)])
+    def test_against_brute_force_every_degree(self, dim, degree):
+        rng = np.random.default_rng(100 * dim + degree)
+        v = rng.uniform(-2, 2, dim)
+        for _ in range(3):
+            a = KForm.from_vector(dim, degree, rng.uniform(-3, 3, len(multi_indices(dim, degree))))
+            assert interior(v, a).allclose(brute_interior(v, a), tol=1e-12)
+
 
 class TestHodgeStar:
     def test_identity_basis(self):
@@ -246,6 +256,34 @@ class TestFormInner:
     @given(form_strategy(5, 3), form_strategy(5, 3), metric_strategy(5))
     def test_against_brute_force(self, a, b, g):
         assert abs(form_inner(g, a, b) - brute_inner(g, a, b)) < 1e-8
+
+
+def _random_metric(rng, n, definite=True):
+    """Q diag(d) Q^T with |d| in [0.5, 2]: conditioned well, of either signature."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = rng.uniform(0.5, 2.0, n)
+    if not definite:
+        d[: max(1, n // 2)] *= -1.0
+    return Metric((q * d) @ q.T)
+
+
+@pytest.mark.parametrize("dim, degree", [(n, k) for n in range(1, 9) for k in range(n + 1)])
+def test_star_and_inner_against_compound_gram(dim, degree):
+    """hodge_star and form_inner in every (n, k), both branches of the dense
+    kernel, against the compound Gram matrix of the metric inverse."""
+    rng = np.random.default_rng(1000 * dim + degree)
+    count = len(multi_indices(dim, degree))
+    for definite in (True, False):
+        g = _random_metric(rng, dim, definite)
+        assert g.positive_definite == definite
+        a = KForm.from_vector(dim, degree, rng.uniform(-3, 3, count))
+        b = KForm.from_vector(dim, degree, rng.uniform(-3, 3, count))
+        gram_b = compound_matrix(g.inverse, degree) @ b.to_vector()
+        scale = np.linalg.norm(a.to_vector()) * np.linalg.norm(gram_b)
+        assert abs(form_inner(g, a, b) - compound_inner(g, a, b)) <= 1e-13 * scale
+        if definite:
+            want = compound_star(g, a)
+            assert hodge_star(g, a).allclose(want, tol=1e-13 * want.sup_norm())
 
 
 class TestMetric:

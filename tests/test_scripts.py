@@ -1,5 +1,4 @@
 import csv
-import os
 import re
 import subprocess
 import sys
@@ -12,11 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_soliton_census_runs():

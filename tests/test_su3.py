@@ -7,7 +7,9 @@ from g2lab.catalog import catalog
 from g2lab.exterior import KForm, wedge
 from g2lab.g2core import classify, torsion_forms
 from g2lab.liealg import LieAlgebra, ce_diff
-from g2lab.su3 import SU3Structure, g2_product, hitchin_j, psi_hat, su3_classify
+from g2lab.su3 import SU3Structure, _psi_hat, g2_product, hitchin_j, psi_hat, su3_classify
+
+from oracles import dense, dense_to_form, loop_hitchin_j, loop_psi_hat
 
 ABELIAN6 = LieAlgebra([KForm.zero(6, 2)] * 6, name="abelian6")
 OMEGA_STD = KForm(6, 2, {(1, 2): 1.0, (3, 4): 1.0, (5, 6): 1.0})
@@ -128,6 +130,48 @@ class TestPsiHat:
         hat = _psi_hat(psi, J)
         assert wedge(psi, psi).is_zero(1e-12)
         assert wedge(hat, hat).is_zero(1e-10)
+
+
+def pullback(form, a):
+    """(A^* form)(X, Y, ...) = form(AX, AY, ...), on the dense tensor."""
+    t = dense(form)
+    for _ in range(form.degree):
+        t = np.tensordot(t, a, axes=(0, 0))  # contracts the leading index, appends it
+    return dense_to_form(form.dim, form.degree, t)
+
+
+def su3_h1():
+    """The standard pair pulled back to h1 by a fixed near-identity map: dense forms."""
+    a = np.eye(6) + 0.2 * np.random.default_rng(1).standard_normal((6, 6))
+    return SU3Structure(catalog("h1").algebra, pullback(OMEGA_STD, a), pullback(PSI_STD, a))
+
+
+def assert_matches_loops(psi, J=None, hat=None):
+    """lambda, J and psi_hat against the loop oracles, to 1e-13 relative."""
+    J_loop, lam_loop = loop_hitchin_j(psi)
+    J_new, lam = hitchin_j(ABELIAN6, psi)
+    assert abs(lam - lam_loop) <= 1e-13 * abs(lam_loop)
+    assert np.abs(J_new - J_loop).max() <= 1e-13 * np.abs(J_loop).max()
+    if J is None:
+        J, hat = J_new, _psi_hat(psi, J_new)
+    want = loop_psi_hat(psi, J)
+    assert hat.allclose(want, tol=1e-13 * want.sup_norm())
+
+
+class TestAgainstLoopOracles:
+    @pytest.mark.parametrize("build", [su3_std, su3_h1, su3_h2], ids=["std", "h1", "h2"])
+    def test_structures(self, build):
+        S = build()
+        assert_matches_loops(S.psi, S.J, S.psi_hat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(min_value=-0.125, max_value=0.125, width=32),
+                    min_size=20, max_size=20),
+           st.floats(min_value=-2.0, max_value=2.0))
+    def test_stable_forms_at_scale(self, perturbation, log_scale):
+        # before scaling, lambda stays below -1.9 on this box (-4 at the standard form)
+        psi = 10.0 ** log_scale * (PSI_STD + KForm.from_vector(6, 3, np.array(perturbation)))
+        assert_matches_loops(psi)
 
 
 class TestClassification:

@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Record every `g2` report of a source tree, or compare two such records.
+
+    python scripts/report_digest.py TREE OUT.json
+    python scripts/report_digest.py --diff A.json B.json
+
+The first form runs a fixed list of commands in-process through
+`TREE/src/g2lab/cli.py`, from inside TREE so that corpus paths read the same
+for every tree: every subcommand on every catalog name and corpus file (ricci,
+soliton and einstein also with `--metric identity`), short flows and oracle
+checks on n2, n12_modified_basis and n6, and a set of failing inputs. It
+writes `{argv: [exit code, stdout]}`; an exception that escapes `cli.main`
+is recorded as exit code 1, as the interpreter would exit, and named on
+stderr. Scratch files live in a temporary directory written `<tmp>` in the
+record.
+
+The second form prints how many reports are byte-identical and, for each one
+that is not, the largest relative difference of its numeric leaves. It exits
+1 when any report differs.
+"""
+import argparse
+import contextlib
+import importlib
+import io
+import json
+import math
+import os
+import pathlib
+import sys
+import tempfile
+
+SOURCE_COMMANDS = ("check", "metric", "torsion", "classify", "ricci", "soliton",
+                   "einstein", "su3")
+METRIC_COMMANDS = ("ricci", "soliton", "einstein")
+FLOW_NAMES = ("n2", "n12_modified_basis", "n6")
+
+
+def commands(names, files):
+    """The fixed argv list; `<tmp>` stands for the scratch directory."""
+    argvs = [["catalog"]] + [["catalog", name] for name in names]
+    for source in [["--catalog", name] for name in names] + [[f] for f in files]:
+        argvs += [[cmd, *source] for cmd in SOURCE_COMMANDS]
+        argvs += [[cmd, *source, "--metric", "identity"] for cmd in METRIC_COMMANDS]
+    for name in FLOW_NAMES:
+        flow = ["flow", "--catalog", name, "--t-end", "0.2", "--dt", "0.01",
+                "--sample-every", "5"]
+        argvs += [flow, flow + ["--oracle"], ["oracle", "--catalog", name, "--times", "0,1,10"]]
+    return argvs + [
+        ["check"],
+        ["check", "--catalog", "nope"],
+        ["catalog", "nope"],
+        ["check", "<tmp>/missing.g2"],
+        ["check", "<tmp>"],
+        ["check", "<tmp>/latin1.g2"],
+        ["check", "<tmp>/syntax.g2"],
+        ["oracle", "--catalog", "n2", "--times", "abc"],
+        ["oracle", "--catalog", "n2", "--times", "-1"],
+        ["flow", "--catalog", "n2", "--t-end", "0.02", "--dt", "0.01", "--sample-every", "0"],
+        ["flow", "--catalog", "n2", "--t-end", "-1"],
+    ]
+
+
+def record(tree, out):
+    tree = pathlib.Path(tree).resolve()
+    out = pathlib.Path(out).resolve()
+    sys.path.insert(0, str(tree / "src"))
+    os.environ.pop("G2_TOL", None)
+    cli = importlib.import_module("g2lab.cli")
+    names = importlib.import_module("g2lab.catalog").catalog_names()
+    os.chdir(tree)
+    files = sorted(str(p) for p in pathlib.Path("corpus").glob("*/*.g2"))
+    reports = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        pathlib.Path(tmp, "latin1.g2").write_bytes("algebra { dim 7 } # café".encode("latin-1"))
+        pathlib.Path(tmp, "syntax.g2").write_text("algebra { dim 7 d e5 = ")
+        for argv in commands(names, files):
+            stdout = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main([a.replace("<tmp>", tmp) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                print(f"{' '.join(argv)}: uncaught {type(exc).__name__}: {exc}", file=sys.stderr)
+                code = 1
+            reports[" ".join(argv)] = [code, stdout.getvalue().replace(tmp, "<tmp>")]
+    out.write_text(json.dumps(reports, indent=1) + "\n")
+    print(f"{len(reports)} reports written to {out}")
+
+
+def _leaves(value, path=""):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _relative_difference(a, b):
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if math.isfinite(scale) and scale > 0 else math.inf
+
+
+def describe(a, b):
+    """One line on how report `b` differs from report `a`."""
+    line = f"exit {a[0]} -> {b[0]}"
+    try:
+        left, right = (dict(_leaves(json.loads(x[1]))) for x in (a, b))
+    except json.JSONDecodeError:
+        return line + ", stdout is not JSON on at least one side"
+    rel = [_relative_difference(left[k], right[k]) for k in left.keys() & right.keys()
+           if _is_number(left[k]) and _is_number(right[k])]
+    other = sum(1 for k in left.keys() | right.keys()
+                if not (_is_number(left.get(k)) and _is_number(right.get(k)))
+                and left.get(k, ()) != right.get(k, ()))
+    return line + f", largest relative difference {max(rel, default=0.0):.3g}, " \
+                  f"{other} non-numeric leaves differ"
+
+
+def diff(path_a, path_b):
+    a = json.loads(pathlib.Path(path_a).read_text())
+    b = json.loads(pathlib.Path(path_b).read_text())
+    same = sum(1 for argv in a if b.get(argv) == a[argv])
+    argvs = list(a) + [argv for argv in b if argv not in a]
+    print(f"{same} of {len(argvs)} reports identical")
+    for argv in argvs:
+        if argv not in a or argv not in b:
+            print(f"{argv}: only in {path_a if argv in a else path_b}")
+        elif a[argv] != b[argv]:
+            print(f"{argv}: {describe(a[argv], b[argv])}")
+    return 0 if same == len(a) == len(b) else 1
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--diff", action="store_true", help="compare two records")
+    parser.add_argument("first", help="source tree, or the first record with --diff")
+    parser.add_argument("second", help="output record, or the second record with --diff")
+    args = parser.parse_args()
+    if args.diff:
+        return diff(args.first, args.second)
+    record(args.first, args.second)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

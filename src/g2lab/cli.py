@@ -1,9 +1,12 @@
 """Command-line surface: JSON reports over the library.
 
 Exit codes: 0 success, 1 input parse error, 2 validation failure (bad
-Jacobi, non-positive forms, unknown catalog name, failed preconditions).
-Reports go to stdout as JSON with floats printed to 17 significant digits
-so every double round-trips losslessly.
+Jacobi, non-positive forms, unknown catalog name, unreadable input file, bad
+--times, --sample-every < 1, failed preconditions).  Every report, failures
+included, has the keys command, input, results, residuals and tolerances in
+that order, and a final error key on failure.  Reports go to stdout as JSON
+with floats printed to 17 significant digits so every double round-trips
+losslessly.
 """
 from __future__ import annotations
 
@@ -17,8 +20,7 @@ import numpy as np
 
 from .catalog import catalog, catalog_names
 from .curvature import (_einstein_calibrated_residual, einstein_residual, ricci,
-                        ricci_operator, scal_from_torsion, scalar_curvature,
-                        soliton_solve, star_ricci)
+                        ricci_operator, scalar_curvature, soliton_solve, star_ricci)
 from .exterior import KForm, Metric
 from .flow import (FlowOptions, closed_form_n2, closed_form_n2_velocity,
                    closed_form_n12, closed_form_n12_velocity, flow_integrate,
@@ -42,10 +44,7 @@ _ORACLES = {
 
 
 class ValidationFailure(Exception):
-    """Carries a report that should be emitted with exit code 2."""
-
-    def __init__(self, message):
-        super().__init__(message)
+    """A failure reported as a JSON error with exit code 2."""
 
 
 class _ReportEncoder(json.JSONEncoder):
@@ -93,21 +92,31 @@ def emit(report, stream=None):
           file=stream or sys.stdout)
 
 
-def _load(args):
-    if args.catalog:
+def _body(doc, source, results=None, residuals=None, **tolerances):
+    """A report's keys after "command"; with no document, input is the source alone."""
+    block = {"source": source}
+    if doc is not None:
+        block.update(dim=doc.algebra.dim, forms=sorted(doc.forms))
+    return {"input": block, "results": results or {}, "residuals": residuals or {},
+            "tolerances": tolerances}
+
+
+def _load(name, path):
+    """(document, source) of catalog entry `name`, or of the file at `path`."""
+    if name:
         try:
-            entry = catalog(args.catalog)
+            entry = catalog(name)
         except KeyError as exc:
             raise ValidationFailure(str(exc)) from exc
-        return entry.document, f"catalog:{args.catalog}"
-    if not args.input:
+        return entry.document, f"catalog:{name}"
+    if not path:
         raise ValidationFailure("no input: give a document path or --catalog NAME")
-    with open(args.input, encoding="utf-8") as fh:
-        return parse_document(fh.read()), args.input
-
-
-def _input_block(doc, source):
-    return {"source": source, "dim": doc.algebra.dim, "forms": sorted(doc.forms)}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationFailure(f"cannot read {path}: {exc}") from exc
+    return parse_document(text), path
 
 
 def _get_form(doc, name, degree=None):
@@ -130,19 +139,28 @@ def _structure(doc, form_name):
 
 
 def _chosen_metric(doc, args):
-    """The metric a curvature command runs with: induced by the named 3-form
-    when present (and --metric is not 'identity'), the identity otherwise."""
+    """(metric, metric source, G2Structure or None) a curvature command runs
+    with: induced by the named 3-form when present (and --metric is not
+    'identity'), the identity otherwise."""
     if args.metric != "identity" and doc.algebra.dim == 7 and args.form in doc.forms:
         G = _structure(doc, args.form)
-        return G.metric, f"phi:{args.form}"
-    return Metric.identity(doc.algebra.dim), "identity"
+        return G.metric, f"phi:{args.form}", G
+    return Metric.identity(doc.algebra.dim), "identity", None
+
+
+def _oracle(name, choices):
+    """(solution, velocity) of the closed-form flow on catalog entry `name`."""
+    if name not in _ORACLES:
+        raise ValidationFailure(
+            f"no closed-form solution for {name!r}; {choices} " + ", ".join(_ORACLES))
+    return _ORACLES[name]
 
 
 # --- commands ----------------------------------------------------------
 
 
 def cmd_check(args, tol):
-    doc, source = _load(args)
+    doc, source = _load(args.catalog, args.input)
     jac = jacobi_residual(doc.algebra)
     forms_report = {}
     ok = jac <= tol
@@ -157,42 +175,38 @@ def cmd_check(args, tol):
                 info["reason"] = str(exc)
                 ok = False
         forms_report[name] = info
-    report = {
-        "command": "check",
-        "input": _input_block(doc, source),
-        "results": {"valid": ok, "jacobi_residual": jac, "forms": forms_report,
-                    "unimodular": doc.algebra.is_unimodular(),
-                    "lower_central_series": doc.algebra.lower_central_series_dims()},
-        "residuals": {"jacobi": jac},
-        "tolerances": {"jacobi": tol},
-    }
-    return report, EXIT_OK if ok else EXIT_INVALID
+    results = {"valid": ok, "jacobi_residual": jac, "forms": forms_report,
+               "unimodular": doc.algebra.is_unimodular(),
+               "lower_central_series": doc.algebra.lower_central_series_dims()}
+    code = EXIT_OK if ok else EXIT_INVALID
+    return _body(doc, source, results, {"jacobi": jac}, jacobi=tol), code
 
 
 def cmd_metric(args, tol):
-    doc, source = _load(args)
+    doc, source = _load(args.catalog, args.input)
     G = _structure(doc, args.form)
-    report = {
-        "command": "metric",
-        "input": _input_block(doc, source),
-        "results": {
-            "metric": G.metric.g,
-            "volume_coefficient": G.metric.sqrt_det,
-            "gram_det": G.gram_det,
-            "orientation": G.orientation,
-            "positive_definite": G.metric.positive_definite,
-        },
-        "residuals": {"metric_symmetry": float(np.abs(G.metric.g - G.metric.g.T).max())},
-        "tolerances": {"vanishing": tol},
+    results = {
+        "metric": G.metric.g,
+        "volume_coefficient": G.metric.sqrt_det,
+        "gram_det": G.gram_det,
+        "orientation": G.orientation,
+        "positive_definite": G.metric.positive_definite,
     }
-    return report, EXIT_OK
+    residuals = {"metric_symmetry": float(np.abs(G.metric.g - G.metric.g.T).max())}
+    return _body(doc, source, results, residuals, vanishing=tol), EXIT_OK
 
 
-def _torsion_payload(G, tol):
-    t = torsion_forms(G)
+def cmd_torsion(args, tol):
+    """`torsion`, and `classify`, which keeps the class entries of its results."""
+    doc, source = _load(args.catalog, args.input)
+    G = _structure(doc, args.form)
+    try:
+        t = torsion_forms(G)
+    except TorsionSolveError as exc:
+        raise ValidationFailure(str(exc)) from exc
     cls = classify(t, tol=tol)
     theta = lee_form(G)
-    return t, cls, {
+    results = {
         "tau0": t.tau0,
         "tau1": t.tau1,
         "tau2": t.tau2,
@@ -205,82 +219,50 @@ def _torsion_payload(G, tol):
         "vanishing": {"tau0": cls.tau0_zero, "tau1": cls.tau1_zero,
                       "tau2": cls.tau2_zero, "tau3": cls.tau3_zero},
     }
-
-
-def cmd_torsion(args, tol):
-    doc, source = _load(args)
-    G = _structure(doc, args.form)
-    try:
-        t, cls, results = _torsion_payload(G, tol)
-    except TorsionSolveError as exc:
-        raise ValidationFailure(str(exc)) from exc
-    report = {
-        "command": "torsion",
-        "input": _input_block(doc, source),
-        "results": results,
-        "residuals": {
-            "reconstruction": t.residual,
-            "tau1_consistency": t.tau1_consistency,
-            "tau2_membership": t.tau2.wedge(G.star_phi).norm(),
-            "tau3_membership": max(t.tau3.wedge(G.phi).norm(),
-                                   t.tau3.wedge(G.star_phi).norm()),
-            "lee_vs_3tau1": (results["lee_form"] - 3.0 * t.tau1).norm(),
-        },
-        "tolerances": {"vanishing": tol},
+    residuals = {
+        "reconstruction": t.residual,
+        "tau1_consistency": t.tau1_consistency,
+        "tau2_membership": t.tau2.wedge(G.star_phi).norm(),
+        "tau3_membership": max(t.tau3.wedge(G.phi).norm(),
+                               t.tau3.wedge(G.star_phi).norm()),
+        "lee_vs_3tau1": (theta - 3.0 * t.tau1).norm(),
     }
-    return report, EXIT_OK
-
-
-def cmd_classify(args, tol):
-    report, code = cmd_torsion(args, tol)
-    results = report["results"]
-    report["command"] = "classify"
-    report["results"] = {k: results[k] for k in ("class", "classes", "vanishing", "norms")}
-    return report, code
+    if args.command == "classify":
+        results = {k: results[k] for k in ("class", "classes", "vanishing", "norms")}
+    return _body(doc, source, results, residuals, vanishing=tol), EXIT_OK
 
 
 def cmd_ricci(args, tol):
-    doc, source = _load(args)
-    metric, metric_source = _chosen_metric(doc, args)
+    doc, source = _load(args.catalog, args.input)
+    metric, metric_source, _ = _chosen_metric(doc, args)
     ric = ricci(doc.algebra, metric)
-    report = {
-        "command": "ricci",
-        "input": _input_block(doc, source),
-        "results": {
-            "metric_source": metric_source,
-            "ricci": ric,
-            "ricci_operator": ricci_operator(doc.algebra, metric),
-            "scalar_curvature": scalar_curvature(doc.algebra, metric),
-        },
-        "residuals": {"ricci_symmetry": float(np.abs(ric - ric.T).max())},
-        "tolerances": {"vanishing": tol},
+    results = {
+        "metric_source": metric_source,
+        "ricci": ric,
+        "ricci_operator": ricci_operator(doc.algebra, metric),
+        "scalar_curvature": scalar_curvature(doc.algebra, metric),
     }
-    return report, EXIT_OK
+    residuals = {"ricci_symmetry": float(np.abs(ric - ric.T).max())}
+    return _body(doc, source, results, residuals, vanishing=tol), EXIT_OK
 
 
 def cmd_soliton(args, tol):
-    doc, source = _load(args)
-    metric, metric_source = _chosen_metric(doc, args)
+    doc, source = _load(args.catalog, args.input)
+    metric, metric_source, _ = _chosen_metric(doc, args)
     cert = soliton_solve(doc.algebra, metric)
-    report = {
-        "command": "soliton",
-        "input": _input_block(doc, source),
-        "results": {
-            "metric_source": metric_source,
-            "lambda": cert.lam,
-            "derivation": cert.derivation,
-            "derivation_diagonal": cert.derivation_diagonal,
-            "classification": cert.classification,
-        },
-        "residuals": {"soliton": cert.residual},
-        "tolerances": {"vanishing": tol},
+    results = {
+        "metric_source": metric_source,
+        "lambda": cert.lam,
+        "derivation": cert.derivation,
+        "derivation_diagonal": cert.derivation_diagonal,
+        "classification": cert.classification,
     }
-    return report, EXIT_OK
+    return _body(doc, source, results, {"soliton": cert.residual}, vanishing=tol), EXIT_OK
 
 
 def cmd_einstein(args, tol):
-    doc, source = _load(args)
-    metric, metric_source = _chosen_metric(doc, args)
+    doc, source = _load(args.catalog, args.input)
+    metric, metric_source, G = _chosen_metric(doc, args)
     scal = scalar_curvature(doc.algebra, metric)
     residuals = {"einstein": einstein_residual(doc.algebra, metric)}
     results = {
@@ -290,7 +272,7 @@ def cmd_einstein(args, tol):
         "einstein_constant": scal / doc.algebra.dim,
     }
     if doc.algebra.dim == 7 and args.form in doc.forms:
-        G = _structure(doc, args.form)
+        G = G or _structure(doc, args.form)
         t = torsion_forms(G)
         cls = classify(t, tol=tol)
         if cls.tau0_zero and cls.tau1_zero and cls.tau3_zero:
@@ -298,18 +280,11 @@ def cmd_einstein(args, tol):
         ric_star = star_ricci(G)
         results["star_scal"] = float(np.trace(G.metric.inverse @ ric_star))
         results["star_ricci"] = ric_star
-    report = {
-        "command": "einstein",
-        "input": _input_block(doc, source),
-        "results": results,
-        "residuals": residuals,
-        "tolerances": {"vanishing": tol},
-    }
-    return report, EXIT_OK
+    return _body(doc, source, results, residuals, vanishing=tol), EXIT_OK
 
 
 def cmd_su3(args, tol):
-    doc, source = _load(args)
+    doc, source = _load(args.catalog, args.input)
     if doc.algebra.dim != 6:
         raise ValidationFailure("su3 needs a 6-dimensional algebra")
     omega = _get_form(doc, args.omega, degree=2)
@@ -322,33 +297,28 @@ def cmd_su3(args, tol):
     Gp = g2_product(S)
     t = torsion_forms(Gp)
     product_class = classify(t, tol=tol)
-    report = {
-        "command": "su3",
-        "input": _input_block(doc, source),
-        "results": {
-            "lambda_psi": S.lam,
-            "J": S.J,
-            "metric": S.metric.g,
-            "psi_hat": S.psi_hat,
-            "half_flat": cls.half_flat,
-            "coupled": cls.coupled,
-            "symplectic_half_flat": cls.symplectic_half_flat,
-            "nearly_kahler": cls.nearly_kahler,
-            "coupled_constant": cls.c,
-            "product_class": product_class.label,
-        },
-        "residuals": {
-            "j_squared": float(np.linalg.norm(S.J @ S.J + np.eye(6))),
-            "normalization": S.normalization_residual(),
-            **{f"classify_{k}": v for k, v in cls.residuals.items()},
-        },
-        "tolerances": {"vanishing": tol},
+    results = {
+        "lambda_psi": S.lam,
+        "J": S.J,
+        "metric": S.metric.g,
+        "psi_hat": S.psi_hat,
+        "half_flat": cls.half_flat,
+        "coupled": cls.coupled,
+        "symplectic_half_flat": cls.symplectic_half_flat,
+        "nearly_kahler": cls.nearly_kahler,
+        "coupled_constant": cls.c,
+        "product_class": product_class.label,
     }
-    return report, EXIT_OK
+    residuals = {
+        "j_squared": float(np.linalg.norm(S.J @ S.J + np.eye(6))),
+        "normalization": S.normalization_residual(),
+        **{f"classify_{k}": v for k, v in cls.residuals.items()},
+    }
+    return _body(doc, source, results, residuals, vanishing=tol), EXIT_OK
 
 
 def cmd_flow(args, tol):
-    doc, source = _load(args)
+    doc, source = _load(args.catalog, args.input)
     phi0 = _get_form(doc, args.form, degree=3)
     options = FlowOptions(sample_every=args.sample_every, closedness_tol=max(tol, 1e-10))
     try:
@@ -369,104 +339,59 @@ def cmd_flow(args, tol):
     }
     residuals = {"final_closedness": final.diagnostics["closedness"]}
     if args.oracle:
-        if args.catalog not in _ORACLES:
-            raise ValidationFailure(
-                f"no closed-form solution for {args.catalog!r}; oracle mode supports "
-                + ", ".join(_ORACLES))
-        solution, _ = _ORACLES[args.catalog]
+        solution, _ = _oracle(args.catalog, "oracle mode supports")
         deviation = max((state.phi - solution(state.t)).sup_norm()
                         for state in trajectory.states)
         results["oracle_max_deviation"] = deviation
         residuals["oracle"] = deviation
-    report = {
-        "command": "flow",
-        "input": _input_block(doc, source),
-        "results": results,
-        "residuals": residuals,
-        "tolerances": {"vanishing": tol, "closedness": options.closedness_tol},
-    }
     code = EXIT_OK if trajectory.termination == "reached_t_end" else EXIT_INVALID
-    return report, code
+    return _body(doc, source, results, residuals, vanishing=tol,
+                 closedness=options.closedness_tol), code
 
 
 def cmd_oracle(args, tol):
-    doc, source = _load(args)
-    if args.catalog not in _ORACLES:
-        raise ValidationFailure(
-            f"no closed-form solution for {args.catalog!r}; choose one of "
-            + ", ".join(_ORACLES))
-    solution, velocity = _ORACLES[args.catalog]
-    times = [float(x) for x in args.times.split(",")]
-    residuals = oracle_residual(doc.algebra, solution, velocity, times)
+    doc, source = _load(args.catalog, args.input)
+    solution, velocity = _oracle(args.catalog, "choose one of")
+    try:
+        times = [float(x) for x in args.times.split(",")]
+        residuals = oracle_residual(doc.algebra, solution, velocity, times)
+    except ValueError as exc:
+        raise ValidationFailure(f"bad --times {args.times}: {exc}") from exc
     lap0 = hodge_laplacian(G2Structure(doc.algebra, solution(times[0])))
-    report = {
-        "command": "oracle",
-        "input": _input_block(doc, source),
-        "results": {
-            "times": times,
-            "ode_residuals": {repr(t): r for t, r in residuals.items()},
-            "laplacian_at_first_time": lap0,
-        },
-        "residuals": {"ode_max": max(residuals.values())},
-        "tolerances": {"ode": 1e-9},
+    results = {
+        "times": times,
+        "ode_residuals": {repr(t): r for t, r in residuals.items()},
+        "laplacian_at_first_time": lap0,
     }
-    return report, EXIT_OK
+    return _body(doc, source, results, {"ode_max": max(residuals.values())}, ode=1e-9), EXIT_OK
 
 
 def cmd_catalog(args, tol):
-    if args.name is None and not args.catalog:
-        report = {
-            "command": "catalog",
-            "input": {"source": "builtin"},
-            "results": {"names": list(catalog_names())},
-            "residuals": {},
-            "tolerances": {},
-        }
-        return report, EXIT_OK
     name = args.name or args.catalog
-    try:
-        entry = catalog(name)
-    except KeyError as exc:
-        raise ValidationFailure(str(exc)) from exc
-    jac = jacobi_residual(entry.algebra)
-    report = {
-        "command": "catalog",
-        "input": {"source": f"catalog:{name}", "dim": entry.algebra.dim,
-                  "forms": sorted(entry.forms)},
-        "results": {
-            "name": entry.name,
-            "description": entry.description,
-            "document": format_document(entry.document),
-            "jacobi_residual": jac,
-        },
-        "residuals": {"jacobi": jac},
-        "tolerances": {"jacobi": tol},
+    if not name:
+        return _body(None, "builtin", {"names": list(catalog_names())}), EXIT_OK
+    doc, source = _load(name, None)
+    jac = jacobi_residual(doc.algebra)
+    results = {
+        "name": name,
+        "description": catalog(name).description,
+        "document": format_document(doc),
+        "jacobi_residual": jac,
     }
-    return report, EXIT_OK
+    return _body(doc, source, results, {"jacobi": jac}, jacobi=tol), EXIT_OK
 
 
-_COMMANDS = {
-    "check": cmd_check,
-    "metric": cmd_metric,
-    "torsion": cmd_torsion,
-    "classify": cmd_classify,
-    "ricci": cmd_ricci,
-    "soliton": cmd_soliton,
-    "einstein": cmd_einstein,
-    "su3": cmd_su3,
-    "flow": cmd_flow,
-    "oracle": cmd_oracle,
-    "catalog": cmd_catalog,
-}
-
-
-def _add_io_arguments(sub, form_default="phi"):
+def _add_command(subs, name, run):
+    """Subparser `name` that runs `run`, with the input and tolerance options."""
+    sub = subs.add_parser(name)
+    sub.set_defaults(run=run)
     sub.add_argument("input", nargs="?", help="input document path")
     sub.add_argument("--catalog", help="use a built-in entry instead of a file")
-    sub.add_argument("--form", default=form_default,
-                     help=f"name of the 3-form to use (default {form_default!r})")
+    sub.add_argument("--form", default="phi",
+                     help="name of the 3-form to use (default 'phi')")
     sub.add_argument("--tol", type=float, default=None,
                      help="vanishing tolerance (overrides G2_TOL; default 1e-8)")
+    return sub
 
 
 def build_parser():
@@ -476,21 +401,20 @@ def build_parser():
                     "given by structure constants.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("check", "metric", "torsion", "classify"):
-        _add_io_arguments(subs.add_parser(name))
-    for name in ("ricci", "soliton", "einstein"):
-        sub = subs.add_parser(name)
-        _add_io_arguments(sub)
+    for name, run in (("check", cmd_check), ("metric", cmd_metric),
+                      ("torsion", cmd_torsion), ("classify", cmd_torsion)):
+        _add_command(subs, name, run)
+    for name, run in (("ricci", cmd_ricci), ("soliton", cmd_soliton),
+                      ("einstein", cmd_einstein)):
+        sub = _add_command(subs, name, run)
         sub.add_argument("--metric", choices=("phi", "identity"), default="phi",
                          help="metric choice: induced by the 3-form when present "
                               "(default) or the identity inner product")
-    sub = subs.add_parser("su3")
-    _add_io_arguments(sub)
+    sub = _add_command(subs, "su3", cmd_su3)
     sub.add_argument("--omega", default="omega", help="name of the 2-form")
     sub.add_argument("--psi", default="psi", help="name of the 3-form")
 
-    sub = subs.add_parser("flow")
-    _add_io_arguments(sub)
+    sub = _add_command(subs, "flow", cmd_flow)
     sub.add_argument("--t-end", type=float, default=1.0)
     sub.add_argument("--dt", type=float, default=1e-3)
     sub.add_argument("--sample-every", type=int, default=100)
@@ -498,8 +422,7 @@ def build_parser():
     sub.add_argument("--oracle", action="store_true",
                      help="compare against the closed-form solution (catalog inputs only)")
 
-    sub = subs.add_parser("oracle")
-    _add_io_arguments(sub)
+    sub = _add_command(subs, "oracle", cmd_oracle)
     sub.add_argument("--times", default="0,1,10,100",
                      help="comma-separated times at which to check the flow equation")
 
@@ -507,27 +430,22 @@ def build_parser():
     sub.add_argument("name", nargs="?", help="entry to print (omit to list)")
     sub.add_argument("--catalog", help=argparse.SUPPRESS)
     sub.add_argument("--tol", type=float, default=None)
+    sub.set_defaults(run=cmd_catalog)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     tol = args.tol
     if tol is None:
         env = os.environ.get("G2_TOL")
         tol = float(env) if env else DEFAULT_TOL
     try:
-        report, code = _COMMANDS[args.command](args, tol)
-    except ParseError as exc:
-        emit({"command": args.command, "input": {"source": getattr(args, "input", "") or ""},
-              "results": {}, "residuals": {}, "tolerances": {}, "error": str(exc)})
-        return EXIT_PARSE
-    except ValidationFailure as exc:
-        emit({"command": args.command, "input": {"source": getattr(args, "input", "") or ""},
-              "results": {}, "residuals": {}, "tolerances": {}, "error": str(exc)})
-        return EXIT_INVALID
-    emit(report)
+        body, code = args.run(args, tol)
+    except (ParseError, ValidationFailure) as exc:
+        body = {**_body(None, getattr(args, "input", "") or ""), "error": str(exc)}
+        code = EXIT_PARSE if isinstance(exc, ParseError) else EXIT_INVALID
+    emit({"command": args.command, **body})
     return code
 
 

@@ -105,6 +105,8 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
         raise ValueError("the flow runs on 7-dimensional algebras")
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
+    if options.sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, got {options.sample_every}")
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
     if n_steps > options.max_steps:
         raise ValueError(f"{n_steps} steps exceed the cap of {options.max_steps}")

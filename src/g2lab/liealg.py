@@ -78,16 +78,12 @@ class LieAlgebra:
         dims = [n]
         while True:
             prods = np.einsum("ijk,ja->iak", self.bracket, current).reshape(n * current.shape[1], n)
-            s = np.linalg.svd(prods, compute_uv=False) if prods.size else np.zeros(0)
-            rank = int((s > tol * max(1.0, s[0] if s.size else 1.0)).sum())
-            if rank == 0:
-                dims.append(0)
-                break
-            basis = np.linalg.svd(prods, full_matrices=False)[2][:rank].T
+            _, s, vh = np.linalg.svd(prods, full_matrices=False)
+            rank = int((s > tol * max(1.0, s[0])).sum())
             dims.append(rank)
-            if rank == dims[-2]:
+            if rank == 0 or rank == dims[-2]:
                 break
-            current = basis
+            current = vh[:rank].T
         return dims
 
     def __repr__(self):

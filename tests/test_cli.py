@@ -8,6 +8,7 @@ import pytest
 
 from g2lab.catalog import catalog_names
 from g2lab.cli import main
+from g2lab.g2core import G2Structure
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "src" / "g2lab" / "report_schema.json").read_text())
@@ -163,6 +164,77 @@ class TestReports:
                                "--times", "0,1,10")
         assert code == 0
         assert report["residuals"]["ode_max"] < 1e-9
+
+
+ENVELOPE = ["command", "input", "results", "residuals", "tolerances"]
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("argv,code", [
+        (["check", "--catalog", "n2"], 0),
+        (["metric", "--catalog", "n2"], 0),
+        (["torsion", "--catalog", "n2"], 0),
+        (["classify", "--catalog", "n2"], 0),
+        (["ricci", "--catalog", "n2"], 0),
+        (["soliton", "--catalog", "n2"], 0),
+        (["einstein", "--catalog", "n2"], 0),
+        (["su3", "--catalog", "h2"], 0),
+        (["flow", "--catalog", "n2", "--t-end", "0.02", "--dt", "0.01", "--oracle"], 0),
+        (["oracle", "--catalog", "n2", "--times", "0,1"], 0),
+        (["catalog"], 0),
+        (["catalog", "n2"], 0),
+        (["check", "SYNTAX_ERROR"], 1),
+        (["metric", "--catalog", "nope"], 2),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
+    def test_keys_and_command(self, capsys, tmp_path, argv, code):
+        bad = tmp_path / "bad.g2"
+        bad.write_text("algebra { dim 7 d e5 = ")
+        got, report = run_cli(capsys, *[str(bad) if a == "SYNTAX_ERROR" else a for a in argv])
+        assert got == code
+        assert list(report) == ENVELOPE + (["error"] if code else [])
+        assert report["command"] == argv[0]
+
+    def test_einstein_builds_one_structure(self, capsys, monkeypatch):
+        built = []
+        build = G2Structure.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(G2Structure, "__init__", counting)
+        code, report = run_cli(capsys, "einstein", "--catalog", "n2")
+        assert code == 0
+        assert len(built) == 1
+        assert report["results"]["metric_source"] == "phi:phi"
+
+
+class TestFailuresAreReports:
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_input(self, capsys, tmp_path, kind):
+        path = {"missing": tmp_path / "missing.g2", "directory": tmp_path,
+                "not-utf8": tmp_path / "latin1.g2"}[kind]
+        if kind == "not-utf8":
+            path.write_bytes("algebra { dim 7 } # caf\u00e9".encode("latin-1"))
+        code, report = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert report["error"].startswith(f"cannot read {path}: ")
+
+    @pytest.mark.parametrize("times,reason", [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("-1", "t = -1.0 outside the existence interval"),
+        ("0,1,-1", "t = -1.0 outside the existence interval"),
+    ])
+    def test_bad_times(self, capsys, times, reason):
+        code, report = run_cli(capsys, "oracle", "--catalog", "n2", "--times", times)
+        assert code == 2
+        assert report["error"].startswith(f"bad --times {times}: {reason}")
+
+    def test_sample_every_below_one(self, capsys):
+        code, report = run_cli(capsys, "flow", "--catalog", "n2", "--t-end", "0.02",
+                               "--dt", "0.01", "--sample-every", "0")
+        assert code == 2
+        assert report["error"] == "sample_every must be at least 1, got 0"
 
 
 class TestFlowCommand:

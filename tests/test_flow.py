@@ -223,6 +223,12 @@ class TestIntegration:
             flow_integrate(N2, closed_form_n2(0.0), 1.0, 1e-9,
                            FlowOptions(max_steps=1000))
 
+    @pytest.mark.parametrize("sample_every", [0, -5])
+    def test_rejects_sample_every_below_one(self, sample_every):
+        with pytest.raises(ValueError, match=f"sample_every must be at least 1, got {sample_every}"):
+            flow_integrate(N2, closed_form_n2(0.0), 0.02, 1e-2,
+                           FlowOptions(sample_every=sample_every))
+
     def test_positivity_loss_truncates(self, monkeypatch):
         real = flow_mod.phi_laplacian
 

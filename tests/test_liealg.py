@@ -22,6 +22,16 @@ I7 = Metric.identity(7)
 
 NILPOTENT_NAMES = tuple(f"n{i}" for i in range(1, 13))
 
+# dims of g, [g,g], [g,[g,g]], ... of every catalog algebra, recorded from the
+# implementation that took a second SVD at each level for the basis
+LOWER_CENTRAL_SERIES = {
+    "n1": [7, 0], "n2": [7, 2, 0], "n3": [7, 3, 0], "n4": [7, 3, 1, 0],
+    "n5": [7, 3, 1, 0], "n6": [7, 4, 2, 0], "n7": [7, 4, 2, 0],
+    "n8": [7, 5, 4, 2, 1, 0], "n9": [7, 5, 4, 2, 1, 0], "n10": [7, 4, 2, 1, 0],
+    "n11": [7, 4, 3, 1, 0], "n12": [7, 4, 1, 0], "n12_modified_basis": [7, 4, 1, 0],
+    "h1": [6, 3, 2, 1, 0], "h2": [6, 2, 0], "s_ext_h2": [7, 6, 6], "std_g2": [7, 0],
+}
+
 
 class TestCeDiff:
     def test_n2_generator(self):
@@ -228,3 +238,7 @@ class TestBracketConventions:
         assert catalog("n6").algebra.lower_central_series_dims() == [7, 4, 2, 0]
         # the solvable extension is not nilpotent: the series stabilizes
         assert catalog("s_ext_h2").algebra.lower_central_series_dims()[-1] == 6
+
+    def test_lower_central_series_every_catalog_entry(self):
+        assert {name: catalog(name).algebra.lower_central_series_dims()
+                for name in catalog_names()} == LOWER_CENTRAL_SERIES

@@ -1,4 +1,5 @@
 import csv
+import json
 import re
 import subprocess
 import sys
@@ -35,3 +36,29 @@ def test_run_flow_experiments_runs(tmp_path):
     devs = [float(x) for x in re.findall(r"max-dev=(\S+)", proc.stdout)]
     assert len(devs) == len(names) and max(devs) <= 1e-9, proc.stdout
     assert elapsed < 5.0
+
+
+def test_report_digest_runs_and_diffs(tmp_path):
+    record = tmp_path / "reports.json"
+    proc = _run_script("report_digest.py", str(ROOT), str(record))
+    assert proc.returncode == 0, proc.stderr
+    assert "uncaught" not in proc.stderr
+    reports = json.loads(record.read_text())
+    assert reports["classify --catalog n2"][0] == 0
+    assert reports["check <tmp>/missing.g2"][0] == 2
+
+    proc = _run_script("report_digest.py", "--diff", str(record), str(record))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{len(reports)} of {len(reports)} reports identical"]
+
+    code, out = reports["metric --catalog std_g2"]
+    report = json.loads(out)
+    report["results"]["volume_coefficient"] *= 1.001
+    reports["metric --catalog std_g2"] = [code, json.dumps(report)]
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps(reports))
+    proc = _run_script("report_digest.py", "--diff", str(record), str(changed))
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[1:] == [
+        "metric --catalog std_g2: exit 0 -> 0, largest relative difference 0.000999, "
+        "0 non-numeric leaves differ"]

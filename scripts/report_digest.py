@@ -57,6 +57,14 @@ def commands(names, files):
         ["oracle", "--catalog", "n2", "--times", "-1"],
         ["flow", "--catalog", "n2", "--t-end", "0.02", "--dt", "0.01", "--sample-every", "0"],
         ["flow", "--catalog", "n2", "--t-end", "-1"],
+        ["flow", "--catalog", "n2", "--t-end", "inf"],
+        ["flow", "--catalog", "n2", "--dt", "nan"],
+        ["flow", "--catalog", "n2", "--dt", "inf"],
+        ["oracle", "--catalog", "n2", "--times", "inf"],
+        ["oracle", "--catalog", "n2", "--times", "nan"],
+        ["check", "--catalog", "n2", "--tol", "nan"],
+        ["check", "--catalog", "n2", "--tol", "-1"],
+        ["check", "--catalog", "n2", "--tol", "abc"],
     ]
 
 

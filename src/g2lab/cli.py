@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 input parse error, 2 validation failure (bad
 Jacobi, non-positive forms, unknown catalog name, unreadable input file, bad
---times, --sample-every < 1, failed preconditions).  Every report, failures
+--times, --tol or G2_TOL, a non-finite or non-positive --t-end or --dt,
+--sample-every < 1, failed preconditions).  Every report, failures
 included, has the keys command, input, results, residuals and tolerances in
 that order, and a final error key on failure.  Reports go to stdout as JSON
 with floats printed to 17 significant digits so every double round-trips
@@ -389,8 +390,7 @@ def _add_command(subs, name, run):
     sub.add_argument("--catalog", help="use a built-in entry instead of a file")
     sub.add_argument("--form", default="phi",
                      help="name of the 3-form to use (default 'phi')")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="vanishing tolerance (overrides G2_TOL; default 1e-8)")
+    sub.add_argument("--tol", help="vanishing tolerance (overrides G2_TOL; default 1e-8)")
     return sub
 
 
@@ -429,19 +429,27 @@ def build_parser():
     sub = subs.add_parser("catalog")
     sub.add_argument("name", nargs="?", help="entry to print (omit to list)")
     sub.add_argument("--catalog", help=argparse.SUPPRESS)
-    sub.add_argument("--tol", type=float, default=None)
+    sub.add_argument("--tol")
     sub.set_defaults(run=cmd_catalog)
     return parser
 
 
+def _tolerance(arg):
+    """--tol, else G2_TOL, else DEFAULT_TOL; it must be a finite number >= 0."""
+    source, text = ("--tol", arg) if arg is not None else ("G2_TOL", os.environ.get("G2_TOL"))
+    try:
+        tol = float(text) if text or arg is not None else DEFAULT_TOL
+        if 0 <= tol < np.inf:
+            return tol
+    except ValueError:
+        pass
+    raise ValidationFailure(f"bad {source} {text!r}: expected a finite number >= 0")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get("G2_TOL")
-        tol = float(env) if env else DEFAULT_TOL
     try:
-        body, code = args.run(args, tol)
+        body, code = args.run(args, _tolerance(args.tol))
     except (ParseError, ValidationFailure) as exc:
         body = {**_body(None, getattr(args, "input", "") or ""), "error": str(exc)}
         code = EXIT_PARSE if isinstance(exc, ParseError) else EXIT_INVALID

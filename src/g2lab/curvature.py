@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import KForm, Metric, _dense, form_inner
+from .exterior import KForm, _dense, form_inner
 from .g2core import classify, torsion_forms
 from .liealg import LieAlgebra, ce_diff, codifferential, derivation_residual, derivation_space
 
@@ -181,11 +181,7 @@ def rank_one_extension(algebra, D, tol=1e-10):
     res = derivation_residual(algebra, D)
     if res > tol:
         raise ValueError(f"matrix is not a derivation (residual {res:.3e})")
-    duals = []
-    for i in range(n):
-        form = algebra.dual_differential[i].embed(n + 1)
-        transport = KForm(n + 1, 2, {(j + 1, n + 1): D[i, j] for j in range(n) if D[i, j] != 0.0})
-        duals.append(form + transport)
-    duals.append(KForm.zero(n + 1, 2))
-    name = f"{algebra.name}+R" if algebra.name else None
-    return LieAlgebra(duals, name=name)
+    # the transport keys hold n + 1, which no key of the embedded d e^i does
+    duals = [KForm(n + 1, 2, {**form.coeffs, **{(j + 1, n + 1): v for j, v in enumerate(row) if v}})
+             for form, row in zip(algebra.dual_differential, D.tolist())] + [KForm.zero(n + 1, 2)]
+    return LieAlgebra(duals, name=f"{algebra.name}+R" if algebra.name else None)

@@ -56,25 +56,6 @@ def index_positions(dim, degree):
 
 
 @lru_cache(maxsize=None)
-def complement_data(dim, degree):
-    """Complement positions and shuffle signs for the Hodge pairing.
-
-    For each increasing tuple I of length `degree` (by position), gives the
-    position of its complement Ic among the (dim-degree)-tuples and the sign
-    of the shuffle (I, Ic) relative to (1, ..., dim).
-    """
-    pos_nk = index_positions(dim, dim - degree)
-    full = set(range(1, dim + 1))
-    positions, signs = [], []
-    for idx in multi_indices(dim, degree):
-        comp = tuple(sorted(full - set(idx)))
-        _, s = sort_with_sign(idx + comp)
-        positions.append(pos_nk[comp])
-        signs.append(float(s))
-    return np.array(positions, dtype=np.intp), np.array(signs)
-
-
-@lru_cache(maxsize=None)
 def wedge_table(dim, k, l):
     """COO table (ia, ib, iout, sign) for the wedge Lambda^k x Lambda^l -> Lambda^{k+l}."""
     pos_out = index_positions(dim, k + l)
@@ -91,6 +72,14 @@ def wedge_table(dim, k, l):
             sg.append(float(s))
     return (np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp),
             np.array(iout, dtype=np.intp), np.array(sg))
+
+
+def complement_data(dim, degree):
+    """For each increasing `degree`-tuple I, the position of its complement Ic
+    among the (dim-degree)-tuples and the sign of the shuffle (I, Ic): the
+    (ib, sign) columns of the wedge table, as e^I ^ e^Ic = sign e^{1..dim}."""
+    _, pos, _, sign = wedge_table(dim, degree, dim - degree)
+    return pos, sign
 
 
 def wedge_matrix(dim, k, l, vec_l):

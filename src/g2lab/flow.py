@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,11 +103,15 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
     """
     if algebra.dim != 7:
         raise ValueError("the flow runs on 7-dimensional algebras")
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
     if options.sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {options.sample_every}")
-    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
+    ratio = t_end / dt  # may overflow although both are finite
+    n_steps = max(1, math.ceil(ratio - 1e-12)) if math.isfinite(ratio) else math.inf
     if n_steps > options.max_steps:
         raise ValueError(f"{n_steps} steps exceed the cap of {options.max_steps}")
 
@@ -150,7 +154,7 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
 
 
 def _check_interval(t, lower, label):
-    if t <= lower:
+    if not math.isfinite(t) or t <= lower:
         raise ValueError(f"t = {t} outside the existence interval ({lower}, +inf) of {label}")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exterior import (KForm, Metric, _dense, _star, complement_data, form_inner, hodge_star,
                        standard_volume, wedge, wedge_matrix)
-from .liealg import ce_diff
+from .liealg import _null_space, ce_diff
 
 VANISH_TOL = 1e-8
 
@@ -143,22 +143,13 @@ def metric_from_phi(algebra, phi):
 
 def lambda2_14_basis(structure):
     """Orthonormal basis (as columns) of {alpha in Lambda^2 : alpha ^ star(phi) = 0}."""
-    mat = wedge_matrix(7, 2, 4, structure._star_phi_vec)
-    return _null_space(mat)
+    return _null_space(wedge_matrix(7, 2, 4, structure._star_phi_vec)).T
 
 
 def lambda3_27_basis(structure):
     """Orthonormal basis of {beta in Lambda^3 : beta ^ phi = 0, beta ^ star(phi) = 0}."""
-    top = wedge_matrix(7, 3, 3, structure._phi_vec)
-    bottom = wedge_matrix(7, 3, 4, structure._star_phi_vec)
-    return _null_space(np.vstack([top, bottom]))
-
-
-def _null_space(mat, rcond=1e-10):
-    _, s, vh = np.linalg.svd(mat)
-    smax = s[0] if s.size else 0.0
-    rank = int((s > rcond * max(smax, 1.0)).sum())
-    return vh[rank:].T
+    return _null_space(np.vstack([wedge_matrix(7, 3, 3, structure._phi_vec),
+                                  wedge_matrix(7, 3, 4, structure._star_phi_vec)])).T
 
 
 @dataclass(frozen=True)

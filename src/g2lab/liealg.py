@@ -4,18 +4,18 @@ An algebra is specified by d e^1, ..., d e^n (2-forms); the bracket is
 recovered from d alpha(X, Y) = -alpha([X, Y]).  Sign convention:
 d e^k = sum_{i<j} c^k_{ij} e^{ij} corresponds to [e_i, e_j] = -sum_k c^k_{ij} e_k.
 
-The differential matrix of each degree is built at construction by one scatter
-of the de^i coefficients through a table cached per (dimension, degree), from
-d = sum_i de^i ^ iota_{e_i}; instances carry read-only caches and stay shareable.
+The differential matrix of each degree is one scatter of the de^i coefficients
+through a table cached per (dimension, degree): d = sum_i de^i ^ iota_{e_i}, joined
+from the wedge tables of iota and of de^i ^ ., so only `exterior` knows the index
+and sign convention.  Instances carry read-only caches and stay shareable.
 """
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
 
-from .exterior import KForm, Metric, hodge_star, index_positions, multi_indices, sort_with_sign
+from .exterior import KForm, hodge_star, multi_indices, wedge_table
 
 
 class LieAlgebra:
@@ -93,22 +93,20 @@ class LieAlgebra:
 
 @lru_cache(maxsize=None)
 def _diff_table(n, k):
-    """COO table (bin, weight, sign) of d on k-forms.  With iota_{e_{i_m}} e^I =
-    (-1)^m e^{I minus i_m} (m counted from 0), d e^I = sum_m (-1)^m de^{i_m} ^
-    e^{I minus i_m}.  `bin` is row * C(n, k) + column, `weight` indexes the
-    concatenated de^i vectors, and the terms of each entry come in increasing m."""
-    pair_pos = index_positions(n, 2)
-    pos_out, ncols = index_positions(n, k + 1), len(multi_indices(n, k))
-    bins, widx, sg = [], [], []
-    for col, key in enumerate(multi_indices(n, k)):
-        for m, i in enumerate(key):
-            rest = key[:m] + key[m + 1:]
-            for pair in itertools.combinations([j for j in range(1, n + 1) if j not in rest], 2):
-                out, sign = sort_with_sign(pair + rest)
-                bins.append(pos_out[out] * ncols + col)
-                widx.append((i - 1) * len(pair_pos) + pair_pos[pair])
-                sg.append((-1.0) ** m * sign)
-    return np.array(bins, dtype=np.intp), np.array(widx, dtype=np.intp), np.array(sg)
+    """COO table (bin, weight, sign) of d = sum_i de^i ^ iota_{e_i} on k-forms, a
+    join of two wedge tables: iota_{e_i} e^I = (-1)^{k-1} s e^J for e^J ^ e^i = s e^I,
+    then e^P ^ e^J = s' e^out.  `bin` is row * C(n, k) + column, `weight` indexes the
+    concatenated de^i vectors; the terms come column by column, in increasing i."""
+    if k == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    j, i, col, s = wedge_table(n, k - 1, 1)
+    pair, pair_j, row, s2 = wedge_table(n, 2, k - 1)
+    # each J meets equally many pairs: row m of `join` holds the pair rows of J = j[m]
+    join = np.argsort(pair_j, kind="stable").reshape(len(multi_indices(n, k - 1)), -1)[j]
+    order = np.argsort(np.repeat(col * n + i, join.shape[1]), kind="stable")
+    return ((row[join] * len(multi_indices(n, k)) + col[:, None]).reshape(-1)[order],
+            (i[:, None] * len(multi_indices(n, 2)) + pair[join]).reshape(-1)[order],
+            ((-1.0) ** (k - 1) * s[:, None] * s2[join]).reshape(-1)[order])
 
 
 def ce_diff(algebra, a):
@@ -159,16 +157,17 @@ def _derivation_equations(algebra):
     return eqs.reshape(len(i) * n, n * n)
 
 
-def derivation_space(algebra, cutoff=1e-10):
-    """Orthonormal basis of the space of derivations, as n x n matrices.
+def _null_space(mat, cutoff=1e-10):
+    """Orthonormal null-space basis of `mat` as rows, with singular-value cutoff
+    `cutoff * max(s0, 1)`; the SVD is full when a thin one would lose null vectors."""
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    return vh[int((s > cutoff * max(s[0] if s.size else 0.0, 1.0)).sum()):]
 
-    The derivation equations are linear in the entries of D; the basis is the
-    SVD null space with relative singular-value cutoff `cutoff`.
-    """
+
+def derivation_space(algebra, cutoff=1e-10):
+    """Orthonormal basis of the space of derivations, as n x n matrices: the null
+    space of the derivation equations, which are linear in the entries of D."""
     n = algebra.dim
     eqs = _derivation_equations(algebra)
     eqs = eqs[np.any(eqs, axis=1)]  # a zero row constrains nothing
-    _, s, vh = np.linalg.svd(eqs, full_matrices=eqs.shape[0] < eqs.shape[1])
-    smax = s[0] if s.size else 0.0
-    rank = int((s > cutoff * max(smax, 1.0)).sum())
-    return [vh[m].reshape(n, n) for m in range(rank, vh.shape[0])]
+    return [v.reshape(n, n) for v in _null_space(eqs, cutoff)]

@@ -13,8 +13,9 @@ import numpy as np
 
 from .exterior import (KForm, Metric, _dense, _dense_tables, complement_data, wedge,
                        wedge_matrix, wedge_table)
+from .curvature import rank_one_extension
 from .g2core import G2Structure
-from .liealg import LieAlgebra, ce_diff
+from .liealg import ce_diff
 
 
 def hitchin_j(algebra, psi):
@@ -76,11 +77,10 @@ class SU3Structure:
             raise ValueError(f"omega ^ psi != 0 (norm {compat:.3e})")
         J, lam = hitchin_j(algebra, psi)
         w = _dense(omega.to_vector(), 6, 2).reshape(6, 6)
-        g = w @ J
-        if not Metric(g).positive_definite:
+        metric = Metric(w @ J)
+        if not metric.positive_definite:
             J = -J
-            g = w @ J
-        metric = Metric(g)
+            metric = Metric(w @ J)
         if not metric.positive_definite:
             raise ValueError("omega(., J.) is not positive definite for either sign of J")
         j2 = float(np.linalg.norm(J @ J + np.eye(6)))
@@ -168,9 +168,7 @@ def g2_product(structure, extension=None):
     """
     S = structure
     if extension is None:
-        duals = [f.embed(7) for f in S.algebra.dual_differential] + [KForm.zero(7, 2)]
-        name = f"{S.algebra.name}+R" if S.algebra.name else None
-        extension = LieAlgebra(duals, name=name)
+        extension = rank_one_extension(S.algebra, np.zeros((6, 6)))
     else:
         if extension.dim != 7:
             raise ValueError("extension must be 7-dimensional")

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from g2lab.curvature import riemann
-from g2lab.exterior import KForm, complement_data, multi_indices, sort_with_sign, wedge_matrix
+from g2lab.exterior import KForm, index_positions, multi_indices, sort_with_sign, wedge_matrix
 from g2lab.g2core import (TorsionForms, TorsionSolveError, lambda2_14_basis,
                           lambda3_27_basis)
 
@@ -133,11 +133,27 @@ def compound_matrix(M, degree):
     return np.linalg.det(sub)
 
 
+@functools.lru_cache(maxsize=None)
+def loop_complement_data(dim, degree):
+    """Complement positions and shuffle signs for the Hodge pairing, one tuple
+    at a time: for each increasing I, the position of Ic among the
+    (dim-degree)-tuples and the sign of the shuffle (I, Ic)."""
+    pos_nk = index_positions(dim, dim - degree)
+    full = set(range(1, dim + 1))
+    positions, signs = [], []
+    for idx in multi_indices(dim, degree):
+        comp = tuple(sorted(full - set(idx)))
+        _, s = sort_with_sign(idx + comp)
+        positions.append(pos_nk[comp])
+        signs.append(float(s))
+    return np.array(positions, dtype=np.intp), np.array(signs)
+
+
 def compound_star(metric, a):
     """Hodge star through the compound Gram matrix of the metric inverse:
     star(a)_{Ic} = sign(I, Ic) sqrt(det g) (C_k(g^{-1}) a)_I."""
     n, k = a.dim, a.degree
-    pos, s = complement_data(n, k)
+    pos, s = loop_complement_data(n, k)
     out = np.empty(len(pos))
     out[pos] = s * (metric.sqrt_det * (compound_matrix(metric.inverse, k) @ a.to_vector()))
     return KForm.from_vector(n, n - k, out)
@@ -249,7 +265,7 @@ def lstsq_torsion(structure, tau1_tol=1e-8):
     basis27 = lambda3_27_basis(G)
 
     e_wedge_phi = wedge_matrix(7, 1, 3, G._phi_vec)
-    pos, s = complement_data(7, 3)
+    pos, s = loop_complement_data(7, 3)
     star27 = np.empty_like(basis27)
     star27[pos] = s[:, None] * (G.metric.sqrt_det * (compound_matrix(G.metric.inverse, 3)
                                                      @ basis27))

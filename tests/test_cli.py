@@ -224,11 +224,53 @@ class TestFailuresAreReports:
         ("abc", "could not convert string to float: 'abc'"),
         ("-1", "t = -1.0 outside the existence interval"),
         ("0,1,-1", "t = -1.0 outside the existence interval"),
+        ("inf", "t = inf outside the existence interval"),
+        ("0,nan", "t = nan outside the existence interval"),
     ])
     def test_bad_times(self, capsys, times, reason):
         code, report = run_cli(capsys, "oracle", "--catalog", "n2", "--times", times)
         assert code == 2
         assert report["error"].startswith(f"bad --times {times}: {reason}")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("option", ["--t-end", "--dt"])
+    def test_non_finite_flow_times(self, capsys, option, value):
+        code, report = run_cli(capsys, "flow", "--catalog", "n2", f"{option}={value}")
+        assert code == 2
+        assert report["error"] == f"{option[2:].replace('-', '_')} must be finite, got {value}"
+
+    def test_negative_flow_time(self, capsys):
+        code, report = run_cli(capsys, "flow", "--catalog", "n2", "--t-end", "-1")
+        assert code == 2
+        assert report["error"] == "t_end and dt must be positive"
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "-1e-12", ""])
+    def test_bad_tol_option(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("G2_TOL", "1e-2")
+        code, report = run_cli(capsys, "check", "--catalog", "n2", f"--tol={value}")
+        assert code == 2
+        assert report["command"] == "check"
+        assert report["error"] == f"bad --tol {value!r}: expected a finite number >= 0"
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "-inf", "-0.5"])
+    def test_bad_tol_environment(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("G2_TOL", value)
+        code, report = run_cli(capsys, "catalog", "n2")
+        assert code == 2
+        assert report["error"] == f"bad G2_TOL {value!r}: expected a finite number >= 0"
+
+    @pytest.mark.parametrize("env, option, want", [
+        (None, None, 1e-8), ("", None, 1e-8), ("1e-3", None, 1e-3),
+        ("abc", "0", 0.0), (None, "2.5e-4", 2.5e-4)])
+    def test_tolerance_sources(self, capsys, monkeypatch, env, option, want):
+        if env is None:
+            monkeypatch.delenv("G2_TOL", raising=False)
+        else:
+            monkeypatch.setenv("G2_TOL", env)
+        argv = ["classify", "--catalog", "n2"] + ([f"--tol={option}"] if option else [])
+        code, report = run_cli(capsys, *argv)
+        assert code == 0
+        assert report["tolerances"]["vanishing"] == want
 
     def test_sample_every_below_one(self, capsys):
         code, report = run_cli(capsys, "flow", "--catalog", "n2", "--t-end", "0.02",

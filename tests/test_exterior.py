@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
-from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, form_inner, hodge_star,
-                            interior, multi_indices, standard_volume, wedge)
+from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, complement_data, form_inner,
+                            hodge_star, interior, multi_indices, standard_volume, wedge)
 
 from conftest import form_strategy, metric_strategy
 from oracles import (brute_hodge, brute_inner, brute_interior, brute_wedge, compound_inner,
-                     compound_matrix, compound_star, dict_wedge)
+                     compound_matrix, compound_star, dict_wedge, loop_complement_data)
 
 PHI_STD = catalog("std_g2").forms["phi"]
 I7 = Metric.identity(7)
@@ -179,6 +179,16 @@ class TestInterior:
         for _ in range(3):
             a = KForm.from_vector(dim, degree, rng.uniform(-3, 3, len(multi_indices(dim, degree))))
             assert interior(v, a).allclose(brute_interior(v, a), tol=1e-12)
+
+
+@pytest.mark.parametrize("dim", range(1, MAX_DIM + 1))
+def test_complement_data_matches_loop(dim):
+    """The complement columns of wedge_table equal the tuple-by-tuple loop,
+    array for array and dtype for dtype, in every degree."""
+    for degree in range(dim + 1):
+        for got, want in zip(complement_data(dim, degree), loop_complement_data(dim, degree)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestHodgeStar:

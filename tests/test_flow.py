@@ -153,6 +153,13 @@ class TestClosedFormSolutions:
         closed_form_n2(-0.29)
         closed_form_n12(-2.9)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("fn", [closed_form_n2, closed_form_n2_velocity,
+                                    closed_form_n12, closed_form_n12_velocity])
+    def test_non_finite_time_rejected(self, fn, t):
+        with pytest.raises(ValueError, match=f"t = {t} outside the existence interval"):
+            fn(t)
+
     @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 100.0])
     def test_ode_residual_n2(self, t):
         res = oracle_residual(N2, closed_form_n2, closed_form_n2_velocity, [t])
@@ -222,6 +229,22 @@ class TestIntegration:
         with pytest.raises(ValueError, match="cap"):
             flow_integrate(N2, closed_form_n2(0.0), 1.0, 1e-9,
                            FlowOptions(max_steps=1000))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["t_end", "dt"])
+    def test_rejects_non_finite_times(self, name, value):
+        times = {"t_end": 0.02, "dt": 1e-2, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            flow_integrate(N2, closed_form_n2(0.0), times["t_end"], times["dt"])
+
+    @pytest.mark.parametrize("t_end, dt", [(-1.0, 1e-2), (0.02, 0.0), (0.0, 1e-2)])
+    def test_rejects_non_positive_times(self, t_end, dt):
+        with pytest.raises(ValueError, match="^t_end and dt must be positive$"):
+            flow_integrate(N2, closed_form_n2(0.0), t_end, dt)
+
+    def test_step_count_overflow_hits_cap(self):
+        with pytest.raises(ValueError, match="^inf steps exceed the cap"):
+            flow_integrate(N2, closed_form_n2(0.0), 1e300, 1e-300)
 
     @pytest.mark.parametrize("sample_every", [0, -5])
     def test_rejects_sample_every_below_one(self, sample_every):

@@ -233,6 +233,24 @@ class TestG2Product:
         assert classify(torsion_forms(G)).label == "closed, calibrated"
         assert G.phi.allclose(catalog("n2").forms["phi"], tol=0)
 
+    @pytest.mark.parametrize("make", [su3_h1, su3_h2, su3_std])
+    def test_trivial_extension_matches_hand_built(self, make):
+        """With no extension, the algebra is the embedded d e^i with d e7 = 0,
+        named `<base>+R`, with the same differential matrices bit for bit."""
+        S = make()
+        got = g2_product(S).algebra
+        want = LieAlgebra([f.embed(7) for f in S.algebra.dual_differential]
+                          + [KForm.zero(7, 2)], name=f"{S.algebra.name}+R")
+        assert got.name == want.name
+        assert [dict(f.items()) for f in got.dual_differential] \
+            == [dict(f.items()) for f in want.dual_differential]
+        for k in range(8):
+            assert np.array_equal(got.diff_matrix(k), want.diff_matrix(k))
+
+    def test_trivial_extension_of_unnamed_algebra_is_unnamed(self):
+        base = LieAlgebra(ABELIAN6.dual_differential)
+        assert g2_product(SU3Structure(base, OMEGA_STD, PSI_STD)).algebra.name is None
+
     def test_mismatched_extension_rejected(self):
         with pytest.raises(ValueError):
             g2_product(su3_std(), extension=catalog("n2").algebra)

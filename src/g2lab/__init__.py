@@ -1,5 +1,15 @@
 """Exterior algebra, G2- and SU(3)-structures, curvature and the Laplacian
-flow on Lie algebras given by structure constants."""
+flow on Lie algebras given by structure constants.
+
+Every matrix here is tiny (at most 147 x 49), and a multi-threaded BLAS only
+stalls on such sizes, so BLAS runs on one thread unless the environment says
+otherwise.  This takes effect only when g2lab is imported before numpy.
+"""
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .catalog import CatalogEntry, catalog, catalog_names
 from .curvature import (SolitonCertificate, einstein_calibrated_residual,

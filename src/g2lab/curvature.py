@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import KForm, _dense, form_inner
+from .exterior import KForm, _dense, form_inner, index_positions, multi_indices
 from .g2core import classify, torsion_forms
 from .liealg import LieAlgebra, ce_diff, codifferential, derivation_residual, derivation_space
 
@@ -181,7 +181,11 @@ def rank_one_extension(algebra, D, tol=1e-10):
     res = derivation_residual(algebra, D)
     if res > tol:
         raise ValueError(f"matrix is not a derivation (residual {res:.3e})")
-    # the transport keys hold n + 1, which no key of the embedded d e^i does
-    duals = [KForm(n + 1, 2, {**form.coeffs, **{(j + 1, n + 1): v for j, v in enumerate(row) if v}})
-             for form, row in zip(algebra.dual_differential, D.tolist())] + [KForm.zero(n + 1, 2)]
+    # row i: d e^i at its embedded positions plus the transport terms at e^{j,n+1}
+    pos = index_positions(n + 1, 2)
+    vecs = np.zeros((n + 1, len(pos)))
+    vecs[:n, [pos[key] for key in multi_indices(n, 2)]] = [
+        form.to_vector() for form in algebra.dual_differential]
+    vecs[:n, [pos[(j, n + 1)] for j in range(1, n + 1)]] = D
+    duals = [KForm.from_vector(n + 1, 2, v) for v in vecs]
     return LieAlgebra(duals, name=f"{algebra.name}+R" if algebra.name else None)

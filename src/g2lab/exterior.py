@@ -1,13 +1,14 @@
-"""Sparse exterior algebra over a fixed basis e1..en, with one dense kernel.
+"""Exterior algebra over a fixed basis e1..en, on coefficient vectors.
 
-A k-form is stored as a map from strictly increasing 1-based index tuples
-to float coefficients.  Everything is immutable after construction and all
+A k-form is one read-only float vector over the strictly increasing 1-based
+index tuples of length k, in lexicographic order (`multi_indices`), with
+entries below PRUNE_TOL stored as zero.  Forms are immutable and all
 operations are pure functions, so values can be shared freely.
 
-Products scatter through cached COO tables (`wedge_table`; `interior` is its
-transpose).  The metric operations share one dense kernel: `_dense` expands a
-k-form to its antisymmetric n^k tensor, `_compound_apply` acts on every index
-of it, and `_star` is the Hodge star on coefficient vectors.
+Products scatter through cached COO tables (`wedge_table`; `interior_table`
+is its transpose).  The metric operations share one dense kernel: `_dense`
+expands a k-form to its antisymmetric n^k tensor, `_compound_apply` acts on
+every index of it, and `_star` is the Hodge star on coefficient vectors.
 
 Dimension is generic but capped at MAX_DIM: all operators here enumerate
 the full basis of each degree, which is only sensible for small n.
@@ -85,40 +86,69 @@ def complement_data(dim, degree):
 def wedge_matrix(dim, k, l, vec_l):
     """Matrix of (.) wedge b acting Lambda^k -> Lambda^{k+l}, for fixed b with coefficients vec_l."""
     ia, ib, iout, sg = wedge_table(dim, k, l)
-    out = np.zeros((len(multi_indices(dim, k + l)), len(multi_indices(dim, k))))
-    np.add.at(out, (iout, ia), sg * vec_l[ib])
-    return out
+    shape = (len(multi_indices(dim, k + l)), len(multi_indices(dim, k)))
+    return np.bincount(iout * shape[1] + ia, weights=sg * vec_l[ib],
+                       minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def _wedge_vec(dim, k, l, a, b):
+    """Coefficients of a ^ b from those of a k-form a and an l-form b: one
+    scatter through `wedge_table`, summing each coefficient in (a, b) key order."""
+    ia, ib, iout, sg = wedge_table(dim, k, l)
+    return np.bincount(iout, weights=sg * a[ia] * b[ib], minlength=len(multi_indices(dim, k + l)))
+
+
+@lru_cache(maxsize=None)
+def interior_table(dim, degree):
+    """COO table (row, i, col, sign) of the interior product on `degree`-forms:
+    iota_{e_i} e^I = sign e^J with J at `row` and I at `col`.  It is the transpose
+    of e^J -> e^J ^ e^i (`wedge_table(dim, degree - 1, 1)`) times (-1)^{degree-1}."""
+    row, i, col, sg = wedge_table(dim, degree - 1, 1)
+    return row, i, col, (-1.0) ** (degree - 1) * sg
+
+
+def _check_space(dim, degree):
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dimension {dim} outside supported range 1..{MAX_DIM}")
+    if degree < 0:
+        raise ValueError(f"negative degree {degree}")
 
 
 class KForm:
-    """Alternating form of fixed degree with sparse float coefficients.
+    """Alternating form of fixed degree, stored as one read-only coefficient
+    vector over `multi_indices(dim, degree)`.
 
-    Keys are canonicalized (sorted with sign, merged, pruned below PRUNE_TOL)
-    at construction.  Degrees above `dim` are allowed and necessarily empty,
+    Entries with |v| <= PRUNE_TOL, and NaN, are stored as +0.0; no -0.0 is
+    ever stored.  Dict input (`KForm(dim, k, {...})`, `basis`) is
+    canonicalized first: keys sorted with sign, repeated indices dropped,
+    duplicates merged.  `coeffs` and `items` give the nonzero entries in
+    index order.  Degrees above `dim` are allowed and necessarily empty,
     which keeps d and wedge total.
     """
 
-    __slots__ = ("dim", "degree", "_coeffs")
+    __slots__ = ("dim", "degree", "_vec")
 
     def __init__(self, dim, degree, coeffs=None):
-        if not 1 <= dim <= MAX_DIM:
-            raise ValueError(f"dimension {dim} outside supported range 1..{MAX_DIM}")
-        if degree < 0:
-            raise ValueError(f"negative degree {degree}")
-        canon = {}
+        _check_space(dim, degree)
+        pos = index_positions(dim, degree)
+        vec = [0.0] * len(pos)
         for key, value in (coeffs or {}).items():
             if len(key) != degree:
                 raise ValueError(f"index {key} has length {len(key)}, expected {degree}")
             if any(i < 1 or i > dim for i in key):
                 raise ValueError(f"index {key} out of range 1..{dim}")
             skey, sign = sort_with_sign(tuple(key))
-            if sign == 0:
-                continue
-            canon[skey] = canon.get(skey, 0.0) + sign * float(value)
+            if sign:
+                vec[pos[skey]] += sign * float(value)
+        self._store(dim, degree, np.array(vec))
+
+    def _store(self, dim, degree, vec):
+        # the prune keeps |v| > PRUNE_TOL only, so NaN and -0.0 become +0.0
+        vec = np.where(np.abs(vec) > PRUNE_TOL, vec, 0.0)
+        vec.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_coeffs",
-                           {k: v for k, v in sorted(canon.items()) if abs(v) > PRUNE_TOL})
+        object.__setattr__(self, "_vec", vec)
 
     def __setattr__(self, name, value):
         raise AttributeError("KForm is immutable")
@@ -134,54 +164,56 @@ class KForm:
 
     @classmethod
     def from_vector(cls, dim, degree, vec):
-        """Form with coefficients `vec` over `multi_indices(dim, degree)`.  Those keys
-        are canonical, so only the range checks and the prune (of NaN too) apply."""
-        form = cls(dim, degree)
-        keys = multi_indices(dim, degree)
-        if len(vec) != len(keys):
-            raise ValueError(f"coefficient vector has length {len(vec)}, expected {len(keys)}")
+        """Form with coefficients `vec` over `multi_indices(dim, degree)`.  The
+        entries are copied and pruned; the input array is not kept."""
+        _check_space(dim, degree)
         vec = np.asarray(vec, dtype=float)
-        object.__setattr__(form, "_coeffs", {keys[p]: float(vec[p])
-                                             for p in np.flatnonzero(np.abs(vec) > PRUNE_TOL)})
+        count = len(multi_indices(dim, degree))
+        if vec.shape != (count,):
+            raise ValueError(f"coefficient vector has shape {vec.shape}, expected ({count},)")
+        form = object.__new__(cls)
+        form._store(dim, degree, vec)
         return form
 
     @property
     def coeffs(self):
-        return MappingProxyType(self._coeffs)
+        """Read-only map of the nonzero coefficients, in index order."""
+        keys = multi_indices(self.dim, self.degree)
+        nz = np.flatnonzero(self._vec)
+        return MappingProxyType(dict(zip([keys[p] for p in nz], self._vec[nz].tolist())))
 
     def to_vector(self):
-        vec = np.zeros(len(multi_indices(self.dim, self.degree)))
-        pos = index_positions(self.dim, self.degree)
-        for key, value in self._coeffs.items():
-            vec[pos[key]] = value
-        return vec
+        """The stored coefficient vector over `multi_indices(dim, degree)`; read-only."""
+        return self._vec
 
     def coefficient(self, indices):
         """Coefficient on the given index tuple; any order, sign tracked."""
         key, sign = sort_with_sign(tuple(indices))
         if sign == 0:
             return 0.0
-        return sign * self._coeffs.get(key, 0.0)
+        p = index_positions(self.dim, self.degree).get(key)
+        return sign * (0.0 if p is None else float(self._vec[p]))
 
     def items(self):
-        return self._coeffs.items()
+        return self.coeffs.items()
 
     def norm(self):
         """Euclidean norm of the coefficient vector (basis-dependent)."""
-        return math.sqrt(sum(v * v for v in self._coeffs.values()))
+        return math.sqrt(sum((self._vec * self._vec).tolist()))
 
     def sup_norm(self):
-        return max((abs(v) for v in self._coeffs.values()), default=0.0)
+        return float(np.max(np.abs(self._vec), initial=0.0))
 
     def is_zero(self, tol=0.0):
-        return all(abs(v) <= tol for v in self._coeffs.values())
+        v = self._vec
+        return bool(np.all(np.abs(v[v != 0]) <= tol))
 
     def allclose(self, other, tol=1e-10):
+        """Every coefficient within `tol`, compared where either form is nonzero."""
         if self.dim != other.dim or self.degree != other.degree:
             return False
-        keys = set(self._coeffs) | set(other._coeffs)
-        return all(abs(self._coeffs.get(k, 0.0) - other._coeffs.get(k, 0.0)) <= tol
-                   for k in keys)
+        a, b = self._vec, other._vec
+        return bool(np.all(np.abs(a - b)[(a != 0) | (b != 0)] <= tol))
 
     def __eq__(self, other):
         if not isinstance(other, KForm):
@@ -192,20 +224,16 @@ class KForm:
 
     def __add__(self, other):
         self._check_match(other)
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, 0.0) + v
-        return KForm(self.dim, self.degree, out)
+        return KForm.from_vector(self.dim, self.degree, self._vec + other._vec)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return KForm(self.dim, self.degree, {k: -v for k, v in self._coeffs.items()})
+        return KForm.from_vector(self.dim, self.degree, -self._vec)
 
     def __mul__(self, scalar):
-        s = float(scalar)
-        return KForm(self.dim, self.degree, {k: s * v for k, v in self._coeffs.items()})
+        return KForm.from_vector(self.dim, self.degree, float(scalar) * self._vec)
 
     __rmul__ = __mul__
 
@@ -219,7 +247,10 @@ class KForm:
         """Reinterpret in a larger ambient dimension (same coefficients)."""
         if dim < self.dim:
             raise ValueError("cannot embed into a smaller dimension")
-        return KForm(dim, self.degree, dict(self._coeffs))
+        pos = index_positions(dim, self.degree)
+        vec = np.zeros(len(pos))
+        vec[[pos[key] for key in multi_indices(self.dim, self.degree)]] = self._vec
+        return KForm.from_vector(dim, self.degree, vec)
 
     def _check_match(self, other):
         if self.dim != other.dim:
@@ -228,15 +259,16 @@ class KForm:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
     def __repr__(self):
-        if not self._coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return f"KForm({self.dim}, {self.degree}, 0)"
         terms = " + ".join(f"{v:g}*e{''.join(map(str, k))}" if k else f"{v:g}"
-                           for k, v in self._coeffs.items())
+                           for k, v in coeffs.items())
         return f"KForm({self.dim}, {self.degree}, {terms})"
 
 
 def standard_volume(dim):
-    return KForm.basis(dim, tuple(range(1, dim + 1)))
+    return KForm.from_vector(dim, dim, np.ones(1))
 
 
 def wedge(a, b):
@@ -244,11 +276,8 @@ def wedge(a, b):
     `wedge_table`, summing the terms of each coefficient in (a, b) key order."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    n, k = a.dim, a.degree + b.degree
-    ia, ib, iout, sg = wedge_table(n, a.degree, b.degree)
-    vec = np.bincount(iout, weights=sg * a.to_vector()[ia] * b.to_vector()[ib],
-                      minlength=len(multi_indices(n, k)))
-    return KForm.from_vector(n, k, vec)
+    n, k, l = a.dim, a.degree, b.degree
+    return KForm.from_vector(n, k + l, _wedge_vec(n, k, l, a.to_vector(), b.to_vector()))
 
 
 def interior(vector, a):
@@ -262,13 +291,10 @@ def interior(vector, a):
         raise ValueError(f"vector has shape {v.shape}, expected ({a.dim},)")
     if a.degree == 0:
         raise ValueError("interior product of a 0-form is undefined")
-    # (-1)^{k-1} times the transpose of b -> b ^ v, scattered through its
-    # wedge table: e^{I - i_p} ^ e^{i_p} = (-1)^{k-1-p} e^I
     n, k = a.dim, a.degree
-    ia, ib, iout, sg = wedge_table(n, k - 1, 1)
-    vec = np.bincount(ia, weights=sg * v[ib] * a.to_vector()[iout],
-                      minlength=len(multi_indices(n, k - 1)))
-    return KForm.from_vector(n, k - 1, (-1.0) ** (k - 1) * vec)
+    row, i, col, sg = interior_table(n, k)
+    return KForm.from_vector(n, k - 1, np.bincount(row, weights=sg * v[i] * a.to_vector()[col],
+                                                   minlength=len(multi_indices(n, k - 1))))
 
 
 class Metric:
@@ -347,12 +373,15 @@ def _dense(vec, dim, degree):
 
 def _compound_apply(M, vec, degree):
     """Degree-k compound of the n x n matrix M (the minors det M[I, J]) applied
-    to a k-form's coefficients: M acts on every index of the dense tensor."""
+    to a k-form's coefficients: M acts on every index of the dense tensor, the
+    leading ones first, then the last two at once."""
     n = M.shape[0]
+    if degree < 2:  # the compound of degree 1 is M, of degree 0 the number 1
+        return M @ vec if degree else vec
     t = _dense(vec, n, degree)
-    for _ in range(degree):
-        # acts on the leading index and rotates it to the back
-        t = (M @ t.reshape(n, -1)).T
+    for j in range(degree - 2):
+        t = M @ t.reshape(n ** j, n, -1)
+    t = M @ t.reshape(-1, n, n) @ M.T
     return t.reshape(-1)[_dense_tables(n, degree)[3]]
 
 

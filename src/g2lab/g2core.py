@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import (KForm, Metric, _dense, _star, complement_data, form_inner, hodge_star,
-                       standard_volume, wedge, wedge_matrix)
+from .exterior import (KForm, Metric, _dense, _star, _wedge_vec, complement_data, form_inner,
+                       hodge_star, standard_volume, wedge, wedge_matrix)
 from .liealg import _null_space, ce_diff
 
 VANISH_TOL = 1e-8
@@ -182,22 +182,20 @@ def torsion_forms(structure, tau1_tol=1e-8):
     m, phi, psi = G.metric, G._phi_vec, G._star_phi_vec
     dphi = G.algebra.diff_matrix(3) @ phi
     dpsi = G.algebra.diff_matrix(4) @ psi
-    wedge3_phi = wedge_matrix(7, 3, 3, phi)
-    wedge2_psi = wedge_matrix(7, 2, 4, psi)
 
-    tau0 = float(_star(wedge_matrix(7, 4, 3, phi) @ dphi, 7, m)[0]) / 7.0
-    tau1 = -_star(wedge3_phi @ _star(dphi, 4, m), 6, m) / 12.0
-    tau1_b = _star(wedge2_psi @ _star(dpsi, 5, m), 6, m) / 12.0
+    tau0 = float(_star(_wedge_vec(7, 4, 3, dphi, phi), 7, m)[0]) / 7.0
+    tau1 = -_star(_wedge_vec(7, 3, 3, _star(dphi, 4, m), phi), 6, m) / 12.0
+    tau1_b = _star(_wedge_vec(7, 2, 4, _star(dpsi, 5, m), psi), 6, m) / 12.0
     tau1_mismatch = float(np.linalg.norm(tau1 - tau1_b))
     if tau1_mismatch > tau1_tol:
         raise TorsionSolveError(
             f"tau1 disagrees between the two torsion equations by {tau1_mismatch:.3e}")
 
-    tau3 = _star(dphi - tau0 * psi - 3.0 * (wedge_matrix(7, 1, 3, phi) @ tau1), 4, m)
-    tau2 = -G.orientation * _star(dpsi - 4.0 * (wedge_matrix(7, 1, 4, psi) @ tau1), 5, m)
-    residual = max(float(np.linalg.norm(wedge3_phi @ tau3)),
-                   float(np.linalg.norm(wedge_matrix(7, 3, 4, psi) @ tau3)),
-                   float(np.linalg.norm(wedge2_psi @ tau2)))
+    tau3 = _star(dphi - tau0 * psi - 3.0 * _wedge_vec(7, 1, 3, tau1, phi), 4, m)
+    tau2 = -G.orientation * _star(dpsi - 4.0 * _wedge_vec(7, 1, 4, tau1, psi), 5, m)
+    residual = max(float(np.linalg.norm(_wedge_vec(7, 3, 3, tau3, phi))),
+                   float(np.linalg.norm(_wedge_vec(7, 3, 4, tau3, psi))),
+                   float(np.linalg.norm(_wedge_vec(7, 2, 4, tau2, psi))))
     return TorsionForms(tau0, KForm.from_vector(7, 1, tau1), KForm.from_vector(7, 2, tau2),
                         KForm.from_vector(7, 3, tau3), residual, tau1_mismatch)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import KForm, hodge_star, multi_indices, wedge_table
+from .exterior import KForm, hodge_star, interior_table, multi_indices, wedge_table
 
 
 class LieAlgebra:
@@ -33,15 +33,16 @@ class LieAlgebra:
         object.__setattr__(self, "dual_differential", duals)
         object.__setattr__(self, "name", name)
 
+        # row k of `weights` holds the coefficients of d e^k; with e^a ^ e^b = s e^P,
+        # [e_a, e_b] = -sum_k s c^k_P e_k (0.0 - keeps a zero bracket +0.0)
+        weights = np.stack([form.to_vector() for form in duals])
+        a, b, pair, s = wedge_table(n, 1, 1)
         bracket = np.zeros((n, n, n))
-        for k, form in enumerate(duals):
-            for (i, j), c in form.items():
-                bracket[i - 1, j - 1, k] -= c
-                bracket[j - 1, i - 1, k] += c
+        bracket[a, b] = 0.0 - s[:, None] * weights[:, pair].T
         bracket.setflags(write=False)
         object.__setattr__(self, "bracket", bracket)
 
-        weights = np.concatenate([form.to_vector() for form in duals])
+        weights = weights.reshape(-1)
         diff = []
         for k in range(n + 1):
             bins, widx, sg = _diff_table(n, k)
@@ -94,19 +95,19 @@ class LieAlgebra:
 @lru_cache(maxsize=None)
 def _diff_table(n, k):
     """COO table (bin, weight, sign) of d = sum_i de^i ^ iota_{e_i} on k-forms, a
-    join of two wedge tables: iota_{e_i} e^I = (-1)^{k-1} s e^J for e^J ^ e^i = s e^I,
-    then e^P ^ e^J = s' e^out.  `bin` is row * C(n, k) + column, `weight` indexes the
+    join of the interior table, iota_{e_i} e^I = s e^J, and a wedge table,
+    e^P ^ e^J = s' e^out.  `bin` is row * C(n, k) + column, `weight` indexes the
     concatenated de^i vectors; the terms come column by column, in increasing i."""
     if k == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    j, i, col, s = wedge_table(n, k - 1, 1)
+    j, i, col, s = interior_table(n, k)
     pair, pair_j, row, s2 = wedge_table(n, 2, k - 1)
     # each J meets equally many pairs: row m of `join` holds the pair rows of J = j[m]
     join = np.argsort(pair_j, kind="stable").reshape(len(multi_indices(n, k - 1)), -1)[j]
     order = np.argsort(np.repeat(col * n + i, join.shape[1]), kind="stable")
     return ((row[join] * len(multi_indices(n, k)) + col[:, None]).reshape(-1)[order],
             (i[:, None] * len(multi_indices(n, 2)) + pair[join]).reshape(-1)[order],
-            ((-1.0) ** (k - 1) * s[:, None] * s2[join]).reshape(-1)[order])
+            (s[:, None] * s2[join]).reshape(-1)[order])
 
 
 def ce_diff(algebra, a):
@@ -138,8 +139,9 @@ def derivation_residual(algebra, D):
     """max over basis pairs of || D[x,y] - [Dx,y] - [x,Dy] ||."""
     D = np.asarray(D, dtype=float)
     B = algebra.bracket
-    lhs = np.einsum("ijm,km->ijk", B, D)
-    rhs = np.einsum("mi,mjk->ijk", D, B) + np.einsum("mj,imk->ijk", D, B)
+    n = algebra.dim
+    lhs = B @ D.T                                             # sum_m B_ijm D_km
+    rhs = (D.T @ B.reshape(n, -1)).reshape(B.shape) + D.T @ B  # D_mi B_mjk + D_mj B_imk
     return float(np.max(np.linalg.norm(lhs - rhs, axis=2)))
 
 

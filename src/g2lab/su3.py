@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import (KForm, Metric, _dense, _dense_tables, complement_data, wedge,
-                       wedge_matrix, wedge_table)
+from .exterior import (KForm, Metric, _dense, _dense_tables, complement_data, interior_table,
+                       wedge, wedge_matrix)
 from .curvature import rank_one_extension
 from .g2core import G2Structure
 from .liealg import ce_diff
@@ -31,11 +31,11 @@ def hitchin_j(algebra, psi):
         raise ValueError("stable-form construction needs dimension 6")
     if psi.dim != 6 or psi.degree != 3:
         raise ValueError("psi must be a 3-form in dimension 6")
-    # row j of `iota` is iota_{e_j} psi (the transpose of e^{ab} -> e^{ab} ^ e^j),
-    # column j of `mu` is iota_{e_j} psi ^ psi, read off at the complements of e^i
-    ia, ib, iout, sg = wedge_table(6, 2, 1)
+    # row j of `iota` is iota_{e_j} psi, column j of `mu` is iota_{e_j} psi ^ psi,
+    # read off at the complements of e^i
+    row, j, col, sg = interior_table(6, 3)
     v = psi.to_vector()
-    iota = np.bincount(ib * 15 + ia, weights=sg * v[iout], minlength=90).reshape(6, 15)
+    iota = np.bincount(j * 15 + row, weights=sg * v[col], minlength=90).reshape(6, 15)
     mu = wedge_matrix(6, 2, 3, v) @ iota.T
     pos, signs = complement_data(6, 1)
     K = signs[:, None] * mu[pos]

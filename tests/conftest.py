@@ -1,6 +1,12 @@
 import os
 from pathlib import Path
 
+# the single-threaded BLAS default of g2lab/__init__.py, set before numpy is
+# first imported here, so the in-process tests run as `g2` does
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st

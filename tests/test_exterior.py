@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
 from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, complement_data, form_inner,
-                            hodge_star, interior, multi_indices, standard_volume, wedge)
+                            hodge_star, interior, multi_indices, standard_volume, wedge,
+                            wedge_matrix)
 
 from conftest import form_strategy, metric_strategy
 from oracles import (brute_hodge, brute_inner, brute_interior, brute_wedge, compound_inner,
@@ -64,6 +65,46 @@ class TestKForm:
             form.degree = 2
         with pytest.raises(TypeError):
             form.coeffs[(1, 2, 3)] = 5.0
+
+    def test_to_vector_is_read_only(self):
+        vec = PHI_STD.to_vector()
+        with pytest.raises(ValueError):
+            vec[0] = 5.0
+        with pytest.raises(ValueError):
+            vec += 1.0
+        assert PHI_STD.coefficient((1, 2, 7)) == 1.0
+
+    @pytest.mark.parametrize("values", [[1.0, -2.0, 3.0, 0.5, -0.25, 4.0, 7.0],
+                                        [1.0, 0.0, 1e-14, math.nan, -0.0, 2.0, -3.0]])
+    def test_from_vector_does_not_alias_its_input(self, values):
+        src = np.array(values)
+        form = KForm.from_vector(7, 1, src)
+        before = form.to_vector().tobytes()
+        src[:] = 9.0
+        assert form.to_vector().tobytes() == before
+        assert form.coefficient((1,)) == 1.0
+
+    @pytest.mark.parametrize("value", [PRUNE_TOL, -PRUNE_TOL, 2 * PRUNE_TOL, -2 * PRUNE_TOL,
+                                       math.nan, -0.0, 0.0, math.inf, -1.5])
+    def test_dict_and_vector_construction_agree_bit_for_bit(self, value):
+        for dim, degree in ((7, 3), (6, 2), (4, 0), (3, 5)):
+            keys = multi_indices(dim, degree)
+            vec = np.linspace(-1.0, 1.0, len(keys)) + 0.5  # distinct, nonzero
+            vec[::3] = value
+            via_dict = KForm(dim, degree, dict(zip(keys, vec)))
+            via_vector = KForm.from_vector(dim, degree, vec)
+            assert via_dict.to_vector().tobytes() == via_vector.to_vector().tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_negative_zero_is_stored(self, seed):
+        rng = np.random.default_rng(seed)
+        vec = rng.uniform(-1.0, 1.0, 35)
+        vec[rng.random(35) < 0.4] = 0.0
+        f = KForm.from_vector(7, 3, vec)
+        for got in (f, -f, f - f, 0.0 * f, -0.0 * f, f * 1e-20, KForm(7, 3, {(1, 2, 3): -0.0})):
+            v = got.to_vector()
+            assert not np.any(np.signbit(v) & (v == 0))
+        assert (f - f).is_zero() and (0.0 * f).is_zero()
 
     def test_equality_tolerance(self):
         assert PHI_STD == PHI_STD + KForm(7, 3, {(1, 2, 3): 1e-13})
@@ -139,6 +180,20 @@ class TestWedge:
                 got, want = wedge(a, b), dict_wedge(a, b)
                 assert (got.dim, got.degree) == (want.dim, want.degree) == (dim, k + l)
                 assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_wedge_matrix_columns_match_dict_loop(dim):
+    """Column I of wedge_matrix(n, k, l, b) is e^I ^ b, bit for bit, for every (k, l)."""
+    rng = np.random.default_rng(50 + dim)
+    for k in range(dim + 1):
+        for l in range(dim + 1):
+            b = KForm.from_vector(dim, l, rng.uniform(0.5, 2.0, len(multi_indices(dim, l))))
+            mat = wedge_matrix(dim, k, l, b.to_vector())
+            assert mat.shape == (len(multi_indices(dim, k + l)), len(multi_indices(dim, k)))
+            for col, key in enumerate(multi_indices(dim, k)):
+                want = dict_wedge(KForm.basis(dim, key), b).to_vector()
+                assert mat[:, col].tobytes() == want.tobytes()
 
 
 class TestInterior:

@@ -57,22 +57,31 @@ def index_positions(dim, degree):
 
 
 @lru_cache(maxsize=None)
+def _index_arrays(dim, degree):
+    # the 0-based tuples of multi_indices(dim, degree) as rows, and their bitmasks
+    tuples = multi_indices(dim, degree)
+    keys = np.array(tuples, dtype=np.intp).reshape(len(tuples), degree) - 1
+    return keys, (1 << keys).sum(axis=1)
+
+
+@lru_cache(maxsize=None)
 def wedge_table(dim, k, l):
-    """COO table (ia, ib, iout, sign) for the wedge Lambda^k x Lambda^l -> Lambda^{k+l}."""
-    pos_out = index_positions(dim, k + l)
-    ia, ib, iout, sg = [], [], [], []
-    for pa, a in enumerate(multi_indices(dim, k)):
-        sa = set(a)
-        for pb, b in enumerate(multi_indices(dim, l)):
-            if sa & set(b):
-                continue
-            key, s = sort_with_sign(a + b)
-            ia.append(pa)
-            ib.append(pb)
-            iout.append(pos_out[key])
-            sg.append(float(s))
-    return (np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp),
-            np.array(iout, dtype=np.intp), np.array(sg))
+    """COO table (ia, ib, iout, sign) for the wedge Lambda^k x Lambda^l -> Lambda^{k+l}.
+
+    Entries run over the disjoint pairs (a, b) with a outer and b inner, both
+    in `multi_indices` order.  The sign of sorting a + b is (-1)^inversions,
+    where each b_j contributes the number of a's entries above it.
+    """
+    ka, ma = _index_arrays(dim, k)
+    kb, mb = _index_arrays(dim, l)
+    ia, ib = np.nonzero((ma[:, None] & mb[None, :]) == 0)
+    above = (ka[:, :, None] > np.arange(dim)).sum(axis=1)  # above[a, j] = #{x in a: x > j}
+    inversions = np.take_along_axis(above[ia], kb[ib], axis=1).sum(axis=1)
+    _, mout = _index_arrays(dim, k + l)
+    out_pos = np.zeros(1 << dim, dtype=np.intp)
+    out_pos[mout] = np.arange(len(mout))
+    return (ia, ib, out_pos[ma[ia] | mb[ib]],
+            np.where(inversions % 2 == 1, -1.0, 1.0))
 
 
 def complement_data(dim, degree):
@@ -81,6 +90,20 @@ def complement_data(dim, degree):
     (ib, sign) columns of the wedge table, as e^I ^ e^Ic = sign e^{1..dim}."""
     _, pos, _, sign = wedge_table(dim, degree, dim - degree)
     return pos, sign
+
+
+@lru_cache(maxsize=None)
+def _complement_gather(dim, degree):
+    # complement_data inverted: (perm, sign) with position J of the
+    # (dim-degree)-tuples reading I = Jc, so one gather replaces a scatter
+    perm = complement_data(dim, dim - degree)[0]
+    return perm, complement_data(dim, degree)[1][perm]
+
+
+def _complement(vec, dim, degree):
+    """The signed complement sum_I sign(I, Ic) v_I e^Ic of a `degree`-form's coefficients."""
+    perm, sign = _complement_gather(dim, degree)
+    return sign * vec[perm]
 
 
 def wedge_matrix(dim, k, l, vec_l):
@@ -308,9 +331,6 @@ class Metric:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"metric must be a square matrix, got shape {m.shape}")
         g = (m + m.T) / 2.0
-        g.setflags(write=False)
-        object.__setattr__(self, "dim", g.shape[0])
-        object.__setattr__(self, "g", g)
         try:
             # sqrt(det g) is the product of the Cholesky diagonal, which stays
             # representable when det g itself under- or overflows
@@ -321,12 +341,27 @@ class Metric:
             sqrt_det = math.sqrt(det) if det > 0 else float("nan")
         try:
             inv = np.linalg.inv(g)
-            inv.setflags(write=False)
         except np.linalg.LinAlgError:  # exactly singular, whatever the scale
             inv = None
+        self._set(g, det, pd, inv, sqrt_det)
+
+    @classmethod
+    def _from_factors(cls, g, inverse, sqrt_det):
+        """Positive definite metric from a symmetric g whose inverse and
+        sqrt(det g) the caller already has from its own factorisation."""
+        metric = object.__new__(cls)
+        metric._set(g, sqrt_det * sqrt_det, True, inverse, sqrt_det)
+        return metric
+
+    def _set(self, g, det, pd, inverse, sqrt_det):
+        g.setflags(write=False)
+        if inverse is not None:
+            inverse.setflags(write=False)
+        object.__setattr__(self, "dim", g.shape[0])
+        object.__setattr__(self, "g", g)
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "positive_definite", pd)
-        object.__setattr__(self, "inverse", inv)
+        object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "sqrt_det", sqrt_det)
 
     def __setattr__(self, name, value):
@@ -375,10 +410,15 @@ def _compound_apply(M, vec, degree):
     """Degree-k compound of the n x n matrix M (the minors det M[I, J]) applied
     to a k-form's coefficients: M acts on every index of the dense tensor, the
     leading ones first, then the last two at once."""
-    n = M.shape[0]
     if degree < 2:  # the compound of degree 1 is M, of degree 0 the number 1
         return M @ vec if degree else vec
-    t = _dense(vec, n, degree)
+    return _compound_dense(M, _dense(vec, M.shape[0], degree), degree)
+
+
+def _compound_dense(M, t, degree):
+    """`_compound_apply` from the dense tensor t of the form (`_dense`, any
+    shape), for degree >= 2."""
+    n = M.shape[0]
     for j in range(degree - 2):
         t = M @ t.reshape(n ** j, n, -1)
     t = M @ t.reshape(-1, n, n) @ M.T
@@ -394,13 +434,10 @@ def _star(vec, degree, metric):
     sign(I,Ic) sign(J,Jc) det(g[Jc,Ic]) / det g), so no tensor exceeds rank n/2.
     """
     n = metric.dim
-    pos, s = complement_data(n, degree)
-    out = np.empty(len(pos))
     if 2 * degree <= n:
-        out[pos] = s * (metric.sqrt_det * _compound_apply(metric.inverse, vec, degree))
-        return out
-    out[pos] = s * vec
-    return _compound_apply(metric.g, out, n - degree) / metric.sqrt_det
+        return _complement(metric.sqrt_det * _compound_apply(metric.inverse, vec, degree),
+                           n, degree)
+    return _compound_apply(metric.g, _complement(vec, n, degree), n - degree) / metric.sqrt_det
 
 
 def _orientation_sign(dim, orientation_volume):
@@ -440,6 +477,5 @@ def form_inner(metric, a, b):
     # Jacobi's identity, as in _star: <a, b> = (sa . C_{n-k}(g) sb) / det g
     # with sa, sb the signed complements; defined for indefinite g too
     pos, s = complement_data(n, k)
-    sb = np.empty(len(pos))
-    sb[pos] = s * b.to_vector()
+    sb = _complement(b.to_vector(), n, k)
     return float((s * a.to_vector()) @ _compound_apply(metric.g, sb, n - k)[pos]) / metric.det

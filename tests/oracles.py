@@ -8,13 +8,15 @@ package under test.
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from g2lab.curvature import riemann
-from g2lab.exterior import KForm, index_positions, multi_indices, sort_with_sign, wedge_matrix
-from g2lab.g2core import (TorsionForms, TorsionSolveError, lambda2_14_basis,
-                          lambda3_27_basis)
+from g2lab.exterior import (KForm, Metric, _star, index_positions, multi_indices,
+                            sort_with_sign, wedge_matrix)
+from g2lab.g2core import (PositivityError, TorsionForms, TorsionSolveError,
+                          gram_matrix_from_phi, lambda2_14_basis, lambda3_27_basis)
 
 
 def perm_sign(perm):
@@ -290,3 +292,59 @@ def lstsq_torsion(structure, tau1_tol=1e-8):
     tau2 = KForm.from_vector(7, 2, basis14 @ y[7:])
     residual = max(float(np.linalg.norm(A1 @ x - b1)), float(np.linalg.norm(A2 @ y - b2)))
     return TorsionForms(tau0, tau1, tau2, tau3, residual, tau1_mismatch)
+
+
+def loop_wedge_table(dim, k, l):
+    """The wedge COO table (ia, ib, iout, sign), one (a, b) pair at a time,
+    sorting each disjoint a + b with its sign."""
+    pos_out = index_positions(dim, k + l)
+    ia, ib, iout, sg = [], [], [], []
+    for pa, a in enumerate(multi_indices(dim, k)):
+        sa = set(a)
+        for pb, b in enumerate(multi_indices(dim, l)):
+            if sa & set(b):
+                continue
+            key, s = sort_with_sign(a + b)
+            ia.append(pa)
+            ib.append(pb)
+            iout.append(pos_out[key])
+            sg.append(float(s))
+    return (np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp),
+            np.array(iout, dtype=np.intp), np.array(sg))
+
+
+def fraction_det(M):
+    """Determinant of a float matrix by Gaussian elimination in exact rational
+    arithmetic, rounded to a float once at the end."""
+    a = [[Fraction(x) for x in row] for row in np.asarray(M, dtype=float).tolist()]
+    det = Fraction(1)
+    for i in range(len(a)):
+        p = next((r for r in range(i, len(a)) if a[r][i] != 0), None)
+        if p is None:
+            return 0.0
+        if p != i:
+            a[i], a[p] = a[p], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, len(a)):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return float(det)
+
+
+def metric_star_laplacian(algebra, phi_vec):
+    """The phi-Laplacian through a full Metric and four Hodge stars: det B by
+    LU, g = (36 |det B|)^{-1/9} sign(det B) B factorised again by `Metric`,
+    then d delta phi + delta d phi with delta = (-1)^k star d star."""
+    B = gram_matrix_from_phi(phi_vec)
+    det_b = float(np.linalg.det(B))
+    if det_b == 0:
+        raise PositivityError("not a positive G2 form (det B = 0)")
+    eps = 1.0 if det_b > 0 else -1.0
+    metric = Metric((36.0 * abs(det_b)) ** (-1.0 / 9.0) * eps * B)
+    if not metric.positive_definite:
+        raise PositivityError("not a positive G2 form (metric not positive definite)")
+    d2, d3, d4 = algebra.diff_matrix(2), algebra.diff_matrix(3), algebra.diff_matrix(4)
+    delta_phi = -_star(d4 @ _star(phi_vec, 3, metric), 5, metric)
+    delta_dphi = _star(d3 @ _star(d3 @ phi_vec, 4, metric), 4, metric)
+    return d2 @ delta_phi + delta_dphi

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
-from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, complement_data, form_inner,
-                            hodge_star, interior, multi_indices, standard_volume, wedge,
-                            wedge_matrix)
+from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, _complement, complement_data,
+                            form_inner, hodge_star, interior, multi_indices, standard_volume,
+                            wedge, wedge_matrix, wedge_table)
 
 from conftest import form_strategy, metric_strategy
 from oracles import (brute_hodge, brute_inner, brute_interior, brute_wedge, compound_inner,
-                     compound_matrix, compound_star, dict_wedge, loop_complement_data)
+                     compound_matrix, compound_star, dict_wedge, loop_complement_data,
+                     loop_wedge_table)
 
 PHI_STD = catalog("std_g2").forms["phi"]
 I7 = Metric.identity(7)
@@ -244,6 +245,38 @@ def test_complement_data_matches_loop(dim):
         for got, want in zip(complement_data(dim, degree), loop_complement_data(dim, degree)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", range(1, MAX_DIM + 1))
+def test_complement_gather_is_the_scatter(dim):
+    """The gather form of the signed complement equals the scatter through
+    complement_data bit for bit, in every degree."""
+    rng = np.random.default_rng(dim)
+    for degree in range(dim + 1):
+        pos, s = complement_data(dim, degree)
+        v = rng.standard_normal(len(pos))
+        want = np.empty(len(pos))
+        want[pos] = s * v
+        assert np.array_equal(_complement(v, dim, degree), want)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_wedge_table_matches_loop(dim):
+    """The vectorised wedge table equals the pair-by-pair loop, entry order and
+    dtype included, for every (k, l), also past the top degree."""
+    for k in range(dim + 2):
+        for l in range(dim + 2):
+            for got, want in zip(wedge_table(dim, k, l), loop_wedge_table(dim, k, l)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (k, l)
+
+
+@pytest.mark.parametrize("k,l", [(0, MAX_DIM), (1, 1), (1, MAX_DIM - 1), (2, 3), (3, 4),
+                                 (4, 3), (5, 5), (6, 5)])
+def test_wedge_table_matches_loop_at_max_dim(k, l):
+    for got, want in zip(wedge_table(MAX_DIM, k, l), loop_wedge_table(MAX_DIM, k, l)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestHodgeStar:

@@ -21,7 +21,7 @@ from g2lab.inputfmt import parse_document
 from g2lab.liealg import ce_diff
 
 from conftest import positive_3form_strategy
-from oracles import brute_hodge, dense, perm_sign
+from oracles import brute_hodge, dense, metric_star_laplacian, perm_sign
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 N2 = catalog("n2").algebra
@@ -87,6 +87,20 @@ def _assert_matches_oracle(algebra, phi):
                                atol=1e-10 * np.linalg.norm(expected))
 
 
+def _assert_matches_metric_star(algebra, phi_vec):
+    # the kernel against the same Laplacian through a full Metric and four stars
+    want = metric_star_laplacian(algebra, phi_vec)
+    np.testing.assert_allclose(phi_laplacian(algebra, phi_vec), want, rtol=0,
+                               atol=1e-13 * np.linalg.norm(want))
+
+
+_INDEFINITE_CORPUS_PHI = parse_document(
+    (CORPUS / "broken" / "indefinite_phi.g2").read_text(encoding="utf-8")).forms["phi"]
+# a split form: its B has three positive and four negative eigenvalues
+_SPLIT_PHI = KForm(7, 3, {(1, 2, 3): 1.0, (1, 4, 5): 1.0, (1, 6, 7): 1.0, (2, 4, 6): 1.0,
+                          (2, 5, 7): -1.0, (3, 4, 7): 1.0, (3, 5, 6): 1.0})
+
+
 class TestPhiLaplacianKernel:
     @pytest.mark.parametrize("name", _KERNEL_CATALOG)
     @pytest.mark.parametrize("scale", [0.3, 1.0, 2.7])
@@ -101,6 +115,45 @@ class TestPhiLaplacianKernel:
         # -phi is the same metric with the opposite orientation
         _assert_matches_oracle(catalog(name).algebra,
                                (orientation * 10.0 ** log10_scale) * phi)
+
+    @pytest.mark.parametrize("name", _KERNEL_CATALOG)
+    @pytest.mark.parametrize("scale", [1e-2, -0.3, 1.0, -1.0, 2.7, 1e2])
+    def test_catalog_against_metric_star_kernel(self, name, scale):
+        entry = catalog(name)
+        v = scale * entry.forms["phi"].to_vector()
+        _assert_matches_metric_star(entry.algebra, v)
+        assert np.array_equal(phi_laplacian(entry.algebra, -v), -phi_laplacian(entry.algebra, v))
+
+    @settings(max_examples=25, deadline=None)
+    @given(positive_3form_strategy(), st.sampled_from(_KERNEL_CATALOG),
+           st.floats(min_value=-2.0, max_value=2.0), st.sampled_from([1.0, -1.0]))
+    def test_random_against_metric_star_kernel(self, phi, name, log10_scale, orientation):
+        _assert_matches_metric_star(catalog(name).algebra,
+                                    (orientation * 10.0 ** log10_scale) * phi.to_vector())
+
+    @settings(max_examples=15, deadline=None)
+    @given(positive_3form_strategy(), st.sampled_from(_KERNEL_CATALOG),
+           st.floats(min_value=-2.0, max_value=2.0))
+    def test_odd_in_phi_bit_for_bit(self, phi, name, log10_scale):
+        # -phi has the same metric with the opposite orientation
+        algebra, v = catalog(name).algebra, 10.0 ** log10_scale * phi.to_vector()
+        assert np.array_equal(phi_laplacian(algebra, -v), -phi_laplacian(algebra, v))
+
+    @pytest.mark.parametrize("phi,reason", [
+        (KForm.basis(7, (1, 2, 3)), "det B = 0"),
+        (_INDEFINITE_CORPUS_PHI, "det B = 0"),
+        (_SPLIT_PHI, "metric not positive definite"),
+        (-_SPLIT_PHI, "metric not positive definite"),
+    ])
+    def test_rejection_matches_structure(self, phi, reason):
+        messages = []
+        for build in (lambda: phi_laplacian(N2, phi.to_vector()),
+                      lambda: metric_star_laplacian(N2, phi.to_vector()),
+                      lambda: G2Structure(N2, phi)):
+            with pytest.raises(PositivityError) as info:
+                build()
+            messages.append(str(info.value))
+        assert messages == [f"not a positive G2 form ({reason})"] * 3
 
     def test_structure_method_is_the_kernel(self, catalog_structures):
         for G in catalog_structures.values():

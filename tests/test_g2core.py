@@ -4,15 +4,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
-from g2lab.exterior import (KForm, form_inner, hodge_star, multi_indices, standard_volume,
-                            wedge)
+from g2lab.exterior import (KForm, Metric, form_inner, hodge_star, multi_indices,
+                            standard_volume, wedge)
 from g2lab.g2core import (G2Structure, PositivityError, TorsionForms, classify,
-                          lambda2_14_basis, lambda3_27_basis, lee_form,
+                          gram_matrix_from_phi, lambda2_14_basis, lambda3_27_basis, lee_form,
                           metric_from_phi, torsion_forms)
 from g2lab.liealg import ce_diff
 
 from conftest import positive_3form_strategy
-from oracles import brute_hodge, brute_wedge, lstsq_torsion
+from oracles import brute_hodge, brute_wedge, fraction_det, lstsq_torsion
 
 G2_CATALOG = ("std_g2", "n2", "n4", "n6", "n12_modified_basis", "s_ext_h2")
 
@@ -85,6 +85,36 @@ class TestMetricFromPhi:
         assert G.metric.positive_definite
         norm2 = form_inner(G.metric, phi, phi)
         assert abs(norm2 - 7.0) < 1e-8  # |phi|^2 = 7 for every positive form
+
+
+def _assert_metric_matches_gram(algebra, phi):
+    # G2Structure's one-Cholesky metric against a full Metric of
+    # (36 |det B|)^{-1/9} sign(det B) B.  det B is exact up to one rounding:
+    # det g = c^7 det B carries 7/9 of the relative error of det B, and an LU
+    # det B alone can be ~1e-14 off
+    B = gram_matrix_from_phi(phi.to_vector())
+    det_b = fraction_det(B)
+    want = Metric((36.0 * abs(det_b)) ** (-1.0 / 9.0) * np.sign(det_b) * B)
+    got = G2Structure(algebra, phi).metric
+    assert got.positive_definite and got.dim == 7
+    for a, b in ((got.g, want.g), (got.inverse, want.inverse)):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+    for a, b in ((got.det, want.det), (got.sqrt_det, want.sqrt_det)):
+        assert abs(a - b) <= 1e-14 * abs(b)
+
+
+class TestStructureMetric:
+    @pytest.mark.parametrize("name", G2_CATALOG)
+    @pytest.mark.parametrize("scale", [1e-2, -1.0, 1.0, 1e2])
+    def test_catalog(self, name, scale):
+        entry = catalog(name)
+        _assert_metric_matches_gram(entry.algebra, scale * entry.forms["phi"])
+
+    @settings(max_examples=25, deadline=None)
+    @given(positive_3form_strategy(), st.floats(min_value=-2.0, max_value=2.0),
+           st.sampled_from([1.0, -1.0]))
+    def test_random_positive_forms(self, phi, log10_scale, orientation):
+        _assert_metric_matches_gram(STD.algebra, (orientation * 10.0 ** log10_scale) * phi)
 
 
 class TestSubspaceBases:

@@ -8,7 +8,9 @@ The first form runs a fixed list of commands in-process through
 `TREE/src/g2lab/cli.py`, from inside TREE so that corpus paths read the same
 for every tree: every subcommand on every catalog name and corpus file (ricci,
 soliton and einstein also with `--metric identity`), short flows and oracle
-checks on n2, n12_modified_basis and n6, and a set of failing inputs. It
+checks on n2, n12_modified_basis and n6, a short flow from a dense closed
+perturbation of n4's form (written to the scratch directory, not to the corpus),
+and a set of failing inputs. It
 writes `{argv: [exit code, stdout]}`; an exception that escapes `cli.main`
 is recorded as exit code 1, as the interpreter would exit, and named on
 stderr. Scratch files live in a temporary directory written `<tmp>` in the
@@ -33,6 +35,8 @@ SOURCE_COMMANDS = ("check", "metric", "torsion", "classify", "ricci", "soliton",
                    "einstein", "su3")
 METRIC_COMMANDS = ("ricci", "soliton", "einstein")
 FLOW_NAMES = ("n2", "n12_modified_basis", "n6")
+FLOW_ARGS = ["--t-end", "0.2", "--dt", "0.01", "--sample-every", "5"]
+DENSE_FLOW_FILE = "<tmp>/n4_closed_perturbation.g2"
 
 
 def commands(names, files):
@@ -42,10 +46,10 @@ def commands(names, files):
         argvs += [[cmd, *source] for cmd in SOURCE_COMMANDS]
         argvs += [[cmd, *source, "--metric", "identity"] for cmd in METRIC_COMMANDS]
     for name in FLOW_NAMES:
-        flow = ["flow", "--catalog", name, "--t-end", "0.2", "--dt", "0.01",
-                "--sample-every", "5"]
+        flow = ["flow", "--catalog", name, *FLOW_ARGS]
         argvs += [flow, flow + ["--oracle"], ["oracle", "--catalog", name, "--times", "0,1,10"]]
     return argvs + [
+        ["flow", DENSE_FLOW_FILE, *FLOW_ARGS],
         ["check"],
         ["check", "--catalog", "nope"],
         ["catalog", "nope"],
@@ -68,6 +72,21 @@ def commands(names, files):
     ]
 
 
+def write_dense_closed_n4(path):
+    """n4's catalog form plus a seeded exact 3-form d(beta) a fifth its size, as
+    a document: a closed form with more nonzero coefficients than any catalog one."""
+    import numpy as np  # after g2lab, whose import sets the BLAS thread defaults
+    KForm = importlib.import_module("g2lab.exterior").KForm
+    inputfmt = importlib.import_module("g2lab.inputfmt")
+    entry = importlib.import_module("g2lab.catalog").catalog("n4")
+    d2 = entry.algebra.diff_matrix(2)
+    dbeta = d2 @ np.random.default_rng(4).standard_normal(d2.shape[1])
+    phi = entry.forms["phi"].to_vector()
+    phi = phi + 0.2 * np.linalg.norm(phi) * dbeta / np.linalg.norm(dbeta)
+    doc = inputfmt.InputDocument(entry.algebra, {"phi": KForm.from_vector(7, 3, phi)})
+    pathlib.Path(path).write_text(inputfmt.format_document(doc))
+
+
 def record(tree, out):
     tree = pathlib.Path(tree).resolve()
     out = pathlib.Path(out).resolve()
@@ -81,6 +100,7 @@ def record(tree, out):
     with tempfile.TemporaryDirectory() as tmp:
         pathlib.Path(tmp, "latin1.g2").write_bytes("algebra { dim 7 } # café".encode("latin-1"))
         pathlib.Path(tmp, "syntax.g2").write_text("algebra { dim 7 d e5 = ")
+        write_dense_closed_n4(DENSE_FLOW_FILE.replace("<tmp>", tmp))
         for argv in commands(names, files):
             stdout = io.StringIO()
             try:

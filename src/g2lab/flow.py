@@ -2,15 +2,18 @@
 
 The integrator is a fixed-step classical 4th-order Runge-Kutta scheme on
 the 35 coefficients of phi, with positivity and closedness re-validated
-after every accepted step.  The right-hand side is the vector kernel
-`phi_laplacian`, so a step costs 4 Laplacian evaluations: the evaluation at
-each accepted point is both its positivity check and the next step's first
-stage.  One evaluation is one Cholesky factorisation and one inverse of a
-7 x 7 matrix plus four compound applications, about 90-130 us on a dense
-n4 or n6 form (one core of a shared 2-core host, numpy on OpenBLAS with one
-thread); they take most of a trajectory's time.  A G2Structure is built
-only for sampled states, for their diagnostics.  No re-projection onto closed forms is done: drift is
-monitored and aborts the trajectory instead of being hidden.
+after every accepted step.  On closed forms delta d phi = 0, so the
+right-hand side is the d delta phi half alone, `g2core._closed_phi_laplacian`:
+one Cholesky factorisation and one inverse of a 7 x 7 matrix plus two
+compound applications, about 50-85 us on a dense n4 or n6 form (one core of
+a shared 2-core host, numpy on OpenBLAS with one thread).  Its values lie in
+d(Lambda^2), so a step leaves phi0 + d(Lambda^2) only by roundoff.  A step
+costs 4 evaluations: the evaluation at each accepted point is both its
+positivity check and the next step's first stage; they take most of a
+trajectory's time.  A G2Structure is built only for sampled states, for
+their diagnostics; `hodge_laplacian` and `oracle_residual` keep the full
+Laplacian.  No re-projection onto closed forms is done: |d phi| is measured
+after every step, and drift aborts the trajectory instead of being hidden.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exterior import KForm, multi_indices
-from .g2core import G2Structure, PositivityError, phi_laplacian, torsion_forms
+from .g2core import G2Structure, PositivityError, _closed_phi_laplacian, torsion_forms
 from .curvature import scalar_curvature
 
 MAX_STEPS = 10_000_000
@@ -82,13 +85,14 @@ class FlowTrajectory:
                                 + [repr(float(d[k])) for k in CSV_COLUMNS[36:]])
 
 
-def _state(algebra, t, vec, lap):
-    """Sampled state at `vec`, whose Laplacian `lap` the integrator already has."""
+def _state(algebra, t, vec, lap, closedness):
+    """Sampled state at `vec`, whose Laplacian `lap` and |d phi| `closedness`
+    the integrator already has."""
     phi = KForm.from_vector(7, 3, vec)
     G = G2Structure(algebra, phi)
     tors = torsion_forms(G)
     return FlowState(t, phi, {
-        "closedness": float(np.linalg.norm(algebra.diff_matrix(3) @ vec)),
+        "closedness": closedness,
         "tau2_norm": G.norm(tors.tau2),
         "scalar_curvature": scalar_curvature(algebra, G.metric),
         "volume_density": G.metric.sqrt_det,
@@ -126,10 +130,11 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
     drift_limit = max(10.0 * initial_residual, options.closedness_tol)
 
     def rhs(v):
-        return phi_laplacian(algebra, v)
+        return _closed_phi_laplacian(algebra, v)
 
     k1 = rhs(vec)  # raises PositivityError if phi0 is not positive
-    states = [_state(algebra, 0.0, vec, k1)]
+    closedness = initial_residual
+    states = [_state(algebra, 0.0, vec, k1, closedness)]
     termination = TERMINATION_REACHED
     t = 0.0
     for step in range(1, n_steps + 1):
@@ -143,16 +148,16 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
         except PositivityError:
             termination = TERMINATION_POSITIVITY
             break
-        closedness = float(np.linalg.norm(d3 @ new_vec))
-        if closedness > drift_limit:
+        new_closedness = float(np.linalg.norm(d3 @ new_vec))
+        if new_closedness > drift_limit:
             termination = TERMINATION_CLOSEDNESS
             break
-        vec, k1 = new_vec, new_k1
+        vec, k1, closedness = new_vec, new_k1, new_closedness
         t += h
         if step % options.sample_every == 0 or step == n_steps:
-            states.append(_state(algebra, t, vec, k1))
+            states.append(_state(algebra, t, vec, k1, closedness))
     if termination != TERMINATION_REACHED and states[-1].t < t:
-        states.append(_state(algebra, t, vec, k1))
+        states.append(_state(algebra, t, vec, k1, closedness))
     return FlowTrajectory(states, termination)
 
 

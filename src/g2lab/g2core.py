@@ -9,10 +9,14 @@ structure is read off from d phi and d star(phi) in closed form, by Bryant's
 explicit projections onto the G2-invariant parts (R. Bryant, Some remarks on
 G2-structures, arXiv:math/0305124), on coefficient vectors with `exterior._star`.
 
-`phi_laplacian` is the Laplacian of the homogeneous flow (J. Lauret,
-Laplacian flow of homogeneous G2-structures and its solitons, Proc. LMS
-2017) as one kernel, about 90-130 us per evaluation on a dense n4 or n6
-form with one BLAS thread.
+`phi_laplacian` is the Hodge Laplacian d delta phi + delta d phi of the
+homogeneous flow (J. Lauret, Laplacian flow of homogeneous G2-structures and
+its solitons, Proc. LMS 2017) as one kernel, about 90-130 us per evaluation
+on a dense n4 or n6 form with one BLAS thread; `G2Structure.laplacian_vec`,
+`flow.hodge_laplacian` and the flow oracle use it.  On closed forms delta d
+phi = 0, so the flow's right-hand side `_closed_phi_laplacian` evaluates only
+the d delta phi half from the same metric and codifferential
+(`_phi_codifferential`), about two thirds of that time.
 """
 from __future__ import annotations
 
@@ -80,6 +84,28 @@ def _phi_metric(phi_vec):
     return A, B, det_b, eps, Metric._from_factors(g, np.linalg.inv(g), sqrt_det)
 
 
+def _phi_codifferential(algebra, phi_vec):
+    """(Metric, delta phi) of a 3-form's coefficients, delta phi = -star d star phi."""
+    if algebra.dim != 7:
+        raise ValueError("G2 structures need a 7-dimensional algebra")
+    A, _, _, _, m = _phi_metric(phi_vec)
+    # star_phi is star(phi) / sqrt(det g), the dense phi of B with its indices
+    # raised by g^{-1}, complemented; the 5-form star divides by sqrt(det g),
+    # so the two factors cancel
+    star_phi = _complement(_compound_dense(m.inverse, A, 3), 7, 3)
+    return m, -_compound_apply(m.g, _complement(algebra.diff_matrix(4) @ star_phi, 7, 5), 2)
+
+
+def _closed_phi_laplacian(algebra, phi_vec):
+    """d delta phi: the Hodge Laplacian of a closed 3-form, where delta d phi = 0.
+
+    The right-hand side of the flow: the metric, two compound applications,
+    two signed-complement gathers and two products with the differential
+    matrices.  Raises PositivityError as `phi_laplacian` does.
+    """
+    return algebra.diff_matrix(2) @ _phi_codifferential(algebra, phi_vec)[1]
+
+
 def phi_laplacian(algebra, phi_vec):
     """Coefficients of the Hodge Laplacian d delta phi + delta d phi of a 3-form.
 
@@ -87,22 +113,17 @@ def phi_laplacian(algebra, phi_vec):
     PositivityError when phi is not a positive form.  One evaluation costs the
     metric (`_phi_metric`: B, one Cholesky and one inverse of a 7 x 7 matrix),
     four compound applications, four signed-complement gathers and four
-    products with the differential matrices.
+    products with the differential matrices.  `G2Structure.laplacian_vec` and
+    the flow oracle use this full operator; `flow_integrate`, whose states are
+    closed, evaluates only its d delta phi half (`_closed_phi_laplacian`).
     """
-    if algebra.dim != 7:
-        raise ValueError("G2 structures need a 7-dimensional algebra")
-    A, _, _, _, m = _phi_metric(phi_vec)
-    d2, d3, d4 = algebra.diff_matrix(2), algebra.diff_matrix(3), algebra.diff_matrix(4)
-    # delta phi = -star d star phi.  star_phi is star(phi) / sqrt(det g), the
-    # dense phi of B with its indices raised by g^{-1}, complemented; the 5-form
-    # star divides by sqrt(det g), so the two factors cancel
-    star_phi = _complement(_compound_dense(m.inverse, A, 3), 7, 3)
-    delta_phi = -_compound_apply(m.g, _complement(d4 @ star_phi, 7, 5), 2)
+    m, delta_phi = _phi_codifferential(algebra, phi_vec)
+    d3 = algebra.diff_matrix(3)
     # delta d phi = star d star d phi; a 4-form star is C_3(g) on the signed
     # complement over sqrt(det g), so star_dphi is star(d phi) sqrt(det g)
     star_dphi = _compound_apply(m.g, _complement(d3 @ phi_vec, 7, 4), 3)
     delta_dphi = _compound_apply(m.g, _complement(d3 @ star_dphi, 7, 4), 3) / m.det
-    return d2 @ delta_phi + delta_dphi
+    return algebra.diff_matrix(2) @ delta_phi + delta_dphi
 
 
 class G2Structure:

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import g2lab.flow as flow_mod
+import g2lab.g2core as g2core_mod
 from g2lab.catalog import catalog
 from g2lab.exterior import KForm
 from g2lab.flow import (CSV_COLUMNS, FlowOptions, closed_form_n2,
                         closed_form_n2_velocity, closed_form_n12,
                         closed_form_n12_velocity, flow_integrate, hodge_laplacian,
                         oracle_residual)
-from g2lab.g2core import G2Structure, PositivityError, phi_laplacian
+from g2lab.g2core import G2Structure, PositivityError, _closed_phi_laplacian, phi_laplacian
 from g2lab.inputfmt import parse_document
 from g2lab.liealg import ce_diff
 
@@ -148,12 +149,13 @@ class TestPhiLaplacianKernel:
     def test_rejection_matches_structure(self, phi, reason):
         messages = []
         for build in (lambda: phi_laplacian(N2, phi.to_vector()),
+                      lambda: _closed_phi_laplacian(N2, phi.to_vector()),
                       lambda: metric_star_laplacian(N2, phi.to_vector()),
                       lambda: G2Structure(N2, phi)):
             with pytest.raises(PositivityError) as info:
                 build()
             messages.append(str(info.value))
-        assert messages == [f"not a positive G2 form ({reason})"] * 3
+        assert messages == [f"not a positive G2 form ({reason})"] * 4
 
     def test_structure_method_is_the_kernel(self, catalog_structures):
         for G in catalog_structures.values():
@@ -172,7 +174,7 @@ class TestPhiLaplacianKernel:
     def test_flow_evaluation_count(self, monkeypatch, n_steps, sample_every):
         # four kernel calls per step plus one at phi0; structures only at samples
         calls, builds = [], []
-        real_kernel, real_structure = flow_mod.phi_laplacian, flow_mod.G2Structure
+        real_kernel, real_structure = flow_mod._closed_phi_laplacian, flow_mod.G2Structure
 
         def counted(algebra, phi_vec):
             calls.append(None)
@@ -183,13 +185,133 @@ class TestPhiLaplacianKernel:
                 builds.append(None)
                 super().__init__(algebra, phi)
 
-        monkeypatch.setattr(flow_mod, "phi_laplacian", counted)
+        monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", counted)
         monkeypatch.setattr(flow_mod, "G2Structure", Counted)
         traj = flow_integrate(N2, closed_form_n2(0.0), n_steps * 1e-2, 1e-2,
                               FlowOptions(sample_every=sample_every))
         assert traj.termination == "reached_t_end"
         assert len(calls) == 4 * n_steps + 1
         assert len(builds) == len(traj.states)
+
+
+_CLOSED_CATALOG = ("std_g2", "n2", "n4", "n6", "n12_modified_basis")
+
+
+@st.composite
+def closed_perturbation(draw):
+    """(algebra, phi + eps d beta): a closed catalog form moved along the exact
+    3-forms, |eps d beta| at most a tenth of |phi| so that it stays positive."""
+    entry = catalog(draw(st.sampled_from(_CLOSED_CATALOG[1:])))
+    d2 = entry.algebra.diff_matrix(2)
+    beta = np.array(draw(st.lists(st.floats(min_value=-1.0, max_value=1.0, width=32),
+                                  min_size=d2.shape[1], max_size=d2.shape[1])))
+    phi, dbeta = entry.forms["phi"].to_vector(), d2 @ beta
+    size = np.linalg.norm(dbeta)
+    if size > 0:
+        phi = phi + draw(st.floats(min_value=0.0, max_value=0.1)) * np.linalg.norm(phi) * dbeta / size
+    return entry.algebra, phi
+
+
+def _jacobian_norm(algebra, v, step=1e-6):
+    """Frobenius norm of the central-difference Jacobian of the closed kernel,
+    an upper bound on its spectral norm: the local Lipschitz constant."""
+    cols = [(_closed_phi_laplacian(algebra, v + step * e) - _closed_phi_laplacian(algebra, v - step * e))
+            / (2.0 * step) for e in np.eye(35)]
+    return float(np.linalg.norm(cols))
+
+
+class TestClosedKernel:
+    @pytest.mark.parametrize("name", _CLOSED_CATALOG)
+    @pytest.mark.parametrize("scale", [1.0, -1.0])
+    def test_catalog_bit_equal_to_full_laplacian(self, name, scale):
+        # d phi = 0 exactly, so the delta d phi half adds zeros (other scales of
+        # n12_modified_basis's irrational coefficients leave d phi at roundoff)
+        entry = catalog(name)
+        v = scale * entry.forms["phi"].to_vector()
+        assert np.array_equal(_closed_phi_laplacian(entry.algebra, v),
+                              phi_laplacian(entry.algebra, v))
+
+    @settings(max_examples=40, deadline=None)
+    @given(closed_perturbation())
+    def test_closed_perturbations_match_full_laplacian(self, case):
+        algebra, v = case
+        got = _closed_phi_laplacian(algebra, v)
+        for want in (phi_laplacian(algebra, v), metric_star_laplacian(algebra, v)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(closed_perturbation(), st.floats(min_value=-2.0, max_value=2.0))
+    def test_odd_in_phi_bit_for_bit(self, case, log10_scale):
+        algebra, v = case
+        v = 10.0 ** log10_scale * v
+        assert np.array_equal(_closed_phi_laplacian(algebra, -v), -_closed_phi_laplacian(algebra, v))
+
+    def test_dense_trajectory_stays_exact_and_matches_full_laplacian(self, monkeypatch):
+        # n6's form plus a seeded exact 3-form of a fifth of its size
+        algebra, phi = catalog("n6").algebra, catalog("n6").forms["phi"].to_vector()
+        d2 = algebra.diff_matrix(2)
+        dbeta = d2 @ np.random.default_rng(6).standard_normal(d2.shape[1])
+        v0 = phi + 0.2 * np.linalg.norm(phi) * dbeta / np.linalg.norm(dbeta)
+        phi0, n_steps, h = KForm.from_vector(7, 3, v0), 200, 1e-3
+        assert np.count_nonzero(v0) > np.count_nonzero(phi)
+        deltas, points, stages, gaps = [], [], [], []
+        real_codifferential = g2core_mod._phi_codifferential
+
+        def recorded_codifferential(algebra, v):
+            m, delta = real_codifferential(algebra, v)
+            deltas.append(np.linalg.norm(delta))
+            return m, delta
+
+        def recorded(kernel):
+            def rhs(algebra, v):
+                k = kernel(algebra, v)
+                points.append(v)
+                stages.append(np.linalg.norm(k))
+                return k
+            return rhs
+
+        def full_laplacian(algebra, v):
+            lap = phi_laplacian(algebra, v)
+            gaps.append(np.linalg.norm(lap - _closed_phi_laplacian(algebra, v)))
+            return lap
+
+        monkeypatch.setattr(g2core_mod, "_phi_codifferential", recorded_codifferential)
+        monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", recorded(_closed_phi_laplacian))
+        closed = flow_integrate(algebra, phi0, n_steps * h, h, FlowOptions(sample_every=n_steps))
+        monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", recorded(full_laplacian))
+        full = flow_integrate(algebra, phi0, n_steps * h, h, FlowOptions(sample_every=n_steps))
+        assert closed.termination == full.termination == "reached_t_end"
+        # every fourth evaluation is at phi0 or an accepted state, unpruned
+        assert len(points) == 2 * (4 * n_steps + 1)
+        vecs, full_vecs = points[:4 * n_steps + 1:4], points[4 * n_steps + 1::4]
+
+        # Rounding of one step, with u the unit roundoff and gamma_m = m u / (1 - m u):
+        # each stage k = fl(d2 @ delta) is d2 delta within gamma_21 |||d2|||_2 |delta|;
+        # fl(k1 + 2 k2 + 2 k3 + k4) is within gamma_3 6 K (K the largest |k|), and
+        # the product with fl(h / 6) adds 2 u h K; adding to phi adds u |phi|.
+        u = np.finfo(float).eps / 2.0
+        gamma = lambda m: m * u / (1.0 - m * u)
+        per_step = (u * max(np.linalg.norm(v) for v in vecs)
+                    + h * (gamma(d2.shape[1]) * np.linalg.norm(np.abs(d2), 2) * max(deltas)
+                           + (gamma(3) + 2.0 * u) * max(stages)))
+        # the residual of phi - phi0 off im(d2), through the left singular vectors
+        # of d2; a backward-stable SVD tilts that range by ~35 u |d2| / sigma_r
+        U, sigma, _ = np.linalg.svd(d2)
+        rank = int(np.sum(sigma > 35 * u * sigma[0]))
+        off_image = lambda x: np.linalg.norm(x - U[:, :rank] @ (U[:, :rank].T @ x))
+        measure = 35 * u * (sigma[0] / sigma[rank - 1] + 1.0)
+        for step, v in enumerate(vecs):
+            drift = v - v0
+            assert off_image(drift) <= step * per_step + measure * np.linalg.norm(drift)
+
+        # Both runs take the same steps but for the delta d phi term of the full
+        # one (at most max(gaps) per stage) and their own roundings (per_step
+        # each); an RK4 step of a field with Lipschitz constant L is Lipschitz
+        # with constant e^{hL} or less, so the gap after n steps is at most
+        # e^{n h L} n (h max(gaps) + 2 per_step).
+        L = max(_jacobian_norm(algebra, v) for v in vecs)
+        bound = math.exp(n_steps * h * L) * n_steps * (h * max(gaps) + 2.0 * per_step)
+        assert np.linalg.norm(vecs[-1] - full_vecs[-1]) <= bound
 
 
 class TestClosedFormSolutions:
@@ -306,38 +428,39 @@ class TestIntegration:
                            FlowOptions(sample_every=sample_every))
 
     def test_positivity_loss_truncates(self, monkeypatch):
-        real = flow_mod.phi_laplacian
+        real = flow_mod._closed_phi_laplacian
 
         def guarded(algebra, phi_vec):
             if phi_vec[0] > 1.5:  # the e^{123} coefficient
                 raise PositivityError("synthetic cone exit")
             return real(algebra, phi_vec)
 
-        monkeypatch.setattr(flow_mod, "phi_laplacian", guarded)
+        monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", guarded)
         traj = flow_integrate(N2, closed_form_n2(0.0), 2.0, 1e-2)
         assert traj.termination == "positivity_lost"
         assert traj.final.t < 2.0
         assert traj.final.phi.coefficient((1, 2, 3)) <= 1.5
 
     def test_closedness_violation_truncates(self, monkeypatch):
-        # inject drift through the diff matrix used for monitoring
-        from g2lab.liealg import LieAlgebra
-        drifted = np.array(N2.diff_matrix(3), copy=True)
-        drifted[0, :] += 1e-9
-        original = LieAlgebra.diff_matrix
-        calls = []
+        # a right-hand side with a fixed non-closed part drifts |d phi| by
+        # h 1e-9 |d e^{456}| = 1.4e-11 a step, past the 1e-10 limit within 8 steps
+        real = flow_mod._closed_phi_laplacian
+        leak = 1e-9 * KForm.basis(7, (4, 5, 6)).to_vector()
+        assert np.linalg.norm(N2.diff_matrix(3) @ leak) > 0
 
-        def patched(self, degree):
-            if self is N2 and degree == 3:
-                calls.append(None)
-                if len(calls) > 1:  # initial validation sees the true matrix
-                    return drifted
-            return original(self, degree)
+        def leaking(algebra, phi_vec):
+            return real(algebra, phi_vec) + leak
 
-        monkeypatch.setattr(LieAlgebra, "diff_matrix", patched)
+        monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", leaking)
         traj = flow_integrate(N2, closed_form_n2(0.0), 1.0, 1e-2,
-                              FlowOptions(closedness_tol=1e-10))
+                              FlowOptions(sample_every=1, closedness_tol=1e-10))
         assert traj.termination == "closedness_violated"
+        assert 0.0 < traj.final.t < 0.1
+        assert 0.0 < traj.final.diagnostics["closedness"] <= 1e-10
+        # each sample carries the |d phi| the guard compared
+        for state in traj.states:
+            assert state.diagnostics["closedness"] == float(
+                np.linalg.norm(N2.diff_matrix(3) @ state.phi.to_vector()))
 
 
 class TestConvergenceOrder:

@@ -8,9 +8,10 @@ The first form runs a fixed list of commands in-process through
 `TREE/src/g2lab/cli.py`, from inside TREE so that corpus paths read the same
 for every tree: every subcommand on every catalog name and corpus file (ricci,
 soliton and einstein also with `--metric identity`), short flows and oracle
-checks on n2, n12_modified_basis and n6, a short flow from a dense closed
-perturbation of n4's form (written to the scratch directory, not to the corpus),
-and a set of failing inputs. It
+checks on n2, n12_modified_basis and n6, short flows from dense closed
+perturbations of n4's and n12_modified_basis's forms (written to the scratch
+directory, not to the corpus; the second has |d phi| at roundoff, not 0), and
+a set of failing inputs. It
 writes `{argv: [exit code, stdout]}`; an exception that escapes `cli.main`
 is recorded as exit code 1, as the interpreter would exit, and named on
 stderr. Scratch files live in a temporary directory written `<tmp>` in the
@@ -36,7 +37,8 @@ SOURCE_COMMANDS = ("check", "metric", "torsion", "classify", "ricci", "soliton",
 METRIC_COMMANDS = ("ricci", "soliton", "einstein")
 FLOW_NAMES = ("n2", "n12_modified_basis", "n6")
 FLOW_ARGS = ["--t-end", "0.2", "--dt", "0.01", "--sample-every", "5"]
-DENSE_FLOW_FILE = "<tmp>/n4_closed_perturbation.g2"
+#: catalog name -> seed of the exact 3-form added to its form
+DENSE_FLOWS = {"n4": 4, "n12_modified_basis": 12}
 
 
 def commands(names, files):
@@ -48,8 +50,8 @@ def commands(names, files):
     for name in FLOW_NAMES:
         flow = ["flow", "--catalog", name, *FLOW_ARGS]
         argvs += [flow, flow + ["--oracle"], ["oracle", "--catalog", name, "--times", "0,1,10"]]
+    argvs += [["flow", f"<tmp>/{name}_closed_perturbation.g2", *FLOW_ARGS] for name in DENSE_FLOWS]
     return argvs + [
-        ["flow", DENSE_FLOW_FILE, *FLOW_ARGS],
         ["check"],
         ["check", "--catalog", "nope"],
         ["catalog", "nope"],
@@ -72,15 +74,15 @@ def commands(names, files):
     ]
 
 
-def write_dense_closed_n4(path):
-    """n4's catalog form plus a seeded exact 3-form d(beta) a fifth its size, as
-    a document: a closed form with more nonzero coefficients than any catalog one."""
+def write_dense_closed(name, seed, path):
+    """A catalog form plus a seeded exact 3-form d(beta) a fifth its size, as a
+    document: a closed form with more nonzero coefficients than any catalog one."""
     import numpy as np  # after g2lab, whose import sets the BLAS thread defaults
     KForm = importlib.import_module("g2lab.exterior").KForm
     inputfmt = importlib.import_module("g2lab.inputfmt")
-    entry = importlib.import_module("g2lab.catalog").catalog("n4")
+    entry = importlib.import_module("g2lab.catalog").catalog(name)
     d2 = entry.algebra.diff_matrix(2)
-    dbeta = d2 @ np.random.default_rng(4).standard_normal(d2.shape[1])
+    dbeta = d2 @ np.random.default_rng(seed).standard_normal(d2.shape[1])
     phi = entry.forms["phi"].to_vector()
     phi = phi + 0.2 * np.linalg.norm(phi) * dbeta / np.linalg.norm(dbeta)
     doc = inputfmt.InputDocument(entry.algebra, {"phi": KForm.from_vector(7, 3, phi)})
@@ -100,7 +102,8 @@ def record(tree, out):
     with tempfile.TemporaryDirectory() as tmp:
         pathlib.Path(tmp, "latin1.g2").write_bytes("algebra { dim 7 } # café".encode("latin-1"))
         pathlib.Path(tmp, "syntax.g2").write_text("algebra { dim 7 d e5 = ")
-        write_dense_closed_n4(DENSE_FLOW_FILE.replace("<tmp>", tmp))
+        for name, seed in DENSE_FLOWS.items():
+            write_dense_closed(name, seed, pathlib.Path(tmp, f"{name}_closed_perturbation.g2"))
         for argv in commands(names, files):
             stdout = io.StringIO()
             try:

@@ -7,8 +7,10 @@ operations are pure functions, so values can be shared freely.
 
 Products scatter through cached COO tables (`wedge_table`; `interior_table`
 is its transpose).  The metric operations share one dense kernel: `_dense`
-expands a k-form to its antisymmetric n^k tensor, `_compound_apply` acts on
-every index of it, and `_star` is the Hodge star on coefficient vectors.
+expands a k-form to its antisymmetric n^k tensor, `_compound_dense` acts on
+every index of it, and `_star` is the Hodge star on coefficient vectors; a
+signed Hodge complement before or after it is precomposed into the scatter
+(`_complement_dense`) or the gather back (`_complement_of_compound`).
 
 Dimension is generic but capped at MAX_DIM: all operators here enumerate
 the full basis of each degree, which is only sensible for small n.
@@ -95,15 +97,10 @@ def complement_data(dim, degree):
 @lru_cache(maxsize=None)
 def _complement_gather(dim, degree):
     # complement_data inverted: (perm, sign) with position J of the
-    # (dim-degree)-tuples reading I = Jc, so one gather replaces a scatter
+    # (dim-degree)-tuples reading I = Jc, so the signed complement
+    # sum_I sign(I, Ic) v_I e^Ic of a degree-k form v is the gather sign * v[perm]
     perm = complement_data(dim, dim - degree)[0]
     return perm, complement_data(dim, degree)[1][perm]
-
-
-def _complement(vec, dim, degree):
-    """The signed complement sum_I sign(I, Ic) v_I e^Ic of a `degree`-form's coefficients."""
-    perm, sign = _complement_gather(dim, degree)
-    return sign * vec[perm]
 
 
 def wedge_matrix(dim, k, l, vec_l):
@@ -382,47 +379,94 @@ class Metric:
 def _dense_tables(dim, degree):
     # Scatter table of the dense antisymmetric dim^degree tensor of a k-form:
     # for every increasing tuple (source position) and every ordering of it,
-    # the flat tensor index and the ordering's sign; plus the flat index of
+    # in `itertools.permutations` order, the flat tensor index and the
+    # ordering's sign (the parity of its inversions); plus the flat index of
     # each increasing tuple, to gather the result back.
-    def flat(idx):
-        return sum((i - 1) * dim ** (degree - 1 - a) for a, i in enumerate(idx))
-
-    keys = multi_indices(dim, degree)
-    src, dst, sgn = [], [], []
-    for p, key in enumerate(keys):
-        for perm in itertools.permutations(key):
-            src.append(p)
-            dst.append(flat(perm))
-            sgn.append(float(sort_with_sign(perm)[1]))
-    return (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(sgn),
-            np.array([flat(key) for key in keys], dtype=np.intp))
+    keys, _ = _index_arrays(dim, degree)
+    perms = list(itertools.permutations(range(degree)))
+    perms = np.array(perms, dtype=np.intp).reshape(len(perms), degree)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    weights = dim ** np.arange(degree - 1, -1, -1, dtype=np.intp)
+    return (np.repeat(np.arange(len(keys), dtype=np.intp), len(perms)),
+            (keys[:, perms] @ weights).reshape(-1),
+            np.tile(np.where(inversions % 2 == 1, -1.0, 1.0), len(keys)), keys @ weights)
 
 
-def _dense(vec, dim, degree):
-    """Flat dense antisymmetric dim^degree tensor of a k-form's coefficients."""
-    src, dst, sgn, _ = _dense_tables(dim, degree)
-    t = np.zeros(dim ** degree)
+@lru_cache(maxsize=None)
+def _complement_dense_table(dim, degree):
+    # (src, dst, sign) of `_dense` composed with the `_complement_gather`
+    # gather: the dense tensor of a degree-k form's signed complement,
+    # scattered straight from the form
+    perm, sign = _complement_gather(dim, degree)
+    src, dst, sgn, _ = _dense_tables(dim, dim - degree)
+    return perm[src], dst, sgn * sign[src]
+
+
+@lru_cache(maxsize=None)
+def _complement_flat_gather(dim, degree):
+    # (flat index, sign) of the gather back from a dense degree-k tensor
+    # composed with the `_complement_gather` gather: the signed complement of
+    # the k-form read straight from its tensor
+    perm, sign = _complement_gather(dim, degree)
+    return _dense_tables(dim, degree)[3][perm], sign
+
+
+def _scatter(vec, src, dst, sgn, size):
+    t = np.zeros(size)
     t[dst] = sgn * vec[src]
     return t
 
 
-def _compound_apply(M, vec, degree):
-    """Degree-k compound of the n x n matrix M (the minors det M[I, J]) applied
-    to a k-form's coefficients: M acts on every index of the dense tensor, the
-    leading ones first, then the last two at once."""
-    if degree < 2:  # the compound of degree 1 is M, of degree 0 the number 1
-        return M @ vec if degree else vec
-    return _compound_dense(M, _dense(vec, M.shape[0], degree), degree)
+def _dense(vec, dim, degree):
+    """Flat dense antisymmetric dim^degree tensor of a k-form's coefficients;
+    a 0- or 1-form is its own."""
+    if degree < 2:
+        return vec
+    src, dst, sgn, _ = _dense_tables(dim, degree)
+    return _scatter(vec, src, dst, sgn, dim ** degree)
+
+
+def _complement_dense(vec, dim, degree):
+    """`_dense` of the signed complement of a `degree`-form's coefficients, as
+    one scatter from them (a gather when the complement has degree 0 or 1)."""
+    if dim - degree < 2:
+        perm, sign = _complement_gather(dim, degree)
+        return sign * vec[perm]
+    src, dst, sgn = _complement_dense_table(dim, degree)
+    return _scatter(vec, src, dst, sgn, dim ** (dim - degree))
 
 
 def _compound_dense(M, t, degree):
-    """`_compound_apply` from the dense tensor t of the form (`_dense`, any
-    shape), for degree >= 2."""
+    """The degree-k compound of the n x n matrix M (the minors det M[I, J])
+    on the flat dense tensor t of a k-form (`_dense`), as a flat dense tensor:
+    M acts on every index, the leading ones first, then the last two at once."""
     n = M.shape[0]
+    if degree < 2:  # the compound of degree 1 is M, of degree 0 the number 1
+        return M @ t if degree else t
     for j in range(degree - 2):
         t = M @ t.reshape(n ** j, n, -1)
-    t = M @ t.reshape(-1, n, n) @ M.T
-    return t.reshape(-1)[_dense_tables(n, degree)[3]]
+    return (M @ t.reshape(-1, n, n) @ M.T).reshape(-1)
+
+
+def _compound_apply(M, vec, degree):
+    """Degree-k compound of M applied to a k-form's coefficients."""
+    n = M.shape[0]
+    return _compound_dense(M, _dense(vec, n, degree), degree)[_dense_tables(n, degree)[3]]
+
+
+def _compound_of_complement(M, vec, degree):
+    """`_compound_apply` of M, degree n-k, to the signed complement of a
+    k-form's coefficients, the complement scattered straight into the tensor."""
+    n = M.shape[0]
+    t = _compound_dense(M, _complement_dense(vec, n, degree), n - degree)
+    return t[_dense_tables(n, n - degree)[3]]
+
+
+def _complement_of_compound(M, t, degree):
+    """The signed complement of the degree-k compound of M on the dense tensor
+    t (`_compound_dense`), gathered straight from the result tensor."""
+    idx, sign = _complement_flat_gather(M.shape[0], degree)
+    return sign * _compound_dense(M, t, degree)[idx]
 
 
 def _star(vec, degree, metric):
@@ -435,9 +479,9 @@ def _star(vec, degree, metric):
     """
     n = metric.dim
     if 2 * degree <= n:
-        return _complement(metric.sqrt_det * _compound_apply(metric.inverse, vec, degree),
-                           n, degree)
-    return _compound_apply(metric.g, _complement(vec, n, degree), n - degree) / metric.sqrt_det
+        return metric.sqrt_det * _complement_of_compound(metric.inverse, _dense(vec, n, degree),
+                                                         degree)
+    return _compound_of_complement(metric.g, vec, degree) / metric.sqrt_det
 
 
 def _orientation_sign(dim, orientation_volume):
@@ -474,8 +518,9 @@ def form_inner(metric, a, b):
     n, k = a.dim, a.degree
     if 2 * k <= n:
         return float(a.to_vector() @ _compound_apply(metric.inverse, b.to_vector(), k))
-    # Jacobi's identity, as in _star: <a, b> = (sa . C_{n-k}(g) sb) / det g
-    # with sa, sb the signed complements; defined for indefinite g too
-    pos, s = complement_data(n, k)
-    sb = _complement(b.to_vector(), n, k)
-    return float((s * a.to_vector()) @ _compound_apply(metric.g, sb, n - k)[pos]) / metric.det
+    # Jacobi's identity, as in _star: <a, b> = sum_I sign(I, Ic) a_I (C_{n-k}(g) sb)_Ic
+    # / det g, sb the signed complement of b; defined for indefinite g too.  The
+    # gather reads sign(Ic, I) = (-1)^{k(n-k)} sign(I, Ic)
+    t = _complement_dense(b.to_vector(), n, k)
+    c = _complement_of_compound(metric.g, t, n - k)
+    return (-1.0) ** (k * (n - k)) * float(a.to_vector() @ c) / metric.det

@@ -5,15 +5,16 @@ the 35 coefficients of phi, with positivity and closedness re-validated
 after every accepted step.  On closed forms delta d phi = 0, so the
 right-hand side is the d delta phi half alone, `g2core._closed_phi_laplacian`:
 one Cholesky factorisation and one inverse of a 7 x 7 matrix plus two
-compound applications, about 50-85 us on a dense n4 or n6 form (one core of
-a shared 2-core host, numpy on OpenBLAS with one thread).  Its values lie in
-d(Lambda^2), so a step leaves phi0 + d(Lambda^2) only by roundoff.  A step
-costs 4 evaluations: the evaluation at each accepted point is both its
-positivity check and the next step's first stage; they take most of a
-trajectory's time.  A G2Structure is built only for sampled states, for
-their diagnostics; `hodge_laplacian` and `oracle_residual` keep the full
-Laplacian.  No re-projection onto closed forms is done: |d phi| is measured
-after every step, and drift aborts the trajectory instead of being hidden.
+compound applications, which returns its metric and delta phi with the
+Laplacian.  Its values lie in d(Lambda^2), so a step leaves phi0 + d(Lambda^2)
+only by roundoff.  A step costs 4 evaluations: the evaluation at each accepted
+point is both its positivity check and the next step's first stage; they take
+most of a trajectory's time.  Sampled states build no G2Structure: their
+diagnostics come from that evaluation's metric and delta phi (see `_state`),
+with tau2 = delta phi, which holds on closed forms.  `hodge_laplacian` and
+`oracle_residual` keep the full Laplacian.  No re-projection onto closed forms
+is done: |d phi| is measured after every step, and drift aborts the trajectory
+instead of being hidden.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import KForm, multi_indices
-from .g2core import G2Structure, PositivityError, _closed_phi_laplacian, torsion_forms
+from .exterior import KForm, _compound_apply, multi_indices
+from .g2core import G2Structure, PositivityError, _closed_phi_laplacian
 from .curvature import scalar_curvature
 
 MAX_STEPS = 10_000_000
@@ -85,17 +86,25 @@ class FlowTrajectory:
                                 + [repr(float(d[k])) for k in CSV_COLUMNS[36:]])
 
 
-def _state(algebra, t, vec, lap, closedness):
-    """Sampled state at `vec`, whose Laplacian `lap` and |d phi| `closedness`
-    the integrator already has."""
-    phi = KForm.from_vector(7, 3, vec)
-    G = G2Structure(algebra, phi)
-    tors = torsion_forms(G)
-    return FlowState(t, phi, {
+def _state(algebra, t, vec, point, closedness):
+    """Sampled state at `vec` from what the integrator already has there: the
+    kernel's `point` = (metric, delta phi, Laplacian) and |d phi| `closedness`.
+
+    All are taken at `vec` itself (the state's phi is its pruned KForm).
+    `volume_density` is sqrt(det g) of the kernel's metric, `scalar_curvature`
+    the trace of its Ricci operator, `laplacian_norm` the Euclidean norm of
+    the Laplacian's coefficients.  `tau2_norm` is |delta phi|_g: on a closed
+    phi, d star(phi) = tau2 ^ phi and star(tau2 ^ phi) = -tau2 (Bryant), so
+    delta phi = -star d star(phi) is tau2 up to the orientation's sign and
+    this is |tau2|_g; no G2Structure or torsion is built.
+    """
+    metric, delta_phi, lap = point
+    tau2_sq = float(delta_phi @ _compound_apply(metric.inverse, delta_phi, 2))
+    return FlowState(t, KForm.from_vector(7, 3, vec), {
         "closedness": closedness,
-        "tau2_norm": G.norm(tors.tau2),
-        "scalar_curvature": scalar_curvature(algebra, G.metric),
-        "volume_density": G.metric.sqrt_det,
+        "tau2_norm": math.sqrt(max(tau2_sq, 0.0)),
+        "scalar_curvature": scalar_curvature(algebra, metric),
+        "volume_density": metric.sqrt_det,
         "laplacian_norm": float(np.linalg.norm(lap)),
     })
 
@@ -117,6 +126,9 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
         raise ValueError("t_end and dt must be positive")
     if options.sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {options.sample_every}")
+    if not 0 <= options.closedness_tol < math.inf:  # also rejects NaN
+        raise ValueError("closedness_tol must be finite and non-negative, "
+                         f"got {options.closedness_tol}")
     ratio = t_end / dt  # may overflow although both are finite
     n_steps = max(1, math.ceil(ratio - 1e-12)) if math.isfinite(ratio) else math.inf
     if n_steps > options.max_steps:
@@ -130,21 +142,24 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
     drift_limit = max(10.0 * initial_residual, options.closedness_tol)
 
     def rhs(v):
-        return _closed_phi_laplacian(algebra, v)
+        return _closed_phi_laplacian(algebra, v)[2]
 
-    k1 = rhs(vec)  # raises PositivityError if phi0 is not positive
+    # (metric, delta phi, Laplacian) at the accepted point; raises
+    # PositivityError if phi0 is not positive
+    point = _closed_phi_laplacian(algebra, vec)
     closedness = initial_residual
-    states = [_state(algebra, 0.0, vec, k1, closedness)]
+    states = [_state(algebra, 0.0, vec, point, closedness)]
     termination = TERMINATION_REACHED
     t = 0.0
     for step in range(1, n_steps + 1):
         h = min(dt, t_end - t)
+        k1 = point[2]
         try:
             k2 = rhs(vec + 0.5 * h * k1)
             k3 = rhs(vec + 0.5 * h * k2)
             k4 = rhs(vec + h * k3)
             new_vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            new_k1 = rhs(new_vec)
+            new_point = _closed_phi_laplacian(algebra, new_vec)
         except PositivityError:
             termination = TERMINATION_POSITIVITY
             break
@@ -152,12 +167,12 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
         if new_closedness > drift_limit:
             termination = TERMINATION_CLOSEDNESS
             break
-        vec, k1, closedness = new_vec, new_k1, new_closedness
+        vec, point, closedness = new_vec, new_point, new_closedness
         t += h
         if step % options.sample_every == 0 or step == n_steps:
-            states.append(_state(algebra, t, vec, k1, closedness))
+            states.append(_state(algebra, t, vec, point, closedness))
     if termination != TERMINATION_REACHED and states[-1].t < t:
-        states.append(_state(algebra, t, vec, k1, closedness))
+        states.append(_state(algebra, t, vec, point, closedness))
     return FlowTrajectory(states, termination)
 
 

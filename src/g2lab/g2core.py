@@ -11,12 +11,14 @@ G2-structures, arXiv:math/0305124), on coefficient vectors with `exterior._star`
 
 `phi_laplacian` is the Hodge Laplacian d delta phi + delta d phi of the
 homogeneous flow (J. Lauret, Laplacian flow of homogeneous G2-structures and
-its solitons, Proc. LMS 2017) as one kernel, about 90-130 us per evaluation
-on a dense n4 or n6 form with one BLAS thread; `G2Structure.laplacian_vec`,
-`flow.hodge_laplacian` and the flow oracle use it.  On closed forms delta d
-phi = 0, so the flow's right-hand side `_closed_phi_laplacian` evaluates only
-the d delta phi half from the same metric and codifferential
-(`_phi_codifferential`), about two thirds of that time.
+its solitons, Proc. LMS 2017) as one kernel, about 95-150 us per evaluation
+on a dense n4 form (one core of a shared 2-core host, one BLAS thread);
+`G2Structure.laplacian_vec`, `flow.hodge_laplacian` and the flow oracle use
+it.  On closed forms delta d phi = 0, so the flow's right-hand side
+`_closed_phi_laplacian` evaluates only the d delta phi half from the same
+metric and codifferential (`_phi_codifferential`), about 55-95 us, and hands
+the metric and delta phi on to the flow's sampled states.  About half of it
+is the phi -> metric step (`_phi_metric`).
 """
 from __future__ import annotations
 
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import (KForm, Metric, _complement, _compound_apply, _compound_dense, _dense,
-                       _star, _wedge_vec, form_inner, hodge_star, standard_volume, wedge,
-                       wedge_matrix)
+from .exterior import (KForm, Metric, _complement_dense, _complement_of_compound,
+                       _compound_of_complement, _dense, _star, _wedge_vec, form_inner,
+                       hodge_star, standard_volume, wedge, wedge_matrix)
 from .liealg import _null_space, ce_diff
 
 VANISH_TOL = 1e-8
@@ -44,7 +46,7 @@ class TorsionSolveError(RuntimeError):
 def _gram(phi_vec):
     # the dense phi tensor as a 7 x 49 matrix, and B from it
     A = _dense(phi_vec, 7, 3).reshape(7, 49)
-    B = A @ (_dense(_complement(phi_vec, 7, 3), 7, 4).reshape(49, 49) @ A.T) / 4.0
+    B = A @ (_complement_dense(phi_vec, 7, 3).reshape(49, 49) @ A.T) / 4.0
     return A, (B + B.T) / 2.0
 
 
@@ -92,18 +94,21 @@ def _phi_codifferential(algebra, phi_vec):
     # star_phi is star(phi) / sqrt(det g), the dense phi of B with its indices
     # raised by g^{-1}, complemented; the 5-form star divides by sqrt(det g),
     # so the two factors cancel
-    star_phi = _complement(_compound_dense(m.inverse, A, 3), 7, 3)
-    return m, -_compound_apply(m.g, _complement(algebra.diff_matrix(4) @ star_phi, 7, 5), 2)
+    star_phi = _complement_of_compound(m.inverse, A, 3)
+    return m, -_compound_of_complement(m.g, algebra.diff_matrix(4) @ star_phi, 5)
 
 
 def _closed_phi_laplacian(algebra, phi_vec):
-    """d delta phi: the Hodge Laplacian of a closed 3-form, where delta d phi = 0.
+    """(Metric, delta phi, d delta phi) of a 3-form's coefficients; d delta phi
+    is the Hodge Laplacian of a closed 3-form, where delta d phi = 0.
 
-    The right-hand side of the flow: the metric, two compound applications,
-    two signed-complement gathers and two products with the differential
-    matrices.  Raises PositivityError as `phi_laplacian` does.
+    The right-hand side of the flow: the metric, two compound applications
+    with their signed complements and two products with the differential
+    matrices.  The metric and delta phi are returned for the flow's sampled
+    states.  Raises PositivityError as `phi_laplacian` does.
     """
-    return algebra.diff_matrix(2) @ _phi_codifferential(algebra, phi_vec)[1]
+    m, delta_phi = _phi_codifferential(algebra, phi_vec)
+    return m, delta_phi, algebra.diff_matrix(2) @ delta_phi
 
 
 def phi_laplacian(algebra, phi_vec):
@@ -112,8 +117,9 @@ def phi_laplacian(algebra, phi_vec):
     Works on the 35 coefficients of phi alone, in the metric phi induces; raises
     PositivityError when phi is not a positive form.  One evaluation costs the
     metric (`_phi_metric`: B, one Cholesky and one inverse of a 7 x 7 matrix),
-    four compound applications, four signed-complement gathers and four
-    products with the differential matrices.  `G2Structure.laplacian_vec` and
+    four compound applications with their signed complements (each
+    precomposed into one scatter or gather) and four products with the
+    differential matrices.  `G2Structure.laplacian_vec` and
     the flow oracle use this full operator; `flow_integrate`, whose states are
     closed, evaluates only its d delta phi half (`_closed_phi_laplacian`).
     """
@@ -121,8 +127,8 @@ def phi_laplacian(algebra, phi_vec):
     d3 = algebra.diff_matrix(3)
     # delta d phi = star d star d phi; a 4-form star is C_3(g) on the signed
     # complement over sqrt(det g), so star_dphi is star(d phi) sqrt(det g)
-    star_dphi = _compound_apply(m.g, _complement(d3 @ phi_vec, 7, 4), 3)
-    delta_dphi = _compound_apply(m.g, _complement(d3 @ star_dphi, 7, 4), 3) / m.det
+    star_dphi = _compound_of_complement(m.g, d3 @ phi_vec, 4)
+    delta_dphi = _compound_of_complement(m.g, d3 @ star_dphi, 4) / m.det
     return algebra.diff_matrix(2) @ delta_phi + delta_dphi
 
 

@@ -313,6 +313,24 @@ def loop_wedge_table(dim, k, l):
             np.array(iout, dtype=np.intp), np.array(sg))
 
 
+@functools.lru_cache(maxsize=None)
+def loop_dense_tables(dim, degree):
+    """The dense-tensor scatter table (src, dst, sign, flat), one ordering of
+    one increasing tuple at a time, with `sort_with_sign` for the sign."""
+    def flat(idx):
+        return sum((i - 1) * dim ** (degree - 1 - a) for a, i in enumerate(idx))
+
+    keys = multi_indices(dim, degree)
+    src, dst, sgn = [], [], []
+    for p, key in enumerate(keys):
+        for perm in itertools.permutations(key):
+            src.append(p)
+            dst.append(flat(perm))
+            sgn.append(float(sort_with_sign(perm)[1]))
+    return (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(sgn),
+            np.array([flat(key) for key in keys], dtype=np.intp))
+
+
 def fraction_det(M):
     """Determinant of a float matrix by Gaussian elimination in exact rational
     arithmetic, rounded to a float once at the end."""

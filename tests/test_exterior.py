@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
-from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, _complement, complement_data,
+from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, _complement_dense,
+                            _complement_gather, _complement_of_compound, _compound_dense,
+                            _compound_of_complement, _dense, _dense_tables, complement_data,
                             form_inner, hodge_star, interior, multi_indices, standard_volume,
                             wedge, wedge_matrix, wedge_table)
 
 from conftest import form_strategy, metric_strategy
 from oracles import (brute_hodge, brute_inner, brute_interior, brute_wedge, compound_inner,
                      compound_matrix, compound_star, dict_wedge, loop_complement_data,
-                     loop_wedge_table)
+                     loop_dense_tables, loop_wedge_table)
 
 PHI_STD = catalog("std_g2").forms["phi"]
 I7 = Metric.identity(7)
@@ -257,7 +259,49 @@ def test_complement_gather_is_the_scatter(dim):
         v = rng.standard_normal(len(pos))
         want = np.empty(len(pos))
         want[pos] = s * v
-        assert np.array_equal(_complement(v, dim, degree), want)
+        perm, sign = _complement_gather(dim, degree)
+        assert np.array_equal(sign * v[perm], want)
+
+
+def _assert_tables_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_dense_tables_match_loop(dim):
+    """The vectorised dense-tensor tables equal the ordering-by-ordering loop,
+    entry order and dtype included, in every degree."""
+    for degree in range(dim + 1):
+        _assert_tables_equal(_dense_tables(dim, degree), loop_dense_tables(dim, degree))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 5])
+def test_dense_tables_match_loop_at_max_dim(degree):
+    _assert_tables_equal(_dense_tables(MAX_DIM, degree), loop_dense_tables(MAX_DIM, degree))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_complement_tables_are_the_two_step_path(dim):
+    """The precomposed complement scatter and gather equal `_dense` after the
+    complement gather, and the complement gather after the compound's gather
+    back, bit for bit, in every degree."""
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim))
+    M = a @ a.T + np.eye(dim)
+    for degree in range(dim + 1):
+        perm, sign = _complement_gather(dim, degree)
+        v = rng.standard_normal(len(perm))
+        two_step = _dense(sign * v[perm], dim, dim - degree)
+        assert np.array_equal(_complement_dense(v, dim, degree), two_step)
+        flat = _dense_tables(dim, dim - degree)[3]
+        assert np.array_equal(_compound_of_complement(M, v, degree),
+                              _compound_dense(M, two_step, dim - degree)[flat])
+        t = _dense(rng.standard_normal(len(perm)), dim, degree)
+        gathered = _compound_dense(M, t, degree)[_dense_tables(dim, degree)[3]]
+        assert np.array_equal(_complement_of_compound(M, t, degree), sign * gathered[perm])
 
 
 @pytest.mark.parametrize("dim", range(1, 8))

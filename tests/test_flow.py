@@ -6,18 +6,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import g2lab.flow as flow_mod
 import g2lab.g2core as g2core_mod
 from g2lab.catalog import catalog
-from g2lab.exterior import KForm
+from g2lab.exterior import (PRUNE_TOL, KForm, _complement_dense, _complement_gather,
+                            _compound_dense, _dense, _dense_tables)
 from g2lab.flow import (CSV_COLUMNS, FlowOptions, closed_form_n2,
                         closed_form_n2_velocity, closed_form_n12,
                         closed_form_n12_velocity, flow_integrate, hodge_laplacian,
                         oracle_residual)
-from g2lab.g2core import G2Structure, PositivityError, _closed_phi_laplacian, phi_laplacian
+from g2lab.g2core import (G2Structure, PositivityError, _closed_phi_laplacian, phi_laplacian,
+                          torsion_forms)
 from g2lab.inputfmt import parse_document
 from g2lab.liealg import ce_diff
 
@@ -172,26 +174,28 @@ class TestPhiLaplacianKernel:
 
     @pytest.mark.parametrize("n_steps,sample_every", [(1, 10), (7, 3), (12, 4)])
     def test_flow_evaluation_count(self, monkeypatch, n_steps, sample_every):
-        # four kernel calls per step plus one at phi0; structures only at samples
+        # four kernel calls per step plus one at phi0; the samples reuse the
+        # kernel's metric, so no G2Structure (and no torsion) is built
         calls, builds = [], []
-        real_kernel, real_structure = flow_mod._closed_phi_laplacian, flow_mod.G2Structure
+        real_kernel, real_init = flow_mod._closed_phi_laplacian, G2Structure.__init__
 
         def counted(algebra, phi_vec):
             calls.append(None)
             return real_kernel(algebra, phi_vec)
 
-        class Counted(real_structure):
-            def __init__(self, algebra, phi):
-                builds.append(None)
-                super().__init__(algebra, phi)
+        def counted_init(self, algebra, phi):
+            builds.append(None)
+            real_init(self, algebra, phi)
 
         monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", counted)
-        monkeypatch.setattr(flow_mod, "G2Structure", Counted)
+        monkeypatch.setattr(G2Structure, "__init__", counted_init)
         traj = flow_integrate(N2, closed_form_n2(0.0), n_steps * 1e-2, 1e-2,
                               FlowOptions(sample_every=sample_every))
         assert traj.termination == "reached_t_end"
         assert len(calls) == 4 * n_steps + 1
-        assert len(builds) == len(traj.states)
+        assert builds == []
+        G2Structure(N2, closed_form_n2(0.0))
+        assert len(builds) == 1  # the counter sees a build
 
 
 _CLOSED_CATALOG = ("std_g2", "n2", "n4", "n6", "n12_modified_basis")
@@ -215,8 +219,8 @@ def closed_perturbation(draw):
 def _jacobian_norm(algebra, v, step=1e-6):
     """Frobenius norm of the central-difference Jacobian of the closed kernel,
     an upper bound on its spectral norm: the local Lipschitz constant."""
-    cols = [(_closed_phi_laplacian(algebra, v + step * e) - _closed_phi_laplacian(algebra, v - step * e))
-            / (2.0 * step) for e in np.eye(35)]
+    cols = [(_closed_phi_laplacian(algebra, v + step * e)[2]
+             - _closed_phi_laplacian(algebra, v - step * e)[2]) / (2.0 * step) for e in np.eye(35)]
     return float(np.linalg.norm(cols))
 
 
@@ -228,14 +232,19 @@ class TestClosedKernel:
         # n12_modified_basis's irrational coefficients leave d phi at roundoff)
         entry = catalog(name)
         v = scale * entry.forms["phi"].to_vector()
-        assert np.array_equal(_closed_phi_laplacian(entry.algebra, v),
-                              phi_laplacian(entry.algebra, v))
+        m, delta_phi, lap = _closed_phi_laplacian(entry.algebra, v)
+        assert np.array_equal(lap, phi_laplacian(entry.algebra, v))
+        # the metric and delta phi it returns are those of the codifferential
+        want_m, want_delta = g2core_mod._phi_codifferential(entry.algebra, v)
+        assert np.array_equal(delta_phi, want_delta)
+        assert np.array_equal(m.g, want_m.g) and np.array_equal(m.inverse, want_m.inverse)
+        assert m.sqrt_det == want_m.sqrt_det
 
     @settings(max_examples=40, deadline=None)
     @given(closed_perturbation())
     def test_closed_perturbations_match_full_laplacian(self, case):
         algebra, v = case
-        got = _closed_phi_laplacian(algebra, v)
+        got = _closed_phi_laplacian(algebra, v)[2]
         for want in (phi_laplacian(algebra, v), metric_star_laplacian(algebra, v)):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -244,7 +253,8 @@ class TestClosedKernel:
     def test_odd_in_phi_bit_for_bit(self, case, log10_scale):
         algebra, v = case
         v = 10.0 ** log10_scale * v
-        assert np.array_equal(_closed_phi_laplacian(algebra, -v), -_closed_phi_laplacian(algebra, v))
+        assert np.array_equal(_closed_phi_laplacian(algebra, -v)[2],
+                              -_closed_phi_laplacian(algebra, v)[2])
 
     def test_dense_trajectory_stays_exact_and_matches_full_laplacian(self, monkeypatch):
         # n6's form plus a seeded exact 3-form of a fifth of its size
@@ -264,16 +274,17 @@ class TestClosedKernel:
 
         def recorded(kernel):
             def rhs(algebra, v):
-                k = kernel(algebra, v)
+                point = kernel(algebra, v)
                 points.append(v)
-                stages.append(np.linalg.norm(k))
-                return k
+                stages.append(np.linalg.norm(point[2]))
+                return point
             return rhs
 
         def full_laplacian(algebra, v):
+            m, delta_phi, closed_lap = _closed_phi_laplacian(algebra, v)
             lap = phi_laplacian(algebra, v)
-            gaps.append(np.linalg.norm(lap - _closed_phi_laplacian(algebra, v)))
-            return lap
+            gaps.append(np.linalg.norm(lap - closed_lap))
+            return m, delta_phi, lap
 
         monkeypatch.setattr(g2core_mod, "_phi_codifferential", recorded_codifferential)
         monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", recorded(_closed_phi_laplacian))
@@ -312,6 +323,192 @@ class TestClosedKernel:
         L = max(_jacobian_norm(algebra, v) for v in vecs)
         bound = math.exp(n_steps * h * L) * n_steps * (h * max(gaps) + 2.0 * per_step)
         assert np.linalg.norm(vecs[-1] - full_vecs[-1]) <= bound
+
+
+U = np.finfo(float).eps / 2.0  # unit roundoff
+
+
+def _gamma(m):
+    return m * U / (1.0 - m * U)
+
+
+def _magnitude(M, t, degree, gather):
+    # the compound of M on the dense tensor t, evaluated on |M| and |t|: the
+    # sum of |products| that bounds the rounding of each computed entry
+    return _compound_dense(np.abs(M), np.abs(t), degree)[gather]
+
+
+def _delta_phi_magnitudes(algebra, v, g, ginv):
+    """(|psi|, |delta phi|, |delta phi|_g^2) magnitudes: delta phi = -C_2(g)
+    compl(d4 compl(C_3(g^-1) phi)) and its g-norm evaluated on absolute values."""
+    perm, _ = _complement_gather(7, 3)
+    psi = _magnitude(ginv, _dense(v, 7, 3), 3, _dense_tables(7, 3)[3][perm])
+    x = np.abs(algebra.diff_matrix(4)) @ psi
+    flat2 = _dense_tables(7, 2)[3]
+    delta = _magnitude(g, _complement_dense(x, 7, 5), 2, flat2)
+    return psi, delta, float(delta @ _magnitude(ginv, _dense(delta, 7, 2), 2, flat2))
+
+
+def _scal_magnitude(algebra, g, ginv):
+    """`curvature.scalar_curvature`'s formula with every term counted positive."""
+    n, c = 7, np.abs(algebra.bracket)
+    bg = c @ g
+    gamma = 0.5 * (bg + bg.transpose(2, 0, 1) + bg.transpose(1, 2, 0)) @ ginv.T
+    ric = (gamma @ np.einsum("imi->m", gamma)
+           + gamma.reshape(n, n * n) @ gamma.transpose(2, 0, 1).reshape(n * n, n)
+           + c.transpose(1, 2, 0).reshape(n, n * n) @ gamma.transpose(0, 2, 1).reshape(n * n, n))
+    return float(np.trace(ginv @ (ric + ric.T) / 2.0))
+
+
+def _tau1_bound(g, sqrt_det, v, dphi):
+    """|tau1| = |1/12 star_6(star_4(d phi) ^ phi)| <= 1/12 (|g|^4 / det g) sqrt(20)
+    |phi| |d phi|: a 4-form star is C_3(g) / sqrt(det g) (norm |g|^3 / sqrt(det g)),
+    a 6-form star C_1(g) / sqrt(det g), and each 6-tuple splits 20 ways into
+    3 + 3; |g| is the norm of the entrywise |g|, so the rounded tau1 obeys it
+    too, up to a factor 1 + gamma_60."""
+    ng = np.linalg.norm(np.abs(g), 2)
+    return ((1.0 + _gamma(60)) * ng ** 4 / sqrt_det ** 2 * math.sqrt(20.0)
+            * np.linalg.norm(v) * dphi / 12.0)
+
+
+def _sampled_states(algebra, v, n_steps=3, h=1e-2):
+    """(state, phi vector) of the steps of a short flow from v whose vector
+    the KForm prune leaves as it is, so that a G2Structure of the state's phi
+    sits at the same point; the accepted points are every fourth kernel
+    evaluation.  The initial state is always among them."""
+    points, real = [], flow_mod._closed_phi_laplacian
+
+    def recorded(algebra, phi_vec):
+        points.append(phi_vec)
+        return real(algebra, phi_vec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow_mod, "_closed_phi_laplacian", recorded)
+        traj = flow_integrate(algebra, KForm.from_vector(7, 3, v), n_steps * h, h,
+                              FlowOptions(sample_every=1))
+    assert traj.termination == "reached_t_end" and len(traj.states) == n_steps + 1
+    kept = [(state, w) for state, w in zip(traj.states, points[::4])
+            if np.array_equal(state.phi.to_vector(), w)]
+    assert kept[0][0] is traj.states[0]
+    return kept
+
+
+def _structure(algebra, v):
+    return G2Structure(algebra, KForm.from_vector(7, 3, v))
+
+
+def _assert_tau2_norm(algebra, state, v):
+    """tau2_norm = |delta phi|_g against |tau2|_g of `torsion_forms`.
+
+    Both compute delta phi = eps tau2 = -star d star phi from the same metric,
+    which needs d phi = 0 only through tau1.  First-order rounding, u the unit
+    roundoff and gamma_m = m u / (1 - m u), with |.| the same formula on
+    absolute values (`_delta_phi_magnitudes`): the kernel's delta phi is within
+    gamma_70 |delta phi| entrywise (C_3: 21 terms per entry, d4: 35, C_2: 14);
+    the torsion path adds the sqrt(det g) scaling, its division and the tau1
+    subtraction (gamma_73), its term 4 C_2(g) compl(tau1 ^ psi) / sqrt(det g),
+    at most 4 |g|^2 sqrt(5) |tau1| |psi| (a 5-tuple splits 5 ways into 1 + 4),
+    and the KForm prune, at most sqrt(21) PRUNE_TOL.  The g-norm is at most
+    |g^-1| times the Euclidean norm (C_2(g^-1) has eigenvalues <= |g^-1|^2); each
+    norm's quadratic form rounds within gamma_35 |.|^2 and its root adds u.
+    """
+    G = _structure(algebra, v)
+    m, got = G.metric, state.diagnostics["tau2_norm"]
+    tors = torsion_forms(G)
+    want = G.norm(tors.tau2)
+    psi, delta, q = _delta_phi_magnitudes(algebra, v, m.g, m.inverse)
+    dphi = state.diagnostics["closedness"]
+    tau1 = _tau1_bound(m.g, m.sqrt_det, v, dphi)
+    ng, ni = np.linalg.norm(np.abs(m.g), 2), np.linalg.norm(m.inverse, 2)
+    vector_gap = (_gamma(143) * np.linalg.norm(delta)
+                  + 4.0 * ng ** 2 * math.sqrt(5.0) * tau1 * np.linalg.norm(psi)
+                  + math.sqrt(21.0) * PRUNE_TOL)
+    dq = _gamma(35) * q
+    root_gap = min(math.sqrt(dq), dq / max(got, want, 1e-300))
+    bound = ni * vector_gap + 2.0 * root_gap + 2.0 * U * max(got, want)
+    assert abs(got - want) <= bound
+
+
+def _assert_scal_identity(algebra, state, v):
+    """scalar_curvature against -1/2 tau2_norm^2 (Bryant, closed phi).
+
+    The two sides share only the metric (g, g^-1); the identity holds for the
+    exact metric of phi and exact d phi = 0.  First-order terms, |.| the
+    formulas on absolute values:
+      * rounding of scal: gamma_98 |scal| (Gamma: 16 terms deep, Ric: twice
+        that plus 52, the trace of g^-1 Ric: 14);
+      * rounding of tau2_norm^2: gamma_178 |delta phi|_g^2 / 2 (delta phi twice
+        gamma_70, the quadratic form gamma_35, root and square 3 u);
+      * the metric's own error: B within gamma_99 |A| |C| |A|^T / 4, Cholesky
+        det B within 7 |B^-1| |Delta B| + gamma_7 with |Delta B| <= gamma_8 |L| |L^T|,
+        the ninth root and scaling gamma_3 more, so g is within eps_g |g|;
+        g^-1 within kappa(g) (eps_g + gamma_49) |g^-1|; both sides moved by these
+        entrywise errors, read off the magnitudes with |g| and |g^-1| raised by them;
+      * d phi, exact |d phi| <= closedness + gamma_35 |d3| |phi|: 12 |delta tau1|
+        <= 12 |d6| |g^-1| |tau1| and |tau2|_g |star(4 tau1 ^ psi)|_g.
+    """
+    G = _structure(algebra, v)
+    m, t = G.metric, state.diagnostics["tau2_norm"]
+    got = state.diagnostics["scalar_curvature"]
+    g, ginv = m.g, m.inverse
+    n = 7
+    # the metric's error
+    A = np.abs(_dense(v, 7, 3).reshape(7, 49))
+    B_mag = A @ (np.abs(_complement_dense(v, 7, 3)).reshape(49, 49) @ A.T) / 4.0
+    B = G.b_matrix
+    L = np.linalg.cholesky(G.orientation * B)
+    binv = np.linalg.norm(np.linalg.inv(B), 2)
+    dB = _gamma(99) * np.linalg.norm(B_mag, 2)
+    eps_det = n * binv * (dB + _gamma(8) * np.linalg.norm(np.abs(L) @ np.abs(L.T), 2)) + _gamma(7)
+    eps_g = eps_det / 9.0 + _gamma(3) + dB / np.linalg.norm(B, 2) + U
+    eps_i = np.linalg.cond(g) * (eps_g + _gamma(49))
+    E = eps_g * np.linalg.norm(g, 2) * np.ones((n, n))
+    Ei = eps_i * np.linalg.norm(ginv, 2) * np.ones((n, n))
+
+    def side_magnitudes(gm, im):
+        return _scal_magnitude(algebra, gm, im), _delta_phi_magnitudes(algebra, v, gm, im)[2]
+
+    scal_mag, q = side_magnitudes(np.abs(g), np.abs(ginv))
+    scal_up, q_up = side_magnitudes(np.abs(g) + E, np.abs(ginv) + Ei)
+    # d phi
+    dphi = (state.diagnostics["closedness"]
+            + _gamma(35) * np.linalg.norm(np.abs(algebra.diff_matrix(3)) @ np.abs(v)))
+    tau1 = _tau1_bound(g, m.sqrt_det, v, dphi)
+    psi = _delta_phi_magnitudes(algebra, v, g, ginv)[0]
+    ng, ni = np.linalg.norm(np.abs(g), 2), np.linalg.norm(ginv, 2)
+    torsion = (12.0 * np.linalg.norm(algebra.diff_matrix(6), 2) * ni * tau1
+               + t * ni * ng ** 2 * 4.0 * math.sqrt(5.0) * tau1 * np.linalg.norm(psi))
+    bound = (_gamma(98) * scal_mag + _gamma(178) * q / 2.0
+             + (scal_up - scal_mag) + (q_up - q) / 2.0 + torsion)
+    assert abs(got + 0.5 * t * t) <= bound
+
+
+class TestSampledStates:
+    """The flow's sampled diagnostics against formulas that share no code with
+    `flow._state`: `torsion_forms` for tau2 and Bryant's scal = -|tau2|^2 / 2."""
+
+    @pytest.mark.parametrize("name", _CLOSED_CATALOG)
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 0.5, 3.0])
+    def test_catalog(self, name, scale):
+        entry = catalog(name)
+        for state, v in _sampled_states(entry.algebra, scale * entry.forms["phi"].to_vector()):
+            _assert_tau2_norm(entry.algebra, state, v)
+            _assert_scal_identity(entry.algebra, state, v)
+
+    @settings(max_examples=25, deadline=None)
+    @given(closed_perturbation(), st.sampled_from([1.0, -1.0]))
+    def test_closed_perturbations(self, case, orientation):
+        algebra, v = case
+        v = orientation * v
+        assume(np.array_equal(KForm.from_vector(7, 3, v).to_vector(), v))
+        for state, w in _sampled_states(algebra, v):
+            _assert_tau2_norm(algebra, state, w)
+            _assert_scal_identity(algebra, state, w)
+
+    def test_volume_density_is_the_structure_volume(self):
+        entry = catalog("n6")
+        for state, v in _sampled_states(entry.algebra, entry.forms["phi"].to_vector()):
+            assert state.diagnostics["volume_density"] == _structure(entry.algebra, v).metric.sqrt_det
 
 
 class TestClosedFormSolutions:
@@ -421,6 +618,18 @@ class TestIntegration:
         with pytest.raises(ValueError, match="^inf steps exceed the cap"):
             flow_integrate(N2, closed_form_n2(0.0), 1e300, 1e-300)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-10])
+    def test_rejects_bad_closedness_tol(self, tol):
+        # NaN would pass the drift limit max(10 |d phi0|, nan) silently
+        with pytest.raises(ValueError, match=f"^closedness_tol must be finite and "
+                                             f"non-negative, got {tol}$"):
+            flow_integrate(N2, closed_form_n2(0.0), 0.02, 1e-2,
+                           FlowOptions(closedness_tol=tol))
+
+    def test_zero_closedness_tol_accepted(self):
+        traj = flow_integrate(N2, closed_form_n2(0.0), 0.02, 1e-2, FlowOptions(closedness_tol=0.0))
+        assert traj.termination == "reached_t_end"
+
     @pytest.mark.parametrize("sample_every", [0, -5])
     def test_rejects_sample_every_below_one(self, sample_every):
         with pytest.raises(ValueError, match=f"sample_every must be at least 1, got {sample_every}"):
@@ -449,7 +658,8 @@ class TestIntegration:
         assert np.linalg.norm(N2.diff_matrix(3) @ leak) > 0
 
         def leaking(algebra, phi_vec):
-            return real(algebra, phi_vec) + leak
+            m, delta_phi, lap = real(algebra, phi_vec)
+            return m, delta_phi, lap + leak
 
         monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", leaking)
         traj = flow_integrate(N2, closed_form_n2(0.0), 1.0, 1e-2,

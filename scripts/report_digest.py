@@ -11,7 +11,8 @@ soliton and einstein also with `--metric identity`), short flows and oracle
 checks on n2, n12_modified_basis and n6, short flows from dense closed
 perturbations of n4's and n12_modified_basis's forms (written to the scratch
 directory, not to the corpus; the second has |d phi| at roundoff, not 0), and
-a set of failing inputs. It
+a set of failing inputs, among them n12_modified_basis and h2 in
+ill-conditioned bases, whose two tau1 equations disagree. It
 writes `{argv: [exit code, stdout]}`; an exception that escapes `cli.main`
 is recorded as exit code 1, as the interpreter would exit, and named on
 stderr. Scratch files live in a temporary directory written `<tmp>` in the
@@ -25,6 +26,7 @@ import argparse
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -39,6 +41,8 @@ FLOW_NAMES = ("n2", "n12_modified_basis", "n6")
 FLOW_ARGS = ["--t-end", "0.2", "--dt", "0.01", "--sample-every", "5"]
 #: catalog name -> seed of the exact 3-form added to its form
 DENSE_FLOWS = {"n4": 4, "n12_modified_basis": 12}
+#: catalog name -> seed of a basis change under which the tau1 equations disagree
+BASIS_CHANGES = {"n12_modified_basis": 2123, "h2": 644}
 
 
 def commands(names, files):
@@ -71,6 +75,9 @@ def commands(names, files):
         ["check", "--catalog", "n2", "--tol", "nan"],
         ["check", "--catalog", "n2", "--tol", "-1"],
         ["check", "--catalog", "n2", "--tol", "abc"],
+        ["torsion", "<tmp>/n12_modified_basis_basis_changed.g2"],
+        ["einstein", "<tmp>/n12_modified_basis_basis_changed.g2"],
+        ["su3", "<tmp>/h2_basis_changed.g2"],
     ]
 
 
@@ -89,6 +96,31 @@ def write_dense_closed(name, seed, path):
     pathlib.Path(path).write_text(inputfmt.format_document(doc))
 
 
+def write_basis_changed(name, seed, path):
+    """A catalog entry in the basis f = A e, A = I + 0.3 N with N a seeded
+    standard normal matrix, as a document: since e^j = sum_k A_kj f^k, a
+    k-form's coefficients go to the minors C_k(A) times them, and
+    d f^i = sum_j (A^-1)_ji d e^j."""
+    import numpy as np  # after g2lab, whose import sets the BLAS thread defaults
+    KForm = importlib.import_module("g2lab.exterior").KForm
+    inputfmt = importlib.import_module("g2lab.inputfmt")
+    entry = importlib.import_module("g2lab.catalog").catalog(name)
+    n = entry.algebra.dim
+    A = np.eye(n) + 0.3 * np.random.default_rng(seed).standard_normal((n, n))
+
+    def compound(k):
+        keys = list(itertools.combinations(range(n), k))
+        return np.array([[np.linalg.det(A[np.ix_(r, c)]) for c in keys] for r in keys])
+
+    de = np.stack([form.to_vector() for form in entry.algebra.dual_differential])
+    duals = np.linalg.inv(A).T @ de @ compound(2).T
+    algebra = importlib.import_module("g2lab.liealg").LieAlgebra(
+        [KForm.from_vector(n, 2, v) for v in duals])
+    forms = {key: KForm.from_vector(n, form.degree, compound(form.degree) @ form.to_vector())
+             for key, form in entry.forms.items()}
+    pathlib.Path(path).write_text(inputfmt.format_document(inputfmt.InputDocument(algebra, forms)))
+
+
 def record(tree, out):
     tree = pathlib.Path(tree).resolve()
     out = pathlib.Path(out).resolve()
@@ -104,6 +136,8 @@ def record(tree, out):
         pathlib.Path(tmp, "syntax.g2").write_text("algebra { dim 7 d e5 = ")
         for name, seed in DENSE_FLOWS.items():
             write_dense_closed(name, seed, pathlib.Path(tmp, f"{name}_closed_perturbation.g2"))
+        for name, seed in BASIS_CHANGES.items():
+            write_basis_changed(name, seed, pathlib.Path(tmp, f"{name}_basis_changed.g2"))
         for argv in commands(names, files):
             stdout = io.StringIO()
             try:

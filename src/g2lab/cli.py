@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .catalog import catalog, catalog_names
-from .curvature import (_einstein_calibrated_residual, einstein_residual, ricci,
+from .curvature import (einstein_calibrated_residual, einstein_residual, ricci,
                         ricci_operator, scalar_curvature, soliton_solve, star_ricci)
 from .exterior import KForm, Metric
 from .flow import (FlowOptions, closed_form_n2, closed_form_n2_velocity,
@@ -274,10 +274,12 @@ def cmd_einstein(args, tol):
     }
     if doc.algebra.dim == 7 and args.form in doc.forms:
         G = G or _structure(doc, args.form)
-        t = torsion_forms(G)
-        cls = classify(t, tol=tol)
-        if cls.tau0_zero and cls.tau1_zero and cls.tau3_zero:
-            residuals["einstein_calibrated"] = _einstein_calibrated_residual(G, t, tol)
+        try:
+            residuals["einstein_calibrated"] = einstein_calibrated_residual(G, tol)
+        except ValueError:  # not calibrated: the condition does not apply
+            pass
+        except TorsionSolveError as exc:
+            raise ValidationFailure(str(exc)) from exc
         ric_star = star_ricci(G)
         results["star_scal"] = float(np.trace(G.metric.inverse @ ric_star))
         results["star_ricci"] = ric_star
@@ -296,8 +298,10 @@ def cmd_su3(args, tol):
         raise ValidationFailure(str(exc)) from exc
     cls = su3_classify(S, tol=tol)
     Gp = g2_product(S)
-    t = torsion_forms(Gp)
-    product_class = classify(t, tol=tol)
+    try:
+        product_class = classify(torsion_forms(Gp), tol=tol)
+    except TorsionSolveError as exc:
+        raise ValidationFailure(str(exc)) from exc
     results = {
         "lambda_psi": S.lam,
         "J": S.J,

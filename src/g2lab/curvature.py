@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import KForm, _dense, form_inner, index_positions, multi_indices
+from .exterior import (KForm, _compound_apply, _dense, _star, form_inner, index_positions,
+                       multi_indices)
 from .g2core import classify, torsion_forms
-from .liealg import LieAlgebra, ce_diff, codifferential, derivation_residual, derivation_space
+from .liealg import LieAlgebra, ce_diff, derivation_residual, derivation_space
 
 SOLITON_CUTOFF = 1e-10
 
@@ -70,16 +71,22 @@ def einstein_residual(algebra, metric):
 
 
 def scal_from_torsion(structure):
-    """Scalar curvature from the torsion forms:
+    """Scalar curvature from the torsion forms (Bryant):
     12 delta(tau1) + 21/8 tau0^2 + 30 |tau1|^2 - 1/2 |tau2|^2 - 1/2 |tau3|^2.
+
+    On the coefficient vectors of the structure's torsion: delta tau1 =
+    -star d star tau1 through `_star` and the differential matrix, each
+    |tau_k|^2 = tau_k . C_k(g^-1) tau_k as in `form_inner`.
     """
     t = torsion_forms(structure)
-    delta_tau1 = codifferential(structure.algebra, structure.metric, t.tau1).coefficient(())
+    m = structure.metric
+    v1, v2, v3 = (form.to_vector() for form in (t.tau1, t.tau2, t.tau3))
+    delta_tau1 = -float(_star(structure.algebra.diff_matrix(6) @ _star(v1, 1, m), 7, m)[0])
     return (12.0 * delta_tau1
             + (21.0 / 8.0) * t.tau0 ** 2
-            + 30.0 * structure.inner(t.tau1, t.tau1)
-            - 0.5 * structure.inner(t.tau2, t.tau2)
-            - 0.5 * structure.inner(t.tau3, t.tau3))
+            + 30.0 * float(v1 @ _compound_apply(m.inverse, v1, 1))
+            - 0.5 * float(v2 @ _compound_apply(m.inverse, v2, 2))
+            - 0.5 * float(v3 @ _compound_apply(m.inverse, v3, 3)))
 
 
 def star_ricci(structure):
@@ -152,11 +159,7 @@ def einstein_calibrated_residual(structure, tol=1e-8):
     Defined for calibrated structures only; vanishing is equivalent to the
     induced metric being Einstein.
     """
-    return _einstein_calibrated_residual(structure, torsion_forms(structure), tol)
-
-
-def _einstein_calibrated_residual(structure, t, tol):
-    """einstein_calibrated_residual with the torsion forms `t` of the structure given."""
+    t = torsion_forms(structure)
     cls = classify(t, tol=tol)
     if not (cls.tau0_zero and cls.tau1_zero and cls.tau3_zero):
         raise ValueError("structure is not calibrated (closed)")

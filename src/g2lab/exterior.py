@@ -451,7 +451,9 @@ def _compound_dense(M, t, degree):
 def _compound_apply(M, vec, degree):
     """Degree-k compound of M applied to a k-form's coefficients."""
     n = M.shape[0]
-    return _compound_dense(M, _dense(vec, n, degree), degree)[_dense_tables(n, degree)[3]]
+    t = _compound_dense(M, _dense(vec, n, degree), degree)
+    # degrees 0 and 1 are their own dense tensors: the gather back is the identity
+    return t if degree < 2 else t[_dense_tables(n, degree)[3]]
 
 
 def _compound_of_complement(M, vec, degree):
@@ -459,7 +461,7 @@ def _compound_of_complement(M, vec, degree):
     k-form's coefficients, the complement scattered straight into the tensor."""
     n = M.shape[0]
     t = _compound_dense(M, _complement_dense(vec, n, degree), n - degree)
-    return t[_dense_tables(n, n - degree)[3]]
+    return t if n - degree < 2 else t[_dense_tables(n, n - degree)[3]]
 
 
 def _complement_of_compound(M, t, degree):

@@ -8,6 +8,8 @@ of +-B gives the orientation, positivity and det B.  The torsion of the
 structure is read off from d phi and d star(phi) in closed form, by Bryant's
 explicit projections onto the G2-invariant parts (R. Bryant, Some remarks on
 G2-structures, arXiv:math/0305124), on coefficient vectors with `exterior._star`.
+It is computed once per structure, at the first `torsion_forms` call, and
+kept on the structure; the tau1 consistency check is applied on every call.
 
 `phi_laplacian` is the Hodge Laplacian d delta phi + delta d phi of the
 homogeneous flow (J. Lauret, Laplacian flow of homogeneous G2-structures and
@@ -144,11 +146,13 @@ class G2Structure:
 
     The metric and the star of phi are computed at construction; stars and
     inner products of other forms are `hodge_star` and `form_inner` in that
-    metric.  Instances are immutable and shareable.
+    metric.  Instances are immutable and shareable.  Derived data that not
+    every caller needs sits in a private slot that is None until its first
+    use fills it (`_torsion`, by `torsion_forms`).
     """
 
     __slots__ = ("algebra", "phi", "metric", "volume", "gram_det", "b_matrix",
-                 "orientation", "star_phi", "_phi_vec", "_star_phi_vec")
+                 "orientation", "star_phi", "_phi_vec", "_star_phi_vec", "_torsion")
 
     def __init__(self, algebra, phi):
         if algebra.dim != 7:
@@ -168,6 +172,7 @@ class G2Structure:
         object.__setattr__(self, "_phi_vec", v)
         object.__setattr__(self, "_star_phi_vec", spv)
         object.__setattr__(self, "star_phi", KForm.from_vector(7, 4, spv))
+        object.__setattr__(self, "_torsion", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("G2Structure is immutable")
@@ -230,11 +235,31 @@ def torsion_forms(structure, tau1_tol=1e-8):
         tau2 = -epsilon star(d star(phi) - 4 tau1 ^ star(phi))
 
     with epsilon the orientation.  The two formulas for tau1 read it from the
-    two equations; a disagreement beyond `tau1_tol` means the input did not
-    come from a positive G2 form and raises TorsionSolveError.  `residual` is
-    the largest of |tau3 ^ phi|, |tau3 ^ star(phi)| and |tau2 ^ star(phi)|,
-    the part of the data outside tau2 in Lambda^2_14 and tau3 in Lambda^3_27.
+    two equations; `tau1_consistency` is their disagreement, and one beyond
+    `tau1_tol` means the input did not come from a positive G2 form and
+    raises TorsionSolveError.  `residual` is the largest of |tau3 ^ phi|,
+    |tau3 ^ star(phi)| and |tau2 ^ star(phi)|, the part of the data outside
+    tau2 in Lambda^2_14 and tau3 in Lambda^3_27.
+
+    The forms are computed once per structure and kept on it; the
+    `tau1_tol` check is applied on every call, so which tolerance raises
+    does not depend on earlier calls.  Raises ValueError for a NaN, infinite
+    or negative `tau1_tol`.
     """
+    if not 0 <= tau1_tol < math.inf:  # also rejects NaN
+        raise ValueError(f"tau1_tol must be finite and non-negative, got {tau1_tol}")
+    t = structure._torsion
+    if t is None:
+        t = _torsion(structure)
+        object.__setattr__(structure, "_torsion", t)
+    if t.tau1_consistency > tau1_tol:
+        raise TorsionSolveError(
+            f"tau1 disagrees between the two torsion equations by {t.tau1_consistency:.3e}")
+    return t
+
+
+def _torsion(structure):
+    """The unchecked TorsionForms of `torsion_forms`, on coefficient vectors."""
     G = structure
     m, phi, psi = G.metric, G._phi_vec, G._star_phi_vec
     dphi = G.algebra.diff_matrix(3) @ phi
@@ -243,18 +268,14 @@ def torsion_forms(structure, tau1_tol=1e-8):
     tau0 = float(_star(_wedge_vec(7, 4, 3, dphi, phi), 7, m)[0]) / 7.0
     tau1 = -_star(_wedge_vec(7, 3, 3, _star(dphi, 4, m), phi), 6, m) / 12.0
     tau1_b = _star(_wedge_vec(7, 2, 4, _star(dpsi, 5, m), psi), 6, m) / 12.0
-    tau1_mismatch = float(np.linalg.norm(tau1 - tau1_b))
-    if tau1_mismatch > tau1_tol:
-        raise TorsionSolveError(
-            f"tau1 disagrees between the two torsion equations by {tau1_mismatch:.3e}")
-
     tau3 = _star(dphi - tau0 * psi - 3.0 * _wedge_vec(7, 1, 3, tau1, phi), 4, m)
     tau2 = -G.orientation * _star(dpsi - 4.0 * _wedge_vec(7, 1, 4, tau1, psi), 5, m)
     residual = max(float(np.linalg.norm(_wedge_vec(7, 3, 3, tau3, phi))),
                    float(np.linalg.norm(_wedge_vec(7, 3, 4, tau3, psi))),
                    float(np.linalg.norm(_wedge_vec(7, 2, 4, tau2, psi))))
     return TorsionForms(tau0, KForm.from_vector(7, 1, tau1), KForm.from_vector(7, 2, tau2),
-                        KForm.from_vector(7, 3, tau3), residual, tau1_mismatch)
+                        KForm.from_vector(7, 3, tau3), residual,
+                        float(np.linalg.norm(tau1 - tau1_b)))
 
 
 def lee_form(structure):

@@ -14,6 +14,10 @@ from hypothesis import strategies as st
 from g2lab.catalog import catalog
 from g2lab.exterior import KForm, Metric, multi_indices
 from g2lab.g2core import G2Structure
+from g2lab.inputfmt import InputDocument, format_document
+from g2lab.liealg import LieAlgebra
+
+from oracles import compound_matrix
 
 # subprocesses (`python -m g2lab`, the scripts, the console-script launcher)
 # import this checkout's package too, with or without PYTHONPATH set
@@ -52,6 +56,47 @@ def positive_3form_strategy():
                   allow_infinity=False, width=32),
         min_size=count, max_size=count,
     ).map(lambda v: std + KForm.from_vector(7, 3, np.array(v)))
+
+
+CLOSED_CATALOG = ("std_g2", "n2", "n4", "n6", "n12_modified_basis")
+
+
+@st.composite
+def closed_perturbation(draw):
+    """(algebra, phi + eps d beta): a closed catalog form moved along the exact
+    3-forms, |eps d beta| at most a tenth of |phi| so that it stays positive."""
+    entry = catalog(draw(st.sampled_from(CLOSED_CATALOG[1:])))
+    d2 = entry.algebra.diff_matrix(2)
+    beta = np.array(draw(st.lists(st.floats(min_value=-1.0, max_value=1.0, width=32),
+                                  min_size=d2.shape[1], max_size=d2.shape[1])))
+    phi, dbeta = entry.forms["phi"].to_vector(), d2 @ beta
+    size = np.linalg.norm(dbeta)
+    if size > 0:
+        phi = phi + draw(st.floats(min_value=0.0, max_value=0.1)) * np.linalg.norm(phi) * dbeta / size
+    return entry.algebra, phi
+
+
+def basis_changed_document(name, seed):
+    """Catalog entry `name` written in the basis f = A e, as document text.
+
+    A = I + 0.3 N with N a seeded standard normal matrix.  Since
+    e^j = sum_k A_kj f^k, a k-form's coefficients go to C_k(A) times them
+    (the compound from `oracles.compound_matrix`) and d f^i = sum_j
+    (A^-1)_ji d e^j.  Ill-conditioned draws lose digits: for
+    n12_modified_basis with seed 2123 (cond A ~ 1.6e3) the two tau1 formulas
+    of `torsion_forms` disagree by ~1.7e-5, for h2's SU(3) pair with seed 644
+    (cond A ~ 9e2) those of its G2 product by ~7.5e-6.
+    """
+    entry = catalog(name)
+    n = entry.algebra.dim
+    A = np.eye(n) + 0.3 * np.random.default_rng(seed).standard_normal((n, n))
+    de = np.stack([form.to_vector() for form in entry.algebra.dual_differential])
+    duals = np.linalg.inv(A).T @ de @ compound_matrix(A, 2).T
+    forms = {key: KForm.from_vector(n, form.degree,
+                                    compound_matrix(A, form.degree) @ form.to_vector())
+             for key, form in entry.forms.items()}
+    algebra = LieAlgebra([KForm.from_vector(n, 2, v) for v in duals])
+    return format_document(InputDocument(algebra, forms))
 
 
 @pytest.fixture(scope="session")

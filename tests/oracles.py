@@ -13,10 +13,12 @@ from fractions import Fraction
 import numpy as np
 
 from g2lab.curvature import riemann
-from g2lab.exterior import (KForm, Metric, _star, index_positions, multi_indices,
-                            sort_with_sign, wedge_matrix)
+from g2lab.exterior import (KForm, Metric, _star, form_inner, index_positions,
+                            multi_indices, sort_with_sign, wedge_matrix)
 from g2lab.g2core import (PositivityError, TorsionForms, TorsionSolveError,
-                          gram_matrix_from_phi, lambda2_14_basis, lambda3_27_basis)
+                          gram_matrix_from_phi, lambda2_14_basis, lambda3_27_basis,
+                          torsion_forms)
+from g2lab.liealg import codifferential
 
 
 def perm_sign(perm):
@@ -292,6 +294,19 @@ def lstsq_torsion(structure, tau1_tol=1e-8):
     tau2 = KForm.from_vector(7, 2, basis14 @ y[7:])
     residual = max(float(np.linalg.norm(A1 @ x - b1)), float(np.linalg.norm(A2 @ y - b2)))
     return TorsionForms(tau0, tau1, tau2, tau3, residual, tau1_mismatch)
+
+
+def kform_scal_from_torsion(structure):
+    """12 delta(tau1) + 21/8 tau0^2 + 30 |tau1|^2 - 1/2 |tau2|^2 - 1/2 |tau3|^2
+    on KForms: `codifferential` of tau1 (two `hodge_star`s and `ce_diff`, each
+    result pruned) and three `form_inner` calls."""
+    t = torsion_forms(structure)
+    delta_tau1 = codifferential(structure.algebra, structure.metric, t.tau1).coefficient(())
+    return (12.0 * delta_tau1
+            + (21.0 / 8.0) * t.tau0 ** 2
+            + 30.0 * form_inner(structure.metric, t.tau1, t.tau1)
+            - 0.5 * form_inner(structure.metric, t.tau2, t.tau2)
+            - 0.5 * form_inner(structure.metric, t.tau3, t.tau3))
 
 
 def loop_wedge_table(dim, k, l):

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,8 @@ import pytest
 from g2lab.catalog import catalog_names
 from g2lab.cli import main
 from g2lab.g2core import G2Structure
+
+from conftest import basis_changed_document
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "src" / "g2lab" / "report_schema.json").read_text())
@@ -219,6 +222,22 @@ class TestFailuresAreReports:
         code, report = run_cli(capsys, "check", str(path))
         assert code == 2
         assert report["error"].startswith(f"cannot read {path}: ")
+
+    @pytest.mark.parametrize("command,name,seed", [
+        ("torsion", "n12_modified_basis", 2123),
+        ("einstein", "n12_modified_basis", 2123),
+        ("su3", "h2", 644),
+    ])
+    def test_torsion_mismatch(self, capsys, tmp_path, command, name, seed):
+        # an ill-conditioned basis change: the two tau1 formulas disagree by
+        # ~1e-5, far above the default tau1_tol of 1e-8
+        path = tmp_path / f"{name}_basis_changed.g2"
+        path.write_text(basis_changed_document(name, seed))
+        code, report = run_cli(capsys, command, str(path))
+        assert code == 2
+        found = re.fullmatch(r"tau1 disagrees between the two torsion equations by (\S+)",
+                             report["error"])
+        assert found and float(found.group(1)) > 1e-8, report["error"]
 
     @pytest.mark.parametrize("times,reason", [
         ("abc", "could not convert string to float: 'abc'"),

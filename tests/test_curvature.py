@@ -9,12 +9,12 @@ from g2lab.curvature import (SolitonCertificate, einstein_calibrated_residual,
                              ricci, ricci_operator, riemann, scal_from_torsion,
                              scalar_curvature, soliton_solve, star_einstein_residual,
                              star_ricci, star_scal)
-from g2lab.exterior import KForm, Metric
-from g2lab.g2core import G2Structure, metric_from_phi
-from g2lab.liealg import jacobi_residual
+from g2lab.exterior import PRUNE_TOL, KForm, Metric, form_inner
+from g2lab.g2core import G2Structure, metric_from_phi, torsion_forms
+from g2lab.liealg import codifferential, jacobi_residual
 
-from conftest import metric_strategy, positive_3form_strategy
-from oracles import frame_star_ricci
+from conftest import closed_perturbation, metric_strategy, positive_3form_strategy
+from oracles import frame_star_ricci, kform_scal_from_torsion
 
 N2 = catalog("n2").algebra
 H2 = catalog("h2").algebra
@@ -132,6 +132,67 @@ class TestScalFromTorsion:
         G = catalog_structures[name]
         assert abs(scal_from_torsion(G)
                    - scalar_curvature(G.algebra, G.metric)) < 1e-8
+
+
+EPS = np.finfo(float).eps
+
+
+def _torsion_term_sizes(G):
+    """|12 delta tau1| + 21/8 tau0^2 + 30 |tau1|^2 + 1/2 |tau2|^2 + 1/2 |tau3|^2."""
+    t, g = torsion_forms(G), G.metric
+    return (12.0 * abs(codifferential(G.algebra, g, t.tau1).coefficient(()))
+            + (21.0 / 8.0) * t.tau0 ** 2 + 30.0 * form_inner(g, t.tau1, t.tau1)
+            + 0.5 * form_inner(g, t.tau2, t.tau2) + 0.5 * form_inner(g, t.tau3, t.tau3))
+
+
+def _assert_scal_from_torsion(G):
+    """The vector scal_from_torsion against the KForm path and against the
+    Ricci trace (Bryant's identity).
+
+    The KForm path runs the same floating-point operations except that it
+    prunes each intermediate form at PRUNE_TOL: star(tau1) loses at most
+    PRUNE_TOL in each of its 7 entries, d of it then PRUNE_TOL more, the
+    7-form star divides that by sqrt(det g), and the 0-form is pruned once
+    more; delta tau1 enters with weight 12.  Rounding the changed term and
+    the sum adds a few units of roundoff on the terms' sizes S.
+
+    Against the Ricci trace the two sides share only the metric.  First-order
+    rounding of a sum of N terms is within gamma_N = N u of the sum of their
+    magnitudes; the longest sum on either side has N = 7^3 = 343 (the
+    degree-3 compound on the dense tensor), taken over S plus the magnitudes
+    sum |g^-1| |Ric| of the trace, and the metric's own error, which moves
+    both sides, enters through cond(g).
+    """
+    got = scal_from_torsion(G)
+    size = _torsion_term_sizes(G)
+    d6 = np.linalg.norm(G.algebra.diff_matrix(6), 2)
+    prune = 12.0 * ((np.sqrt(7.0) * d6 + 1.0) * PRUNE_TOL / G.metric.sqrt_det + PRUNE_TOL)
+    assert abs(got - kform_scal_from_torsion(G)) <= prune + 4.0 * EPS * size
+    scal = scalar_curvature(G.algebra, G.metric)
+    trace = float(np.sum(np.abs(G.metric.inverse) * np.abs(ricci(G.algebra, G.metric))))
+    bound = np.linalg.cond(G.metric.g) * 343 * EPS * (size + trace)
+    assert abs(got - scal) <= bound
+
+
+class TestScalFromTorsionOnVectors:
+    @pytest.mark.parametrize("name", G2_NAMES)
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 0.3, 2.7])
+    def test_catalog(self, name, scale):
+        entry = catalog(name)
+        _assert_scal_from_torsion(G2Structure(entry.algebra, scale * entry.forms["phi"]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(closed_perturbation(), st.sampled_from([1.0, -1.0]))
+    def test_closed_perturbations(self, case, orientation):
+        algebra, v = case
+        _assert_scal_from_torsion(G2Structure(algebra, KForm.from_vector(7, 3, orientation * v)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(positive_3form_strategy(), st.sampled_from(G2_NAMES),
+           st.floats(min_value=-2.0, max_value=2.0), st.sampled_from([1.0, -1.0]))
+    def test_generic_perturbations(self, phi, name, log10_scale, orientation):
+        G = G2Structure(catalog(name).algebra, (orientation * 10.0 ** log10_scale) * phi)
+        _assert_scal_from_torsion(G)
 
 
 class TestSoliton:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
 from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, _complement_dense,
-                            _complement_gather, _complement_of_compound, _compound_dense,
+                            _complement_gather, _complement_of_compound, _compound_apply,
+                            _compound_dense,
                             _compound_of_complement, _dense, _dense_tables, complement_data,
                             form_inner, hodge_star, interior, multi_indices, standard_volume,
                             wedge, wedge_matrix, wedge_table)
@@ -302,6 +303,27 @@ def test_complement_tables_are_the_two_step_path(dim):
         t = _dense(rng.standard_normal(len(perm)), dim, degree)
         gathered = _compound_dense(M, t, degree)[_dense_tables(dim, degree)[3]]
         assert np.array_equal(_complement_of_compound(M, t, degree), sign * gathered[perm])
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_compound_results_are_the_gathered_tensor(dim):
+    """`_compound_apply` and `_compound_of_complement` equal the compound's
+    dense tensor gathered back through `_dense_tables`, bit for bit, in every
+    degree; in degrees 0 and 1, where they skip it, that gather is the identity."""
+    rng = np.random.default_rng(100 + dim)
+    a = rng.standard_normal((dim, dim))
+    M = a @ a.T + np.eye(dim)
+    for degree in range(dim + 1):
+        v = rng.standard_normal(len(multi_indices(dim, degree)))
+        flat = _dense_tables(dim, degree)[3]
+        assert np.array_equal(_compound_apply(M, v, degree),
+                              _compound_dense(M, _dense(v, dim, degree), degree)[flat])
+        flat = _dense_tables(dim, dim - degree)[3]
+        assert np.array_equal(_compound_of_complement(M, v, degree),
+                              _compound_dense(M, _complement_dense(v, dim, degree),
+                                              dim - degree)[flat])
+    for degree in (0, 1):
+        assert np.array_equal(_dense_tables(dim, degree)[3], np.arange(dim ** degree))
 
 
 @pytest.mark.parametrize("dim", range(1, 8))

@@ -23,7 +23,7 @@ from g2lab.g2core import (G2Structure, PositivityError, _closed_phi_laplacian, p
 from g2lab.inputfmt import parse_document
 from g2lab.liealg import ce_diff
 
-from conftest import positive_3form_strategy
+from conftest import CLOSED_CATALOG, closed_perturbation, positive_3form_strategy
 from oracles import brute_hodge, dense, metric_star_laplacian, perm_sign
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -198,24 +198,6 @@ class TestPhiLaplacianKernel:
         assert len(builds) == 1  # the counter sees a build
 
 
-_CLOSED_CATALOG = ("std_g2", "n2", "n4", "n6", "n12_modified_basis")
-
-
-@st.composite
-def closed_perturbation(draw):
-    """(algebra, phi + eps d beta): a closed catalog form moved along the exact
-    3-forms, |eps d beta| at most a tenth of |phi| so that it stays positive."""
-    entry = catalog(draw(st.sampled_from(_CLOSED_CATALOG[1:])))
-    d2 = entry.algebra.diff_matrix(2)
-    beta = np.array(draw(st.lists(st.floats(min_value=-1.0, max_value=1.0, width=32),
-                                  min_size=d2.shape[1], max_size=d2.shape[1])))
-    phi, dbeta = entry.forms["phi"].to_vector(), d2 @ beta
-    size = np.linalg.norm(dbeta)
-    if size > 0:
-        phi = phi + draw(st.floats(min_value=0.0, max_value=0.1)) * np.linalg.norm(phi) * dbeta / size
-    return entry.algebra, phi
-
-
 def _jacobian_norm(algebra, v, step=1e-6):
     """Frobenius norm of the central-difference Jacobian of the closed kernel,
     an upper bound on its spectral norm: the local Lipschitz constant."""
@@ -225,7 +207,7 @@ def _jacobian_norm(algebra, v, step=1e-6):
 
 
 class TestClosedKernel:
-    @pytest.mark.parametrize("name", _CLOSED_CATALOG)
+    @pytest.mark.parametrize("name", CLOSED_CATALOG)
     @pytest.mark.parametrize("scale", [1.0, -1.0])
     def test_catalog_bit_equal_to_full_laplacian(self, name, scale):
         # d phi = 0 exactly, so the delta d phi half adds zeros (other scales of
@@ -487,7 +469,7 @@ class TestSampledStates:
     """The flow's sampled diagnostics against formulas that share no code with
     `flow._state`: `torsion_forms` for tau2 and Bryant's scal = -|tau2|^2 / 2."""
 
-    @pytest.mark.parametrize("name", _CLOSED_CATALOG)
+    @pytest.mark.parametrize("name", CLOSED_CATALOG)
     @pytest.mark.parametrize("scale", [1.0, -1.0, 0.5, 3.0])
     def test_catalog(self, name, scale):
         entry = catalog(name)

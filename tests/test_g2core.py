@@ -3,15 +3,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import g2lab.g2core as g2core
 from g2lab.catalog import catalog
+from g2lab.curvature import einstein_calibrated_residual, scal_from_torsion
 from g2lab.exterior import (KForm, Metric, form_inner, hodge_star, multi_indices,
                             standard_volume, wedge)
-from g2lab.g2core import (G2Structure, PositivityError, TorsionForms, classify,
-                          gram_matrix_from_phi, lambda2_14_basis, lambda3_27_basis, lee_form,
-                          metric_from_phi, torsion_forms)
+from g2lab.g2core import (G2Structure, PositivityError, TorsionForms, TorsionSolveError,
+                          classify, gram_matrix_from_phi, lambda2_14_basis, lambda3_27_basis,
+                          lee_form, metric_from_phi, torsion_forms)
+from g2lab.inputfmt import parse_document
 from g2lab.liealg import ce_diff
 
-from conftest import positive_3form_strategy
+from conftest import basis_changed_document, positive_3form_strategy
 from oracles import brute_hodge, brute_wedge, fraction_det, lstsq_torsion
 
 G2_CATALOG = ("std_g2", "n2", "n4", "n6", "n12_modified_basis", "s_ext_h2")
@@ -318,3 +321,67 @@ class TestClassify:
         c1 = classify(torsion_forms(G1), tol=1e-7)
         c2 = classify(torsion_forms(G2), tol=1e-7)
         assert c1.label == c2.label
+
+
+def _basis_changed_n12():
+    """n12_modified_basis in an ill-conditioned basis: the two tau1 formulas
+    disagree by ~1.7e-5 (see `conftest.basis_changed_document`)."""
+    doc = parse_document(basis_changed_document("n12_modified_basis", 2123))
+    return G2Structure(doc.algebra, doc.forms["phi"])
+
+
+def _same_forms(a, b):
+    return (a.tau0 == b.tau0 and a.residual == b.residual
+            and a.tau1_consistency == b.tau1_consistency
+            and all(np.array_equal(getattr(a, k).to_vector(), getattr(b, k).to_vector())
+                    for k in ("tau1", "tau2", "tau3")))
+
+
+class TestTorsionOncePerStructure:
+    def test_one_computation_per_structure(self, monkeypatch):
+        calls = []
+
+        def counting(structure):
+            calls.append(structure)
+            return torsion_impl(structure)
+
+        torsion_impl = g2core._torsion
+        monkeypatch.setattr(g2core, "_torsion", counting)
+        G = G2Structure(N2.algebra, N2.forms["phi"])
+        t = torsion_forms(G)
+        scal_from_torsion(G)
+        einstein_calibrated_residual(G)
+        classify(torsion_forms(G))
+        assert calls == [G]
+        assert torsion_forms(G) is t
+        assert _same_forms(t, torsion_impl(G2Structure(N2.algebra, N2.forms["phi"])))
+
+    def test_loose_then_tight_raises(self):
+        G = _basis_changed_n12()
+        t = torsion_forms(G, tau1_tol=1.0)
+        assert 1e-8 < t.tau1_consistency < 1.0
+        with pytest.raises(TorsionSolveError, match=f"by {t.tau1_consistency:.3e}$"):
+            torsion_forms(G)
+        with pytest.raises(TorsionSolveError):
+            torsion_forms(G, tau1_tol=t.tau1_consistency / 2.0)
+        assert torsion_forms(G, tau1_tol=t.tau1_consistency) is t
+
+    def test_tight_then_loose_returns_the_same_forms(self):
+        G = _basis_changed_n12()
+        with pytest.raises(TorsionSolveError):
+            torsion_forms(G)
+        assert _same_forms(torsion_forms(G, tau1_tol=1.0),
+                           torsion_forms(_basis_changed_n12(), tau1_tol=1.0))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12])
+    def test_rejects_bad_tau1_tol(self, tol, catalog_structures):
+        with pytest.raises(ValueError, match=f"tau1_tol must be finite and non-negative, "
+                                             f"got {tol}"):
+            torsion_forms(catalog_structures["n2"], tau1_tol=tol)
+
+    @pytest.mark.parametrize("name", G2Structure.__slots__ + ("x",))
+    def test_immutable(self, name):
+        G = G2Structure(N2.algebra, N2.forms["phi"])
+        torsion_forms(G)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(G, name, None)

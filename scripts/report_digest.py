@@ -12,7 +12,8 @@ checks on n2, n12_modified_basis and n6, short flows from dense closed
 perturbations of n4's and n12_modified_basis's forms (written to the scratch
 directory, not to the corpus; the second has |d phi| at roundoff, not 0), and
 a set of failing inputs, among them n12_modified_basis and h2 in
-ill-conditioned bases, whose two tau1 equations disagree. It
+ill-conditioned bases, whose two tau1 equations disagree, and oracle mode on a
+corpus file, which has no closed-form solution. It
 writes `{argv: [exit code, stdout]}`; an exception that escapes `cli.main`
 is recorded as exit code 1, as the interpreter would exit, and named on
 stderr. Scratch files live in a temporary directory written `<tmp>` in the
@@ -43,6 +44,8 @@ FLOW_ARGS = ["--t-end", "0.2", "--dt", "0.01", "--sample-every", "5"]
 DENSE_FLOWS = {"n4": 4, "n12_modified_basis": 12}
 #: catalog name -> seed of a basis change under which the tau1 equations disagree
 BASIS_CHANGES = {"n12_modified_basis": 2123, "h2": 644}
+#: a file input, for which oracle mode has no closed-form solution
+ORACLE_FILE = "corpus/valid/n2.g2"
 
 
 def commands(names, files):
@@ -78,6 +81,8 @@ def commands(names, files):
         ["torsion", "<tmp>/n12_modified_basis_basis_changed.g2"],
         ["einstein", "<tmp>/n12_modified_basis_basis_changed.g2"],
         ["su3", "<tmp>/h2_basis_changed.g2"],
+        ["flow", ORACLE_FILE, "--oracle", "--out", "<tmp>/oracle.csv"],
+        ["oracle", ORACLE_FILE],
     ]
 
 

@@ -25,14 +25,12 @@ from .curvature import (einstein_calibrated_residual, einstein_residual, ricci,
 from .exterior import KForm, Metric
 from .flow import (FlowOptions, closed_form_n2, closed_form_n2_velocity,
                    closed_form_n12, closed_form_n12_velocity, flow_integrate,
-                   hodge_laplacian, oracle_residual)
-from .g2core import (G2Structure, PositivityError, TorsionSolveError, classify,
-                     lee_form, torsion_forms)
+                   oracle_residual)
+from .g2core import (VANISH_TOL, G2Structure, PositivityError, TorsionSolveError, classify,
+                     lee_form, phi_laplacian, torsion_forms)
 from .inputfmt import ParseError, format_document, parse_document
 from .liealg import jacobi_residual
 from .su3 import SU3Structure, g2_product, su3_classify
-
-DEFAULT_TOL = 1e-8
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -88,9 +86,8 @@ def _jsonify(value):
     return value
 
 
-def emit(report, stream=None):
-    print(json.dumps(_jsonify(report), indent=2, cls=_ReportEncoder),
-          file=stream or sys.stdout)
+def emit(report):
+    print(json.dumps(_jsonify(report), indent=2, cls=_ReportEncoder))
 
 
 def _body(doc, source, results=None, residuals=None, **tolerances):
@@ -150,7 +147,10 @@ def _chosen_metric(doc, args):
 
 
 def _oracle(name, choices):
-    """(solution, velocity) of the closed-form flow on catalog entry `name`."""
+    """(solution, velocity) of the closed-form flow on catalog entry `name`;
+    a file input (no name) has none."""
+    if name is None:
+        raise ValidationFailure("oracle mode needs --catalog with one of " + ", ".join(_ORACLES))
     if name not in _ORACLES:
         raise ValidationFailure(
             f"no closed-form solution for {name!r}; {choices} " + ", ".join(_ORACLES))
@@ -325,6 +325,7 @@ def cmd_su3(args, tol):
 def cmd_flow(args, tol):
     doc, source = _load(args.catalog, args.input)
     phi0 = _get_form(doc, args.form, degree=3)
+    solution = _oracle(args.catalog, "oracle mode supports")[0] if args.oracle else None
     options = FlowOptions(sample_every=args.sample_every, closedness_tol=max(tol, 1e-10))
     try:
         trajectory = flow_integrate(doc.algebra, phi0, args.t_end, args.dt, options)
@@ -344,7 +345,6 @@ def cmd_flow(args, tol):
     }
     residuals = {"final_closedness": final.diagnostics["closedness"]}
     if args.oracle:
-        solution, _ = _oracle(args.catalog, "oracle mode supports")
         deviation = max((state.phi - solution(state.t)).sup_norm()
                         for state in trajectory.states)
         results["oracle_max_deviation"] = deviation
@@ -362,7 +362,7 @@ def cmd_oracle(args, tol):
         residuals = oracle_residual(doc.algebra, solution, velocity, times)
     except ValueError as exc:
         raise ValidationFailure(f"bad --times {args.times}: {exc}") from exc
-    lap0 = hodge_laplacian(G2Structure(doc.algebra, solution(times[0])))
+    lap0 = KForm.from_vector(7, 3, phi_laplacian(doc.algebra, solution(times[0]).to_vector()))
     results = {
         "times": times,
         "ode_residuals": {repr(t): r for t, r in residuals.items()},
@@ -439,10 +439,10 @@ def build_parser():
 
 
 def _tolerance(arg):
-    """--tol, else G2_TOL, else DEFAULT_TOL; it must be a finite number >= 0."""
+    """--tol, else G2_TOL, else VANISH_TOL; it must be a finite number >= 0."""
     source, text = ("--tol", arg) if arg is not None else ("G2_TOL", os.environ.get("G2_TOL"))
     try:
-        tol = float(text) if text or arg is not None else DEFAULT_TOL
+        tol = float(text) if text or arg is not None else VANISH_TOL
         if 0 <= tol < np.inf:
             return tol
     except ValueError:

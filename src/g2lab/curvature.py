@@ -13,10 +13,8 @@ import numpy as np
 
 from .exterior import (KForm, _compound_apply, _dense, _star, form_inner, index_positions,
                        multi_indices)
-from .g2core import classify, torsion_forms
-from .liealg import LieAlgebra, ce_diff, derivation_residual, derivation_space
-
-SOLITON_CUTOFF = 1e-10
+from .g2core import VANISH_TOL, classify, torsion_forms
+from .liealg import _RANK_CUTOFF, LieAlgebra, ce_diff, derivation_residual, derivation_space
 
 
 def levi_civita(algebra, metric):
@@ -129,7 +127,7 @@ class SolitonCertificate:
         return np.diag(self.derivation).copy()
 
 
-def soliton_solve(algebra, metric, cutoff=SOLITON_CUTOFF):
+def soliton_solve(algebra, metric):
     """Least-squares solve of Ric = lambda I + D over span{I} + derivations.
 
     Rank deficiency (abelian algebras, where I itself is a derivation) is
@@ -137,9 +135,9 @@ def soliton_solve(algebra, metric, cutoff=SOLITON_CUTOFF):
     """
     n = algebra.dim
     ric_op = ricci_operator(algebra, metric)
-    ders = derivation_space(algebra, cutoff=cutoff)
+    ders = derivation_space(algebra)
     A = np.column_stack([np.eye(n).reshape(-1)] + [d.reshape(-1) for d in ders])
-    x, *_ = np.linalg.lstsq(A, ric_op.reshape(-1), rcond=cutoff)
+    x, *_ = np.linalg.lstsq(A, ric_op.reshape(-1), rcond=_RANK_CUTOFF)
     lam = float(x[0])
     D = (A[:, 1:] @ x[1:]).reshape(n, n)
     residual = float(np.linalg.norm(ric_op - lam * np.eye(n) - D))
@@ -153,7 +151,7 @@ def soliton_solve(algebra, metric, cutoff=SOLITON_CUTOFF):
     return SolitonCertificate(lam, D, residual, label)
 
 
-def einstein_calibrated_residual(structure, tol=1e-8):
+def einstein_calibrated_residual(structure, tol=VANISH_TOL):
     """Residual of d tau2 = 3/14 |tau2|^2 phi + 1/2 star(tau2 ^ tau2).
 
     Defined for calibrated structures only; vanishing is equivalent to the
@@ -171,7 +169,7 @@ def einstein_calibrated_residual(structure, tol=1e-8):
     return float(np.sqrt(max(form_inner(g, diff, diff), 0.0)))
 
 
-def rank_one_extension(algebra, D, tol=1e-10):
+def rank_one_extension(algebra, D):
     """Extend by one dimension with the new generator acting by the derivation D.
 
     The dual structure equations gain transport terms against e^{n+1}:
@@ -182,7 +180,7 @@ def rank_one_extension(algebra, D, tol=1e-10):
     if D.shape != (n, n):
         raise ValueError(f"derivation must be {n}x{n}")
     res = derivation_residual(algebra, D)
-    if res > tol:
+    if res > 1e-10:
         raise ValueError(f"matrix is not a derivation (residual {res:.3e})")
     # row i: d e^i at its embedded positions plus the transport terms at e^{j,n+1}
     pos = index_positions(n + 1, 2)

@@ -486,29 +486,13 @@ def _star(vec, degree, metric):
     return _compound_of_complement(metric.g, vec, degree) / metric.sqrt_det
 
 
-def _orientation_sign(dim, orientation_volume):
-    if orientation_volume is None:
-        return 1.0
-    if orientation_volume.dim != dim or orientation_volume.degree != dim:
-        raise ValueError("orientation volume must be a top-degree form of the same dimension")
-    c = orientation_volume.coefficient(tuple(range(1, dim + 1)))
-    if c == 0.0:
-        raise ValueError("orientation volume must be nonzero")
-    return 1.0 if c > 0 else -1.0
-
-
-def hodge_star(metric, a, orientation_volume=None):
-    """Hodge star of a k-form: a ^ star(b) = <a, b> dV.
-
-    dV = sqrt(det g) e^{1..n}, possibly reoriented by orientation_volume's sign.
-    """
+def hodge_star(metric, a):
+    """Hodge star of a k-form: a ^ star(b) = <a, b> dV, dV = sqrt(det g) e^{1..n}."""
     if metric.dim != a.dim:
         raise ValueError(f"dimension mismatch: metric {metric.dim}, form {a.dim}")
     if not metric.positive_definite:
         raise ValueError("metric is not positive definite")
-    orient = _orientation_sign(a.dim, orientation_volume)
-    star = _star(a.to_vector(), a.degree, metric)
-    return KForm.from_vector(a.dim, a.dim - a.degree, orient * star)
+    return KForm.from_vector(a.dim, a.dim - a.degree, _star(a.to_vector(), a.degree, metric))
 
 
 def form_inner(metric, a, b):

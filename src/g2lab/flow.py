@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exterior import KForm, _compound_apply, multi_indices
-from .g2core import G2Structure, PositivityError, _closed_phi_laplacian
+from .g2core import PositivityError, _closed_phi_laplacian, phi_laplacian
 from .curvature import scalar_curvature
 
 MAX_STEPS = 10_000_000
@@ -51,7 +51,6 @@ def hodge_laplacian(structure):
 class FlowOptions:
     sample_every: int = 10
     closedness_tol: float = 1e-8
-    max_steps: int = MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,8 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
                          f"got {options.closedness_tol}")
     ratio = t_end / dt  # may overflow although both are finite
     n_steps = max(1, math.ceil(ratio - 1e-12)) if math.isfinite(ratio) else math.inf
-    if n_steps > options.max_steps:
-        raise ValueError(f"{n_steps} steps exceed the cap of {options.max_steps}")
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"{n_steps} steps exceed the cap of {MAX_STEPS}")
 
     vec = phi0.to_vector()
     d3 = algebra.diff_matrix(3)
@@ -225,7 +224,6 @@ def oracle_residual(algebra, solution, velocity, times):
     """sup-norm residuals || d/dt phi(t) - Delta phi(t) || at the given times."""
     out = {}
     for t in times:
-        phi = solution(t)
-        lap = hodge_laplacian(G2Structure(algebra, phi))
+        lap = KForm.from_vector(7, 3, phi_laplacian(algebra, solution(t).to_vector()))
         out[t] = (velocity(t) - lap).sup_norm()
     return out

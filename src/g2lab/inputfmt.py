@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 
 from .exterior import KForm
@@ -43,7 +43,6 @@ class ParseError(Exception):
 class InputDocument:
     algebra: LieAlgebra
     forms: dict
-    options: dict = field(default_factory=dict)
 
 
 _TOKEN_RE = re.compile(r"""

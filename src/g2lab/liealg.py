@@ -17,6 +17,10 @@ import numpy as np
 
 from .exterior import KForm, hodge_star, interior_table, multi_indices, wedge_table
 
+#: Relative singular-value cutoff of every rank decision: null spaces, the lower
+#: central series and the soliton least-squares solve.
+_RANK_CUTOFF = 1e-10
+
 
 class LieAlgebra:
     __slots__ = ("dim", "dual_differential", "bracket", "name", "_diff")
@@ -68,11 +72,11 @@ class LieAlgebra:
         return np.einsum("ijk,i,j->k", self.bracket, np.asarray(x, float),
                          np.asarray(y, float))
 
-    def is_unimodular(self, tol=1e-12):
+    def is_unimodular(self):
         traces = np.einsum("ijj->i", self.bracket)
-        return bool(np.all(np.abs(traces) <= tol))
+        return bool(np.all(np.abs(traces) <= 1e-12))
 
-    def lower_central_series_dims(self, tol=1e-10):
+    def lower_central_series_dims(self):
         """Dimensions of g >= [g,g] >= [g,[g,g]] >= ... until it stabilizes."""
         n = self.dim
         current = np.eye(n)
@@ -80,7 +84,7 @@ class LieAlgebra:
         while True:
             prods = np.einsum("ijk,ja->iak", self.bracket, current).reshape(n * current.shape[1], n)
             _, s, vh = np.linalg.svd(prods, full_matrices=False)
-            rank = int((s > tol * max(1.0, s[0])).sum())
+            rank = int((s > _RANK_CUTOFF * max(1.0, s[0])).sum())
             dims.append(rank)
             if rank == 0 or rank == dims[-2]:
                 break
@@ -159,17 +163,17 @@ def _derivation_equations(algebra):
     return eqs.reshape(len(i) * n, n * n)
 
 
-def _null_space(mat, cutoff=1e-10):
+def _null_space(mat):
     """Orthonormal null-space basis of `mat` as rows, with singular-value cutoff
-    `cutoff * max(s0, 1)`; the SVD is full when a thin one would lose null vectors."""
+    `_RANK_CUTOFF * max(s0, 1)`; the SVD is full when a thin one would lose null vectors."""
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    return vh[int((s > cutoff * max(s[0] if s.size else 0.0, 1.0)).sum()):]
+    return vh[int((s > _RANK_CUTOFF * max(s[0] if s.size else 0.0, 1.0)).sum()):]
 
 
-def derivation_space(algebra, cutoff=1e-10):
+def derivation_space(algebra):
     """Orthonormal basis of the space of derivations, as n x n matrices: the null
     space of the derivation equations, which are linear in the entries of D."""
     n = algebra.dim
     eqs = _derivation_equations(algebra)
     eqs = eqs[np.any(eqs, axis=1)]  # a zero row constrains nothing
-    return [v.reshape(n, n) for v in _null_space(eqs, cutoff)]
+    return [v.reshape(n, n) for v in _null_space(eqs)]

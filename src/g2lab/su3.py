@@ -14,7 +14,7 @@ import numpy as np
 from .exterior import (KForm, Metric, _dense, _dense_tables, complement_data, interior_table,
                        wedge, wedge_matrix)
 from .curvature import rank_one_extension
-from .g2core import G2Structure
+from .g2core import VANISH_TOL, G2Structure
 from .liealg import ce_diff
 
 
@@ -124,7 +124,7 @@ class SU3Class:
     residuals: dict
 
 
-def su3_classify(structure, tol=1e-8):
+def su3_classify(structure, tol=VANISH_TOL):
     """Detect half-flat / coupled / symplectic half-flat / nearly Kahler.
 
     Half-flat: d(omega^2) = 0 and d psi = 0.  The constant c of

@@ -1,3 +1,4 @@
+import inspect
 import json
 import pathlib
 import re
@@ -9,7 +10,9 @@ import pytest
 
 from g2lab.catalog import catalog_names
 from g2lab.cli import main
-from g2lab.g2core import G2Structure
+from g2lab.curvature import einstein_calibrated_residual
+from g2lab.g2core import VANISH_TOL, G2Structure, classify
+from g2lab.su3 import su3_classify
 
 from conftest import basis_changed_document
 
@@ -279,7 +282,7 @@ class TestFailuresAreReports:
         assert report["error"] == f"bad G2_TOL {value!r}: expected a finite number >= 0"
 
     @pytest.mark.parametrize("env, option, want", [
-        (None, None, 1e-8), ("", None, 1e-8), ("1e-3", None, 1e-3),
+        (None, None, VANISH_TOL), ("", None, VANISH_TOL), ("1e-3", None, 1e-3),
         ("abc", "0", 0.0), (None, "2.5e-4", 2.5e-4)])
     def test_tolerance_sources(self, capsys, monkeypatch, env, option, want):
         if env is None:
@@ -311,6 +314,26 @@ class TestFlowCommand:
         header = out.read_text().splitlines()[0]
         assert header.startswith("t,phi_123,")
 
+    @pytest.mark.parametrize("source, error", [
+        (["--catalog", "n4"], "no closed-form solution for 'n4'; oracle mode supports "
+                              "n2, n12_modified_basis"),
+        ([str(REPO / "corpus" / "valid" / "n2.g2")],
+         "oracle mode needs --catalog with one of n2, n12_modified_basis")],
+        ids=["catalog", "file"])
+    def test_oracle_without_solution_fails_before_the_flow(self, capsys, tmp_path, source,
+                                                           error):
+        out = tmp_path / "traj.csv"
+        code, report = run_cli(capsys, "flow", *source, "--t-end", "0.02", "--dt", "0.01",
+                               "--out", str(out), "--oracle")
+        assert code == 2
+        assert report["error"] == error
+        assert not out.exists()
+
+    def test_oracle_command_on_a_file(self, capsys):
+        code, report = run_cli(capsys, "oracle", str(REPO / "corpus" / "valid" / "n2.g2"))
+        assert code == 2
+        assert report["error"] == "oracle mode needs --catalog with one of n2, n12_modified_basis"
+
     def test_flow_rejects_non_closed(self, capsys, tmp_path):
         doc = tmp_path / "open.g2"
         doc.write_text("algebra { dim 7 d e7 = e12 }\n"
@@ -318,6 +341,19 @@ class TestFlowCommand:
         code, report = run_cli(capsys, "flow", str(doc), "--t-end", "0.1", "--dt", "0.01")
         assert code == 2
         assert "not closed" in report["error"]
+
+
+class TestVanishingTolerance:
+    def test_help_text_names_the_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        default = re.search(r"overrides G2_TOL; default (\S+)\)", help_text).group(1)
+        assert (default, float(default)) == ("1e-8", VANISH_TOL)
+
+    @pytest.mark.parametrize("fn", [classify, su3_classify, einstein_calibrated_residual])
+    def test_library_defaults(self, fn):
+        assert inspect.signature(fn).parameters["tol"].default == VANISH_TOL
 
 
 class TestFloatPrecision:

@@ -14,7 +14,7 @@ import g2lab.g2core as g2core_mod
 from g2lab.catalog import catalog
 from g2lab.exterior import (PRUNE_TOL, KForm, _complement_dense, _complement_gather,
                             _compound_dense, _dense, _dense_tables)
-from g2lab.flow import (CSV_COLUMNS, FlowOptions, closed_form_n2,
+from g2lab.flow import (CSV_COLUMNS, MAX_STEPS, FlowOptions, closed_form_n2,
                         closed_form_n2_velocity, closed_form_n12,
                         closed_form_n12_velocity, flow_integrate, hodge_laplacian,
                         oracle_residual)
@@ -524,6 +524,26 @@ class TestClosedFormSolutions:
         res = oracle_residual(N12M, closed_form_n12, closed_form_n12_velocity, [t])
         assert res[t] < 1e-9
 
+    @pytest.mark.parametrize("algebra, solution, velocity", [
+        (N2, closed_form_n2, closed_form_n2_velocity),
+        (N12M, closed_form_n12, closed_form_n12_velocity)], ids=["n2", "n12"])
+    def test_oracle_residual_builds_no_structure(self, monkeypatch, algebra, solution,
+                                                 velocity):
+        times = [0.0, 0.5, 1.0, 10.0, 100.0]
+        builds, real_init = [], G2Structure.__init__
+
+        def counted_init(self, algebra, phi):
+            builds.append(None)
+            real_init(self, algebra, phi)
+
+        monkeypatch.setattr(G2Structure, "__init__", counted_init)
+        res = oracle_residual(algebra, solution, velocity, times)
+        assert builds == []
+        # bit-equal to the residual through a G2Structure's Laplacian
+        assert res == {t: (velocity(t) - hodge_laplacian(G2Structure(algebra, solution(t))))
+                       .sup_norm() for t in times}
+        assert len(builds) == len(times)  # the counter sees the builds
+
     def test_torsion_norm_decreases(self):
         from g2lab.g2core import torsion_forms
         norms = []
@@ -580,9 +600,10 @@ class TestIntegration:
             flow_integrate(STD.algebra, closed_but_degenerate, 1.0, 1e-2)
 
     def test_step_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            flow_integrate(N2, closed_form_n2(0.0), 1.0, 1e-9,
-                           FlowOptions(max_steps=1000))
+        # t = 1 at dt = 1e-9 is 10^9 steps, above the fixed cap
+        assert MAX_STEPS < 10 ** 9
+        with pytest.raises(ValueError, match=f"^1000000000 steps exceed the cap of {MAX_STEPS}$"):
+            flow_integrate(N2, closed_form_n2(0.0), 1.0, 1e-9)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("name", ["t_end", "dt"])

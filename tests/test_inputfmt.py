@@ -46,11 +46,6 @@ class TestParse:
         doc = parse_document("algebra { dim 7 } form f { - e12 + e13 }")
         assert doc.forms["f"].coefficient((1, 2)) == -1.0
 
-    def test_options_default_empty(self):
-        doc = parse_document("algebra { dim 7 }")
-        assert isinstance(doc, InputDocument)
-        assert doc.options == {}
-
 
 class TestParseErrors:
     @pytest.mark.parametrize("text,fragment", [

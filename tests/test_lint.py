@@ -76,3 +76,108 @@ def test_detects_unused_private_names():
     }
     assert unused_private_names(sources) == [
         ("a.py", 2, "_SPARE"), ("a.py", 3, "_x"), ("a.py", 6, "_dead"), ("a.py", 9, "_Unused")]
+
+
+ROOT = SRC.parent.parent
+CALLER_DIRS = ("src", "tests", "scripts", "perfbench")
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _defaulted(func, skip_first):
+    """(position or None, name) of the defaulted parameters of `func`; keyword-only
+    ones have no position, and `skip_first` drops self or cls from the count."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i - skip_first, a.arg) for i, a in enumerate(positional) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def settable_defaults(source):
+    """(line, callee, label, position, name) of each defaulted value of `source` a
+    caller may set: parameters of public module-level functions, of the methods and
+    `__init__` of classes without base classes (called as the class), and dataclass
+    fields with a default (set through the class)."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out += [(node.lineno, node.name, f"{node.name}({name})", pos, name)
+                    for pos, name in _defaulted(node, 0)]
+        elif isinstance(node, ast.ClassDef) and not node.bases:
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            if _is_dataclass(node):
+                out += [(item.lineno, node.name, f"{node.name}.{item.target.id}", i,
+                         item.target.id)
+                        for i, item in enumerate(fields) if item.value is not None]
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or (
+                        item.name.startswith("__") and item.name != "__init__"):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in item.decorator_list)
+                callee = node.name if item.name == "__init__" else item.name
+                out += [(item.lineno, callee, f"{node.name}.{item.name}({name})", pos, name)
+                        for pos, name in _defaulted(item, 0 if static else 1)]
+    return out
+
+
+def supplied(sources):
+    """{callee: (positions, keywords)} over the calls in `sources`: how many
+    arguments some call passes by position, and which by keyword; a * or **
+    argument counts as supplying every position or keyword."""
+    calls = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            positions, keywords = calls.setdefault(callee, [0, set()])
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls[callee][0] = max(positions, float("inf") if starred else len(node.args))
+            keywords.update(k.arg or "**" for k in node.keywords)
+    return calls
+
+
+def uncalled_defaults(definitions, callers):
+    """(module, line, label) of the settable defaults of `definitions`
+    ({module: source}) that no call in `callers` sets."""
+    calls = supplied(callers)
+    out = []
+    for module, source in definitions.items():
+        for line, callee, label, pos, name in settable_defaults(source):
+            positions, keywords = calls.get(callee, (0, set()))
+            if not (pos is not None and pos < positions or name in keywords
+                    or "**" in keywords):
+                out.append((module, line, label))
+    return sorted(out)
+
+
+def test_every_default_has_a_caller():
+    definitions = {p.name: p.read_text() for p in MODULES}
+    callers = [p.read_text() for d in CALLER_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
+    assert uncalled_defaults(definitions, callers) == []
+
+
+def test_detects_uncalled_defaults():
+    definitions = {"a.py": (
+        "def f(x, tol=1.0, cutoff=2.0, *, scale=3.0):\n    pass\n"
+        "def g(x, y=1):\n    pass\n"
+        "def _private(x, y=1):\n    pass\n"
+        "class C:\n"
+        "    def __init__(self, a, b=2):\n        pass\n"
+        "    def m(self, a=1, b=2):\n        pass\n"
+        "    @staticmethod\n    def s(a=1):\n        pass\n"
+        "    def __eq__(self, other=None):\n        pass\n"
+        "class E(Exception):\n    def __init__(self, msg=''):\n        pass\n"
+        "@dataclass(frozen=True)\nclass D:\n    x: int\n    y: int = 1\n    z: int = 2\n")}
+    callers = ["f(1, 2)\nf(1, scale=4)\nh(*args)\nC(1)\nobj.m(b=3)\nobj.s(1)\n"
+               "D(0, 1)\ng(x=1, **extra)\n"]
+    assert uncalled_defaults(definitions, callers) == [
+        ("a.py", 1, "f(cutoff)"), ("a.py", 8, "C.__init__(b)"), ("a.py", 10, "C.m(a)"),
+        ("a.py", 24, "D.z")]

@@ -46,6 +46,7 @@ def test_report_digest_runs_and_diffs(tmp_path):
     reports = json.loads(record.read_text())
     assert reports["classify --catalog n2"][0] == 0
     assert reports["check <tmp>/missing.g2"][0] == 2
+    assert reports["oracle corpus/valid/n2.g2"][0] == 2
 
     proc = _run_script("report_digest.py", "--diff", str(record), str(record))
     assert proc.returncode == 0, proc.stderr

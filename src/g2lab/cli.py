@@ -146,14 +146,14 @@ def _chosen_metric(doc, args):
     return Metric.identity(doc.algebra.dim), "identity", None
 
 
-def _oracle(name, choices):
+def _oracle(name):
     """(solution, velocity) of the closed-form flow on catalog entry `name`;
     a file input (no name) has none."""
     if name is None:
         raise ValidationFailure("oracle mode needs --catalog with one of " + ", ".join(_ORACLES))
     if name not in _ORACLES:
         raise ValidationFailure(
-            f"no closed-form solution for {name!r}; {choices} " + ", ".join(_ORACLES))
+            f"no closed-form solution for {name!r}; oracle mode supports " + ", ".join(_ORACLES))
     return _ORACLES[name]
 
 
@@ -325,7 +325,7 @@ def cmd_su3(args, tol):
 def cmd_flow(args, tol):
     doc, source = _load(args.catalog, args.input)
     phi0 = _get_form(doc, args.form, degree=3)
-    solution = _oracle(args.catalog, "oracle mode supports")[0] if args.oracle else None
+    solution = _oracle(args.catalog)[0] if args.oracle else None
     options = FlowOptions(sample_every=args.sample_every, closedness_tol=max(tol, 1e-10))
     try:
         trajectory = flow_integrate(doc.algebra, phi0, args.t_end, args.dt, options)
@@ -356,7 +356,7 @@ def cmd_flow(args, tol):
 
 def cmd_oracle(args, tol):
     doc, source = _load(args.catalog, args.input)
-    solution, velocity = _oracle(args.catalog, "choose one of")
+    solution, velocity = _oracle(args.catalog)
     try:
         times = [float(x) for x in args.times.split(",")]
         residuals = oracle_residual(doc.algebra, solution, velocity, times)

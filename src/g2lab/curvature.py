@@ -14,7 +14,7 @@ import numpy as np
 from .exterior import (KForm, _compound_apply, _dense, _star, form_inner, index_positions,
                        multi_indices)
 from .g2core import VANISH_TOL, classify, torsion_forms
-from .liealg import _RANK_CUTOFF, LieAlgebra, ce_diff, derivation_residual, derivation_space
+from .liealg import _RANK_CUTOFF, LieAlgebra, _derivation_basis, ce_diff, derivation_residual
 
 
 def levi_civita(algebra, metric):
@@ -22,6 +22,8 @@ def levi_civita(algebra, metric):
 
     2 <nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y> on basis triples.
     """
+    if metric.dim != algebra.dim:
+        raise ValueError(f"dimension mismatch: algebra {algebra.dim}, metric {metric.dim}")
     if not metric.positive_definite:
         raise ValueError("metric is not positive definite")
     bg = algebra.bracket @ metric.g
@@ -61,11 +63,16 @@ def scalar_curvature(algebra, metric):
     return float(np.trace(ricci_operator(algebra, metric)))
 
 
+def _einstein_gap(ric, metric):
+    """Spectral norm of the symmetric Ric - (Scal/n) g, Scal the g-trace of the
+    bilinear form `ric`: its largest |eigenvalue|, with no SVD."""
+    scal = float(np.trace(metric.inverse @ ric))
+    return float(np.abs(np.linalg.eigvalsh(ric - (scal / metric.dim) * metric.g)).max())
+
+
 def einstein_residual(algebra, metric):
     """Spectral norm of Ric - (Scal/n) g; zero exactly for Einstein metrics."""
-    ric = ricci(algebra, metric)
-    scal = float(np.trace(metric.inverse @ ric))
-    return float(np.linalg.norm(ric - (scal / algebra.dim) * metric.g, ord=2))
+    return _einstein_gap(ricci(algebra, metric), metric)
 
 
 def scal_from_torsion(structure):
@@ -104,9 +111,7 @@ def star_scal(structure):
 
 def star_einstein_residual(structure):
     """|| Ric* - (Scal*/7) g ||, the obstruction to the star-Einstein condition."""
-    ric = star_ricci(structure)
-    scal = float(np.trace(structure.metric.inverse @ ric))
-    return float(np.linalg.norm(ric - (scal / 7.0) * structure.metric.g, ord=2))
+    return _einstein_gap(star_ricci(structure), structure.metric)
 
 
 @dataclass(frozen=True)
@@ -128,18 +133,28 @@ class SolitonCertificate:
 
 
 def soliton_solve(algebra, metric):
-    """Least-squares solve of Ric = lambda I + D over span{I} + derivations.
+    """Least-squares fit of Ric = lambda I + D over span{I} + derivations.
 
-    Rank deficiency (abelian algebras, where I itself is a derivation) is
-    resolved by the minimum-norm solution.
+    The derivation basis V (rows of `_derivation_basis`) is orthonormal, so the
+    fit is a projection: with r = vec(Ric), a = V vec(I) and i_perp =
+    vec(I) - V^T a, lambda = <i_perp, r> / |i_perp|^2 and D = V^T V (r -
+    lambda vec(I)).  When I is itself a derivation (|i_perp| at most
+    `_RANK_CUTOFF` |vec(I)|, abelian algebras) the split is not unique and the
+    minimum-norm solution of the least-squares problem in (lambda, V-coordinates)
+    is taken: lambda = a . V r / (1 + |a|^2).
     """
     n = algebra.dim
     ric_op = ricci_operator(algebra, metric)
-    ders = derivation_space(algebra)
-    A = np.column_stack([np.eye(n).reshape(-1)] + [d.reshape(-1) for d in ders])
-    x, *_ = np.linalg.lstsq(A, ric_op.reshape(-1), rcond=_RANK_CUTOFF)
-    lam = float(x[0])
-    D = (A[:, 1:] @ x[1:]).reshape(n, n)
+    r, eye = ric_op.reshape(-1), np.eye(n).reshape(-1)
+    V = _derivation_basis(algebra)
+    a = V @ eye
+    i_perp = eye - a @ V
+    norm2 = float(i_perp @ i_perp)
+    if norm2 > _RANK_CUTOFF ** 2 * n:
+        lam = float(i_perp @ r) / norm2
+    else:
+        lam = float(a @ (V @ r)) / (1.0 + float(a @ a))
+    D = ((V @ (r - lam * eye)) @ V).reshape(n, n)
     residual = float(np.linalg.norm(ric_op - lam * np.eye(n) - D))
     scale = max(1.0, float(np.linalg.norm(ric_op)))
     if abs(lam) <= 1e-10 * scale:

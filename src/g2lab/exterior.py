@@ -47,6 +47,14 @@ def sort_with_sign(indices):
     return tuple(idx), sign
 
 
+def _read_only(*arrays):
+    """The arrays, made read-only, as a tuple: every cached table is shared by
+    all later callers, so a write into one would corrupt them all."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def multi_indices(dim, degree):
     """All strictly increasing index tuples of the given length, lexicographic."""
@@ -55,7 +63,8 @@ def multi_indices(dim, degree):
 
 @lru_cache(maxsize=None)
 def index_positions(dim, degree):
-    return {idx: p for p, idx in enumerate(multi_indices(dim, degree))}
+    """Read-only map from each tuple of `multi_indices(dim, degree)` to its position."""
+    return MappingProxyType({idx: p for p, idx in enumerate(multi_indices(dim, degree))})
 
 
 @lru_cache(maxsize=None)
@@ -63,7 +72,7 @@ def _index_arrays(dim, degree):
     # the 0-based tuples of multi_indices(dim, degree) as rows, and their bitmasks
     tuples = multi_indices(dim, degree)
     keys = np.array(tuples, dtype=np.intp).reshape(len(tuples), degree) - 1
-    return keys, (1 << keys).sum(axis=1)
+    return _read_only(keys, (1 << keys).sum(axis=1))
 
 
 @lru_cache(maxsize=None)
@@ -82,8 +91,8 @@ def wedge_table(dim, k, l):
     _, mout = _index_arrays(dim, k + l)
     out_pos = np.zeros(1 << dim, dtype=np.intp)
     out_pos[mout] = np.arange(len(mout))
-    return (ia, ib, out_pos[ma[ia] | mb[ib]],
-            np.where(inversions % 2 == 1, -1.0, 1.0))
+    return _read_only(ia, ib, out_pos[ma[ia] | mb[ib]],
+                      np.where(inversions % 2 == 1, -1.0, 1.0))
 
 
 def complement_data(dim, degree):
@@ -100,7 +109,7 @@ def _complement_gather(dim, degree):
     # (dim-degree)-tuples reading I = Jc, so the signed complement
     # sum_I sign(I, Ic) v_I e^Ic of a degree-k form v is the gather sign * v[perm]
     perm = complement_data(dim, dim - degree)[0]
-    return perm, complement_data(dim, degree)[1][perm]
+    return _read_only(perm, complement_data(dim, degree)[1][perm])
 
 
 def wedge_matrix(dim, k, l, vec_l):
@@ -124,7 +133,7 @@ def interior_table(dim, degree):
     iota_{e_i} e^I = sign e^J with J at `row` and I at `col`.  It is the transpose
     of e^J -> e^J ^ e^i (`wedge_table(dim, degree - 1, 1)`) times (-1)^{degree-1}."""
     row, i, col, sg = wedge_table(dim, degree - 1, 1)
-    return row, i, col, (-1.0) ** (degree - 1) * sg
+    return _read_only(row, i, col, (-1.0) ** (degree - 1) * sg)
 
 
 def _check_space(dim, degree):
@@ -387,9 +396,10 @@ def _dense_tables(dim, degree):
     perms = np.array(perms, dtype=np.intp).reshape(len(perms), degree)
     inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
     weights = dim ** np.arange(degree - 1, -1, -1, dtype=np.intp)
-    return (np.repeat(np.arange(len(keys), dtype=np.intp), len(perms)),
-            (keys[:, perms] @ weights).reshape(-1),
-            np.tile(np.where(inversions % 2 == 1, -1.0, 1.0), len(keys)), keys @ weights)
+    return _read_only(np.repeat(np.arange(len(keys), dtype=np.intp), len(perms)),
+                      (keys[:, perms] @ weights).reshape(-1),
+                      np.tile(np.where(inversions % 2 == 1, -1.0, 1.0), len(keys)),
+                      keys @ weights)
 
 
 @lru_cache(maxsize=None)
@@ -399,7 +409,7 @@ def _complement_dense_table(dim, degree):
     # scattered straight from the form
     perm, sign = _complement_gather(dim, degree)
     src, dst, sgn, _ = _dense_tables(dim, dim - degree)
-    return perm[src], dst, sgn * sign[src]
+    return _read_only(perm[src], dst, sgn * sign[src])
 
 
 @lru_cache(maxsize=None)
@@ -408,7 +418,7 @@ def _complement_flat_gather(dim, degree):
     # composed with the `_complement_gather` gather: the signed complement of
     # the k-form read straight from its tensor
     perm, sign = _complement_gather(dim, degree)
-    return _dense_tables(dim, degree)[3][perm], sign
+    return _read_only(_dense_tables(dim, degree)[3][perm], sign)
 
 
 def _scatter(vec, src, dst, sgn, size):

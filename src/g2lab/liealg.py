@@ -15,10 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import KForm, hodge_star, interior_table, multi_indices, wedge_table
+from .exterior import KForm, _read_only, hodge_star, interior_table, multi_indices, wedge_table
 
 #: Relative singular-value cutoff of every rank decision: null spaces, the lower
-#: central series and the soliton least-squares solve.
+#: central series and whether I is a derivation in the soliton fit.
 _RANK_CUTOFF = 1e-10
 
 
@@ -103,15 +103,15 @@ def _diff_table(n, k):
     e^P ^ e^J = s' e^out.  `bin` is row * C(n, k) + column, `weight` indexes the
     concatenated de^i vectors; the terms come column by column, in increasing i."""
     if k == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+        return _read_only(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
     j, i, col, s = interior_table(n, k)
     pair, pair_j, row, s2 = wedge_table(n, 2, k - 1)
     # each J meets equally many pairs: row m of `join` holds the pair rows of J = j[m]
     join = np.argsort(pair_j, kind="stable").reshape(len(multi_indices(n, k - 1)), -1)[j]
     order = np.argsort(np.repeat(col * n + i, join.shape[1]), kind="stable")
-    return ((row[join] * len(multi_indices(n, k)) + col[:, None]).reshape(-1)[order],
-            (i[:, None] * len(multi_indices(n, 2)) + pair[join]).reshape(-1)[order],
-            (s[:, None] * s2[join]).reshape(-1)[order])
+    return _read_only((row[join] * len(multi_indices(n, k)) + col[:, None]).reshape(-1)[order],
+                      (i[:, None] * len(multi_indices(n, 2)) + pair[join]).reshape(-1)[order],
+                      (s[:, None] * s2[join]).reshape(-1)[order])
 
 
 def ce_diff(algebra, a):
@@ -149,13 +149,19 @@ def derivation_residual(algebra, D):
     return float(np.max(np.linalg.norm(lhs - rhs, axis=2)))
 
 
+@lru_cache(maxsize=None)
+def _derivation_indices(n):
+    # (i, j, p, k): the pairs i < j, their row blocks p and the output index k
+    i, j = np.triu_indices(n, 1)
+    return _read_only(i, j, np.arange(len(i)), np.arange(n))
+
+
 def _derivation_equations(algebra):
     """Rows (i<j, k) of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] = 0, linear in the
     entries of D, as an (n(n-1)/2 n) x n^2 matrix."""
     n = algebra.dim
     B = algebra.bracket
-    i, j = np.triu_indices(n, 1)
-    p, k = np.arange(len(i)), np.arange(n)
+    i, j, p, k = _derivation_indices(n)
     eqs = np.zeros((len(i), n, n, n))
     eqs[:, k, k, :] = B[i, j][:, None, :]              # D[x,y] term: c^m_{ij} D_{km}
     eqs[p, :, :, i] -= B[:, j, :].transpose(1, 2, 0)   # [Dx,y] term: D_{mi} c^k_{mj}
@@ -170,10 +176,15 @@ def _null_space(mat):
     return vh[int((s > _RANK_CUTOFF * max(s[0] if s.size else 0.0, 1.0)).sum()):]
 
 
-def derivation_space(algebra):
-    """Orthonormal basis of the space of derivations, as n x n matrices: the null
-    space of the derivation equations, which are linear in the entries of D."""
-    n = algebra.dim
+def _derivation_basis(algebra):
+    """Orthonormal basis of the space of derivations as the rows of an r x n^2
+    array (row-major n x n matrices): the null space of the derivation
+    equations, which are linear in the entries of D."""
     eqs = _derivation_equations(algebra)
-    eqs = eqs[np.any(eqs, axis=1)]  # a zero row constrains nothing
-    return [v.reshape(n, n) for v in _null_space(eqs)]
+    return _null_space(eqs[np.any(eqs, axis=1)])  # a zero row constrains nothing
+
+
+def derivation_space(algebra):
+    """Orthonormal basis of the space of derivations, as n x n matrices."""
+    n = algebra.dim
+    return [v.reshape(n, n) for v in _derivation_basis(algebra)]

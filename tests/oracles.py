@@ -12,13 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from g2lab.curvature import riemann
+from g2lab import curvature
+from g2lab.curvature import SolitonCertificate, riemann
 from g2lab.exterior import (KForm, Metric, _star, form_inner, index_positions,
                             multi_indices, sort_with_sign, wedge_matrix)
 from g2lab.g2core import (PositivityError, TorsionForms, TorsionSolveError,
                           gram_matrix_from_phi, lambda2_14_basis, lambda3_27_basis,
                           torsion_forms)
-from g2lab.liealg import codifferential
+from g2lab.liealg import _RANK_CUTOFF, codifferential, derivation_space
 
 
 def perm_sign(perm):
@@ -254,6 +255,29 @@ def loop_derivation_equations(algebra):
             row[:, j] -= B[i, :, k]          # [x,Dy] term: D_{mj} c^k_{im}
             eqs[r * n + k] = row.reshape(-1)
     return eqs
+
+
+def lstsq_soliton(algebra, metric):
+    """Soliton fit Ric = lambda I + D by one least-squares solve over the
+    columns vec(I) and the derivation basis, the minimum-norm solution when I
+    is a derivation.  Reads `curvature.ricci_operator` through the module, so
+    a test that replaces it there fits the same matrix as `soliton_solve`."""
+    n = algebra.dim
+    ric_op = curvature.ricci_operator(algebra, metric)
+    ders = derivation_space(algebra)
+    A = np.column_stack([np.eye(n).reshape(-1)] + [d.reshape(-1) for d in ders])
+    x, *_ = np.linalg.lstsq(A, ric_op.reshape(-1), rcond=_RANK_CUTOFF)
+    lam = float(x[0])
+    D = (A[:, 1:] @ x[1:]).reshape(n, n)
+    residual = float(np.linalg.norm(ric_op - lam * np.eye(n) - D))
+    scale = max(1.0, float(np.linalg.norm(ric_op)))
+    if abs(lam) <= 1e-10 * scale:
+        label = "steady"
+    elif lam < 0:
+        label = "expanding"
+    else:
+        label = "shrinking"
+    return SolitonCertificate(lam, D, residual, label)
 
 
 def lstsq_torsion(structure, tau1_tol=1e-8):

@@ -334,6 +334,13 @@ class TestFlowCommand:
         assert code == 2
         assert report["error"] == "oracle mode needs --catalog with one of n2, n12_modified_basis"
 
+    def test_oracle_command_on_a_catalog_entry_without_solution(self, capsys):
+        # the same wording as `flow --oracle` on that entry
+        code, report = run_cli(capsys, "oracle", "--catalog", "n4")
+        assert code == 2
+        assert report["error"] == ("no closed-form solution for 'n4'; oracle mode supports "
+                                   "n2, n12_modified_basis")
+
     def test_flow_rejects_non_closed(self, capsys, tmp_path):
         doc = tmp_path / "open.g2"
         doc.write_text("algebra { dim 7 d e7 = e12 }\n"

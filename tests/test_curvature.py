@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2lab.catalog import catalog
+from g2lab import curvature
+from g2lab.catalog import catalog, catalog_names
 from g2lab.curvature import (SolitonCertificate, einstein_calibrated_residual,
                              einstein_residual, levi_civita, rank_one_extension,
                              ricci, ricci_operator, riemann, scal_from_torsion,
@@ -14,7 +15,7 @@ from g2lab.g2core import G2Structure, metric_from_phi, torsion_forms
 from g2lab.liealg import codifferential, jacobi_residual
 
 from conftest import closed_perturbation, metric_strategy, positive_3form_strategy
-from oracles import frame_star_ricci, kform_scal_from_torsion
+from oracles import frame_star_ricci, kform_scal_from_torsion, lstsq_soliton
 
 N2 = catalog("n2").algebra
 H2 = catalog("h2").algebra
@@ -30,7 +31,35 @@ def _assert_close(got, want, rtol=1e-10):
     assert np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
 
 
+def _random_spd(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return Metric(a @ a.T + n * np.eye(n))
+
+
+def _metric(name, kind):
+    """The identity, the metric of the catalog 3-form, or a seeded random SPD metric."""
+    entry = catalog(name)
+    if kind == "identity":
+        return Metric.identity(entry.algebra.dim)
+    if kind == "phi":
+        return metric_from_phi(entry.algebra, entry.forms["phi"]).metric
+    return _random_spd(entry.algebra.dim, int(kind.removeprefix("seed")))
+
+
+# every catalog algebra with the identity, its 3-form's metric if it has one,
+# and two random SPD metrics
+METRIC_CASES = [(name, kind) for name in catalog_names()
+                for kind in ("identity", "phi", "seed1", "seed2")
+                if kind != "phi" or "phi" in catalog(name).forms]
+
+
 class TestLeviCivita:
+    @pytest.mark.parametrize("op", [levi_civita, riemann, ricci, einstein_residual,
+                                    soliton_solve])
+    def test_metric_of_wrong_dimension(self, op):
+        with pytest.raises(ValueError, match="dimension mismatch: algebra 7, metric 6"):
+            op(catalog("n6").algebra, I6)
+
     def test_abelian_is_flat(self):
         gamma = levi_civita(catalog("n1").algebra, I7)
         assert np.abs(gamma).max() == 0.0
@@ -195,6 +224,17 @@ class TestScalFromTorsionOnVectors:
         _assert_scal_from_torsion(G)
 
 
+def _assert_same_fit(algebra, metric, ric_op):
+    """soliton_solve agrees with the least-squares oracle to 1e-12 |Ric|; returns lambda."""
+    got, want = soliton_solve(algebra, metric), lstsq_soliton(algebra, metric)
+    tol = 1e-12 * max(1.0, np.linalg.norm(ric_op))
+    assert abs(got.lam - want.lam) <= tol
+    assert np.abs(got.derivation - want.derivation).max() <= tol
+    assert abs(got.residual - want.residual) <= tol
+    assert got.classification == want.classification
+    return got.lam
+
+
 class TestSoliton:
     @pytest.mark.parametrize("name,lam,diag", [
         ("n2", -2.0, (1.0, 1.5, 1.5, 2.0, 2.5, 2.5, 2.0)),
@@ -222,6 +262,21 @@ class TestSoliton:
         assert abs(cert.lam) < 1e-12
         assert cert.classification == "steady"
 
+    @pytest.mark.parametrize("name, kind", METRIC_CASES)
+    def test_matches_lstsq_fit(self, name, kind):
+        algebra, metric = catalog(name).algebra, _metric(name, kind)
+        _assert_same_fit(algebra, metric, ricci_operator(algebra, metric))
+
+    @pytest.mark.parametrize("name", ["n1", "n5", "h2", "s_ext_h2"])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_matches_lstsq_fit_of_any_matrix(self, name, seed, monkeypatch):
+        # Ric of an abelian algebra vanishes, so only a replaced Ricci operator
+        # gives n1's minimum-norm branch (I is a derivation) something to fit
+        algebra = catalog(name).algebra
+        R = 3.0 * np.random.default_rng(seed).standard_normal((algebra.dim, algebra.dim))
+        monkeypatch.setattr(curvature, "ricci_operator", lambda algebra, metric: R)
+        assert abs(_assert_same_fit(algebra, Metric.identity(algebra.dim), R)) > 0.01
+
     def test_identity_on_n5_is_not_a_soliton(self):
         # identity on n5 is not the nilsoliton inner product; the residual
         # must be visibly nonzero rather than silently tiny
@@ -231,6 +286,14 @@ class TestSoliton:
 
 
 class TestEinstein:
+    @pytest.mark.parametrize("name, kind", METRIC_CASES)
+    def test_matches_svd_norm(self, name, kind):
+        algebra, metric = catalog(name).algebra, _metric(name, kind)
+        ric = ricci(algebra, metric)
+        gap = ric - (np.trace(metric.inverse @ ric) / algebra.dim) * metric.g
+        want = np.linalg.norm(gap, 2)
+        assert abs(einstein_residual(algebra, metric) - want) <= 1e-12 * max(1.0, want)
+
     def test_flat_abelian(self):
         assert einstein_residual(catalog("n1").algebra, I7) < 1e-15
 
@@ -298,6 +361,16 @@ class TestStarRicci:
                                                   orientation):
         G = G2Structure(catalog(name).algebra, (orientation * 10.0 ** log10_scale) * phi)
         _assert_close(star_ricci(G), frame_star_ricci(G))
+
+    @pytest.mark.parametrize("name", G2_NAMES)
+    @pytest.mark.parametrize("scale", [1.0, -0.1, 30.0])
+    def test_star_einstein_residual_matches_svd_norm(self, name, scale):
+        entry = catalog(name)
+        G = G2Structure(entry.algebra, scale * entry.forms["phi"])
+        ric = star_ricci(G)
+        gap = ric - (np.trace(G.metric.inverse @ ric) / 7.0) * G.metric.g
+        want = np.linalg.norm(gap, 2)
+        assert abs(star_einstein_residual(G) - want) <= 1e-12 * max(1.0, want)
 
     def test_star_einstein_residual_nonnegative(self, catalog_structures):
         G = catalog_structures["n2"]

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
 from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, _complement_dense,
+                            _complement_dense_table, _complement_flat_gather,
                             _complement_gather, _complement_of_compound, _compound_apply,
                             _compound_dense,
-                            _compound_of_complement, _dense, _dense_tables, complement_data,
-                            form_inner, hodge_star, interior, multi_indices, standard_volume,
+                            _compound_of_complement, _dense, _dense_tables, _index_arrays,
+                            complement_data, form_inner, hodge_star, index_positions,
+                            interior, interior_table, multi_indices, standard_volume,
                             wedge, wedge_matrix, wedge_table)
+from g2lab.liealg import _derivation_indices, _diff_table
 
 from conftest import form_strategy, metric_strategy
 from oracles import (brute_hodge, brute_inner, brute_interior, brute_wedge, compound_inner,
@@ -120,6 +123,25 @@ class TestKForm:
     def test_immutability(self):
         with pytest.raises(AttributeError):
             PHI_STD.degree = 2
+
+
+class TestCachedTables:
+    @pytest.mark.parametrize("table, args", [
+        (_index_arrays, (7, 3)), (wedge_table, (7, 2, 3)), (_complement_gather, (7, 3)),
+        (interior_table, (7, 3)), (_dense_tables, (7, 3)), (_complement_dense_table, (7, 2)),
+        (_complement_flat_gather, (7, 2)), (_diff_table, (7, 3)), (_diff_table, (7, 0)),
+        (_derivation_indices, (7,))],
+        ids=lambda x: getattr(x, "__name__", None))
+    def test_tables_are_read_only(self, table, args):
+        # every later caller shares the cached arrays; a write must not corrupt them
+        for array in table(*args):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_index_positions_is_read_only(self):
+        with pytest.raises(TypeError):
+            index_positions(7, 2)[(1, 2)] = 5
+        assert index_positions(7, 2)[(1, 2)] == 0
 
 
 class TestWedge:

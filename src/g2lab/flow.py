@@ -5,16 +5,18 @@ the 35 coefficients of phi, with positivity and closedness re-validated
 after every accepted step.  On closed forms delta d phi = 0, so the
 right-hand side is the d delta phi half alone, `g2core._closed_phi_laplacian`:
 one Cholesky factorisation and one inverse of a 7 x 7 matrix plus two
-compound applications, which returns its metric and delta phi with the
-Laplacian.  Its values lie in d(Lambda^2), so a step leaves phi0 + d(Lambda^2)
-only by roundoff.  A step costs 4 evaluations: the evaluation at each accepted
-point is both its positivity check and the next step's first stage; they take
-most of a trajectory's time.  Sampled states build no G2Structure: their
-diagnostics come from that evaluation's metric and delta phi (see `_state`),
-with tau2 = delta phi, which holds on closed forms.  `hodge_laplacian` and
-`oracle_residual` keep the full Laplacian.  No re-projection onto closed forms
-is done: |d phi| is measured after every step, and drift aborts the trajectory
-instead of being hidden.
+compound applications, which returns its metric factors (g, g^-1,
+sqrt(det g)) and delta phi with the Laplacian and builds no Metric.  Its
+values lie in d(Lambda^2), so a step leaves phi0 + d(Lambda^2) only by
+roundoff.  A step costs 4 evaluations (38-40 us each on a dense n4 form, one
+CPU, one BLAS thread): the evaluation at each accepted point is both its
+positivity check and the next step's first stage; they take about nine
+tenths of a trajectory's time.  Sampled states build no G2Structure: their
+diagnostics come from that evaluation's metric factors and delta phi (see
+`_state`), with tau2 = delta phi, which holds on closed forms.
+`hodge_laplacian` and `oracle_residual` keep the full Laplacian.  No
+re-projection onto closed forms is done: |d phi| is measured after every
+step, and drift aborts the trajectory instead of being hidden.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import KForm, _compound_apply, multi_indices
+from .exterior import KForm, Metric, _compound_apply, multi_indices
 from .g2core import PositivityError, _closed_phi_laplacian, phi_laplacian
 from .curvature import scalar_curvature
 
@@ -87,17 +89,20 @@ class FlowTrajectory:
 
 def _state(algebra, t, vec, point, closedness):
     """Sampled state at `vec` from what the integrator already has there: the
-    kernel's `point` = (metric, delta phi, Laplacian) and |d phi| `closedness`.
+    kernel's `point` = ((g, g^-1, sqrt(det g)), delta phi, Laplacian) and
+    |d phi| `closedness`.
 
-    All are taken at `vec` itself (the state's phi is its pruned KForm).
-    `volume_density` is sqrt(det g) of the kernel's metric, `scalar_curvature`
-    the trace of its Ricci operator, `laplacian_norm` the Euclidean norm of
-    the Laplacian's coefficients.  `tau2_norm` is |delta phi|_g: on a closed
+    All are taken at `vec` itself (the state's phi is its pruned KForm).  The
+    state's Metric is the one Metric the flow builds, from the kernel's
+    factors.  `volume_density` is its sqrt(det g), `scalar_curvature` the
+    trace of its Ricci operator, `laplacian_norm` the Euclidean norm of the
+    Laplacian's coefficients.  `tau2_norm` is |delta phi|_g: on a closed
     phi, d star(phi) = tau2 ^ phi and star(tau2 ^ phi) = -tau2 (Bryant), so
     delta phi = -star d star(phi) is tau2 up to the orientation's sign and
     this is |tau2|_g; no G2Structure or torsion is built.
     """
-    metric, delta_phi, lap = point
+    factors, delta_phi, lap = point
+    metric = Metric._from_factors(*factors)
     tau2_sq = float(delta_phi @ _compound_apply(metric.inverse, delta_phi, 2))
     return FlowState(t, KForm.from_vector(7, 3, vec), {
         "closedness": closedness,
@@ -114,7 +119,8 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
     Returns a FlowTrajectory of sampled states (every `sample_every` steps,
     plus the initial and final ones).  Loss of positivity or excessive
     closedness drift truncates the trajectory with the corresponding
-    termination reason instead of raising.
+    termination reason instead of raising.  Raises ValueError when
+    ||d phi0|| exceeds 1e-10 ||phi0||.
     """
     if algebra.dim != 7:
         raise ValueError("the flow runs on 7-dimensional algebras")
@@ -135,16 +141,18 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
 
     vec = phi0.to_vector()
     d3 = algebra.diff_matrix(3)
-    initial_residual = float(np.linalg.norm(d3 @ vec))
-    if initial_residual > 1e-10:
-        raise ValueError(f"initial form is not closed (||d phi0|| = {initial_residual:.3e})")
+    r = d3 @ vec
+    initial_residual, size = math.sqrt(r @ r), math.sqrt(vec @ vec)
+    if initial_residual > 1e-10 * size:  # relative, so that no scale of phi0 decides
+        raise ValueError(f"initial form is not closed (||d phi0|| = {initial_residual:.3e}, "
+                         f"||phi0|| = {size:.3e})")
     drift_limit = max(10.0 * initial_residual, options.closedness_tol)
 
     def rhs(v):
         return _closed_phi_laplacian(algebra, v)[2]
 
-    # (metric, delta phi, Laplacian) at the accepted point; raises
-    # PositivityError if phi0 is not positive
+    # ((g, g^-1, sqrt(det g)), delta phi, Laplacian) at the accepted point;
+    # raises PositivityError if phi0 is not positive
     point = _closed_phi_laplacian(algebra, vec)
     closedness = initial_residual
     states = [_state(algebra, 0.0, vec, point, closedness)]
@@ -162,7 +170,8 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
         except PositivityError:
             termination = TERMINATION_POSITIVITY
             break
-        new_closedness = float(np.linalg.norm(d3 @ new_vec))
+        r = d3 @ new_vec
+        new_closedness = math.sqrt(r @ r)  # np.linalg.norm's value, without its wrapper
         if new_closedness > drift_limit:
             termination = TERMINATION_CLOSEDNESS
             break

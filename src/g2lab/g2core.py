@@ -3,35 +3,41 @@
 A positive 3-form phi determines a metric through
     g(X, Y) dV = 1/6 iota_X phi ^ iota_Y phi ^ phi,
 inverted here as g = (36 det B)^{-1/9} B where B_ij is the e^{1..7}
-coefficient of iota_i phi ^ iota_j phi ^ phi; one Cholesky factorisation
-of +-B gives the orientation, positivity and det B.  The torsion of the
-structure is read off from d phi and d star(phi) in closed form, by Bryant's
-explicit projections onto the G2-invariant parts (R. Bryant, Some remarks on
-G2-structures, arXiv:math/0305124), on coefficient vectors with `exterior._star`.
+coefficient of iota_i phi ^ iota_j phi ^ phi, taken over Lambda^2; one
+Cholesky factorisation of +-B gives the orientation, positivity and det B.
+The torsion of the structure is read off from d phi and d star(phi) in
+closed form, by Bryant's explicit projections onto the G2-invariant parts
+(R. Bryant, Some remarks on G2-structures, arXiv:math/0305124), on
+coefficient vectors with `exterior._star`.
 It is computed once per structure, at the first `torsion_forms` call, and
 kept on the structure; the tau1 consistency check is applied on every call.
 
 `phi_laplacian` is the Hodge Laplacian d delta phi + delta d phi of the
 homogeneous flow (J. Lauret, Laplacian flow of homogeneous G2-structures and
-its solitons, Proc. LMS 2017) as one kernel, about 95-150 us per evaluation
-on a dense n4 form (one core of a shared 2-core host, one BLAS thread);
-`G2Structure.laplacian_vec`, `flow.hodge_laplacian` and the flow oracle use
-it.  On closed forms delta d phi = 0, so the flow's right-hand side
-`_closed_phi_laplacian` evaluates only the d delta phi half from the same
-metric and codifferential (`_phi_codifferential`), about 55-95 us, and hands
-the metric and delta phi on to the flow's sampled states.  About half of it
-is the phi -> metric step (`_phi_metric`).
+its solitons, Proc. LMS 2017) as one kernel; `G2Structure.laplacian_vec`,
+`flow.hodge_laplacian` and the flow oracle use it.  On closed forms
+delta d phi = 0, so the flow's right-hand side `_closed_phi_laplacian`
+evaluates only the d delta phi half from the same metric factors and
+codifferential (`_phi_codifferential`), builds no Metric, and hands the
+factors and delta phi on to the flow's sampled states.  On a dense n4 form
+(plain `perf_counter` loop, interquartile range of 25 rounds, one CPU of a
+shared 2-core host, one BLAS thread) `phi_laplacian` takes 58-65 us and
+`_closed_phi_laplacian` 38-40 us, of which the phi -> metric step
+(`_phi_metric`) is 23-24 us: B about 10 us, and numpy's `cholesky` and `inv`
+of a 7 x 7 matrix about 9 us together, about 6 us of that their Python
+wrappers.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .exterior import (KForm, Metric, _complement_dense, _complement_of_compound,
-                       _compound_of_complement, _dense, _star, _wedge_vec, form_inner,
-                       hodge_star, standard_volume, wedge, wedge_matrix)
+from .exterior import (KForm, Metric, _complement_of_compound, _compound_of_complement, _dense,
+                       _dense_tables, _read_only, _scatter, _star, _wedge_vec, complement_data,
+                       form_inner, hodge_star, standard_volume, wedge, wedge_matrix, wedge_table)
 from .liealg import _null_space, ce_diff
 
 VANISH_TOL = 1e-8
@@ -45,24 +51,40 @@ class TorsionSolveError(RuntimeError):
     """Raised when the two torsion equations disagree about tau1."""
 
 
+@lru_cache(maxsize=None)
+def _pairing_table():
+    # (flat position in a 21 x 21 matrix, position in phi, sign) of the pairing
+    # Q(phi)_PQ = e^{1..7} coefficient of e^P ^ e^Q ^ phi over the 2-tuples P, Q:
+    # e^P ^ e^Q = s e^S by the wedge table, and e^S ^ phi has s' phi_Sc on
+    # e^{1..7} by the complement of the 4-tuple S
+    ia, ib, iout, sign = wedge_table(7, 2, 2)
+    pos, top = complement_data(7, 4)
+    return _read_only(ia * 21 + ib, pos[iout], sign * top[iout])
+
+
 def _gram(phi_vec):
-    # the dense phi tensor as a 7 x 49 matrix, and B from it
+    # the dense phi tensor as a 7 x 49 matrix, and B from it over Lambda^2
     A = _dense(phi_vec, 7, 3).reshape(7, 49)
-    B = A @ (_complement_dense(phi_vec, 7, 3).reshape(49, 49) @ A.T) / 4.0
+    iota = A[:, _dense_tables(7, 2)[3]]  # row i: the coefficients of iota_i phi
+    dst, src, sign = _pairing_table()
+    B = iota @ (_scatter(phi_vec, src, dst, sign, 441).reshape(21, 21) @ iota.T)
     return A, (B + B.T) / 2.0
 
 
 def gram_matrix_from_phi(phi_vec):
     """B_ij = coefficient of e^{1..7} in iota_i phi ^ iota_j phi ^ phi.
 
-    As dense tensors B_ij = 1/4 phi_iab phi_jcd psi^abcd, where psi^I =
-    sign(I, Ic) phi_Ic is the signed complement of phi.
+    Over Lambda^2, B = iota Q iota^T: row i of the 7 x 21 matrix iota is the
+    2-form iota_i phi, and the symmetric 21 x 21 matrix Q pairs two 2-forms
+    alpha, beta to the e^{1..7} coefficient of alpha ^ beta ^ phi.
     """
     return _gram(phi_vec)[1]
 
 
 def _phi_metric(phi_vec):
-    """(dense phi as 7 x 49, B, det B, orientation, Metric) of a 3-form's coefficients.
+    """(dense phi as 7 x 49, B, det B, orientation, (g, g^-1, sqrt(det g))) of
+    a 3-form's coefficients; the last three are `Metric._from_factors`'s
+    arguments, so a caller that only reads them builds no Metric.
 
     g = (36 |det B|)^{-1/9} sign(det B) B.  One Cholesky factorisation
     L L^T = eps B, eps the sign of B_11, gives the orientation, positivity
@@ -72,45 +94,50 @@ def _phi_metric(phi_vec):
     A, B = _gram(phi_vec)
     eps = 1.0 if B[0, 0] > 0 else -1.0  # the sign of B when B is definite
     try:
-        L = np.linalg.cholesky(eps * B)
-        root = math.prod(L.diagonal().tolist())  # sqrt |det B|; may underflow or overflow
+        diag = np.linalg.cholesky(B if eps > 0 else -B).diagonal().tolist()
+        root = math.prod(diag)  # sqrt |det B|; may underflow or overflow
         det_b = eps * root * root
     except np.linalg.LinAlgError:  # B is not definite; det B only names the reason
-        L, det_b = None, float(np.linalg.det(B))
+        diag, det_b = None, float(np.linalg.det(B))
     if det_b == 0:
         raise PositivityError("not a positive G2 form (det B = 0)")
-    if L is None or not math.isfinite(det_b):
+    if diag is None or not math.isfinite(det_b):
         raise PositivityError("not a positive G2 form (metric not positive definite)")
     c = (36.0 * abs(det_b)) ** (-1.0 / 9.0)
     g = c * eps * B
     # sqrt(c) L is the Cholesky factor of g: sqrt(det g) is its diagonal product, as in Metric
-    sqrt_det = math.prod((math.sqrt(c) * L.diagonal()).tolist())
-    return A, B, det_b, eps, Metric._from_factors(g, np.linalg.inv(g), sqrt_det)
+    sqrt_c = math.sqrt(c)
+    sqrt_det = math.prod([sqrt_c * x for x in diag])
+    return A, B, det_b, eps, (g, np.linalg.inv(g), sqrt_det)
 
 
 def _phi_codifferential(algebra, phi_vec):
-    """(Metric, delta phi) of a 3-form's coefficients, delta phi = -star d star phi."""
+    """((g, g^-1, sqrt(det g)), delta phi) of a 3-form's coefficients, delta
+    phi = -star d star phi."""
     if algebra.dim != 7:
         raise ValueError("G2 structures need a 7-dimensional algebra")
-    A, _, _, _, m = _phi_metric(phi_vec)
+    A, _, _, _, factors = _phi_metric(phi_vec)
+    g, inverse, _ = factors
     # star_phi is star(phi) / sqrt(det g), the dense phi of B with its indices
     # raised by g^{-1}, complemented; the 5-form star divides by sqrt(det g),
     # so the two factors cancel
-    star_phi = _complement_of_compound(m.inverse, A, 3)
-    return m, -_compound_of_complement(m.g, algebra.diff_matrix(4) @ star_phi, 5)
+    star_phi = _complement_of_compound(inverse, A, 3)
+    return factors, -_compound_of_complement(g, algebra.diff_matrix(4) @ star_phi, 5)
 
 
 def _closed_phi_laplacian(algebra, phi_vec):
-    """(Metric, delta phi, d delta phi) of a 3-form's coefficients; d delta phi
-    is the Hodge Laplacian of a closed 3-form, where delta d phi = 0.
+    """((g, g^-1, sqrt(det g)), delta phi, d delta phi) of a 3-form's
+    coefficients; d delta phi is the Hodge Laplacian of a closed 3-form, where
+    delta d phi = 0.
 
-    The right-hand side of the flow: the metric, two compound applications
-    with their signed complements and two products with the differential
-    matrices.  The metric and delta phi are returned for the flow's sampled
-    states.  Raises PositivityError as `phi_laplacian` does.
+    The right-hand side of the flow: the metric factors, two compound
+    applications with their signed complements and two products with the
+    differential matrices.  It builds no Metric: the flow's sampled states
+    read the factors and delta phi of their point.  Raises PositivityError
+    as `phi_laplacian` does.
     """
-    m, delta_phi = _phi_codifferential(algebra, phi_vec)
-    return m, delta_phi, algebra.diff_matrix(2) @ delta_phi
+    factors, delta_phi = _phi_codifferential(algebra, phi_vec)
+    return factors, delta_phi, algebra.diff_matrix(2) @ delta_phi
 
 
 def phi_laplacian(algebra, phi_vec):
@@ -125,12 +152,12 @@ def phi_laplacian(algebra, phi_vec):
     the flow oracle use this full operator; `flow_integrate`, whose states are
     closed, evaluates only its d delta phi half (`_closed_phi_laplacian`).
     """
-    m, delta_phi = _phi_codifferential(algebra, phi_vec)
+    (g, _, sqrt_det), delta_phi = _phi_codifferential(algebra, phi_vec)
     d3 = algebra.diff_matrix(3)
     # delta d phi = star d star d phi; a 4-form star is C_3(g) on the signed
     # complement over sqrt(det g), so star_dphi is star(d phi) sqrt(det g)
-    star_dphi = _compound_of_complement(m.g, d3 @ phi_vec, 4)
-    delta_dphi = _compound_of_complement(m.g, d3 @ star_dphi, 4) / m.det
+    star_dphi = _compound_of_complement(g, d3 @ phi_vec, 4)
+    delta_dphi = _compound_of_complement(g, d3 @ star_dphi, 4) / (sqrt_det * sqrt_det)
     return algebra.diff_matrix(2) @ delta_phi + delta_dphi
 
 
@@ -160,7 +187,8 @@ class G2Structure:
         if phi.dim != 7 or phi.degree != 3:
             raise ValueError("phi must be a 3-form in dimension 7")
         v = phi.to_vector()
-        _, B, det_b, eps, metric = _phi_metric(v)
+        _, B, det_b, eps, factors = _phi_metric(v)
+        metric = Metric._from_factors(*factors)
         spv = _star(v, 3, metric)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "phi", phi)

@@ -17,8 +17,7 @@ from g2lab.curvature import SolitonCertificate, riemann
 from g2lab.exterior import (KForm, Metric, _star, form_inner, index_positions,
                             multi_indices, sort_with_sign, wedge_matrix)
 from g2lab.g2core import (PositivityError, TorsionForms, TorsionSolveError,
-                          gram_matrix_from_phi, lambda2_14_basis, lambda3_27_basis,
-                          torsion_forms)
+                          lambda2_14_basis, lambda3_27_basis, torsion_forms)
 from g2lab.liealg import _RANK_CUTOFF, codifferential, derivation_space
 
 
@@ -55,15 +54,16 @@ def brute_wedge(a, b):
     nz_a = [(idx, ta[idx]) for idx in zip(*np.nonzero(ta))]
     nz_b = [(idx, tb[idx]) for idx in zip(*np.nonzero(tb))]
     norm = math.factorial(k) * math.factorial(l)
-    out = {}
+    terms = {}
     for idx_a, va in nz_a:
         for idx_b, vb in nz_b:
             combined = idx_a + idx_b
             if len(set(combined)) != k + l:
                 continue
             key = tuple(sorted(i + 1 for i in combined))
-            out[key] = out.get(key, 0.0) + perm_sign(combined) * va * vb / norm
-    return KForm(a.dim, k + l, out)
+            terms.setdefault(key, []).append(perm_sign(combined) * va * vb / norm)
+    # each coefficient summed exactly, so only the products round
+    return KForm(a.dim, k + l, {key: math.fsum(t) for key, t in terms.items()})
 
 
 def dict_wedge(a, b):
@@ -186,6 +186,27 @@ def _top_pairing(n, k):
     return np.array([[brute_wedge(KForm.basis(n, key), KForm.basis(n, out)).coefficient(full)
                       for out in multi_indices(n, n - k)]
                      for key in multi_indices(n, k)])
+
+
+def brute_gram(phi_vec):
+    """B_ij, the e^{1..7} coefficient of iota_i phi ^ iota_j phi ^ phi, from
+    `brute_interior` and `brute_wedge`: the 4-form iota_i phi ^ iota_j phi
+    by the alternation sum, and its top coefficient against phi by
+    bilinearity, through the brute-force wedges of basis forms in `_top_pairing`.
+
+    The forms are built from phi times 2^k, which puts its largest
+    coefficient near 2^100, so the KForm prune (1e-13 absolute) drops
+    nothing above ~1e-43 of it; a power of two scales every rounding
+    exactly, and B is cubic in phi, so B is divided by 2^{3k} at the end."""
+    k = 100 - math.frexp(float(np.abs(phi_vec).max(initial=0.0)))[1]
+    phi = KForm.from_vector(7, 3, np.ldexp(phi_vec, k))
+    iota = [brute_interior(e, phi) for e in np.eye(7)]
+    top = _top_pairing(7, 4) @ phi.to_vector()
+    B = np.empty((7, 7))
+    for i in range(7):
+        for j in range(i, 7):
+            B[i, j] = B[j, i] = brute_wedge(iota[i], iota[j]).to_vector() @ top
+    return np.ldexp(B, -3 * k)
 
 
 def brute_hodge(metric, a):
@@ -390,10 +411,11 @@ def fraction_det(M):
 
 
 def metric_star_laplacian(algebra, phi_vec):
-    """The phi-Laplacian through a full Metric and four Hodge stars: det B by
-    LU, g = (36 |det B|)^{-1/9} sign(det B) B factorised again by `Metric`,
-    then d delta phi + delta d phi with delta = (-1)^k star d star."""
-    B = gram_matrix_from_phi(phi_vec)
+    """The phi-Laplacian through a full Metric and four Hodge stars: B by
+    `brute_gram`, det B by LU, g = (36 |det B|)^{-1/9} sign(det B) B
+    factorised again by `Metric`, then d delta phi + delta d phi with
+    delta = (-1)^k star d star."""
+    B = brute_gram(phi_vec)
     det_b = float(np.linalg.det(B))
     if det_b == 0:
         raise PositivityError("not a positive G2 form (det B = 0)")

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import g2lab.flow as flow_mod
 import g2lab.g2core as g2core_mod
 from g2lab.catalog import catalog
-from g2lab.exterior import (PRUNE_TOL, KForm, _complement_dense, _complement_gather,
-                            _compound_dense, _dense, _dense_tables)
+from g2lab.curvature import scalar_curvature
+from g2lab.exterior import (PRUNE_TOL, KForm, Metric, _complement_dense, _complement_gather,
+                            _compound_apply, _compound_dense, _dense, _dense_tables)
 from g2lab.flow import (CSV_COLUMNS, MAX_STEPS, FlowOptions, closed_form_n2,
                         closed_form_n2_velocity, closed_form_n12,
                         closed_form_n12_velocity, flow_integrate, hodge_laplacian,
@@ -175,9 +176,11 @@ class TestPhiLaplacianKernel:
     @pytest.mark.parametrize("n_steps,sample_every", [(1, 10), (7, 3), (12, 4)])
     def test_flow_evaluation_count(self, monkeypatch, n_steps, sample_every):
         # four kernel calls per step plus one at phi0; the samples reuse the
-        # kernel's metric, so no G2Structure (and no torsion) is built
-        calls, builds = [], []
+        # kernel's metric factors, so no G2Structure (and no torsion) is built,
+        # and the one Metric per sampled state is all the flow builds
+        calls, builds, metrics = [], [], []
         real_kernel, real_init = flow_mod._closed_phi_laplacian, G2Structure.__init__
+        real_from_factors, real_metric_init = Metric._from_factors.__func__, Metric.__init__
 
         def counted(algebra, phi_vec):
             calls.append(None)
@@ -187,15 +190,27 @@ class TestPhiLaplacianKernel:
             builds.append(None)
             real_init(self, algebra, phi)
 
+        def counted_from_factors(cls, g, inverse, sqrt_det):
+            metrics.append(None)
+            return real_from_factors(cls, g, inverse, sqrt_det)
+
+        def counted_metric_init(self, matrix):
+            metrics.append(None)
+            real_metric_init(self, matrix)
+
         monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", counted)
         monkeypatch.setattr(G2Structure, "__init__", counted_init)
+        monkeypatch.setattr(Metric, "_from_factors", classmethod(counted_from_factors))
+        monkeypatch.setattr(Metric, "__init__", counted_metric_init)
         traj = flow_integrate(N2, closed_form_n2(0.0), n_steps * 1e-2, 1e-2,
                               FlowOptions(sample_every=sample_every))
         assert traj.termination == "reached_t_end"
         assert len(calls) == 4 * n_steps + 1
         assert builds == []
+        assert len(metrics) == len(traj.states)
         G2Structure(N2, closed_form_n2(0.0))
-        assert len(builds) == 1  # the counter sees a build
+        assert len(builds) == 1  # the counters see a build and its Metric
+        assert len(metrics) == len(traj.states) + 1
 
 
 def _jacobian_norm(algebra, v, step=1e-6):
@@ -214,13 +229,14 @@ class TestClosedKernel:
         # n12_modified_basis's irrational coefficients leave d phi at roundoff)
         entry = catalog(name)
         v = scale * entry.forms["phi"].to_vector()
-        m, delta_phi, lap = _closed_phi_laplacian(entry.algebra, v)
+        (g, inverse, sqrt_det), delta_phi, lap = _closed_phi_laplacian(entry.algebra, v)
         assert np.array_equal(lap, phi_laplacian(entry.algebra, v))
-        # the metric and delta phi it returns are those of the codifferential
-        want_m, want_delta = g2core_mod._phi_codifferential(entry.algebra, v)
+        # the metric factors and delta phi it returns are those of the codifferential
+        (want_g, want_inverse, want_sqrt_det), want_delta = g2core_mod._phi_codifferential(
+            entry.algebra, v)
         assert np.array_equal(delta_phi, want_delta)
-        assert np.array_equal(m.g, want_m.g) and np.array_equal(m.inverse, want_m.inverse)
-        assert m.sqrt_det == want_m.sqrt_det
+        assert np.array_equal(g, want_g) and np.array_equal(inverse, want_inverse)
+        assert sqrt_det == want_sqrt_det
 
     @settings(max_examples=40, deadline=None)
     @given(closed_perturbation())
@@ -487,6 +503,35 @@ class TestSampledStates:
             _assert_tau2_norm(algebra, state, w)
             _assert_scal_identity(algebra, state, w)
 
+    @pytest.mark.parametrize("name", CLOSED_CATALOG)
+    def test_state_reads_the_codifferential(self, name):
+        # each sampled state's metric factors and delta phi, which the kernel
+        # returned at its vector, against `_phi_codifferential` there afresh,
+        # and its diagnostics against those fresh values
+        entry, points, real = catalog(name), [], flow_mod._closed_phi_laplacian
+
+        def recorded(algebra, phi_vec):
+            point = real(algebra, phi_vec)
+            points.append((phi_vec, point))
+            return point
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flow_mod, "_closed_phi_laplacian", recorded)
+            traj = flow_integrate(entry.algebra, entry.forms["phi"], 3e-2, 1e-2,
+                                  FlowOptions(sample_every=1))
+        assert len(traj.states) == 4 and len(points) == 13
+        for state, (v, ((g, inverse, sqrt_det), delta_phi, _)) in zip(traj.states, points[::4]):
+            (want_g, want_inverse, want_sqrt_det), want_delta = (
+                g2core_mod._phi_codifferential(entry.algebra, v))
+            for got, want in ((g, want_g), (inverse, want_inverse), (delta_phi, want_delta)):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            d = state.diagnostics
+            tau2 = math.sqrt(want_delta @ _compound_apply(want_inverse, want_delta, 2))
+            scal = scalar_curvature(entry.algebra, Metric(want_g))
+            for got, want in ((sqrt_det, want_sqrt_det), (d["volume_density"], want_sqrt_det),
+                              (d["tau2_norm"], tau2), (d["scalar_curvature"], scal)):
+                assert abs(got - want) <= 1e-14 * abs(want)
+
     def test_volume_density_is_the_structure_volume(self):
         entry = catalog("n6")
         for state, v in _sampled_states(entry.algebra, entry.forms["phi"].to_vector()):
@@ -593,6 +638,27 @@ class TestIntegration:
         bad = STD.forms["phi"] + KForm(7, 3, {(1, 2, 4): 1e-6})
         with pytest.raises(ValueError, match="not closed"):
             flow_integrate(N2, bad, 1.0, 1e-2)
+
+    @pytest.mark.parametrize("name", CLOSED_CATALOG[1:] + ("n12_modified_basis+d(beta)",))
+    def test_closedness_check_is_relative(self, name):
+        # |d phi0| against |phi0|: a closed form is accepted at every scale,
+        # although roundoff can give it |d phi0| > 1e-10 at large ones, and the
+        # same form plus 1e-3 of a non-closed basis form is rejected at every
+        # scale, although |d phi0| < 1e-10 at small ones.  Delta(c phi) =
+        # c^{1/3} Delta phi, so dt scaled by c^{2/3} takes the same steps.
+        entry = catalog(name.split("+")[0])
+        algebra, v = entry.algebra, entry.forms["phi"].to_vector()
+        d2, d3 = algebra.diff_matrix(2), algebra.diff_matrix(3)
+        if name.endswith("+d(beta)"):
+            dbeta = d2 @ np.random.default_rng(5).standard_normal(d2.shape[1])
+            v = v + 0.2 * np.linalg.norm(v) * dbeta / np.linalg.norm(dbeta)
+        leak = np.eye(35)[np.flatnonzero(np.abs(d3).sum(axis=0))[0]]
+        for c in 10.0 ** np.arange(-8, 13):
+            h = 1e-2 * c ** (2.0 / 3.0)
+            traj = flow_integrate(algebra, KForm.from_vector(7, 3, c * v), 2 * h, h)
+            assert traj.termination == "reached_t_end"
+            with pytest.raises(ValueError, match="^initial form is not closed"):
+                flow_integrate(algebra, KForm.from_vector(7, 3, c * (v + 1e-3 * leak)), 2 * h, h)
 
     def test_rejects_non_positive_initial(self):
         closed_but_degenerate = KForm.basis(7, (1, 2, 3))

@@ -15,7 +15,7 @@ from g2lab.inputfmt import parse_document
 from g2lab.liealg import ce_diff
 
 from conftest import basis_changed_document, positive_3form_strategy
-from oracles import brute_hodge, brute_wedge, fraction_det, lstsq_torsion
+from oracles import brute_gram, brute_hodge, brute_wedge, fraction_det, lstsq_torsion
 
 G2_CATALOG = ("std_g2", "n2", "n4", "n6", "n12_modified_basis", "s_ext_h2")
 
@@ -92,10 +92,10 @@ class TestMetricFromPhi:
 
 def _assert_metric_matches_gram(algebra, phi):
     # G2Structure's one-Cholesky metric against a full Metric of
-    # (36 |det B|)^{-1/9} sign(det B) B.  det B is exact up to one rounding:
-    # det g = c^7 det B carries 7/9 of the relative error of det B, and an LU
-    # det B alone can be ~1e-14 off
-    B = gram_matrix_from_phi(phi.to_vector())
+    # (36 |det B|)^{-1/9} sign(det B) B, with B from the brute-force oracle.
+    # det B is exact up to one rounding: det g = c^7 det B carries 2/9 of the
+    # relative error of det B, and an LU det B alone can be ~1e-14 off
+    B = brute_gram(phi.to_vector())
     det_b = fraction_det(B)
     want = Metric((36.0 * abs(det_b)) ** (-1.0 / 9.0) * np.sign(det_b) * B)
     got = G2Structure(algebra, phi).metric
@@ -118,6 +118,27 @@ class TestStructureMetric:
            st.sampled_from([1.0, -1.0]))
     def test_random_positive_forms(self, phi, log10_scale, orientation):
         _assert_metric_matches_gram(STD.algebra, (orientation * 10.0 ** log10_scale) * phi)
+
+
+def _assert_gram_matches_brute(phi_vec):
+    want = brute_gram(phi_vec)
+    assert np.abs(gram_matrix_from_phi(phi_vec) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestGramMatrix:
+    """B over Lambda^2 against the brute-force oracle, which takes
+    iota_i phi ^ iota_j phi ^ phi by the alternation sums of `brute_wedge`."""
+
+    @pytest.mark.parametrize("name", G2_CATALOG)
+    @pytest.mark.parametrize("scale", [1e-2, -1e-2, 0.3, -1.0, 1.0, -10.0, 1e2, -1e2])
+    def test_catalog(self, name, scale):
+        _assert_gram_matches_brute(scale * catalog(name).forms["phi"].to_vector())
+
+    @settings(max_examples=25, deadline=None)
+    @given(positive_3form_strategy(), st.floats(min_value=-2.0, max_value=2.0),
+           st.sampled_from([1.0, -1.0]))
+    def test_random_positive_forms(self, phi, log10_scale, orientation):
+        _assert_gram_matches_brute((orientation * 10.0 ** log10_scale) * phi.to_vector())
 
 
 class TestSubspaceBases:

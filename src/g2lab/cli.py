@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 input parse error, 2 validation failure (bad
 Jacobi, non-positive forms, unknown catalog name, unreadable input file, bad
 --times, --tol or G2_TOL, a non-finite or non-positive --t-end or --dt,
---sample-every < 1, failed preconditions).  Every report, failures
-included, has the keys command, input, results, residuals and tolerances in
-that order, and a final error key on failure.  Reports go to stdout as JSON
-with floats printed to 17 significant digits so every double round-trips
-losslessly.
+--sample-every < 1, failed preconditions, tau1 disagreeing between the two
+torsion equations).  Every report, failures included, has the keys command,
+input, results, residuals and tolerances in that order, and a final error
+key on failure; a tau1 disagreement is the failure report's
+residuals.tau1_consistency.  Reports go to stdout as JSON with floats
+printed to 17 significant digits so every double round-trips losslessly.
 """
 from __future__ import annotations
 
@@ -201,10 +202,7 @@ def cmd_torsion(args, tol):
     """`torsion`, and `classify`, which keeps the class entries of its results."""
     doc, source = _load(args.catalog, args.input)
     G = _structure(doc, args.form)
-    try:
-        t = torsion_forms(G)
-    except TorsionSolveError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    t = torsion_forms(G)
     cls = classify(t, tol=tol)
     theta = lee_form(G)
     results = {
@@ -278,8 +276,6 @@ def cmd_einstein(args, tol):
             residuals["einstein_calibrated"] = einstein_calibrated_residual(G, tol)
         except ValueError:  # not calibrated: the condition does not apply
             pass
-        except TorsionSolveError as exc:
-            raise ValidationFailure(str(exc)) from exc
         ric_star = star_ricci(G)
         results["star_scal"] = float(np.trace(G.metric.inverse @ ric_star))
         results["star_ricci"] = ric_star
@@ -297,11 +293,7 @@ def cmd_su3(args, tol):
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
     cls = su3_classify(S, tol=tol)
-    Gp = g2_product(S)
-    try:
-        product_class = classify(torsion_forms(Gp), tol=tol)
-    except TorsionSolveError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    product_class = classify(torsion_forms(g2_product(S)), tol=tol)
     results = {
         "lambda_psi": S.lam,
         "J": S.J,
@@ -454,8 +446,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         body, code = args.run(args, _tolerance(args.tol))
-    except (ParseError, ValidationFailure) as exc:
-        body = {**_body(None, getattr(args, "input", "") or ""), "error": str(exc)}
+    except (ParseError, ValidationFailure, TorsionSolveError) as exc:
+        # a tau1 disagreement is roundoff amplified by the input: a residual, not error text
+        residuals = ({"tau1_consistency": exc.consistency}
+                     if isinstance(exc, TorsionSolveError) else None)
+        body = {**_body(None, getattr(args, "input", "") or "", residuals=residuals),
+                "error": str(exc)}
         code = EXIT_PARSE if isinstance(exc, ParseError) else EXIT_INVALID
     emit({"command": args.command, **body})
     return code

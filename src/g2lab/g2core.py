@@ -48,7 +48,14 @@ class PositivityError(ValueError):
 
 
 class TorsionSolveError(RuntimeError):
-    """Raised when the two torsion equations disagree about tau1."""
+    """Raised when the two torsion equations disagree about tau1 by more than
+    `tol`; `consistency` is the disagreement.  The message names the tolerance
+    alone, so its text does not move with the roundoff the disagreement is."""
+
+    def __init__(self, consistency, tol):
+        super().__init__(f"tau1 disagrees between the two torsion equations by more than {tol:.3e}")
+        self.consistency = consistency
+        self.tol = tol
 
 
 @lru_cache(maxsize=None)
@@ -171,15 +178,16 @@ class G2Structure:
     form and the Hodge star are always taken positively oriented on
     e^{1..7}, which is the convention the torsion conventions below assume.
 
-    The metric and the star of phi are computed at construction; stars and
-    inner products of other forms are `hodge_star` and `form_inner` in that
-    metric.  Instances are immutable and shareable.  Derived data that not
-    every caller needs sits in a private slot that is None until its first
-    use fills it (`_torsion`, by `torsion_forms`).
+    The metric and the coefficients of the star of phi are computed at
+    construction; `star_phi` and `volume` are KForms built from them when
+    read.  Stars and inner products of other forms are `hodge_star` and
+    `form_inner` in that metric.  Instances are immutable and shareable.
+    Derived data that not every caller needs sits in a private slot that is
+    None until its first use fills it (`_torsion`, by `torsion_forms`).
     """
 
-    __slots__ = ("algebra", "phi", "metric", "volume", "gram_det", "b_matrix",
-                 "orientation", "star_phi", "_phi_vec", "_star_phi_vec", "_torsion")
+    __slots__ = ("algebra", "phi", "metric", "gram_det", "b_matrix", "orientation",
+                 "_phi_vec", "_star_phi_vec", "_torsion")
 
     def __init__(self, algebra, phi):
         if algebra.dim != 7:
@@ -189,21 +197,28 @@ class G2Structure:
         v = phi.to_vector()
         _, B, det_b, eps, factors = _phi_metric(v)
         metric = Metric._from_factors(*factors)
-        spv = _star(v, 3, metric)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "volume", metric.sqrt_det * standard_volume(7))
         object.__setattr__(self, "gram_det", det_b)
         object.__setattr__(self, "b_matrix", B)
         object.__setattr__(self, "orientation", eps)
         object.__setattr__(self, "_phi_vec", v)
-        object.__setattr__(self, "_star_phi_vec", spv)
-        object.__setattr__(self, "star_phi", KForm.from_vector(7, 4, spv))
+        object.__setattr__(self, "_star_phi_vec", _star(v, 3, metric))
         object.__setattr__(self, "_torsion", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("G2Structure is immutable")
+
+    @property
+    def volume(self):
+        """The volume form sqrt(det g) e^{1..7}."""
+        return self.metric.sqrt_det * standard_volume(7)
+
+    @property
+    def star_phi(self):
+        """The 4-form star(phi)."""
+        return KForm.from_vector(7, 4, self._star_phi_vec)
 
     def star(self, a):
         """Hodge star in this structure's metric, positively oriented on e^{1..7}."""
@@ -281,8 +296,7 @@ def torsion_forms(structure, tau1_tol=1e-8):
         t = _torsion(structure)
         object.__setattr__(structure, "_torsion", t)
     if t.tau1_consistency > tau1_tol:
-        raise TorsionSolveError(
-            f"tau1 disagrees between the two torsion equations by {t.tau1_consistency:.3e}")
+        raise TorsionSolveError(t.tau1_consistency, tau1_tol)
     return t
 
 

@@ -23,7 +23,12 @@ _RANK_CUTOFF = 1e-10
 
 
 class LieAlgebra:
-    __slots__ = ("dim", "dual_differential", "bracket", "name", "_diff")
+    """A Lie algebra from d e^1, ..., d e^n, with its bracket and differential
+    matrices.  Immutable and shareable; derived data that only some callers
+    need sits in a private slot that is None until its first use fills it
+    (`_line`, the trivial line extension that `su3.g2_product` attaches)."""
+
+    __slots__ = ("dim", "dual_differential", "bracket", "name", "_diff", "_line")
 
     def __init__(self, dual_differential, name=None):
         duals = tuple(dual_differential)
@@ -56,6 +61,7 @@ class LieAlgebra:
             mat.setflags(write=False)
             diff.append(mat)
         object.__setattr__(self, "_diff", tuple(diff))
+        object.__setattr__(self, "_line", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")

@@ -4,18 +4,24 @@ A pair (omega, psi) of a nondegenerate 2-form and a stable 3-form of
 complex type determines an almost-complex structure J (via the standard
 stable-form construction), the dual 3-form psi_hat = Im of the complex
 volume form, and the metric g = omega(., J.).
+
+The checks of `SU3Structure` and `su3_classify` run on coefficient vectors
+(`exterior._wedge_vec` and the algebra's differential matrices); psi_hat is
+kept as a KForm.  `g2_product` passes to the product with a line: the trivial
+extension is built once per base algebra and kept on it, and
+phi = omega ^ e7 + psi is one gather of the coefficients of omega and psi.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .exterior import (KForm, Metric, _dense, _dense_tables, complement_data, interior_table,
-                       wedge, wedge_matrix)
+from .exterior import (KForm, Metric, _dense, _dense_tables, _index_arrays, _read_only,
+                       _wedge_vec, complement_data, interior_table, wedge_matrix)
 from .curvature import rank_one_extension
 from .g2core import VANISH_TOL, G2Structure
-from .liealg import ce_diff
 
 
 def hitchin_j(algebra, psi):
@@ -57,8 +63,10 @@ class SU3Structure:
     """Validated pair (omega, psi) with derived J, psi_hat and metric.
 
     Validation: omega^3 nondegenerate, omega ^ psi = 0, psi stable of
-    complex type, J^2 = -I, and g = omega(., J.) positive definite (the
-    residual sign freedom in J is resolved by this last requirement).
+    complex type, J^2 = -I, and g = omega(., J.) positive definite.  The
+    residual sign freedom in J is resolved by this last requirement: a
+    definite g has the sign of its diagonal, so the sign of g[0, 0] picks J
+    and one Metric is built.  The checks run on coefficient vectors.
     """
 
     __slots__ = ("algebra", "omega", "psi", "J", "lam", "psi_hat", "metric")
@@ -68,19 +76,22 @@ class SU3Structure:
             raise ValueError("SU(3)-structures need a 6-dimensional algebra")
         if omega.dim != 6 or omega.degree != 2:
             raise ValueError("omega must be a 2-form in dimension 6")
+        if psi.dim != 6 or psi.degree != 3:
+            raise ValueError("psi must be a 3-form in dimension 6")
+        w, p = omega.to_vector(), psi.to_vector()
         scale = max(omega.norm(), 1.0) ** 3
-        top = wedge(wedge(omega, omega), omega).coefficient(tuple(range(1, 7)))
-        if abs(top) <= 1e-12 * scale:
+        if abs(_omega_cubed(w)) <= 1e-12 * scale:
             raise ValueError("omega is degenerate (omega^3 = 0)")
-        compat = wedge(omega, psi).norm()
+        compat = float(np.linalg.norm(_wedge_vec(6, 2, 3, w, p)))
         if compat > 1e-10 * max(1.0, omega.norm() * psi.norm()):
             raise ValueError(f"omega ^ psi != 0 (norm {compat:.3e})")
         J, lam = hitchin_j(algebra, psi)
-        w = _dense(omega.to_vector(), 6, 2).reshape(6, 6)
-        metric = Metric(w @ J)
-        if not metric.positive_definite:
+        W = _dense(w, 6, 2).reshape(6, 6)
+        g = W @ J
+        if g[0, 0] < 0:  # a definite g has the sign of its diagonal
             J = -J
-            metric = Metric(w @ J)
+            g = W @ J
+        metric = Metric(g)
         if not metric.positive_definite:
             raise ValueError("omega(., J.) is not positive definite for either sign of J")
         j2 = float(np.linalg.norm(J @ J + np.eye(6)))
@@ -99,12 +110,16 @@ class SU3Structure:
 
     def normalization_residual(self):
         """|| psi ^ psi_hat - 2/3 omega^3 ||, the volume normalization check."""
-        lhs = wedge(self.psi, self.psi_hat)
-        rhs = (2.0 / 3.0) * wedge(wedge(self.omega, self.omega), self.omega)
-        return (lhs - rhs).norm()
+        lhs = _wedge_vec(6, 3, 3, self.psi.to_vector(), self.psi_hat.to_vector())
+        return abs(float(lhs[0]) - (2.0 / 3.0) * _omega_cubed(self.omega.to_vector()))
 
     def __repr__(self):
         return f"SU3Structure(algebra={self.algebra!r})"
+
+
+def _omega_cubed(w):
+    # the e^{1..6} coefficient of omega ^ omega ^ omega
+    return float(_wedge_vec(6, 4, 2, _wedge_vec(6, 2, 2, w, w), w)[0])
 
 
 def psi_hat(structure):
@@ -131,24 +146,26 @@ def su3_classify(structure, tol=VANISH_TOL):
     d omega = c psi is fit by least squares; `coupled` additionally needs
     the fit residual to vanish and d omega != 0, while c = 0 (i.e. omega
     symplectic) gives symplectic half-flat.  Nearly Kahler additionally
-    requires d psi_hat = -2/3 c omega^2.
+    requires d psi_hat = -2/3 c omega^2.  Works on coefficient vectors with
+    the algebra's differential matrices.
     """
     S = structure
     L = S.algebra
-    d_omega = ce_diff(L, S.omega)
-    omega2 = wedge(S.omega, S.omega)
-    d_omega2_norm = ce_diff(L, omega2).norm()
-    d_psi_norm = ce_diff(L, S.psi).norm()
+    w, p = S.omega.to_vector(), S.psi.to_vector()
+    d_omega = L.diff_matrix(2) @ w
+    omega2 = _wedge_vec(6, 2, 2, w, w)
+    d_omega2_norm = float(np.linalg.norm(L.diff_matrix(4) @ omega2))
+    d_psi_norm = float(np.linalg.norm(L.diff_matrix(3) @ p))
     half_flat = d_omega2_norm <= tol and d_psi_norm <= tol
 
-    pv, dv = S.psi.to_vector(), d_omega.to_vector()
-    c = float(pv @ dv / (pv @ pv))
-    coupled_residual = (d_omega - c * S.psi).norm()
+    c = float(p @ d_omega / (p @ p))
+    coupled_residual = float(np.linalg.norm(d_omega - c * p))
     proportional = coupled_residual <= tol
-    symplectic = half_flat and d_omega.norm() <= tol
+    symplectic = half_flat and float(np.linalg.norm(d_omega)) <= tol
     coupled = half_flat and proportional and not symplectic
 
-    nk_residual = (ce_diff(L, S.psi_hat) + (2.0 / 3.0) * c * omega2).norm()
+    d_psi_hat = L.diff_matrix(3) @ S.psi_hat.to_vector()
+    nk_residual = float(np.linalg.norm(d_psi_hat + (2.0 / 3.0) * c * omega2))
     nearly_kahler = coupled and nk_residual <= tol
 
     if symplectic:
@@ -158,26 +175,51 @@ def su3_classify(structure, tol=VANISH_TOL):
                                "coupled_fit": coupled_residual, "nearly_kahler": nk_residual})
 
 
+@lru_cache(maxsize=None)
+def _line_positions(degree):
+    # positions among the `degree`-tuples of 1..7 of those without 7, which run
+    # in the order of the tuples of 1..6, and of those ending in 7, the
+    # e^I ^ e^7 for the (degree - 1)-tuples I of 1..6 in their order
+    mask = _index_arrays(7, degree)[1]
+    return _read_only(np.flatnonzero(mask < 1 << 6), np.flatnonzero(mask >= 1 << 6))
+
+
+@lru_cache(maxsize=None)
+def _product_gather():
+    # the position among the coefficients of omega, then psi, that each
+    # coefficient of omega ^ e7 + psi reads: e^{ij7} omega_ij, e^{ijk} psi_ijk
+    base, line = _line_positions(3)
+    return _read_only(np.argsort(np.concatenate((line, base))))[0]
+
+
 def g2_product(structure, extension=None):
     """The 3-form omega ^ e7 + psi on a one-dimensional extension.
 
     With no extension given, the line is attached trivially (d e7 = 0,
-    no transport), and the induced metric is the product g + (e7)^2; a
-    supplied 7-dimensional algebra is validated to restrict to the base
-    algebra (its d e^i may only add terms against e7, and d e7 = 0).
+    no transport), and the induced metric is the product g + (e7)^2; that
+    extension is built once per base algebra and kept on it (its private
+    `_line` slot).  A supplied 7-dimensional algebra is validated to restrict
+    to the base algebra: d e7 = 0, and its d e^i may only add terms against
+    e7, i.e. its d e^1..d e^6 at the 2-tuples without 7 are the base's to
+    1e-12.  phi is one gather of the coefficients of omega and psi.
     """
     S = structure
+    base = S.algebra
     if extension is None:
-        extension = rank_one_extension(S.algebra, np.zeros((6, 6)))
+        extension = base._line
+        if extension is None:
+            extension = rank_one_extension(base, np.zeros((6, 6)))
+            object.__setattr__(base, "_line", extension)
     else:
         if extension.dim != 7:
             raise ValueError("extension must be 7-dimensional")
-        if extension.dual_differential[6].norm() > 1e-12:
+        duals = np.stack([form.to_vector() for form in extension.dual_differential])
+        if np.linalg.norm(duals[6]) > 1e-12:
             raise ValueError("extension must have d e7 = 0")
-        for i in range(6):
-            restricted = KForm(6, 2, {k: v for k, v in extension.dual_differential[i].items()
-                                      if 7 not in k})
-            if not restricted.allclose(S.algebra.dual_differential[i], tol=1e-12):
-                raise ValueError(f"extension does not restrict to the base algebra at e{i + 1}")
-    phi = wedge(S.omega.embed(7), KForm.basis(7, (7,))) + S.psi.embed(7)
-    return G2Structure(extension, phi)
+        off = np.abs(duals[:6, _line_positions(2)[0]]
+                     - np.stack([form.to_vector() for form in base.dual_differential])) > 1e-12
+        failing = np.flatnonzero(off.any(axis=1))
+        if failing.size:
+            raise ValueError(f"extension does not restrict to the base algebra at e{failing[0] + 1}")
+    phi = np.concatenate((S.omega.to_vector(), S.psi.to_vector()))[_product_gather()]
+    return G2Structure(extension, KForm.from_vector(7, 3, phi))

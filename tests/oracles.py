@@ -18,7 +18,8 @@ from g2lab.exterior import (KForm, Metric, _star, form_inner, index_positions,
                             multi_indices, sort_with_sign, wedge_matrix)
 from g2lab.g2core import (PositivityError, TorsionForms, TorsionSolveError,
                           lambda2_14_basis, lambda3_27_basis, torsion_forms)
-from g2lab.liealg import _RANK_CUTOFF, codifferential, derivation_space
+from g2lab.liealg import _RANK_CUTOFF, ce_diff, codifferential, derivation_space
+from g2lab.su3 import SU3Class, hitchin_j
 
 
 def perm_sign(perm):
@@ -247,6 +248,58 @@ def loop_psi_hat(psi, J):
     return KForm(6, 3, {key: alt[tuple(i - 1 for i in key)] for key in multi_indices(6, 3)})
 
 
+def two_attempt_su3_frame(algebra, omega, psi):
+    """(J, metric) of an SU(3) pair as built before the sign of J was read off
+    g[0, 0]: the Metric of omega(., J.) for +J, and for -J when that one is
+    not positive definite."""
+    J, _ = hitchin_j(algebra, psi)
+    w = dense(omega)
+    metric = Metric(w @ J)
+    if not metric.positive_definite:
+        J = -J
+        metric = Metric(w @ J)
+    if not metric.positive_definite:
+        raise ValueError("omega(., J.) is not positive definite for either sign of J")
+    return J, metric
+
+
+def kform_normalization_residual(structure):
+    """|| psi ^ psi_hat - 2/3 omega^3 || with KForm wedges."""
+    S = structure
+    lhs = S.psi.wedge(S.psi_hat)
+    rhs = (2.0 / 3.0) * S.omega.wedge(S.omega).wedge(S.omega)
+    return (lhs - rhs).norm()
+
+
+def kform_su3_classify(structure, tol):
+    """`su3.su3_classify` with KForm wedges and `ce_diff`."""
+    S = structure
+    L = S.algebra
+    d_omega = ce_diff(L, S.omega)
+    omega2 = S.omega.wedge(S.omega)
+    d_omega2_norm = ce_diff(L, omega2).norm()
+    d_psi_norm = ce_diff(L, S.psi).norm()
+    half_flat = d_omega2_norm <= tol and d_psi_norm <= tol
+
+    pv, dv = S.psi.to_vector(), d_omega.to_vector()
+    c = float(pv @ dv / (pv @ pv))
+    coupled_residual = (d_omega - c * S.psi).norm()
+    symplectic = half_flat and d_omega.norm() <= tol
+    coupled = half_flat and coupled_residual <= tol and not symplectic
+
+    nk_residual = (ce_diff(L, S.psi_hat) + (2.0 / 3.0) * c * omega2).norm()
+    return SU3Class(half_flat, coupled, symplectic, coupled and nk_residual <= tol,
+                    0.0 if symplectic else c,
+                    residuals={"d_omega2": d_omega2_norm, "d_psi": d_psi_norm,
+                               "coupled_fit": coupled_residual, "nearly_kahler": nk_residual})
+
+
+def kform_product_phi(structure):
+    """omega ^ e7 + psi on the product with a line, from KForm embeds and wedges."""
+    S = structure
+    return S.omega.embed(7).wedge(KForm.basis(7, (7,))) + S.psi.embed(7)
+
+
 def frame_star_ricci(structure):
     """Ric* contracted in a g-orthonormal frame f = g^{-1/2} e with the
     five-operand einsums (R_abcd phi_abs phi_cdm), mapped back to the e_i basis."""
@@ -330,8 +383,7 @@ def lstsq_torsion(structure, tau1_tol=1e-8):
 
     tau1_mismatch = float(np.linalg.norm(x[1:8] - y[:7]))
     if tau1_mismatch > tau1_tol:
-        raise TorsionSolveError(
-            f"tau1 disagrees between the two torsion equations by {tau1_mismatch:.3e}")
+        raise TorsionSolveError(tau1_mismatch, tau1_tol)
 
     tau0 = float(x[0])
     tau1 = KForm.from_vector(7, 1, x[1:8])

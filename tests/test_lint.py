@@ -78,6 +78,90 @@ def test_detects_unused_private_names():
         ("a.py", 2, "_SPARE"), ("a.py", 3, "_x"), ("a.py", 6, "_dead"), ("a.py", 9, "_Unused")]
 
 
+def _setattr_call(node):
+    """(target, name) of an `object.__setattr__(target, "name", value)` call,
+    name None when it is not a string literal; None for any other node."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+            and len(node.args) == 3):
+        return None
+    name = node.args[1]
+    return node.args[0], name.value if isinstance(name, ast.Constant) else None
+
+
+def _lazy_slots(tree):
+    """Names of the slots that a class of `tree` declares in `__slots__` and
+    sets to None in its `__init__` through `object.__setattr__(self, ...)`."""
+    lazy = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        slots, none_set = set(), set()
+        for item in cls.body:
+            if isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+                slots |= {e.value for e in ast.walk(item.value) if isinstance(e, ast.Constant)}
+            elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                for node in ast.walk(item):
+                    call = _setattr_call(node)
+                    if (call and isinstance(call[0], ast.Name) and call[0].id == "self"
+                            and isinstance(node.args[2], ast.Constant)
+                            and node.args[2].value is None):
+                        none_set.add(call[1])
+        lazy |= slots & none_set
+    return lazy
+
+
+def foreign_slot_writes(sources):
+    """(module, line, name) of each `object.__setattr__(target, "name", ...)` in
+    `sources` ({module: source}) whose target is not `self` and whose name is
+    not a lazily filled slot: one that a class there declares in `__slots__`
+    and sets to None in its `__init__`.  Such a write reaches into another
+    object, which is only sound for a slot its class leaves empty for it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    lazy = set().union(*(_lazy_slots(tree) for tree in trees.values()))
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            call = _setattr_call(node)
+            if call is None or isinstance(call[0], ast.Name) and call[0].id == "self":
+                continue
+            if call[1] not in lazy:
+                out.append((module, node.lineno, call[1]))
+    return sorted(out, key=lambda entry: (entry[0], entry[1]))
+
+
+def test_foreign_setattr_only_fills_lazy_slots():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert foreign_slot_writes(sources) == []
+
+
+def test_detects_foreign_slot_writes():
+    sources = {
+        "a.py": ("class A:\n"
+                 "    __slots__ = ('x', '_cache', '_eager', '_other')\n"
+                 "    def __init__(self):\n"
+                 "        object.__setattr__(self, 'x', 1)\n"
+                 "        object.__setattr__(self, '_cache', None)\n"
+                 "        object.__setattr__(self, '_eager', 0)\n"
+                 "class B:\n"
+                 "    def __init__(self):\n"
+                 "        object.__setattr__(self, '_unslotted', None)\n"),
+        "b.py": ("def fill(a, name):\n"
+                 "    object.__setattr__(a, '_cache', 2)\n"
+                 "    object.__setattr__(a, 'x', 2)\n"
+                 "    object.__setattr__(a, '_eager', 2)\n"
+                 "    object.__setattr__(a, '_unslotted', 2)\n"
+                 "    object.__setattr__(a.b, '_other', 2)\n"
+                 "    object.__setattr__(a, name, 2)\n"
+                 "    setattr(a, 'x', 2)\n"),
+    }
+    assert foreign_slot_writes(sources) == [
+        ("b.py", 3, "x"), ("b.py", 4, "_eager"), ("b.py", 5, "_unslotted"),
+        ("b.py", 6, "_other"), ("b.py", 7, None)]
+
+
 ROOT = SRC.parent.parent
 CALLER_DIRS = ("src", "tests", "scripts", "perfbench")
 

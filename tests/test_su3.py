@@ -1,15 +1,22 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2lab.catalog import catalog
+from g2lab.catalog import catalog, catalog_names
+from g2lab.curvature import rank_one_extension
 from g2lab.exterior import KForm, wedge
-from g2lab.g2core import classify, torsion_forms
+from g2lab.g2core import VANISH_TOL, classify, torsion_forms
+from g2lab.inputfmt import parse_document
 from g2lab.liealg import LieAlgebra, ce_diff
 from g2lab.su3 import SU3Structure, _psi_hat, g2_product, hitchin_j, psi_hat, su3_classify
 
-from oracles import dense, dense_to_form, loop_hitchin_j, loop_psi_hat
+from oracles import (dense, dense_to_form, kform_normalization_residual, kform_product_phi,
+                     kform_su3_classify, loop_hitchin_j, loop_psi_hat, two_attempt_su3_frame)
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "valid"
 
 ABELIAN6 = LieAlgebra([KForm.zero(6, 2)] * 6, name="abelian6")
 OMEGA_STD = KForm(6, 2, {(1, 2): 1.0, (3, 4): 1.0, (5, 6): 1.0})
@@ -142,8 +149,7 @@ def pullback(form, a):
 
 def su3_h1():
     """The standard pair pulled back to h1 by a fixed near-identity map: dense forms."""
-    a = np.eye(6) + 0.2 * np.random.default_rng(1).standard_normal((6, 6))
-    return SU3Structure(catalog("h1").algebra, pullback(OMEGA_STD, a), pullback(PSI_STD, a))
+    return h1_pullback(1)
 
 
 def assert_matches_loops(psi, J=None, hat=None):
@@ -254,3 +260,193 @@ class TestG2Product:
     def test_mismatched_extension_rejected(self):
         with pytest.raises(ValueError):
             g2_product(su3_std(), extension=catalog("n2").algebra)
+
+
+def pullback_pair(algebra, a):
+    """The standard pair pulled back by the map a, on `algebra`."""
+    return SU3Structure(algebra, pullback(OMEGA_STD, a), pullback(PSI_STD, a))
+
+
+def h1_pullback(seed):
+    """The standard pair pulled back to h1 by I + 0.2 N, N standard normal from `seed`."""
+    a = np.eye(6) + 0.2 * np.random.default_rng(seed).standard_normal((6, 6))
+    return pullback_pair(catalog("h1").algebra, a)
+
+
+# on the abelian algebra every pair is symplectic half-flat; on h1 and h2 these are not half-flat
+ALGEBRAS = st.sampled_from([ABELIAN6, catalog("h1").algebra, H2.algebra])
+
+
+# a near-identity map: |a - I| <= 6 * 0.125 < 1 in the spectral norm, so a is invertible
+near_identity = st.lists(st.floats(min_value=-0.125, max_value=0.125, width=32),
+                         min_size=36, max_size=36).map(lambda x: np.eye(6) + np.reshape(x, (6, 6)))
+
+
+def fresh_h2():
+    """An SU3Structure on a new copy of h2's algebra, whose line slot no other test filled."""
+    base = LieAlgebra(H2.algebra.dual_differential, name="h2")
+    return SU3Structure(base, H2.forms["omega"], H2.forms["psi"])
+
+
+def catalog_and_corpus_pairs():
+    """(label, algebra, omega, psi) of every catalog entry and valid corpus file with a pair."""
+    docs = [(name, catalog(name).document) for name in catalog_names()]
+    docs += [(path.name, parse_document(path.read_text()))
+             for path in sorted(CORPUS.glob("*.g2"))]
+    return [(label, doc.algebra, doc.forms["omega"], doc.forms["psi"])
+            for label, doc in docs if {"omega", "psi"} <= set(doc.forms)]
+
+
+PAIRS = catalog_and_corpus_pairs()
+
+
+class TestLineExtension:
+    def test_one_extension_per_algebra(self):
+        S = fresh_h2()
+        assert S.algebra._line is None
+        first = g2_product(S).algebra
+        assert S.algebra._line is first
+        again = SU3Structure(S.algebra, H2.forms["omega"], H2.forms["psi"])
+        assert g2_product(again).algebra is first
+
+    @pytest.mark.parametrize("make", [su3_std, su3_h1, su3_h2, fresh_h2])
+    def test_equals_rank_one_extension(self, make):
+        S = make()
+        got = g2_product(S).algebra
+        want = rank_one_extension(S.algebra, np.zeros((6, 6)))
+        assert got.name == want.name
+        assert np.array_equal(got.bracket, want.bracket)
+        for a, b in zip(got.dual_differential, want.dual_differential, strict=True):
+            assert np.array_equal(a.to_vector(), b.to_vector())
+        for k in range(8):
+            assert np.array_equal(got.diff_matrix(k), want.diff_matrix(k))
+
+    def test_supplied_extension_leaves_the_slot(self):
+        S = fresh_h2()
+        extension = catalog("s_ext_h2").algebra
+        assert g2_product(S, extension=extension).algebra is extension
+        assert S.algebra._line is None
+        # a slot already filled is neither read nor replaced
+        other = catalog("n2").algebra
+        object.__setattr__(S.algebra, "_line", other)
+        assert g2_product(S, extension=extension).algebra is extension
+        assert S.algebra._line is other
+        assert g2_product(S).algebra is other
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_restriction_names_the_first_failing_form(self, index):
+        S = su3_h2()
+        ext = catalog("s_ext_h2").algebra
+        duals = list(ext.dual_differential)
+        for i in range(index, 6):
+            duals[i] = duals[i] + 2e-12 * KForm.basis(7, (1, 2) if i != 0 else (3, 4))
+        with pytest.raises(ValueError, match=f"does not restrict to the base algebra "
+                                             f"at e{index + 1}$"):
+            g2_product(S, extension=LieAlgebra(duals))
+
+    def test_restriction_tolerance(self):
+        # terms against e7 and changes within 1e-12 pass
+        S = su3_h2()
+        duals = list(catalog("s_ext_h2").algebra.dual_differential)
+        duals[2] = duals[2] + 5e-13 * KForm.basis(7, (1, 2)) + KForm.basis(7, (4, 7))
+        G = g2_product(S, extension=LieAlgebra(duals))
+        assert G.algebra.dual_differential[2] == duals[2]
+
+    def test_extension_with_d_e7_rejected(self):
+        duals = list(catalog("s_ext_h2").algebra.dual_differential[:6]) + [
+            2e-12 * KForm.basis(7, (1, 2))]
+        with pytest.raises(ValueError, match="extension must have d e7 = 0"):
+            g2_product(su3_h2(), extension=LieAlgebra(duals))
+
+
+class TestProductPhi:
+    @pytest.mark.parametrize("make", [su3_std, su3_h1, su3_h2])
+    def test_matches_kform_formula(self, make):
+        S = make()
+        assert np.array_equal(g2_product(S).phi.to_vector(), kform_product_phi(S).to_vector())
+
+    def test_supplied_extension_matches_kform_formula(self):
+        S = su3_h2()
+        G = g2_product(S, extension=catalog("s_ext_h2").algebra)
+        assert np.array_equal(G.phi.to_vector(), kform_product_phi(S).to_vector())
+
+    @settings(max_examples=25, deadline=None)
+    @given(ALGEBRAS, near_identity)
+    def test_pullbacks_match_kform_formula(self, algebra, a):
+        S = pullback_pair(algebra, a)
+        assert np.array_equal(g2_product(S).phi.to_vector(), kform_product_phi(S).to_vector())
+
+
+def assert_same_frame(S):
+    J, metric = two_attempt_su3_frame(S.algebra, S.omega, S.psi)
+    assert np.array_equal(S.J, J)
+    for key in ("g", "inverse"):
+        assert np.array_equal(getattr(S.metric, key), getattr(metric, key))
+    assert (S.metric.det, S.metric.sqrt_det) == (metric.det, metric.sqrt_det)
+
+
+class TestSignFirst:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_h1_pullbacks_match_two_attempts(self, seed):
+        S = h1_pullback(seed)
+        # +J gives an indefinite omega(., J.) on these pull-backs: the second attempt
+        assert (dense(S.omega) @ hitchin_j(S.algebra, S.psi)[0])[0, 0] < 0
+        assert_same_frame(S)
+
+    @pytest.mark.parametrize("make", [su3_std, su3_h2])
+    def test_catalog_pairs_match_two_attempts(self, make):
+        assert_same_frame(make())
+
+    @settings(max_examples=25, deadline=None)
+    @given(ALGEBRAS, near_identity)
+    def test_pullbacks_match_two_attempts(self, algebra, a):
+        assert_same_frame(pullback_pair(algebra, a))
+
+    @pytest.mark.parametrize("omega", [
+        KForm(6, 2, {(1, 2): 1.0, (3, 4): 1.0, (5, 6): -1.0}),   # g[0, 0] > 0: keeps +J
+        KForm(6, 2, {(1, 2): -1.0, (3, 4): 1.0, (5, 6): 1.0}),   # g[0, 0] < 0: takes -J
+    ], ids=["plus", "minus"])
+    def test_neither_sign_definite(self, omega):
+        with pytest.raises(ValueError) as old:
+            two_attempt_su3_frame(ABELIAN6, omega, PSI_STD)
+        with pytest.raises(ValueError, match="not positive definite for either sign of J") as new:
+            SU3Structure(ABELIAN6, omega, PSI_STD)
+        assert str(new.value) == str(old.value)
+
+
+def assert_classify_matches_kform(S, tol=VANISH_TOL):
+    got, want = su3_classify(S, tol=tol), kform_su3_classify(S, tol)
+    assert (got.half_flat, got.coupled, got.symplectic_half_flat, got.nearly_kahler) \
+        == (want.half_flat, want.coupled, want.symplectic_half_flat, want.nearly_kahler)
+    assert abs(got.c - want.c) <= 1e-12 * max(1.0, abs(want.c))
+    assert list(got.residuals) == list(want.residuals)
+    for key, value in want.residuals.items():
+        assert abs(got.residuals[key] - value) <= 1e-12 * max(1.0, value), key
+    want_norm = kform_normalization_residual(S)
+    assert abs(S.normalization_residual() - want_norm) <= 1e-12 * max(1.0, S.omega.norm() ** 3)
+
+
+class TestClassifyAgainstKForms:
+    @pytest.mark.parametrize("label,algebra,omega,psi", PAIRS, ids=[p[0] for p in PAIRS])
+    def test_catalog_and_corpus_pairs(self, label, algebra, omega, psi):
+        assert_classify_matches_kform(SU3Structure(algebra, omega, psi))
+
+    def test_pairs_found(self):
+        assert sorted(p[0] for p in PAIRS) == ["h2", "h2.g2"]
+
+    @pytest.mark.parametrize("make", [su3_std, su3_h1])
+    def test_standard_pairs(self, make):
+        assert_classify_matches_kform(make())
+
+    @settings(max_examples=40, deadline=None)
+    @given(ALGEBRAS, near_identity)
+    def test_pullbacks(self, algebra, a):
+        assert_classify_matches_kform(pullback_pair(algebra, a))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(min_value=0.5, max_value=2.0))
+    def test_scaled_coupled_pair(self, scale):
+        # (s^2 omega, s^3 psi) stays coupled, with c / s
+        S = SU3Structure(H2.algebra, scale ** 2 * H2.forms["omega"], scale ** 3 * H2.forms["psi"])
+        assert su3_classify(S).coupled
+        assert_classify_matches_kform(S)

@@ -15,19 +15,16 @@ from .catalog import CatalogEntry, catalog, catalog_names
 from .curvature import (SolitonCertificate, einstein_calibrated_residual,
                         einstein_residual, levi_civita, rank_one_extension, ricci,
                         ricci_operator, riemann, scal_from_torsion, scalar_curvature,
-                        soliton_solve, star_einstein_residual, star_ricci, star_scal)
-from .exterior import (KForm, Metric, form_inner, hodge_star, interior,
-                       multi_indices, standard_volume, wedge)
+                        soliton_solve, star_ricci)
+from .exterior import KForm, Metric, form_inner, hodge_star, multi_indices, wedge
 from .flow import (CSV_COLUMNS, FlowOptions, FlowState, FlowTrajectory,
                    closed_form_n2, closed_form_n2_velocity, closed_form_n12,
-                   closed_form_n12_velocity, flow_integrate, hodge_laplacian,
-                   oracle_residual)
+                   closed_form_n12_velocity, flow_integrate, oracle_residual)
 from .g2core import (G2Class, G2Structure, PositivityError, TorsionForms,
-                     TorsionSolveError, classify, lambda2_14_basis, lambda3_27_basis,
-                     lee_form, metric_from_phi, torsion_forms)
+                     TorsionSolveError, classify, lee_form, torsion_forms)
 from .inputfmt import InputDocument, ParseError, format_document, format_form, parse_document
-from .liealg import (LieAlgebra, ce_diff, codifferential, derivation_residual,
-                     derivation_space, jacobi_residual)
+from .liealg import (LieAlgebra, ce_diff, derivation_residual, derivation_space,
+                     jacobi_residual)
 from .su3 import SU3Class, SU3Structure, g2_product, hitchin_j, psi_hat, su3_classify
 
 __version__ = "0.1.0"
@@ -38,14 +35,11 @@ __all__ = [
     "ParseError", "PositivityError", "SU3Class", "SU3Structure", "SolitonCertificate",
     "TorsionForms", "TorsionSolveError", "catalog", "catalog_names", "ce_diff",
     "classify", "closed_form_n2", "closed_form_n2_velocity", "closed_form_n12",
-    "closed_form_n12_velocity", "codifferential", "derivation_residual",
-    "derivation_space", "einstein_calibrated_residual", "einstein_residual",
-    "flow_integrate", "form_inner", "format_document", "format_form", "g2_product",
-    "hitchin_j", "hodge_laplacian", "hodge_star", "interior", "jacobi_residual",
-    "lambda2_14_basis", "lambda3_27_basis", "lee_form", "levi_civita",
-    "metric_from_phi", "multi_indices", "oracle_residual", "parse_document",
-    "psi_hat", "rank_one_extension", "ricci", "ricci_operator", "riemann",
-    "scal_from_torsion", "scalar_curvature", "soliton_solve",
-    "standard_volume", "star_einstein_residual", "star_ricci", "star_scal",
-    "su3_classify", "torsion_forms", "wedge",
+    "closed_form_n12_velocity", "derivation_residual", "derivation_space",
+    "einstein_calibrated_residual", "einstein_residual", "flow_integrate",
+    "form_inner", "format_document", "format_form", "g2_product", "hitchin_j",
+    "hodge_star", "jacobi_residual", "lee_form", "levi_civita", "multi_indices",
+    "oracle_residual", "parse_document", "psi_hat", "rank_one_extension", "ricci",
+    "ricci_operator", "riemann", "scal_from_torsion", "scalar_curvature",
+    "soliton_solve", "star_ricci", "su3_classify", "torsion_forms", "wedge",
 ]

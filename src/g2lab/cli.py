@@ -218,6 +218,8 @@ def cmd_torsion(args, tol):
         "vanishing": {"tau0": cls.tau0_zero, "tau1": cls.tau1_zero,
                       "tau2": cls.tau2_zero, "tau3": cls.tau3_zero},
     }
+    # lee_vs_3tau1 is 0 by construction (theta is read as 3 tau1); the
+    # independent tau1 check is tau1_consistency, tau1 from d phi against d star(phi)
     residuals = {
         "reconstruction": t.residual,
         "tau1_consistency": t.tau1_consistency,
@@ -447,11 +449,11 @@ def main(argv=None):
     try:
         body, code = args.run(args, _tolerance(args.tol))
     except (ParseError, ValidationFailure, TorsionSolveError) as exc:
-        # a tau1 disagreement is roundoff amplified by the input: a residual, not error text
-        residuals = ({"tau1_consistency": exc.consistency}
-                     if isinstance(exc, TorsionSolveError) else None)
-        body = {**_body(None, getattr(args, "input", "") or "", residuals=residuals),
-                "error": str(exc)}
+        # a tau1 disagreement is roundoff amplified by the input: a residual, not
+        # error text, next to the tolerance it exceeded
+        tau1 = ({"residuals": {"tau1_consistency": exc.consistency}, "tau1": exc.tol}
+                if isinstance(exc, TorsionSolveError) else {})
+        body = {**_body(None, getattr(args, "input", "") or "", **tau1), "error": str(exc)}
         code = EXIT_PARSE if isinstance(exc, ParseError) else EXIT_INVALID
     emit({"command": args.command, **body})
     return code

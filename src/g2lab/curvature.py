@@ -105,15 +105,6 @@ def star_ricci(structure):
     return (ric + ric.T) / 2.0
 
 
-def star_scal(structure):
-    return float(np.trace(structure.metric.inverse @ star_ricci(structure)))
-
-
-def star_einstein_residual(structure):
-    """|| Ric* - (Scal*/7) g ||, the obstruction to the star-Einstein condition."""
-    return _einstein_gap(star_ricci(structure), structure.metric)
-
-
 @dataclass(frozen=True)
 class SolitonCertificate:
     """Best decomposition Ric = lambda I + D with D a derivation.

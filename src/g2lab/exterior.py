@@ -273,15 +273,6 @@ class KForm:
     def wedge(self, other):
         return wedge(self, other)
 
-    def embed(self, dim):
-        """Reinterpret in a larger ambient dimension (same coefficients)."""
-        if dim < self.dim:
-            raise ValueError("cannot embed into a smaller dimension")
-        pos = index_positions(dim, self.degree)
-        vec = np.zeros(len(pos))
-        vec[[pos[key] for key in multi_indices(self.dim, self.degree)]] = self._vec
-        return KForm.from_vector(dim, self.degree, vec)
-
     def _check_match(self, other):
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -297,10 +288,6 @@ class KForm:
         return f"KForm({self.dim}, {self.degree}, {terms})"
 
 
-def standard_volume(dim):
-    return KForm.from_vector(dim, dim, np.ones(1))
-
-
 def wedge(a, b):
     """Wedge product; bilinear, graded-commutative.  One scatter through
     `wedge_table`, summing the terms of each coefficient in (a, b) key order."""
@@ -308,23 +295,6 @@ def wedge(a, b):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     n, k, l = a.dim, a.degree, b.degree
     return KForm.from_vector(n, k + l, _wedge_vec(n, k, l, a.to_vector(), b.to_vector()))
-
-
-def interior(vector, a):
-    """Interior product iota_v a for a coefficient vector v over the basis.
-
-    Antiderivation of degree -1; raises on 0-forms (there is no meaningful
-    degree -1 result to return).
-    """
-    v = np.asarray(vector, dtype=float)
-    if v.shape != (a.dim,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({a.dim},)")
-    if a.degree == 0:
-        raise ValueError("interior product of a 0-form is undefined")
-    n, k = a.dim, a.degree
-    row, i, col, sg = interior_table(n, k)
-    return KForm.from_vector(n, k - 1, np.bincount(row, weights=sg * v[i] * a.to_vector()[col],
-                                                   minlength=len(multi_indices(n, k - 1))))
 
 
 class Metric:
@@ -377,9 +347,6 @@ class Metric:
     @classmethod
     def identity(cls, dim):
         return cls(np.eye(dim))
-
-    def leading_minors(self):
-        return [float(np.linalg.det(self.g[:k, :k])) for k in range(1, self.dim + 1)]
 
     def __repr__(self):
         return f"Metric(dim={self.dim}, det={self.det:.6g})"

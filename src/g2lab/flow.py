@@ -14,9 +14,9 @@ positivity check and the next step's first stage; they take about nine
 tenths of a trajectory's time.  Sampled states build no G2Structure: their
 diagnostics come from that evaluation's metric factors and delta phi (see
 `_state`), with tau2 = delta phi, which holds on closed forms.
-`hodge_laplacian` and `oracle_residual` keep the full Laplacian.  No
-re-projection onto closed forms is done: |d phi| is measured after every
-step, and drift aborts the trajectory instead of being hidden.
+`oracle_residual` keeps the full Laplacian.  No re-projection onto closed
+forms is done: |d phi| is measured after every step, and drift aborts the
+trajectory instead of being hidden.
 """
 from __future__ import annotations
 
@@ -42,11 +42,6 @@ CSV_COLUMNS = (("t",)
                + tuple("phi_" + "".join(map(str, key)) for key in multi_indices(7, 3))
                + ("closedness", "tau2_norm", "scalar_curvature", "volume_density",
                   "laplacian_norm"))
-
-
-def hodge_laplacian(structure):
-    """Delta phi = d delta phi + delta d phi in the metric of the structure."""
-    return KForm.from_vector(7, 3, structure.laplacian_vec())
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,12 @@ kept on the structure; the tau1 consistency check is applied on every call.
 
 `phi_laplacian` is the Hodge Laplacian d delta phi + delta d phi of the
 homogeneous flow (J. Lauret, Laplacian flow of homogeneous G2-structures and
-its solitons, Proc. LMS 2017) as one kernel; `G2Structure.laplacian_vec`,
-`flow.hodge_laplacian` and the flow oracle use it.  On closed forms
-delta d phi = 0, so the flow's right-hand side `_closed_phi_laplacian`
-evaluates only the d delta phi half from the same metric factors and
-codifferential (`_phi_codifferential`), builds no Metric, and hands the
-factors and delta phi on to the flow's sampled states.  On a dense n4 form
+its solitons, Proc. LMS 2017) as one kernel; `G2Structure.laplacian_vec` and
+the flow oracle use it.  On closed forms delta d phi = 0, so the flow's
+right-hand side `_closed_phi_laplacian` evaluates only the d delta phi half
+from the same metric factors and codifferential (`_phi_codifferential`),
+builds no Metric, and hands the factors and delta phi on to the flow's
+sampled states.  On a dense n4 form
 (plain `perf_counter` loop, interquartile range of 25 rounds, one CPU of a
 shared 2-core host, one BLAS thread) `phi_laplacian` takes 58-65 us and
 `_closed_phi_laplacian` 38-40 us, of which the phi -> metric step
@@ -37,8 +37,7 @@ import numpy as np
 
 from .exterior import (KForm, Metric, _complement_of_compound, _compound_of_complement, _dense,
                        _dense_tables, _read_only, _scatter, _star, _wedge_vec, complement_data,
-                       form_inner, hodge_star, standard_volume, wedge, wedge_matrix, wedge_table)
-from .liealg import _null_space, ce_diff
+                       form_inner, hodge_star, wedge_table)
 
 VANISH_TOL = 1e-8
 
@@ -70,22 +69,18 @@ def _pairing_table():
 
 
 def _gram(phi_vec):
-    # the dense phi tensor as a 7 x 49 matrix, and B from it over Lambda^2
-    A = _dense(phi_vec, 7, 3).reshape(7, 49)
-    iota = A[:, _dense_tables(7, 2)[3]]  # row i: the coefficients of iota_i phi
-    dst, src, sign = _pairing_table()
-    B = iota @ (_scatter(phi_vec, src, dst, sign, 441).reshape(21, 21) @ iota.T)
-    return A, (B + B.T) / 2.0
-
-
-def gram_matrix_from_phi(phi_vec):
-    """B_ij = coefficient of e^{1..7} in iota_i phi ^ iota_j phi ^ phi.
+    """(dense phi as 7 x 49, B) of a 3-form's coefficients, B_ij the e^{1..7}
+    coefficient of iota_i phi ^ iota_j phi ^ phi.
 
     Over Lambda^2, B = iota Q iota^T: row i of the 7 x 21 matrix iota is the
     2-form iota_i phi, and the symmetric 21 x 21 matrix Q pairs two 2-forms
     alpha, beta to the e^{1..7} coefficient of alpha ^ beta ^ phi.
     """
-    return _gram(phi_vec)[1]
+    A = _dense(phi_vec, 7, 3).reshape(7, 49)
+    iota = A[:, _dense_tables(7, 2)[3]]  # row i: the coefficients of iota_i phi
+    dst, src, sign = _pairing_table()
+    B = iota @ (_scatter(phi_vec, src, dst, sign, 441).reshape(21, 21) @ iota.T)
+    return A, (B + B.T) / 2.0
 
 
 def _phi_metric(phi_vec):
@@ -169,7 +164,7 @@ def phi_laplacian(algebra, phi_vec):
 
 
 class G2Structure:
-    """A positive 3-form with its derived metric, volume and Hodge data.
+    """A positive 3-form with its derived metric and Hodge data.
 
     The form fixes the metric through B/6 = sqrt(det g) g relative to
     epsilon e^{1..7} with epsilon = sign(det B), so g = (36 |det B|)^{-1/9}
@@ -179,11 +174,11 @@ class G2Structure:
     e^{1..7}, which is the convention the torsion conventions below assume.
 
     The metric and the coefficients of the star of phi are computed at
-    construction; `star_phi` and `volume` are KForms built from them when
-    read.  Stars and inner products of other forms are `hodge_star` and
-    `form_inner` in that metric.  Instances are immutable and shareable.
-    Derived data that not every caller needs sits in a private slot that is
-    None until its first use fills it (`_torsion`, by `torsion_forms`).
+    construction; `star_phi` is a KForm built from them when read.  Stars
+    and inner products of other forms are `hodge_star` and `form_inner` in
+    that metric.  Instances are immutable and shareable.  Derived data that
+    not every caller needs sits in a private slot that is None until its
+    first use fills it (`_torsion`, by `torsion_forms`).
     """
 
     __slots__ = ("algebra", "phi", "metric", "gram_det", "b_matrix", "orientation",
@@ -211,11 +206,6 @@ class G2Structure:
         raise AttributeError("G2Structure is immutable")
 
     @property
-    def volume(self):
-        """The volume form sqrt(det g) e^{1..7}."""
-        return self.metric.sqrt_det * standard_volume(7)
-
-    @property
     def star_phi(self):
         """The 4-form star(phi)."""
         return KForm.from_vector(7, 4, self._star_phi_vec)
@@ -223,9 +213,6 @@ class G2Structure:
     def star(self, a):
         """Hodge star in this structure's metric, positively oriented on e^{1..7}."""
         return hodge_star(self.metric, a)
-
-    def d(self, a):
-        return ce_diff(self.algebra, a)
 
     def inner(self, a, b):
         return form_inner(self.metric, a, b)
@@ -239,22 +226,6 @@ class G2Structure:
 
     def __repr__(self):
         return f"G2Structure(algebra={self.algebra!r}, det_B={self.gram_det:.6g})"
-
-
-def metric_from_phi(algebra, phi):
-    """Build the G2Structure of a positive 3-form; raises PositivityError otherwise."""
-    return G2Structure(algebra, phi)
-
-
-def lambda2_14_basis(structure):
-    """Orthonormal basis (as columns) of {alpha in Lambda^2 : alpha ^ star(phi) = 0}."""
-    return _null_space(wedge_matrix(7, 2, 4, structure._star_phi_vec)).T
-
-
-def lambda3_27_basis(structure):
-    """Orthonormal basis of {beta in Lambda^3 : beta ^ phi = 0, beta ^ star(phi) = 0}."""
-    return _null_space(np.vstack([wedge_matrix(7, 3, 3, structure._phi_vec),
-                                  wedge_matrix(7, 3, 4, structure._star_phi_vec)])).T
 
 
 @dataclass(frozen=True)
@@ -321,10 +292,10 @@ def _torsion(structure):
 
 
 def lee_form(structure):
-    """Lee form theta = -1/4 star(star(d phi) ^ phi); equals 3 tau1."""
-    G = structure
-    inner = wedge(G.star(G.d(G.phi)), G.phi)
-    return -0.25 * G.star(inner)
+    """Lee form theta = 3 tau1 = -1/4 star(star(d phi) ^ phi), read from the
+    structure's torsion (`torsion_forms`).  Raises TorsionSolveError where
+    `torsion_forms` does, when the two torsion equations disagree about tau1."""
+    return 3.0 * torsion_forms(structure).tau1
 
 
 @dataclass(frozen=True)
@@ -336,10 +307,6 @@ class G2Class:
     tau3_zero: bool
     label: str
     labels: tuple
-
-    @property
-    def torsion_free(self):
-        return self.tau0_zero and self.tau1_zero and self.tau2_zero and self.tau3_zero
 
 
 _CLASS_TABLE = (

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import KForm, _read_only, hodge_star, interior_table, multi_indices, wedge_table
+from .exterior import KForm, _read_only, interior_table, multi_indices, wedge_table
 
 #: Relative singular-value cutoff of every rank decision: null spaces, the lower
 #: central series and whether I is a derivation in the soliton fit.
@@ -69,14 +69,6 @@ class LieAlgebra:
     def diff_matrix(self, degree):
         """Matrix of the differential on degree-`degree` coefficient vectors."""
         return self._diff[degree]
-
-    def d(self, a):
-        return ce_diff(self, a)
-
-    def bracket_vectors(self, x, y):
-        """[x, y] for coefficient vectors over the basis."""
-        return np.einsum("ijk,i,j->k", self.bracket, np.asarray(x, float),
-                         np.asarray(y, float))
 
     def is_unimodular(self):
         traces = np.einsum("ijj->i", self.bracket)
@@ -132,17 +124,6 @@ def ce_diff(algebra, a):
 def jacobi_residual(algebra):
     """max_i || d(d e^i) ||; zero (to roundoff) exactly when Jacobi holds."""
     return max(ce_diff(algebra, de).norm() for de in algebra.dual_differential)
-
-
-def codifferential(algebra, metric, a):
-    """delta = (-1)^k star^{-1} d star on k-forms; 0-forms map to zero."""
-    if a.degree == 0:
-        return KForm.zero(a.dim, 0)
-    n, k = a.dim, a.degree
-    da = ce_diff(algebra, hodge_star(metric, a))
-    p = n - k + 1
-    inv_sign = (-1.0) ** (p * (n - p))
-    return ((-1.0) ** k) * inv_sign * hodge_star(metric, da)
 
 
 def derivation_residual(algebra, D):

@@ -14,11 +14,10 @@ import numpy as np
 
 from g2lab import curvature
 from g2lab.curvature import SolitonCertificate, riemann
-from g2lab.exterior import (KForm, Metric, _star, form_inner, index_positions,
-                            multi_indices, sort_with_sign, wedge_matrix)
-from g2lab.g2core import (PositivityError, TorsionForms, TorsionSolveError,
-                          lambda2_14_basis, lambda3_27_basis, torsion_forms)
-from g2lab.liealg import _RANK_CUTOFF, ce_diff, codifferential, derivation_space
+from g2lab.exterior import (KForm, Metric, _star, form_inner, hodge_star, index_positions,
+                            interior_table, multi_indices, sort_with_sign, wedge, wedge_matrix)
+from g2lab.g2core import PositivityError, TorsionForms, TorsionSolveError, torsion_forms
+from g2lab.liealg import _RANK_CUTOFF, _null_space, ce_diff, derivation_space
 from g2lab.su3 import SU3Class, hitchin_j
 
 
@@ -113,6 +112,59 @@ def brute_interior(vector, a):
     t = dense(a)
     contracted = np.tensordot(np.asarray(vector, float), t, axes=(0, 0))
     return dense_to_form(a.dim, a.degree - 1, contracted)
+
+
+def interior(vector, a):
+    """Interior product iota_v a for a coefficient vector v over the basis, as
+    one scatter through `interior_table`; raises on 0-forms."""
+    v = np.asarray(vector, dtype=float)
+    if v.shape != (a.dim,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({a.dim},)")
+    if a.degree == 0:
+        raise ValueError("interior product of a 0-form is undefined")
+    n, k = a.dim, a.degree
+    row, i, col, sg = interior_table(n, k)
+    return KForm.from_vector(n, k - 1, np.bincount(row, weights=sg * v[i] * a.to_vector()[col],
+                                                   minlength=len(multi_indices(n, k - 1))))
+
+
+def embed(form, dim):
+    """The same coefficients in a larger ambient dimension."""
+    pos = index_positions(dim, form.degree)
+    vec = np.zeros(len(pos))
+    vec[[pos[key] for key in multi_indices(form.dim, form.degree)]] = form.to_vector()
+    return KForm.from_vector(dim, form.degree, vec)
+
+
+def codifferential(algebra, metric, a):
+    """delta = (-1)^k star^{-1} d star on k-forms through KForm `hodge_star`s
+    and `ce_diff`; 0-forms map to zero."""
+    if a.degree == 0:
+        return KForm.zero(a.dim, 0)
+    n, k = a.dim, a.degree
+    da = ce_diff(algebra, hodge_star(metric, a))
+    p = n - k + 1
+    inv_sign = (-1.0) ** (p * (n - p))
+    return ((-1.0) ** k) * inv_sign * hodge_star(metric, da)
+
+
+def kform_lee_form(structure):
+    """Lee form theta = -1/4 star(star(d phi) ^ phi) through KForm `ce_diff`,
+    `hodge_star`s and `wedge`."""
+    G = structure
+    inner = wedge(hodge_star(G.metric, ce_diff(G.algebra, G.phi)), G.phi)
+    return -0.25 * hodge_star(G.metric, inner)
+
+
+def lambda2_14_basis(structure):
+    """Orthonormal basis (as columns) of {alpha in Lambda^2 : alpha ^ star(phi) = 0}."""
+    return _null_space(wedge_matrix(7, 2, 4, structure._star_phi_vec)).T
+
+
+def lambda3_27_basis(structure):
+    """Orthonormal basis of {beta in Lambda^3 : beta ^ phi = 0, beta ^ star(phi) = 0}."""
+    return _null_space(np.vstack([wedge_matrix(7, 3, 3, structure._phi_vec),
+                                  wedge_matrix(7, 3, 4, structure._star_phi_vec)])).T
 
 
 def compound_matrix(M, degree):
@@ -297,7 +349,7 @@ def kform_su3_classify(structure, tol):
 def kform_product_phi(structure):
     """omega ^ e7 + psi on the product with a line, from KForm embeds and wedges."""
     S = structure
-    return S.omega.embed(7).wedge(KForm.basis(7, (7,))) + S.psi.embed(7)
+    return embed(S.omega, 7).wedge(KForm.basis(7, (7,))) + embed(S.psi, 7)
 
 
 def frame_star_ricci(structure):
@@ -360,8 +412,8 @@ def lstsq_torsion(structure, tau1_tol=1e-8):
     [4 e^i ^ star(phi) | Lambda^2_14 ^ phi], the two null-space bases taken
     by SVD and the 3-form stars through the compound Gram matrix."""
     G = structure
-    dphi = G.d(G.phi)
-    dstar = G.d(G.star_phi)
+    dphi = ce_diff(G.algebra, G.phi)
+    dstar = ce_diff(G.algebra, G.star_phi)
 
     basis14 = lambda2_14_basis(G)
     basis27 = lambda3_27_basis(G)
@@ -404,6 +456,20 @@ def kform_scal_from_torsion(structure):
             + 30.0 * form_inner(structure.metric, t.tau1, t.tau1)
             - 0.5 * form_inner(structure.metric, t.tau2, t.tau2)
             - 0.5 * form_inner(structure.metric, t.tau3, t.tau3))
+
+
+def projected_einstein_calibrated_residual(structure):
+    """|P(d tau2 - 1/2 star(tau2 ^ tau2))|_g with P x = x - <x, phi>_g phi / 7.
+
+    The residual of d tau2 = 3/14 |tau2|^2 phi + 1/2 star(tau2 ^ tau2) with no
+    use of 3/14: on a closed phi, <d tau2, phi>_g = |tau2|^2 and
+    <star(tau2 ^ tau2), phi>_g = -|tau2|^2, so the residual form has no phi
+    component (|phi|^2 = 7) and equals its projection P."""
+    G, g = structure, structure.metric
+    tau2 = torsion_forms(G).tau2
+    x = ce_diff(G.algebra, tau2) - 0.5 * hodge_star(g, wedge(tau2, tau2))
+    x = x - (form_inner(g, x, G.phi) / 7.0) * G.phi
+    return math.sqrt(max(form_inner(g, x, x), 0.0))
 
 
 def loop_wedge_table(dim, k, l):

@@ -228,6 +228,7 @@ class TestFailuresAreReports:
 
     @pytest.mark.parametrize("command,name,seed", [
         ("torsion", "n12_modified_basis", 2123),
+        ("classify", "n12_modified_basis", 2123),
         ("einstein", "n12_modified_basis", 2123),
         ("su3", "h2", 644),
     ])
@@ -244,6 +245,8 @@ class TestFailuresAreReports:
                                    "by more than 1.000e-08")
         assert list(report["residuals"]) == ["tau1_consistency"]
         assert 1e-8 < report["residuals"]["tau1_consistency"] < 1e-3
+        # the tolerance it exceeded is a leaf of its own
+        assert report["tolerances"] == {"tau1": 1e-8}
 
     @pytest.mark.parametrize("times,reason", [
         ("abc", "could not convert string to float: 'abc'"),

@@ -8,14 +8,14 @@ from g2lab.catalog import catalog, catalog_names
 from g2lab.curvature import (SolitonCertificate, einstein_calibrated_residual,
                              einstein_residual, levi_civita, rank_one_extension,
                              ricci, ricci_operator, riemann, scal_from_torsion,
-                             scalar_curvature, soliton_solve, star_einstein_residual,
-                             star_ricci, star_scal)
-from g2lab.exterior import PRUNE_TOL, KForm, Metric, form_inner
-from g2lab.g2core import G2Structure, metric_from_phi, torsion_forms
-from g2lab.liealg import codifferential, jacobi_residual
+                             scalar_curvature, soliton_solve, star_ricci)
+from g2lab.exterior import PRUNE_TOL, KForm, Metric, form_inner, hodge_star, wedge
+from g2lab.g2core import G2Structure, torsion_forms
+from g2lab.liealg import ce_diff, jacobi_residual
 
 from conftest import closed_perturbation, metric_strategy, positive_3form_strategy
-from oracles import frame_star_ricci, kform_scal_from_torsion, lstsq_soliton
+from oracles import (codifferential, frame_star_ricci, kform_scal_from_torsion, lstsq_soliton,
+                     projected_einstein_calibrated_residual)
 
 N2 = catalog("n2").algebra
 H2 = catalog("h2").algebra
@@ -42,7 +42,7 @@ def _metric(name, kind):
     if kind == "identity":
         return Metric.identity(entry.algebra.dim)
     if kind == "phi":
-        return metric_from_phi(entry.algebra, entry.forms["phi"]).metric
+        return G2Structure(entry.algebra, entry.forms["phi"]).metric
     return _random_spd(entry.algebra.dim, int(kind.removeprefix("seed")))
 
 
@@ -142,17 +142,17 @@ class TestRicci:
 
 class TestScalFromTorsion:
     def test_torsion_free_is_zero(self):
-        G = metric_from_phi(catalog("std_g2").algebra, catalog("std_g2").forms["phi"])
+        G = G2Structure(catalog("std_g2").algebra, catalog("std_g2").forms["phi"])
         assert abs(scal_from_torsion(G)) < 1e-12
 
     def test_calibrated_n2(self):
         entry = catalog("n2")
-        G = metric_from_phi(entry.algebra, entry.forms["phi"])
+        G = G2Structure(entry.algebra, entry.forms["phi"])
         assert abs(scal_from_torsion(G) - (-1.0)) < 1e-12
 
     def test_lcc_extension(self):
         entry = catalog("s_ext_h2")
-        G = metric_from_phi(entry.algebra, entry.forms["phi"])
+        G = G2Structure(entry.algebra, entry.forms["phi"])
         assert abs(scal_from_torsion(G) - (-21.0)) < 1e-12
 
     @pytest.mark.parametrize("name", ["std_g2", "n2", "n4", "n6",
@@ -302,47 +302,61 @@ class TestEinstein:
 
     def test_nilpotent_never_einstein(self):
         entry = catalog("n2")
-        G = metric_from_phi(entry.algebra, entry.forms["phi"])
+        G = G2Structure(entry.algebra, entry.forms["phi"])
         assert einstein_residual(entry.algebra, G.metric) > 0.1
 
     def test_calibrated_condition_nonzero_on_n2(self):
         entry = catalog("n2")
-        G = metric_from_phi(entry.algebra, entry.forms["phi"])
+        G = G2Structure(entry.algebra, entry.forms["phi"])
         assert einstein_calibrated_residual(G) > 0.1
 
     def test_calibrated_condition_zero_when_torsion_free(self):
-        G = metric_from_phi(catalog("std_g2").algebra, catalog("std_g2").forms["phi"])
+        G = G2Structure(catalog("std_g2").algebra, catalog("std_g2").forms["phi"])
         assert einstein_calibrated_residual(G) < 1e-12
 
     def test_requires_calibrated(self):
         entry = catalog("s_ext_h2")
-        G = metric_from_phi(entry.algebra, entry.forms["phi"])
+        G = G2Structure(entry.algebra, entry.forms["phi"])
         with pytest.raises(ValueError):
             einstein_calibrated_residual(G)
+
+    @pytest.mark.parametrize("name", ["std_g2", "n2", "n4", "n6", "n12_modified_basis"])
+    def test_calibrated_condition_against_projection(self, name, catalog_structures):
+        # the phi-components that fix the constant 3/14, then the residual against
+        # the projected form, which does not use it
+        G = catalog_structures[name]
+        t, g = torsion_forms(G), G.metric
+        norm2 = form_inner(g, t.tau2, t.tau2)
+        d_tau2 = form_inner(g, ce_diff(G.algebra, t.tau2), G.phi)
+        star_square = form_inner(g, hodge_star(g, wedge(t.tau2, t.tau2)), G.phi)
+        assert d_tau2 == pytest.approx(norm2, rel=1e-12, abs=1e-13)
+        assert star_square == pytest.approx(-norm2, rel=1e-12, abs=1e-13)
+        assert einstein_calibrated_residual(G) == pytest.approx(
+            projected_einstein_calibrated_residual(G), rel=1e-12, abs=1e-13)
 
     def test_consistency_on_calibrated_catalog(self):
         # Einstein <=> the calibrated curvature condition, checked both ways:
         # all four nilsoliton structures are non-Einstein and non-flat
         for name in ("n2", "n4", "n6", "n12_modified_basis"):
             entry = catalog(name)
-            G = metric_from_phi(entry.algebra, entry.forms["phi"])
+            G = G2Structure(entry.algebra, entry.forms["phi"])
             assert einstein_calibrated_residual(G) > 1e-3
             assert einstein_residual(entry.algebra, G.metric) > 1e-3
 
 
 class TestStarRicci:
     def test_flat_is_zero(self):
-        G = metric_from_phi(catalog("std_g2").algebra, catalog("std_g2").forms["phi"])
+        G = G2Structure(catalog("std_g2").algebra, catalog("std_g2").forms["phi"])
         assert np.abs(star_ricci(G)).max() < 1e-13
-        assert abs(star_scal(G)) < 1e-13
+        assert abs(np.trace(G.metric.inverse @ star_ricci(G))) < 1e-13
 
     def test_n2_regression_snapshot(self):
         # frozen after the first verified run
         entry = catalog("n2")
-        G = metric_from_phi(entry.algebra, entry.forms["phi"])
+        G = G2Structure(entry.algebra, entry.forms["phi"])
         expected = np.diag([2.0, 3.0, 3.0, -2.0, -1.0, -1.0, -2.0])
         assert np.abs(star_ricci(G) - expected).max() < 1e-10
-        assert abs(star_scal(G) - 2.0) < 1e-10
+        assert abs(np.trace(G.metric.inverse @ star_ricci(G)) - 2.0) < 1e-10
 
     def test_symmetry_on_catalog(self, catalog_structures):
         for G in catalog_structures.values():
@@ -370,13 +384,14 @@ class TestStarRicci:
         ric = star_ricci(G)
         gap = ric - (np.trace(G.metric.inverse @ ric) / 7.0) * G.metric.g
         want = np.linalg.norm(gap, 2)
-        assert abs(star_einstein_residual(G) - want) <= 1e-12 * max(1.0, want)
+        got = curvature._einstein_gap(ric, G.metric)
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
 
     def test_star_einstein_residual_nonnegative(self, catalog_structures):
         G = catalog_structures["n2"]
-        assert star_einstein_residual(G) > 0.1
+        assert curvature._einstein_gap(star_ricci(G), G.metric) > 0.1
         flat = catalog_structures["std_g2"]
-        assert star_einstein_residual(flat) < 1e-12
+        assert curvature._einstein_gap(star_ricci(flat), flat.metric) < 1e-12
 
 
 class TestRankOneExtension:

@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 import g2lab.g2core as g2core
 from g2lab.catalog import catalog
 from g2lab.curvature import einstein_calibrated_residual, scal_from_torsion
-from g2lab.exterior import (KForm, Metric, form_inner, hodge_star, multi_indices,
-                            standard_volume, wedge)
+from g2lab.exterior import KForm, Metric, form_inner, hodge_star, multi_indices, wedge
 from g2lab.g2core import (G2Structure, PositivityError, TorsionForms, TorsionSolveError,
-                          classify, gram_matrix_from_phi, lambda2_14_basis, lambda3_27_basis,
-                          lee_form, metric_from_phi, torsion_forms)
+                          classify, lee_form, torsion_forms)
 from g2lab.inputfmt import parse_document
 from g2lab.liealg import ce_diff
 
 from conftest import basis_changed_document, positive_3form_strategy
-from oracles import brute_gram, brute_hodge, brute_wedge, fraction_det, lstsq_torsion
+from oracles import (brute_gram, brute_hodge, brute_wedge, fraction_det, kform_lee_form,
+                     lambda2_14_basis, lambda3_27_basis, lstsq_torsion)
 
 G2_CATALOG = ("std_g2", "n2", "n4", "n6", "n12_modified_basis", "s_ext_h2")
 
@@ -26,20 +25,20 @@ S_EXT = catalog("s_ext_h2")
 
 class TestMetricFromPhi:
     def test_standard_form_gives_identity(self):
-        G = metric_from_phi(STD.algebra, STD.forms["phi"])
+        G = G2Structure(STD.algebra, STD.forms["phi"])
         assert np.abs(G.metric.g - np.eye(7)).max() < 1e-13
-        assert G.volume.allclose(standard_volume(7), tol=1e-13)
+        assert abs(G.metric.sqrt_det - 1.0) < 1e-13
         assert G.orientation == 1.0
 
     def test_phi2_gives_identity(self):
-        G = metric_from_phi(N2.algebra, N2.forms["phi"])
+        G = G2Structure(N2.algebra, N2.forms["phi"])
         assert np.abs(G.metric.g - np.eye(7)).max() < 1e-12
 
     def test_b_matrix_against_brute_force(self):
         from oracles import brute_interior, brute_wedge
         for entry in (STD, N2, S_EXT):
             phi = entry.forms["phi"]
-            G = metric_from_phi(entry.algebra, phi)
+            G = G2Structure(entry.algebra, phi)
             full = tuple(range(1, 8))
             for i in range(7):
                 vi = np.eye(7)[i]
@@ -50,41 +49,41 @@ class TestMetricFromPhi:
                     assert abs(G.b_matrix[i, j] - expected) < 1e-11
 
     def test_scaling_homogeneity(self):
-        G = metric_from_phi(STD.algebra, 8.0 * STD.forms["phi"])
+        G = G2Structure(STD.algebra, 8.0 * STD.forms["phi"])
         assert np.abs(G.metric.g - 4.0 * np.eye(7)).max() < 1e-11
 
     def test_defining_identity(self):
         # 1/6 iota_i phi ^ iota_j phi ^ phi = orientation * sqrt(det g) g_ij e^{1..7}
         for entry in (STD, N2, S_EXT):
-            G = metric_from_phi(entry.algebra, entry.forms["phi"])
+            G = G2Structure(entry.algebra, entry.forms["phi"])
             lhs = G.b_matrix / 6.0
             rhs = G.orientation * G.metric.sqrt_det * G.metric.g
             assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_negatively_oriented_form_accepted(self):
-        G = metric_from_phi(S_EXT.algebra, S_EXT.forms["phi"])
+        G = G2Structure(S_EXT.algebra, S_EXT.forms["phi"])
         assert G.orientation == -1.0
         assert np.abs(G.metric.g - np.eye(7)).max() < 1e-12
 
     def test_degenerate_rejected(self):
         with pytest.raises(PositivityError):
-            metric_from_phi(STD.algebra, KForm.basis(7, (1, 2, 7)))
+            G2Structure(STD.algebra, KForm.basis(7, (1, 2, 7)))
 
     def test_indefinite_rejected(self):
         bad = KForm(7, 3, {(1, 2, 3): 1.0, (4, 5, 6): 1.0})
         with pytest.raises(PositivityError):
-            metric_from_phi(STD.algebra, bad)
+            G2Structure(STD.algebra, bad)
 
     def test_phi_wedge_star_phi_is_seven_volumes(self):
         for entry in (STD, N2, S_EXT):
-            G = metric_from_phi(entry.algebra, entry.forms["phi"])
+            G = G2Structure(entry.algebra, entry.forms["phi"])
             got = wedge(G.phi, G.star_phi)
-            assert got.allclose(7.0 * G.volume, tol=1e-10)
+            assert got.allclose(7.0 * G.metric.sqrt_det * KForm.basis(7, range(1, 8)), tol=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(positive_3form_strategy())
     def test_random_positive_forms(self, phi):
-        G = metric_from_phi(STD.algebra, phi)
+        G = G2Structure(STD.algebra, phi)
         assert G.metric.positive_definite
         norm2 = form_inner(G.metric, phi, phi)
         assert abs(norm2 - 7.0) < 1e-8  # |phi|^2 = 7 for every positive form
@@ -122,7 +121,7 @@ class TestStructureMetric:
 
 def _assert_gram_matches_brute(phi_vec):
     want = brute_gram(phi_vec)
-    assert np.abs(gram_matrix_from_phi(phi_vec) - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(g2core._gram(phi_vec)[1] - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestGramMatrix:
@@ -145,14 +144,14 @@ class TestSubspaceBases:
     @settings(max_examples=10, deadline=None)
     @given(positive_3form_strategy())
     def test_kernel_dimensions(self, phi):
-        G = metric_from_phi(STD.algebra, phi)
+        G = G2Structure(STD.algebra, phi)
         assert lambda2_14_basis(G).shape == (21, 14)
         assert lambda3_27_basis(G).shape == (35, 27)
 
 
 class TestTorsionForms:
     def test_flat_structure(self):
-        G = metric_from_phi(STD.algebra, STD.forms["phi"])
+        G = G2Structure(STD.algebra, STD.forms["phi"])
         t = torsion_forms(G)
         assert abs(t.tau0) < 1e-14
         assert t.tau1.is_zero(1e-14)
@@ -161,7 +160,7 @@ class TestTorsionForms:
         assert t.residual < 1e-14
 
     def test_lcc_structure_values(self):
-        G = metric_from_phi(S_EXT.algebra, S_EXT.forms["phi"])
+        G = G2Structure(S_EXT.algebra, S_EXT.forms["phi"])
         t = torsion_forms(G)
         assert abs(t.tau0) < 1e-12
         assert t.tau3.is_zero(1e-12)
@@ -171,7 +170,7 @@ class TestTorsionForms:
         assert t.tau2.allclose(expected_tau2, tol=1e-12)
 
     def test_calibrated_tau2_norm(self):
-        G = metric_from_phi(N2.algebra, N2.forms["phi"])
+        G = G2Structure(N2.algebra, N2.forms["phi"])
         t = torsion_forms(G)
         assert abs(t.tau0) < 1e-13 and t.tau1.is_zero(1e-13) and t.tau3.is_zero(1e-13)
         assert abs(form_inner(G.metric, t.tau2, t.tau2) - 2.0) < 1e-12
@@ -194,7 +193,7 @@ class TestTorsionForms:
     @settings(max_examples=15, deadline=None)
     @given(positive_3form_strategy())
     def test_residual_small_on_random_positive_forms(self, phi):
-        G = metric_from_phi(STD.algebra, phi)
+        G = G2Structure(STD.algebra, phi)
         t = torsion_forms(G)
         assert t.residual < 1e-9
         assert t.tau1_consistency < 1e-9
@@ -222,8 +221,8 @@ class TestTorsionAgainstLeastSquares:
         G = G2Structure(catalog(name).algebra, (orientation * 10.0 ** log10_scale) * phi)
         assert G.orientation == orientation
         oracle = lstsq_torsion(G)
-        data = (np.linalg.norm(G.d(G.phi).to_vector())
-                + np.linalg.norm(G.d(G.star_phi).to_vector()))
+        data = (np.linalg.norm(ce_diff(G.algebra, G.phi).to_vector())
+                + np.linalg.norm(ce_diff(G.algebra, G.star_phi).to_vector()))
         tol = max(1e-10 * data, oracle.tau1_consistency)
         assert _torsion_gap(torsion_forms(G), oracle) <= tol
 
@@ -246,27 +245,35 @@ class TestStarAndInner:
 
 class TestLeeForm:
     def test_flat_is_zero(self):
-        G = metric_from_phi(STD.algebra, STD.forms["phi"])
+        G = G2Structure(STD.algebra, STD.forms["phi"])
         assert lee_form(G).is_zero(1e-13)
 
     def test_lcc_value_and_closedness(self):
-        G = metric_from_phi(S_EXT.algebra, S_EXT.forms["phi"])
+        G = G2Structure(S_EXT.algebra, S_EXT.forms["phi"])
         theta = lee_form(G)
         assert theta.allclose(KForm(7, 1, {(7,): -1.0}), tol=1e-12)
         assert ce_diff(G.algebra, theta).is_zero(1e-13)
 
     def test_equals_three_tau1(self):
-        for name in ("n2", "s_ext_h2"):
+        # lee_form reads 3 tau1; the KForm formula of theta agrees with it
+        for name in G2_CATALOG:
             entry = catalog(name)
-            G = metric_from_phi(entry.algebra, entry.forms["phi"])
-            t = torsion_forms(G)
-            assert lee_form(G).allclose(3.0 * t.tau1, tol=1e-9)
+            G = G2Structure(entry.algebra, entry.forms["phi"])
+            three_tau1 = 3.0 * torsion_forms(G).tau1
+            assert np.array_equal(lee_form(G).to_vector(), three_tau1.to_vector())
+            assert kform_lee_form(G).allclose(three_tau1, tol=1e-9)
+
+    def test_raises_where_torsion_forms_raises(self):
+        G = _basis_changed_n12()
+        with pytest.raises(TorsionSolveError) as raised:
+            lee_form(G)
+        assert raised.value.tol == 1e-8 and raised.value.consistency > 1e-8
 
 
 def _brute_lee_form(G):
     """theta = -1/4 star(star(d phi) ^ phi) from the permutation-sum wedge and the
     solved star; the two stars cancel the orientation, so sqrt(det g) e^{1..7} serves."""
-    star_dphi = brute_hodge(G.metric, G.d(G.phi))
+    star_dphi = brute_hodge(G.metric, ce_diff(G.algebra, G.phi))
     return -0.25 * brute_hodge(G.metric, brute_wedge(star_dphi, G.phi))
 
 
@@ -303,7 +310,7 @@ class TestClassify:
     def test_torsion_free(self):
         cls = classify(_torsion(0, 0, 0, 0))
         assert cls.label == "torsion-free"
-        assert cls.torsion_free
+        assert (cls.tau0_zero, cls.tau1_zero, cls.tau2_zero, cls.tau3_zero) == (True,) * 4
 
     def test_calibrated(self):
         cls = classify(_torsion(0, 0, 1.0, 0))
@@ -336,8 +343,8 @@ class TestClassify:
     @given(positive_3form_strategy(), st.floats(min_value=0.5, max_value=2.0, width=32))
     def test_scaling_invariance(self, phi, scale):
         assume(abs(scale - 1.0) > 1e-3)
-        G1 = metric_from_phi(STD.algebra, phi)
-        G2 = metric_from_phi(STD.algebra, (scale ** 3) * phi)
+        G1 = G2Structure(STD.algebra, phi)
+        G2 = G2Structure(STD.algebra, (scale ** 3) * phi)
         assert np.abs(G2.metric.g - (scale ** 2) * G1.metric.g).max() < 1e-8
         c1 = classify(torsion_forms(G1), tol=1e-7)
         c2 = classify(torsion_forms(G2), tol=1e-7)
@@ -404,8 +411,8 @@ class TestTorsionOncePerStructure:
                                              f"got {tol}"):
             torsion_forms(catalog_structures["n2"], tau1_tol=tol)
 
-    # volume and star_phi are properties, built from the slots when read
-    @pytest.mark.parametrize("name", G2Structure.__slots__ + ("volume", "star_phi", "x"))
+    # star_phi is a property, built from its slot when read
+    @pytest.mark.parametrize("name", G2Structure.__slots__ + ("star_phi", "x"))
     def test_immutable(self, name):
         G = G2Structure(N2.algebra, N2.forms["phi"])
         torsion_forms(G)

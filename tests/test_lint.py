@@ -265,3 +265,94 @@ def test_detects_uncalled_defaults():
     assert uncalled_defaults(definitions, callers) == [
         ("a.py", 1, "f(cutoff)"), ("a.py", 8, "C.__init__(b)"), ("a.py", 10, "C.m(a)"),
         ("a.py", 24, "D.z")]
+
+
+def public_definitions(source):
+    """(first line, last line, name, is_method) of the public module-level
+    functions and classes of `source`, and of the public methods and
+    properties of those classes."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        out.append((node.lineno, node.end_lineno, node.name, False))
+        if isinstance(node, ast.ClassDef):
+            out += [(item.lineno, item.end_lineno, item.name, True) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
+
+
+def name_reads(source):
+    """(line, name, as_attribute) of each name `source` reads: a loaded Name or
+    an import alias (False), an Attribute or a part after the first of a dotted
+    "<module>.<name>" string constant (True)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.lineno, node.id, False))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.lineno, node.attr, True))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(node.lineno, alias.name.split(".")[-1], False) for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if len(parts) > 1 and all(part.isidentifier() for part in parts):
+                out += [(node.lineno, part, True) for part in parts[1:]]
+    return out
+
+
+def uncalled_public_names(definitions, callers):
+    """(module, line, name) of the public names of `definitions` ({module:
+    source}) that nothing in `callers` ({module: source}) reads outside the
+    name's own definition; a method or property is read only as an attribute."""
+    reads = {}
+    for module, source in callers.items():
+        for line, name, as_attribute in name_reads(source):
+            reads.setdefault(name, []).append((module, line, as_attribute))
+    out = []
+    for module, source in definitions.items():
+        for first, last, name, is_method in public_definitions(source):
+            if not any((m != module or not first <= line <= last)
+                       and (as_attribute or not is_method)
+                       for m, line, as_attribute in reads.get(name, ())):
+                out.append((module, first, name))
+    return sorted(out)
+
+
+def readme_python(text):
+    """The ```python blocks of a markdown text, joined."""
+    return "\n".join(block.split("```")[0] for block in text.split("```python")[1:])
+
+
+def test_every_public_name_has_a_caller():
+    # tests are not callers, and __init__.py only re-exports
+    definitions = {p.name: p.read_text() for p in MODULES}
+    callers = dict(definitions)
+    callers.update({str(p.relative_to(ROOT)): p.read_text() for d in ("scripts", "perfbench")
+                    for p in sorted((ROOT / d).rglob("*.py"))})
+    callers["README.md"] = readme_python((ROOT / "README.md").read_text())
+    assert uncalled_public_names(definitions, callers) == []
+
+
+def test_detects_uncalled_public_names():
+    definitions = {
+        "a.py": ("def used():\n    pass\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "def traced():\n    pass\n"
+                 "def _private():\n    pass\n"
+                 "class C:\n"
+                 "    def called(self):\n        return self.size\n"
+                 "    def alone(self):\n        return self.alone\n"
+                 "    @property\n    def size(self):\n        return 1\n"
+                 "    def shadowed(self):\n        pass\n"
+                 "    def __len__(self):\n        return 0\n"
+                 "class Unused:\n    pass\n"),
+        "b.py": "from a import used\nused()\nshadowed = 1\nprint(shadowed)\n",
+    }
+    callers = dict(definitions)
+    callers["c.py"] = "TARGETS = ('a.traced', 'not a.dotted.alone')\n"
+    callers["README.md"] = readme_python(
+        "```\nUnused()\n```\n```python\nfrom a import C\nC().called()\n```\n")
+    assert uncalled_public_names(definitions, callers) == [
+        ("a.py", 3, "recursive"), ("a.py", 12, "alone"), ("a.py", 17, "shadowed"),
+        ("a.py", 21, "Unused")]

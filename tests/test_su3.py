@@ -13,8 +13,9 @@ from g2lab.inputfmt import parse_document
 from g2lab.liealg import LieAlgebra, ce_diff
 from g2lab.su3 import SU3Structure, _psi_hat, g2_product, hitchin_j, psi_hat, su3_classify
 
-from oracles import (dense, dense_to_form, kform_normalization_residual, kform_product_phi,
-                     kform_su3_classify, loop_hitchin_j, loop_psi_hat, two_attempt_su3_frame)
+from oracles import (dense, dense_to_form, embed, kform_normalization_residual,
+                     kform_product_phi, kform_su3_classify, loop_hitchin_j, loop_psi_hat,
+                     two_attempt_su3_frame)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "valid"
 
@@ -245,7 +246,7 @@ class TestG2Product:
         named `<base>+R`, with the same differential matrices bit for bit."""
         S = make()
         got = g2_product(S).algebra
-        want = LieAlgebra([f.embed(7) for f in S.algebra.dual_differential]
+        want = LieAlgebra([embed(f, 7) for f in S.algebra.dual_differential]
                           + [KForm.zero(7, 2)], name=f"{S.algebra.name}+R")
         assert got.name == want.name
         assert [dict(f.items()) for f in got.dual_differential] \

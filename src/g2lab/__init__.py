@@ -25,7 +25,7 @@ from .g2core import (G2Class, G2Structure, PositivityError, TorsionForms,
 from .inputfmt import InputDocument, ParseError, format_document, format_form, parse_document
 from .liealg import (LieAlgebra, ce_diff, derivation_residual, derivation_space,
                      jacobi_residual)
-from .su3 import SU3Class, SU3Structure, g2_product, hitchin_j, psi_hat, su3_classify
+from .su3 import SU3Class, SU3Structure, g2_product, hitchin_j, su3_classify
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "einstein_calibrated_residual", "einstein_residual", "flow_integrate",
     "form_inner", "format_document", "format_form", "g2_product", "hitchin_j",
     "hodge_star", "jacobi_residual", "lee_form", "levi_civita", "multi_indices",
-    "oracle_residual", "parse_document", "psi_hat", "rank_one_extension", "ricci",
+    "oracle_residual", "parse_document", "rank_one_extension", "ricci",
     "ricci_operator", "riemann", "scal_from_torsion", "scalar_curvature",
     "soliton_solve", "star_ricci", "su3_classify", "torsion_forms", "wedge",
 ]

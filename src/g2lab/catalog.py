@@ -184,7 +184,6 @@ class CatalogEntry:
     name: str
     description: str
     document: InputDocument
-    source: str
 
     @property
     def algebra(self):
@@ -205,6 +204,5 @@ def catalog(name):
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(CATALOG_NAMES)}")
     if name not in _cache:
         description, source = _SOURCES[name]
-        _cache[name] = CatalogEntry(name, description, parse_document(source, name),
-                                    source.strip() + "\n")
+        _cache[name] = CatalogEntry(name, description, parse_document(source, name))
     return _cache[name]

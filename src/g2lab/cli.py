@@ -7,14 +7,14 @@ Jacobi, non-positive forms, unknown catalog name, unreadable input file, bad
 torsion equations).  Every report, failures included, has the keys command,
 input, results, residuals and tolerances in that order, and a final error
 key on failure; a tau1 disagreement is the failure report's
-residuals.tau1_consistency.  Reports go to stdout as JSON with floats
-printed to 17 significant digits so every double round-trips losslessly.
+residuals.tau1_consistency.  Reports go to stdout as JSON, normalised and
+written in one pass by one function (`_json`), with floats printed to 17
+significant digits so every double round-trips losslessly.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import json.encoder as _json_encoder
 import os
 import sys
 
@@ -47,48 +47,37 @@ class ValidationFailure(Exception):
     """A failure reported as a JSON error with exit code 2."""
 
 
-class _ReportEncoder(json.JSONEncoder):
-    # 17 significant digits: enough for any double to round-trip exactly.
-    def iterencode(self, o, _one_shot=False):
-        markers = {} if self.check_circular else None
-
-        def floatstr(x, _inf=_json_encoder.INFINITY):
-            if x != x:
-                return "NaN"
-            if x == _inf:
-                return "Infinity"
-            if x == -_inf:
-                return "-Infinity"
-            return format(x, ".17g")
-
-        iterencode = _json_encoder._make_iterencode(
-            markers, self.default, _json_encoder.py_encode_basestring_ascii,
-            self.indent, floatstr, self.key_separator, self.item_separator,
-            self.sort_keys, self.skipkeys, _one_shot)
-        return iterencode(o, 0)
+# JSON's spellings of the non-finite floats, keyed by their ".17g" text
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _jsonify(value):
+def _json(value, indent=""):
+    """JSON text of a report value in the layout of `json.dumps(indent=2)`;
+    KForms, ndarrays (of floats), numpy scalars and tuples are normalised as
+    they are written, and floats have 17 significant digits."""
     if isinstance(value, KForm):
-        return {"e" + "".join(map(str, key)): float(c) for key, c in value.items()}
-    if isinstance(value, np.ndarray):
-        return [[float(x) for x in row] for row in value] if value.ndim == 2 \
-            else [float(x) for x in value]
+        value = {"e" + "".join(map(str, key)): c for key, c in value.items()}
+    elif isinstance(value, np.ndarray):
+        value = value.astype(float).tolist()
     if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        text = format(float(value), ".17g")
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
+        items = [f"{inner}{json.dumps(str(k))}: {_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+        items = [inner + _json(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+    return json.dumps(value)
 
 
 def emit(report):
-    print(json.dumps(_jsonify(report), indent=2, cls=_ReportEncoder))
+    print(_json(report))
 
 
 def _body(doc, source, results=None, residuals=None, **tolerances):

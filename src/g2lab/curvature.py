@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import (KForm, _compound_apply, _dense, _star, form_inner, index_positions,
+from .exterior import (KForm, _compound_apply, _dense, _line_positions, _star, form_inner,
                        multi_indices)
 from .g2core import VANISH_TOL, classify, torsion_forms
 from .liealg import _RANK_CUTOFF, LieAlgebra, _derivation_basis, ce_diff, derivation_residual
@@ -189,10 +189,9 @@ def rank_one_extension(algebra, D):
     if res > 1e-10:
         raise ValueError(f"matrix is not a derivation (residual {res:.3e})")
     # row i: d e^i at its embedded positions plus the transport terms at e^{j,n+1}
-    pos = index_positions(n + 1, 2)
-    vecs = np.zeros((n + 1, len(pos)))
-    vecs[:n, [pos[key] for key in multi_indices(n, 2)]] = [
-        form.to_vector() for form in algebra.dual_differential]
-    vecs[:n, [pos[(j, n + 1)] for j in range(1, n + 1)]] = D
+    base, line = _line_positions(n + 1, 2)
+    vecs = np.zeros((n + 1, len(multi_indices(n + 1, 2))))
+    vecs[:n, base] = [form.to_vector() for form in algebra.dual_differential]
+    vecs[:n, line] = D
     duals = [KForm.from_vector(n + 1, 2, v) for v in vecs]
     return LieAlgebra(duals, name=f"{algebra.name}+R" if algebra.name else None)

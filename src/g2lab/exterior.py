@@ -10,8 +10,7 @@ is its transpose).  The metric operations share one dense kernel: `_dense`
 expands a k-form to its antisymmetric n^k tensor, `_compound_dense` acts on
 every index of it, and `_star` is the Hodge star on coefficient vectors; a
 signed Hodge complement before or after it is precomposed into the scatter
-(`_complement_dense`; one matrix product when the complement is a 2-form) or
-the gather back (`_complement_of_compound`).
+(`_complement_dense`) or the gather back (`_complement_of_compound`).
 
 Dimension is generic but capped at MAX_DIM: all operators here enumerate
 the full basis of each degree, which is only sensible for small n.
@@ -74,6 +73,16 @@ def _index_arrays(dim, degree):
     tuples = multi_indices(dim, degree)
     keys = np.array(tuples, dtype=np.intp).reshape(len(tuples), degree) - 1
     return _read_only(keys, (1 << keys).sum(axis=1))
+
+
+@lru_cache(maxsize=None)
+def _line_positions(dim, degree):
+    # positions among the `degree`-tuples of 1..dim of those without dim, which
+    # run in the order of the tuples of 1..dim-1, and of those ending in dim,
+    # the e^I ^ e^dim for the (degree - 1)-tuples I of 1..dim-1 in their order
+    mask = _index_arrays(dim, degree)[1]
+    top = 1 << (dim - 1)
+    return _read_only(np.flatnonzero(mask < top), np.flatnonzero(mask >= top))
 
 
 @lru_cache(maxsize=None)
@@ -381,18 +390,6 @@ def _complement_dense_table(dim, degree):
 
 
 @lru_cache(maxsize=None)
-def _complement_dense_matrix(dim, degree):
-    # `_complement_dense_table` as a dim^2 x C(dim, degree) matrix, for a
-    # complement of degree 2: one product applies it.  Each row has at most
-    # one entry +-1, so the product equals the scatter bit for bit, up to the
-    # sign of zeros
-    src, dst, sgn = _complement_dense_table(dim, degree)
-    matrix = np.zeros((dim * dim, len(multi_indices(dim, degree))))
-    matrix[dst, src] = sgn
-    return _read_only(matrix)[0]
-
-
-@lru_cache(maxsize=None)
 def _complement_flat_gather(dim, degree):
     # (flat index, sign) of the gather back from a dense degree-k tensor
     # composed with the `_complement_gather` gather: the signed complement of
@@ -418,13 +415,10 @@ def _dense(vec, dim, degree):
 
 def _complement_dense(vec, dim, degree):
     """`_dense` of the signed complement of a `degree`-form's coefficients, as
-    one scatter from them (a gather when the complement has degree 0 or 1, a
-    product with a constant matrix when it has degree 2)."""
+    one scatter from them (a gather when the complement has degree 0 or 1)."""
     if dim - degree < 2:
         perm, sign = _complement_gather(dim, degree)
         return sign * vec[perm]
-    if dim - degree == 2:
-        return _complement_dense_matrix(dim, degree) @ vec
     src, dst, sgn = _complement_dense_table(dim, degree)
     return _scatter(vec, src, dst, sgn, dim ** (dim - degree))
 

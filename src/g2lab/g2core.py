@@ -22,10 +22,11 @@ builds no Metric, and hands the factors and delta phi on to the flow's
 sampled states.  On a dense n4 form
 (plain `perf_counter` loop, interquartile range of 25 rounds, one CPU of a
 shared 2-core host, one BLAS thread) `phi_laplacian` takes 58-65 us and
-`_closed_phi_laplacian` 38-40 us, of which the phi -> metric step
-(`_phi_metric`) is 23-24 us: B about 10 us, and numpy's `cholesky` and `inv`
+`_closed_phi_laplacian` 38-40 us, of which the phi -> metric step of
+`_phi_metric` is 23-24 us: B about 10 us, and numpy's `cholesky` and `inv`
 of a 7 x 7 matrix about 9 us together, about 6 us of that their Python
-wrappers.
+wrappers.  `_phi_metric` also returns star(phi) / sqrt(det g), the one star
+of phi that `G2Structure` and `_phi_codifferential` read.
 """
 from __future__ import annotations
 
@@ -40,6 +41,8 @@ from .exterior import (KForm, Metric, _complement_of_compound, _compound_of_comp
                        form_inner, hodge_star, wedge_table)
 
 VANISH_TOL = 1e-8
+#: the tau1 disagreement beyond which `torsion_forms` raises TorsionSolveError
+TAU1_TOL = 1e-8
 
 
 class PositivityError(ValueError):
@@ -84,14 +87,16 @@ def _gram(phi_vec):
 
 
 def _phi_metric(phi_vec):
-    """(dense phi as 7 x 49, B, det B, orientation, (g, g^-1, sqrt(det g))) of
-    a 3-form's coefficients; the last three are `Metric._from_factors`'s
+    """(star(phi) / sqrt(det g), B, det B, orientation, (g, g^-1, sqrt(det g)))
+    of a 3-form's coefficients; the last three are `Metric._from_factors`'s
     arguments, so a caller that only reads them builds no Metric.
 
     g = (36 |det B|)^{-1/9} sign(det B) B.  One Cholesky factorisation
     L L^T = eps B, eps the sign of B_11, gives the orientation, positivity
     and det B = eps (prod L_ii)^2; then one inverse.  Raises PositivityError
     when B is degenerate or not definite, or det B is not representable.
+    star(phi) / sqrt(det g) is phi with its indices raised by g^-1,
+    complemented, as in `_star`.
     """
     A, B = _gram(phi_vec)
     eps = 1.0 if B[0, 0] > 0 else -1.0  # the sign of B when B is definite
@@ -110,7 +115,8 @@ def _phi_metric(phi_vec):
     # sqrt(c) L is the Cholesky factor of g: sqrt(det g) is its diagonal product, as in Metric
     sqrt_c = math.sqrt(c)
     sqrt_det = math.prod([sqrt_c * x for x in diag])
-    return A, B, det_b, eps, (g, np.linalg.inv(g), sqrt_det)
+    inverse = np.linalg.inv(g)
+    return _complement_of_compound(inverse, A, 3), B, det_b, eps, (g, inverse, sqrt_det)
 
 
 def _phi_codifferential(algebra, phi_vec):
@@ -118,13 +124,10 @@ def _phi_codifferential(algebra, phi_vec):
     phi = -star d star phi."""
     if algebra.dim != 7:
         raise ValueError("G2 structures need a 7-dimensional algebra")
-    A, _, _, _, factors = _phi_metric(phi_vec)
-    g, inverse, _ = factors
-    # star_phi is star(phi) / sqrt(det g), the dense phi of B with its indices
-    # raised by g^{-1}, complemented; the 5-form star divides by sqrt(det g),
-    # so the two factors cancel
-    star_phi = _complement_of_compound(inverse, A, 3)
-    return factors, -_compound_of_complement(g, algebra.diff_matrix(4) @ star_phi, 5)
+    star_phi, _, _, _, factors = _phi_metric(phi_vec)
+    # star_phi is star(phi) / sqrt(det g); the 5-form star divides by
+    # sqrt(det g), so the two factors cancel
+    return factors, -_compound_of_complement(factors[0], algebra.diff_matrix(4) @ star_phi, 5)
 
 
 def _closed_phi_laplacian(algebra, phi_vec):
@@ -190,7 +193,7 @@ class G2Structure:
         if phi.dim != 7 or phi.degree != 3:
             raise ValueError("phi must be a 3-form in dimension 7")
         v = phi.to_vector()
-        _, B, det_b, eps, factors = _phi_metric(v)
+        star_phi, B, det_b, eps, factors = _phi_metric(v)
         metric = Metric._from_factors(*factors)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "phi", phi)
@@ -199,7 +202,7 @@ class G2Structure:
         object.__setattr__(self, "b_matrix", B)
         object.__setattr__(self, "orientation", eps)
         object.__setattr__(self, "_phi_vec", v)
-        object.__setattr__(self, "_star_phi_vec", _star(v, 3, metric))
+        object.__setattr__(self, "_star_phi_vec", metric.sqrt_det * star_phi)
         object.__setattr__(self, "_torsion", None)
 
     def __setattr__(self, name, value):
@@ -240,7 +243,7 @@ class TorsionForms:
     tau1_consistency: float = 0.0
 
 
-def torsion_forms(structure, tau1_tol=1e-8):
+def torsion_forms(structure):
     """Extract (tau0, tau1, tau2, tau3) by Bryant's projections:
 
         tau0 = 1/7 star(phi ^ d phi)
@@ -250,24 +253,20 @@ def torsion_forms(structure, tau1_tol=1e-8):
 
     with epsilon the orientation.  The two formulas for tau1 read it from the
     two equations; `tau1_consistency` is their disagreement, and one beyond
-    `tau1_tol` means the input did not come from a positive G2 form and
+    `TAU1_TOL` means the input did not come from a positive G2 form and
     raises TorsionSolveError.  `residual` is the largest of |tau3 ^ phi|,
     |tau3 ^ star(phi)| and |tau2 ^ star(phi)|, the part of the data outside
     tau2 in Lambda^2_14 and tau3 in Lambda^3_27.
 
-    The forms are computed once per structure and kept on it; the
-    `tau1_tol` check is applied on every call, so which tolerance raises
-    does not depend on earlier calls.  Raises ValueError for a NaN, infinite
-    or negative `tau1_tol`.
+    The forms are computed once per structure and kept on it; the check is
+    applied on every call, so a structure that fails it raises on every call.
     """
-    if not 0 <= tau1_tol < math.inf:  # also rejects NaN
-        raise ValueError(f"tau1_tol must be finite and non-negative, got {tau1_tol}")
     t = structure._torsion
     if t is None:
         t = _torsion(structure)
         object.__setattr__(structure, "_torsion", t)
-    if t.tau1_consistency > tau1_tol:
-        raise TorsionSolveError(t.tau1_consistency, tau1_tol)
+    if t.tau1_consistency > TAU1_TOL:
+        raise TorsionSolveError(t.tau1_consistency, TAU1_TOL)
     return t
 
 

@@ -9,7 +9,9 @@ The checks of `SU3Structure` and `su3_classify` run on coefficient vectors
 (`exterior._wedge_vec` and the algebra's differential matrices); psi_hat is
 kept as a KForm.  `g2_product` passes to the product with a line: the trivial
 extension is built once per base algebra and kept on it, and
-phi = omega ^ e7 + psi is one gather of the coefficients of omega and psi.
+phi = omega ^ e7 + psi is one gather of the coefficients of omega and psi,
+placed by `exterior._line_positions`, the embedding of the forms of 1..6
+among those of 1..7 that `curvature.rank_one_extension` uses too.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import (KForm, Metric, _dense, _dense_tables, _index_arrays, _read_only,
+from .exterior import (KForm, Metric, _dense, _dense_tables, _line_positions, _read_only,
                        _wedge_vec, complement_data, interior_table, wedge_matrix)
 from .curvature import rank_one_extension
 from .g2core import VANISH_TOL, G2Structure
@@ -61,6 +63,9 @@ def _psi_hat(psi, J):
 
 class SU3Structure:
     """Validated pair (omega, psi) with derived J, psi_hat and metric.
+
+    psi_hat is the dual 3-form: psi + i psi_hat is a complex volume form and
+    psi ^ psi_hat = 2/3 omega^3 (`normalization_residual`).
 
     Validation: omega^3 nondegenerate, omega ^ psi = 0, psi stable of
     complex type, J^2 = -I, and g = omega(., J.) positive definite.  The
@@ -122,12 +127,6 @@ def _omega_cubed(w):
     return float(_wedge_vec(6, 4, 2, _wedge_vec(6, 2, 2, w, w), w)[0])
 
 
-def psi_hat(structure):
-    """Dual 3-form psi_hat; psi + i psi_hat is a complex volume form and
-    psi ^ psi_hat = 2/3 omega^3."""
-    return structure.psi_hat
-
-
 @dataclass(frozen=True)
 class SU3Class:
     """Detected structure type with the proportionality constant of d omega = c psi."""
@@ -176,19 +175,10 @@ def su3_classify(structure, tol=VANISH_TOL):
 
 
 @lru_cache(maxsize=None)
-def _line_positions(degree):
-    # positions among the `degree`-tuples of 1..7 of those without 7, which run
-    # in the order of the tuples of 1..6, and of those ending in 7, the
-    # e^I ^ e^7 for the (degree - 1)-tuples I of 1..6 in their order
-    mask = _index_arrays(7, degree)[1]
-    return _read_only(np.flatnonzero(mask < 1 << 6), np.flatnonzero(mask >= 1 << 6))
-
-
-@lru_cache(maxsize=None)
 def _product_gather():
     # the position among the coefficients of omega, then psi, that each
     # coefficient of omega ^ e7 + psi reads: e^{ij7} omega_ij, e^{ijk} psi_ijk
-    base, line = _line_positions(3)
+    base, line = _line_positions(7, 3)
     return _read_only(np.argsort(np.concatenate((line, base))))[0]
 
 
@@ -216,7 +206,7 @@ def g2_product(structure, extension=None):
         duals = np.stack([form.to_vector() for form in extension.dual_differential])
         if np.linalg.norm(duals[6]) > 1e-12:
             raise ValueError("extension must have d e7 = 0")
-        off = np.abs(duals[:6, _line_positions(2)[0]]
+        off = np.abs(duals[:6, _line_positions(7, 2)[0]]
                      - np.stack([form.to_vector() for form in base.dual_differential])) > 1e-12
         failing = np.flatnonzero(off.any(axis=1))
         if failing.size:

@@ -1,16 +1,22 @@
 import inspect
 import json
+import math
 import pathlib
 import re
+import struct
 import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2lab.catalog import catalog_names
-from g2lab.cli import main
+from g2lab.cli import _json, main
 from g2lab.curvature import einstein_calibrated_residual
+from g2lab.exterior import KForm
 from g2lab.g2core import VANISH_TOL, G2Structure, classify
 from g2lab.su3 import su3_classify
 
@@ -234,7 +240,7 @@ class TestFailuresAreReports:
     ])
     def test_torsion_mismatch(self, capsys, tmp_path, command, name, seed):
         # an ill-conditioned basis change: the two tau1 formulas disagree by
-        # ~1e-5, far above the default tau1_tol of 1e-8
+        # ~1e-5, far above g2core.TAU1_TOL = 1e-8
         path = tmp_path / f"{name}_basis_changed.g2"
         path.write_text(basis_changed_document(name, seed))
         code, report = run_cli(capsys, command, str(path))
@@ -386,6 +392,63 @@ class TestFloatPrecision:
         monkeypatch.setenv("G2_TOL", "1e-2")
         code, report = run_cli(capsys, "classify", "--catalog", "s_ext_h2")
         assert report["tolerances"]["vanishing"] == 1e-2
+
+
+# float-free JSON values: tuples are written as lists, empty containers included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=25)
+
+
+def _leaves(value):
+    """The scalar leaves of a nested value, in document order."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _leaves(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _leaves(v)]
+    return [value]
+
+
+class TestReportWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_layout_is_json_dumps_indent_2(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
+
+    def test_numpy_scalars_are_python_numbers(self):
+        value = {"int": np.int64(-3), "bool": np.bool_(False), "uint": np.uint8(7)}
+        assert _json(value) == json.dumps({"int": -3, "bool": False, "uint": 7}, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(), min_size=7, max_size=7))
+    def test_floats_round_trip_bit_for_bit(self, values):
+        form = KForm.from_vector(7, 1, values)  # a NaN is stored as 0
+        report = {"floats": values, "numpy": [np.float64(x) for x in values],
+                  "vector": np.array(values), "matrix": np.array([values, values[::-1]]),
+                  "tuple": tuple(values), "form": form,
+                  "special": [math.nan, math.inf, -math.inf, np.float32(0.1)]}
+        want = {"floats": values, "numpy": values, "vector": values,
+                "matrix": [values, values[::-1]], "tuple": values,
+                "form": {f"e{key[0]}": c for key, c in form.items()},
+                "special": [math.nan, math.inf, -math.inf, float(np.float32(0.1))]}
+        text = _json(report)
+        # each number is written as format(x, ".17g"), 17 significant digits
+        # with trailing zeros dropped, or as NaN / Infinity / -Infinity
+        literals = json.loads(text, parse_float=str, parse_int=str, parse_constant=str)
+        assert literals.keys() == want.keys()
+        assert literals["form"].keys() == want["form"].keys()
+        special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+        # an integral double is written as a JSON integer ("1", "-0"): reading
+        # numbers as doubles, as parse_int=float does, restores it and its sign
+        read = json.loads(text, parse_int=float)
+        assert len(_leaves(read)) == len(_leaves(want)) == 6 * 7 + len(want["form"]) + 4
+        for x, literal, back in zip(_leaves(want), _leaves(literals), _leaves(read)):
+            text_x = format(x, ".17g")
+            assert literal == special.get(text_x, text_x)
+            assert (math.isnan(x) and math.isnan(back)
+                    or struct.pack("<d", back) == struct.pack("<d", x))
 
 
 class TestEntryPoints:

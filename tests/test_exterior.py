@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
 from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, _complement_dense,
-                            _complement_dense_matrix, _complement_dense_table,
-                            _complement_flat_gather, _complement_gather,
-                            _complement_of_compound, _compound_apply, _compound_dense,
-                            _compound_of_complement, _dense, _dense_tables, _index_arrays,
-                            complement_data, form_inner, hodge_star, index_positions,
-                            interior_table, multi_indices, wedge, wedge_matrix, wedge_table)
+                            _complement_dense_table, _complement_flat_gather,
+                            _complement_gather, _complement_of_compound, _compound_apply,
+                            _compound_dense, _compound_of_complement, _dense, _dense_tables,
+                            _index_arrays, _line_positions, complement_data, form_inner,
+                            hodge_star, index_positions, interior_table, multi_indices, wedge,
+                            wedge_matrix, wedge_table)
 from g2lab.g2core import _pairing_table
 from g2lab.liealg import _derivation_indices, _diff_table
 
@@ -130,7 +130,7 @@ class TestCachedTables:
         (_index_arrays, (7, 3)), (wedge_table, (7, 2, 3)), (_complement_gather, (7, 3)),
         (interior_table, (7, 3)), (_dense_tables, (7, 3)), (_complement_dense_table, (7, 2)),
         (_complement_flat_gather, (7, 2)), (_diff_table, (7, 3)), (_diff_table, (7, 0)),
-        (_derivation_indices, (7,)), (_complement_dense_matrix, (7, 5)), (_pairing_table, ())],
+        (_derivation_indices, (7,)), (_line_positions, (7, 3)), (_pairing_table, ())],
         ids=lambda x: getattr(x, "__name__", None))
     def test_tables_are_read_only(self, table, args):
         # every later caller shares the cached arrays; a write must not corrupt them
@@ -329,14 +329,26 @@ def test_complement_tables_are_the_two_step_path(dim):
 
 @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
 def test_complement_matrix_is_the_scatter(dim):
-    """A signed complement of degree 2 is one product with a constant matrix;
-    its dense tensor equals the scatter through `_complement_dense_table` bit
-    for bit, so every star and inner product that uses it does too."""
+    """The dense tensor of a signed complement of degree 2 is the scatter
+    through `_complement_dense_table`, bit for bit, up to MAX_DIM."""
     v = np.random.default_rng(200 + dim).standard_normal(len(multi_indices(dim, dim - 2)))
     src, dst, sgn = _complement_dense_table(dim, dim - 2)
     want = np.zeros(dim * dim)
     want[dst] = sgn * v[src]
     assert np.array_equal(_complement_dense(v, dim, dim - 2), want)
+
+
+@pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
+def test_line_positions_match_index_loop(dim):
+    """The tuples of 1..dim without dim, then those ending in dim, located
+    one tuple at a time through `index_positions`."""
+    for degree in range(dim + 2):
+        pos = index_positions(dim, degree)
+        base = [pos[key] for key in multi_indices(dim - 1, degree)]
+        line = [pos[key + (dim,)] for key in multi_indices(dim - 1, degree - 1)] if degree else []
+        got = _line_positions(dim, degree)
+        assert [a.tolist() for a in got] == [base, line]
+        assert all(a.dtype == np.intp for a in got)
 
 
 @pytest.mark.parametrize("dim", range(1, 9))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import g2lab.g2core as g2core
 from g2lab.catalog import catalog
 from g2lab.curvature import einstein_calibrated_residual, scal_from_torsion
-from g2lab.exterior import KForm, Metric, form_inner, hodge_star, multi_indices, wedge
+from g2lab.exterior import KForm, Metric, _star, form_inner, hodge_star, multi_indices, wedge
 from g2lab.g2core import (G2Structure, PositivityError, TorsionForms, TorsionSolveError,
                           classify, lee_form, torsion_forms)
 from g2lab.inputfmt import parse_document
@@ -117,6 +117,29 @@ class TestStructureMetric:
            st.sampled_from([1.0, -1.0]))
     def test_random_positive_forms(self, phi, log10_scale, orientation):
         _assert_metric_matches_gram(STD.algebra, (orientation * 10.0 ** log10_scale) * phi)
+
+
+def _assert_star_phi_is_star(algebra, phi):
+    G = G2Structure(algebra, phi)
+    assert np.array_equal(G._star_phi_vec, _star(phi.to_vector(), 3, G.metric))
+
+
+class TestStarPhi:
+    """The kept star(phi) is sqrt(det g) times `_phi_metric`'s star(phi) /
+    sqrt(det g), the one `_phi_codifferential` reads, and equals `_star` of phi
+    in the structure's metric bit for bit."""
+
+    @pytest.mark.parametrize("name", G2_CATALOG)
+    @pytest.mark.parametrize("scale", [-1.0, 1.0, 1e2])
+    def test_catalog(self, name, scale):
+        entry = catalog(name)
+        _assert_star_phi_is_star(entry.algebra, scale * entry.forms["phi"])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dense_positive_forms(self, seed):
+        rng = np.random.default_rng(seed)
+        phi = STD.forms["phi"] + KForm.from_vector(7, 3, 0.06 * rng.standard_normal(35))
+        _assert_star_phi_is_star(catalog("n4").algebra, rng.choice([-1.0, 1.0]) * phi)
 
 
 def _assert_gram_matches_brute(phi_vec):
@@ -384,32 +407,20 @@ class TestTorsionOncePerStructure:
         assert torsion_forms(G) is t
         assert _same_forms(t, torsion_impl(G2Structure(N2.algebra, N2.forms["phi"])))
 
-    def test_loose_then_tight_raises(self):
+    def test_disagreement_raises_on_every_call(self):
         G = _basis_changed_n12()
-        t = torsion_forms(G, tau1_tol=1.0)
-        assert 1e-8 < t.tau1_consistency < 1.0
-        with pytest.raises(TorsionSolveError) as raised:
+        with pytest.raises(TorsionSolveError) as first:
             torsion_forms(G)
-        assert (raised.value.consistency, raised.value.tol) == (t.tau1_consistency, 1e-8)
-        # the message names the tolerance, not the roundoff-level disagreement
-        assert str(raised.value) == ("tau1 disagrees between the two torsion equations "
-                                     "by more than 1.000e-08")
-        with pytest.raises(TorsionSolveError):
-            torsion_forms(G, tau1_tol=t.tau1_consistency / 2.0)
-        assert torsion_forms(G, tau1_tol=t.tau1_consistency) is t
-
-    def test_tight_then_loose_returns_the_same_forms(self):
-        G = _basis_changed_n12()
-        with pytest.raises(TorsionSolveError):
+        kept = G._torsion
+        with pytest.raises(TorsionSolveError) as second:
             torsion_forms(G)
-        assert _same_forms(torsion_forms(G, tau1_tol=1.0),
-                           torsion_forms(_basis_changed_n12(), tau1_tol=1.0))
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12])
-    def test_rejects_bad_tau1_tol(self, tol, catalog_structures):
-        with pytest.raises(ValueError, match=f"tau1_tol must be finite and non-negative, "
-                                             f"got {tol}"):
-            torsion_forms(catalog_structures["n2"], tau1_tol=tol)
+        assert G._torsion is kept and 1e-8 < kept.tau1_consistency < 1.0
+        for raised in (first, second):
+            assert (raised.value.consistency, raised.value.tol) == (kept.tau1_consistency, 1e-8)
+            # the message names the tolerance, not the roundoff-level disagreement
+            assert str(raised.value) == ("tau1 disagrees between the two torsion equations "
+                                         "by more than 1.000e-08")
+        assert _same_forms(kept, g2core._torsion(_basis_changed_n12()))
 
     # star_phi is a property, built from its slot when read
     @pytest.mark.parametrize("name", G2Structure.__slots__ + ("star_phi", "x"))

@@ -163,7 +163,22 @@ def test_detects_foreign_slot_writes():
 
 
 ROOT = SRC.parent.parent
-CALLER_DIRS = ("src", "tests", "scripts", "perfbench")
+
+
+def readme_python(text):
+    """The ```python blocks of a markdown text, joined."""
+    return "\n".join(block.split("```")[0] for block in text.split("```python")[1:])
+
+
+def caller_sources():
+    """{path: source} of the callers of the public surface: `src/g2lab` (not
+    `__init__.py`, which only re-exports), `scripts/`, `perfbench/` and
+    README's python block."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    sources.update({str(p.relative_to(ROOT)): p.read_text() for d in ("scripts", "perfbench")
+                    for p in sorted((ROOT / d).rglob("*.py"))})
+    sources["README.md"] = readme_python((ROOT / "README.md").read_text())
+    return sources
 
 
 def _is_dataclass(node):
@@ -243,8 +258,10 @@ def uncalled_defaults(definitions, callers):
 
 
 def test_every_default_has_a_caller():
+    # unit tests are not callers; the acceptance gate, which sets the paper's
+    # values, is
     definitions = {p.name: p.read_text() for p in MODULES}
-    callers = [p.read_text() for d in CALLER_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
+    callers = [*caller_sources().values(), (ROOT / "tests" / "test_acceptance.py").read_text()]
     assert uncalled_defaults(definitions, callers) == []
 
 
@@ -282,56 +299,68 @@ def public_definitions(source):
     return out
 
 
-def name_reads(source):
-    """(line, name, as_attribute) of each name `source` reads: a loaded Name or
-    an import alias (False), an Attribute or a part after the first of a dotted
-    "<module>.<name>" string constant (True)."""
+def name_reads(source, stem):
+    """(line, name, module, as_attribute) of each name that `source`, the
+    module `stem`, reads.  A loaded Name (as_attribute False) is read from the
+    module it is imported from by name (`from <module> import name`; "g2lab"
+    for the package), else from `stem`.  An Attribute, or a part after the
+    first of a dotted "<module>.<name>" string constant (True), is read from
+    whatever its qualifier names: the module of `<module>.name`, `g2lab.name`
+    or an `import ... as` alias, or any other object."""
+    tree = ast.parse(source)
+    imported, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source_module = (node.module or "g2lab").split(".")[-1]
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (source_module, alias.name)
+                modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            modules.update({alias.asname: alias.name.split(".")[-1]
+                            for alias in node.names if alias.asname})
     out = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append((node.lineno, node.id, False))
+            source_module, name = imported.get(node.id, (stem, node.id))
+            out.append((node.lineno, name, source_module, False))
         elif isinstance(node, ast.Attribute):
-            out.append((node.lineno, node.attr, True))
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            out += [(node.lineno, alias.name.split(".")[-1], False) for alias in node.names]
+            value = node.value
+            qualifier = (modules.get(value.id, value.id) if isinstance(value, ast.Name)
+                         else value.attr if isinstance(value, ast.Attribute) else None)
+            out.append((node.lineno, node.attr, qualifier, True))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if len(parts) > 1 and all(part.isidentifier() for part in parts):
-                out += [(node.lineno, part, True) for part in parts[1:]]
+                out += [(node.lineno, part, qualifier, True)
+                        for qualifier, part in zip(parts, parts[1:])]
     return out
 
 
 def uncalled_public_names(definitions, callers):
     """(module, line, name) of the public names of `definitions` ({module:
     source}) that nothing in `callers` ({module: source}) reads outside the
-    name's own definition; a method or property is read only as an attribute."""
+    name's own definition.  A module-level function or class is read only
+    through a binding of it, from its own module or from "g2lab" (`name_reads`);
+    a method or property only as an attribute, of any object."""
     reads = {}
     for module, source in callers.items():
-        for line, name, as_attribute in name_reads(source):
-            reads.setdefault(name, []).append((module, line, as_attribute))
+        for line, name, source_module, as_attribute in name_reads(source, Path(module).stem):
+            reads.setdefault(name, []).append((module, line, source_module, as_attribute))
     out = []
     for module, source in definitions.items():
         for first, last, name, is_method in public_definitions(source):
             if not any((m != module or not first <= line <= last)
-                       and (as_attribute or not is_method)
-                       for m, line, as_attribute in reads.get(name, ())):
+                       and (as_attribute if is_method else source_module in (Path(module).stem,
+                                                                             "g2lab"))
+                       for m, line, source_module, as_attribute in reads.get(name, ())):
                 out.append((module, first, name))
     return sorted(out)
 
 
-def readme_python(text):
-    """The ```python blocks of a markdown text, joined."""
-    return "\n".join(block.split("```")[0] for block in text.split("```python")[1:])
-
-
 def test_every_public_name_has_a_caller():
-    # tests are not callers, and __init__.py only re-exports
+    # tests are not callers
     definitions = {p.name: p.read_text() for p in MODULES}
-    callers = dict(definitions)
-    callers.update({str(p.relative_to(ROOT)): p.read_text() for d in ("scripts", "perfbench")
-                    for p in sorted((ROOT / d).rglob("*.py"))})
-    callers["README.md"] = readme_python((ROOT / "README.md").read_text())
-    assert uncalled_public_names(definitions, callers) == []
+    assert uncalled_public_names(definitions, caller_sources()) == []
 
 
 def test_detects_uncalled_public_names():
@@ -346,13 +375,24 @@ def test_detects_uncalled_public_names():
                  "    @property\n    def size(self):\n        return 1\n"
                  "    def shadowed(self):\n        pass\n"
                  "    def __len__(self):\n        return 0\n"
-                 "class Unused:\n    pass\n"),
-        "b.py": "from a import used\nused()\nshadowed = 1\nprint(shadowed)\n",
+                 "class Unused:\n    pass\n"
+                 # read only as an attribute of an object, not through a binding
+                 "def hat(s):\n    return s.hat\n"
+                 "def qualified():\n    pass\n"
+                 "def packaged():\n    pass\n"
+                 "def renamed():\n    pass\n"
+                 "def same_name():\n    pass\n"
+                 "def wrong_module():\n    pass\n"),
+        "b.py": ("from a import used\nused()\nshadowed = 1\nprint(shadowed)\n"
+                 "import a as mod\nimport g2lab\nfrom g2lab import renamed as r\n"
+                 "mod.qualified()\ng2lab.packaged()\nr()\n"
+                 "same_name = 2\nprint(same_name, S.hat, S.wrong_module)\n"),
     }
     callers = dict(definitions)
-    callers["c.py"] = "TARGETS = ('a.traced', 'not a.dotted.alone')\n"
+    callers["c.py"] = "TARGETS = ('a.traced', 'not a.dotted.alone', 'b.wrong_module')\n"
     callers["README.md"] = readme_python(
         "```\nUnused()\n```\n```python\nfrom a import C\nC().called()\n```\n")
     assert uncalled_public_names(definitions, callers) == [
         ("a.py", 3, "recursive"), ("a.py", 12, "alone"), ("a.py", 17, "shadowed"),
-        ("a.py", 21, "Unused")]
+        ("a.py", 21, "Unused"), ("a.py", 23, "hat"), ("a.py", 31, "same_name"),
+        ("a.py", 33, "wrong_module")]

@@ -11,7 +11,7 @@ from g2lab.exterior import KForm, wedge
 from g2lab.g2core import VANISH_TOL, classify, torsion_forms
 from g2lab.inputfmt import parse_document
 from g2lab.liealg import LieAlgebra, ce_diff
-from g2lab.su3 import SU3Structure, _psi_hat, g2_product, hitchin_j, psi_hat, su3_classify
+from g2lab.su3 import SU3Structure, _psi_hat, g2_product, hitchin_j, su3_classify
 
 from oracles import (dense, dense_to_form, embed, kform_normalization_residual,
                      kform_product_phi, kform_su3_classify, loop_hitchin_j, loop_psi_hat,
@@ -102,7 +102,7 @@ class TestPsiHat:
         S = su3_std()
         expected = KForm(6, 3, {(1, 3, 6): 1.0, (1, 4, 5): 1.0,
                                 (2, 3, 5): 1.0, (2, 4, 6): -1.0})
-        assert psi_hat(S).allclose(expected, tol=1e-13)
+        assert S.psi_hat.allclose(expected, tol=1e-13)
 
     def test_normalization_standard(self):
         S = su3_std()

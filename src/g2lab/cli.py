@@ -7,9 +7,12 @@ Jacobi, non-positive forms, unknown catalog name, unreadable input file, bad
 torsion equations).  Every report, failures included, has the keys command,
 input, results, residuals and tolerances in that order, and a final error
 key on failure; a tau1 disagreement is the failure report's
-residuals.tau1_consistency.  Reports go to stdout as JSON, normalised and
+residuals.tau1_consistency, and `su3` keeps its SU(3) results when only its
+G2 product's torsion fails.  Reports go to stdout as JSON, normalised and
 written in one pass by one function (`_json`), with floats printed to 17
-significant digits so every double round-trips losslessly.
+significant digits.  An integral double is written as a JSON integer (1.0 as
+1, -0.0 as -0), so a reader gets every double back, -0.0 included, only if
+it parses numbers as doubles.
 """
 from __future__ import annotations
 
@@ -54,7 +57,10 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _json(value, indent=""):
     """JSON text of a report value in the layout of `json.dumps(indent=2)`;
     KForms, ndarrays (of floats), numpy scalars and tuples are normalised as
-    they are written, and floats have 17 significant digits."""
+    they are written, and floats have 17 significant digits, as
+    `format(x, ".17g")`: an integral double reads as an integer (1.0 as 1,
+    -0.0 as -0), which a reader that parses it as an int gets back as 0
+    without its sign."""
     if isinstance(value, KForm):
         value = {"e" + "".join(map(str, key)): c for key, c in value.items()}
     elif isinstance(value, np.ndarray):
@@ -87,6 +93,16 @@ def _body(doc, source, results=None, residuals=None, **tolerances):
         block.update(dim=doc.algebra.dim, forms=sorted(doc.forms))
     return {"input": block, "results": results or {}, "residuals": residuals or {},
             "tolerances": tolerances}
+
+
+def _failure(args, exc, results=None):
+    """A failure report's keys after "command": the input's source alone, the
+    results computed before `exc`, and its error."""
+    # a tau1 disagreement is roundoff amplified by the input: a residual, not
+    # error text, next to the tolerance it exceeded
+    tau1 = ({"residuals": {"tau1_consistency": exc.consistency}, "tau1": exc.tol}
+            if isinstance(exc, TorsionSolveError) else {})
+    return {**_body(None, getattr(args, "input", "") or "", results, **tau1), "error": str(exc)}
 
 
 def _load(name, path):
@@ -284,7 +300,6 @@ def cmd_su3(args, tol):
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
     cls = su3_classify(S, tol=tol)
-    product_class = classify(torsion_forms(g2_product(S)), tol=tol)
     results = {
         "lambda_psi": S.lam,
         "J": S.J,
@@ -295,8 +310,11 @@ def cmd_su3(args, tol):
         "symplectic_half_flat": cls.symplectic_half_flat,
         "nearly_kahler": cls.nearly_kahler,
         "coupled_constant": cls.c,
-        "product_class": product_class.label,
     }
+    try:
+        results["product_class"] = classify(torsion_forms(g2_product(S)), tol=tol).label
+    except TorsionSolveError as exc:  # the SU(3) results stand; only the product failed
+        return _failure(args, exc, results), EXIT_INVALID
     residuals = {
         "j_squared": float(np.linalg.norm(S.J @ S.J + np.eye(6))),
         "normalization": S.normalization_residual(),
@@ -438,11 +456,7 @@ def main(argv=None):
     try:
         body, code = args.run(args, _tolerance(args.tol))
     except (ParseError, ValidationFailure, TorsionSolveError) as exc:
-        # a tau1 disagreement is roundoff amplified by the input: a residual, not
-        # error text, next to the tolerance it exceeded
-        tau1 = ({"residuals": {"tau1_consistency": exc.consistency}, "tau1": exc.tol}
-                if isinstance(exc, TorsionSolveError) else {})
-        body = {**_body(None, getattr(args, "input", "") or "", **tau1), "error": str(exc)}
+        body = _failure(args, exc)
         code = EXIT_PARSE if isinstance(exc, ParseError) else EXIT_INVALID
     emit({"command": args.command, **body})
     return code

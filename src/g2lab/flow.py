@@ -4,12 +4,14 @@ The integrator is a fixed-step classical 4th-order Runge-Kutta scheme on
 the 35 coefficients of phi, with positivity and closedness re-validated
 after every accepted step.  On closed forms delta d phi = 0, so the
 right-hand side is the d delta phi half alone, `g2core._closed_phi_laplacian`:
-one Cholesky factorisation and one inverse of a 7 x 7 matrix plus two
-compound applications, which returns its metric factors (g, g^-1,
+one gather of phi, one Cholesky factorisation and one inverse of a 7 x 7
+matrix, the star of phi as one compound and the codifferential's 5-form
+complement as one product, which returns its metric factors (g, g^-1,
 sqrt(det g)) and delta phi with the Laplacian and builds no Metric.  Its
 values lie in d(Lambda^2), so a step leaves phi0 + d(Lambda^2) only by
-roundoff.  A step costs 4 evaluations (38-40 us each on a dense n4 form, one
-CPU, one BLAS thread): the evaluation at each accepted point is both its
+roundoff.  A step costs 4 evaluations (35-39 us each on a dense closed n4
+form, one CPU, one BLAS thread; a 20-step trajectory sampled every 5 steps
+takes 3.3-3.7 ms): the evaluation at each accepted point is both its
 positivity check and the next step's first stage; they take about nine
 tenths of a trajectory's time.  Sampled states build no G2Structure: their
 diagnostics come from that evaluation's metric factors and delta phi (see
@@ -46,12 +48,20 @@ CSV_COLUMNS = (("t",)
 
 @dataclass(frozen=True)
 class FlowOptions:
+    """`sample_every`: steps between sampled states.  `closedness_tol`:
+    relative to ||phi0||; a step whose ||d phi|| exceeds
+    max(10 ||d phi0||, closedness_tol ||phi0||) truncates the trajectory, so
+    no scale of phi0 decides where."""
     sample_every: int = 10
     closedness_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
 class FlowState:
+    """A sampled point of a trajectory.  `phi` is the pruned KForm of the
+    integrated coefficient vector (`KForm.from_vector`); the diagnostics are
+    taken at that unpruned vector, which lies at most `exterior.PRUNE_TOL`
+    away from `phi` in each coefficient."""
     t: float
     phi: KForm
     diagnostics: dict
@@ -112,10 +122,11 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
     """Integrate the Laplacian flow from a closed positive 3-form.
 
     Returns a FlowTrajectory of sampled states (every `sample_every` steps,
-    plus the initial and final ones).  Loss of positivity or excessive
-    closedness drift truncates the trajectory with the corresponding
-    termination reason instead of raising.  Raises ValueError when
-    ||d phi0|| exceeds 1e-10 ||phi0||.
+    plus the initial and final ones).  Loss of positivity, or closedness
+    drift past max(10 ||d phi0||, closedness_tol ||phi0||), relative to phi0
+    like the closedness check of phi0 itself, truncates the trajectory with
+    the corresponding termination reason instead of raising.  Raises
+    ValueError when ||d phi0|| exceeds 1e-10 ||phi0||.
     """
     if algebra.dim != 7:
         raise ValueError("the flow runs on 7-dimensional algebras")
@@ -141,7 +152,7 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
     if initial_residual > 1e-10 * size:  # relative, so that no scale of phi0 decides
         raise ValueError(f"initial form is not closed (||d phi0|| = {initial_residual:.3e}, "
                          f"||phi0|| = {size:.3e})")
-    drift_limit = max(10.0 * initial_residual, options.closedness_tol)
+    drift_limit = max(10.0 * initial_residual, options.closedness_tol * size)
 
     def rhs(v):
         return _closed_phi_laplacian(algebra, v)[2]
@@ -155,12 +166,12 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
     t = 0.0
     for step in range(1, n_steps + 1):
         h = min(dt, t_end - t)
-        k1 = point[2]
+        half, k1 = 0.5 * h, point[2]
         try:
-            k2 = rhs(vec + 0.5 * h * k1)
-            k3 = rhs(vec + 0.5 * h * k2)
+            k2 = rhs(vec + half * k1)
+            k3 = rhs(vec + half * k2)
             k4 = rhs(vec + h * k3)
-            new_vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            new_vec = vec + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             new_point = _closed_phi_laplacian(algebra, new_vec)
         except PositivityError:
             termination = TERMINATION_POSITIVITY

@@ -19,14 +19,14 @@ the flow oracle use it.  On closed forms delta d phi = 0, so the flow's
 right-hand side `_closed_phi_laplacian` evaluates only the d delta phi half
 from the same metric factors and codifferential (`_phi_codifferential`),
 builds no Metric, and hands the factors and delta phi on to the flow's
-sampled states.  On a dense n4 form
-(plain `perf_counter` loop, interquartile range of 25 rounds, one CPU of a
-shared 2-core host, one BLAS thread) `phi_laplacian` takes 58-65 us and
-`_closed_phi_laplacian` 38-40 us, of which the phi -> metric step of
-`_phi_metric` is 23-24 us: B about 10 us, and numpy's `cholesky` and `inv`
-of a 7 x 7 matrix about 9 us together, about 6 us of that their Python
-wrappers.  `_phi_metric` also returns star(phi) / sqrt(det g), the one star
-of phi that `G2Structure` and `_phi_codifferential` read.
+sampled states.  On a dense closed n4 form (plain `perf_counter` loop,
+interquartile range of 31 rounds, one CPU of a shared 2-core host, one BLAS
+thread) `phi_laplacian` takes 58-67 us and `_closed_phi_laplacian` 35-39 us,
+of which `_phi_metric` is 29-31 us: B 8-9 us from one gather of phi
+(`_phi_views`), numpy's `cholesky` and `inv` of a 7 x 7 matrix about 10 us
+together, about 6 us of that their Python wrappers, and star(phi) /
+sqrt(det g) about 6 us, the one star of phi that `G2Structure` and
+`_phi_codifferential` read.
 """
 from __future__ import annotations
 
@@ -36,9 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import (KForm, Metric, _complement_of_compound, _compound_of_complement, _dense,
-                       _dense_tables, _read_only, _scatter, _star, _wedge_vec, complement_data,
-                       form_inner, hodge_star, wedge_table)
+from .exterior import (KForm, Metric, _complement_dense_table, _complement_of_compound,
+                       _compound_of_complement, _dense_tables, _read_only, _star,
+                       _wedge_vec, complement_data, form_inner, hodge_star, wedge_table)
 
 VANISH_TOL = 1e-8
 #: the tau1 disagreement beyond which `torsion_forms` raises TorsionSolveError
@@ -71,18 +71,51 @@ def _pairing_table():
     return _read_only(ia * 21 + ib, pos[iout], sign * top[iout])
 
 
+@lru_cache(maxsize=None)
+def _phi_gather_table():
+    # (index,) reading one buffer of 343 + 147 + 147 + 441 entries, the views
+    # of `_phi_views`, from a 3-form's coefficients v as (v, -v, 0), so that
+    # each sign is in the index: the dense tensor A by `_dense_tables(7, 3)`;
+    # iota, row i the 2-form iota_i phi, as the entries of A at the flat
+    # 2-tuple indices `_dense_tables(7, 2)[3]` of its last two indices; the
+    # same entries as a contiguous iota^T; and the pairing Q by `_pairing_table`
+    src, dst, sign, _ = _dense_tables(7, 3)
+    column = np.full(49, -1)
+    column[_dense_tables(7, 2)[3]] = np.arange(21)
+    i, p = dst // 49, column[dst % 49]
+    on = p >= 0  # the entries of A whose last two indices increase
+    i, p = i[on], p[on]
+    q_dst, q_src, q_sign = _pairing_table()
+    read = np.concatenate([src, src[on], src[on], q_src])
+    sign = np.concatenate([sign, sign[on], sign[on], q_sign])
+    dst = np.concatenate([dst, 343 + 21 * i + p, 490 + 7 * p + i, 637 + q_dst])
+    index = np.full(1078, 70)  # the 0 after v and -v
+    index[dst] = np.where(sign > 0, read, read + 35)
+    return _read_only(index)
+
+
+#: the 0 that `_phi_views` appends to (v, -v)
+_ZERO = _read_only(np.zeros(1))[0]
+
+
+def _phi_views(phi_vec):
+    """(A, iota, iota^T, Q) of a 3-form's coefficients, views of one buffer
+    gathered from them (`_phi_gather_table`): the flat dense tensor A, the
+    7 x 21 matrix iota whose row i is the 2-form iota_i phi, its transpose,
+    contiguous, and the symmetric 21 x 21 pairing Q of two 2-forms alpha, beta
+    to the e^{1..7} coefficient of alpha ^ beta ^ phi."""
+    t = np.concatenate((phi_vec, -phi_vec, _ZERO))[_phi_gather_table()[0]]
+    return t[:343], t[343:490].reshape(7, 21), t[490:637].reshape(21, 7), t[637:].reshape(21, 21)
+
+
 def _gram(phi_vec):
-    """(dense phi as 7 x 49, B) of a 3-form's coefficients, B_ij the e^{1..7}
+    """(dense phi, B) of a 3-form's coefficients, B_ij the e^{1..7}
     coefficient of iota_i phi ^ iota_j phi ^ phi.
 
-    Over Lambda^2, B = iota Q iota^T: row i of the 7 x 21 matrix iota is the
-    2-form iota_i phi, and the symmetric 21 x 21 matrix Q pairs two 2-forms
-    alpha, beta to the e^{1..7} coefficient of alpha ^ beta ^ phi.
+    Over Lambda^2, B = iota Q iota^T (`_phi_views`), symmetrised.
     """
-    A = _dense(phi_vec, 7, 3).reshape(7, 49)
-    iota = A[:, _dense_tables(7, 2)[3]]  # row i: the coefficients of iota_i phi
-    dst, src, sign = _pairing_table()
-    B = iota @ (_scatter(phi_vec, src, dst, sign, 441).reshape(21, 21) @ iota.T)
+    A, iota, iota_t, Q = _phi_views(phi_vec)
+    B = iota @ (Q @ iota_t)
     return A, (B + B.T) / 2.0
 
 
@@ -93,30 +126,41 @@ def _phi_metric(phi_vec):
 
     g = (36 |det B|)^{-1/9} sign(det B) B.  One Cholesky factorisation
     L L^T = eps B, eps the sign of B_11, gives the orientation, positivity
-    and det B = eps (prod L_ii)^2; then one inverse.  Raises PositivityError
-    when B is degenerate or not definite, or det B is not representable.
+    and det B = eps (prod L_ii)^2, and so sqrt(det g); then one inverse.
+    Raises PositivityError when B is degenerate or not definite, or det B is
+    not representable.
     star(phi) / sqrt(det g) is phi with its indices raised by g^-1,
     complemented, as in `_star`.
     """
     A, B = _gram(phi_vec)
     eps = 1.0 if B[0, 0] > 0 else -1.0  # the sign of B when B is definite
     try:
-        diag = np.linalg.cholesky(B if eps > 0 else -B).diagonal().tolist()
-        root = math.prod(diag)  # sqrt |det B|; may underflow or overflow
+        # sqrt |det B|; may underflow or overflow
+        root = math.prod(np.linalg.cholesky(B if eps > 0 else -B).diagonal().tolist())
         det_b = eps * root * root
     except np.linalg.LinAlgError:  # B is not definite; det B only names the reason
-        diag, det_b = None, float(np.linalg.det(B))
+        root, det_b = None, float(np.linalg.det(B))
     if det_b == 0:
         raise PositivityError("not a positive G2 form (det B = 0)")
-    if diag is None or not math.isfinite(det_b):
+    if root is None or not math.isfinite(det_b):
         raise PositivityError("not a positive G2 form (metric not positive definite)")
     c = (36.0 * abs(det_b)) ** (-1.0 / 9.0)
     g = c * eps * B
-    # sqrt(c) L is the Cholesky factor of g: sqrt(det g) is its diagonal product, as in Metric
-    sqrt_c = math.sqrt(c)
-    sqrt_det = math.prod([sqrt_c * x for x in diag])
+    # det g = c^7 |det B| = 36^(-7/9) |det B|^(2/9), taken from the finite, non-zero root
+    sqrt_det = 36.0 ** (-7.0 / 18.0) * root ** (2.0 / 9.0)
     inverse = np.linalg.inv(g)
     return _complement_of_compound(inverse, A, 3), B, det_b, eps, (g, inverse, sqrt_det)
+
+
+@lru_cache(maxsize=None)
+def _codifferential_table():
+    # (the 49 x 21 matrix taking a 5-form's coefficients to minus the dense
+    # 7 x 7 tensor of its signed complement, the flat 2-tuple indices that
+    # gather a 2-form back from such a tensor)
+    src, dst, sign = _complement_dense_table(7, 5)
+    minus = np.zeros((49, 21))
+    minus[dst, src] = -sign
+    return _read_only(minus, _dense_tables(7, 2)[3])
 
 
 def _phi_codifferential(algebra, phi_vec):
@@ -125,9 +169,12 @@ def _phi_codifferential(algebra, phi_vec):
     if algebra.dim != 7:
         raise ValueError("G2 structures need a 7-dimensional algebra")
     star_phi, _, _, _, factors = _phi_metric(phi_vec)
-    # star_phi is star(phi) / sqrt(det g); the 5-form star divides by
-    # sqrt(det g), so the two factors cancel
-    return factors, -_compound_of_complement(factors[0], algebra.diff_matrix(4) @ star_phi, 5)
+    g = factors[0]
+    minus, flat = _codifferential_table()
+    # star_phi is star(phi) / sqrt(det g); the 5-form star is C_2(g) on the
+    # signed complement over sqrt(det g), so the two factors cancel
+    t = (minus @ (algebra.diff_matrix(4) @ star_phi)).reshape(7, 7)
+    return factors, (g @ t @ g).reshape(-1)[flat]  # g is symmetric: C_2(g) t = g t g
 
 
 def _closed_phi_laplacian(algebra, phi_vec):
@@ -135,11 +182,13 @@ def _closed_phi_laplacian(algebra, phi_vec):
     coefficients; d delta phi is the Hodge Laplacian of a closed 3-form, where
     delta d phi = 0.
 
-    The right-hand side of the flow: the metric factors, two compound
-    applications with their signed complements and two products with the
-    differential matrices.  It builds no Metric: the flow's sampled states
-    read the factors and delta phi of their point.  Raises PositivityError
-    as `phi_laplacian` does.
+    The right-hand side of the flow: the metric factors with star(phi) (one
+    gather of phi, one Cholesky factorisation, one inverse, one compound
+    read back by a gather with the signs in its index), delta phi (d, the
+    5-form complement as one product with a constant matrix, the congruence
+    by g and a gather) and d delta phi.  It builds no Metric: the flow's
+    sampled states read the factors and delta phi of their point.  Raises
+    PositivityError as `phi_laplacian` does.
     """
     factors, delta_phi = _phi_codifferential(algebra, phi_vec)
     return factors, delta_phi, algebra.diff_matrix(2) @ delta_phi
@@ -150,10 +199,10 @@ def phi_laplacian(algebra, phi_vec):
 
     Works on the 35 coefficients of phi alone, in the metric phi induces; raises
     PositivityError when phi is not a positive form.  One evaluation costs the
-    metric (`_phi_metric`: B, one Cholesky and one inverse of a 7 x 7 matrix),
-    four compound applications with their signed complements (each
-    precomposed into one scatter or gather) and four products with the
-    differential matrices.  `G2Structure.laplacian_vec` and
+    metric (`_phi_metric`: B, one Cholesky and one inverse of a 7 x 7 matrix,
+    star(phi)), delta phi (`_phi_codifferential`), the two 4-form stars of
+    delta d phi (each complement precomposed into the compound's scatter) and
+    four products with the differential matrices.  `G2Structure.laplacian_vec` and
     the flow oracle use this full operator; `flow_integrate`, whose states are
     closed, evaluates only its d delta phi half (`_closed_phi_laplacian`).
     """

@@ -18,7 +18,8 @@ from g2lab.cli import _json, main
 from g2lab.curvature import einstein_calibrated_residual
 from g2lab.exterior import KForm
 from g2lab.g2core import VANISH_TOL, G2Structure, classify
-from g2lab.su3 import su3_classify
+from g2lab.inputfmt import parse_document
+from g2lab.su3 import SU3Structure, su3_classify
 
 from conftest import basis_changed_document
 
@@ -253,6 +254,29 @@ class TestFailuresAreReports:
         assert 1e-8 < report["residuals"]["tau1_consistency"] < 1e-3
         # the tolerance it exceeded is a leaf of its own
         assert report["tolerances"] == {"tau1": 1e-8}
+
+    def test_su3_keeps_its_results_when_the_product_fails(self, capsys, tmp_path):
+        # h2 in the basis of seed 644: the SU(3) data are computed, and only
+        # the torsion of the G2 product fails; the report keeps all but
+        # product_class, equal to the library's values for the same pair
+        path = tmp_path / "h2_basis_changed.g2"
+        path.write_text(basis_changed_document("h2", 644))
+        code, report = run_cli(capsys, "su3", str(path))
+        assert code == 2
+        assert report["error"] == ("tau1 disagrees between the two torsion equations "
+                                   "by more than 1.000e-08")
+        assert list(report["residuals"]) == ["tau1_consistency"]
+        assert report["tolerances"] == {"tau1": 1e-8}
+        doc = parse_document(path.read_text())
+        S = SU3Structure(doc.algebra, doc.forms["omega"], doc.forms["psi"])
+        cls = su3_classify(S, tol=VANISH_TOL)
+        assert report["results"] == {
+            "lambda_psi": S.lam, "J": S.J.tolist(), "metric": S.metric.g.tolist(),
+            "psi_hat": {"e" + "".join(map(str, k)): c for k, c in S.psi_hat.items()},
+            "half_flat": cls.half_flat, "coupled": cls.coupled,
+            "symplectic_half_flat": cls.symplectic_half_flat,
+            "nearly_kahler": cls.nearly_kahler, "coupled_constant": cls.c}
+        jsonschema.validate(report, SCHEMA)
 
     @pytest.mark.parametrize("times,reason", [
         ("abc", "could not convert string to float: 'abc'"),

@@ -723,7 +723,9 @@ class TestIntegration:
 
     def test_closedness_violation_truncates(self, monkeypatch):
         # a right-hand side with a fixed non-closed part drifts |d phi| by
-        # h 1e-9 |d e^{456}| = 1.4e-11 a step, past the 1e-10 limit within 8 steps
+        # h 1e-9 |d e^{456}| = 1.4e-11 a step, past the 1e-10 limit within 8
+        # steps; the limit is closedness_tol |phi0|, so the tolerance is
+        # 1e-10 / |phi0|
         real = flow_mod._closed_phi_laplacian
         leak = 1e-9 * KForm.basis(7, (4, 5, 6)).to_vector()
         assert np.linalg.norm(N2.diff_matrix(3) @ leak) > 0
@@ -733,8 +735,9 @@ class TestIntegration:
             return m, delta_phi, lap + leak
 
         monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", leaking)
-        traj = flow_integrate(N2, closed_form_n2(0.0), 1.0, 1e-2,
-                              FlowOptions(sample_every=1, closedness_tol=1e-10))
+        v0 = closed_form_n2(0.0).to_vector()
+        options = FlowOptions(sample_every=1, closedness_tol=1e-10 / math.sqrt(v0 @ v0))
+        traj = flow_integrate(N2, closed_form_n2(0.0), 1.0, 1e-2, options)
         assert traj.termination == "closedness_violated"
         assert 0.0 < traj.final.t < 0.1
         assert 0.0 < traj.final.diagnostics["closedness"] <= 1e-10
@@ -742,6 +745,30 @@ class TestIntegration:
         for state in traj.states:
             assert state.diagnostics["closedness"] == float(
                 np.linalg.norm(N2.diff_matrix(3) @ state.phi.to_vector()))
+
+    def test_closedness_limit_is_relative(self, monkeypatch):
+        # Delta(c phi) = c^{1/3} Delta phi, so with dt scaled by c^{2/3} and a
+        # leak in the right-hand side scaled by c^{1/3}, the trajectory from
+        # c phi0 is c times the one from phi0 step by step, |d phi| included;
+        # a limit relative to |phi0| truncates it at the same step at every
+        # scale, where an absolute one would watch nothing at small scales
+        real = flow_mod._closed_phi_laplacian
+        leak = 1e-9 * KForm.basis(7, (4, 5, 6)).to_vector()
+        v0 = closed_form_n2(0.0).to_vector()
+        options = FlowOptions(sample_every=1, closedness_tol=1e-10 / math.sqrt(v0 @ v0))
+        steps = []
+        for c in 10.0 ** np.arange(-8, 9, 2):
+            def leaking(algebra, phi_vec, c=c):
+                m, delta_phi, lap = real(algebra, phi_vec)
+                return m, delta_phi, lap + c ** (1.0 / 3.0) * leak
+
+            monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", leaking)
+            h = 1e-2 * c ** (2.0 / 3.0)
+            traj = flow_integrate(N2, KForm.from_vector(7, 3, c * v0), 100 * h, h, options)
+            assert traj.termination == "closedness_violated"
+            assert 0.0 < traj.final.diagnostics["closedness"] <= 1e-10 * c * (1 + 1e-12)
+            steps.append(len(traj.states) - 1)
+        assert steps == [steps[0]] * len(steps) and 1 < steps[0] < 10
 
 
 class TestConvergenceOrder:

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import g2lab.g2core as g2core
 from g2lab.catalog import catalog
 from g2lab.curvature import einstein_calibrated_residual, scal_from_torsion
-from g2lab.exterior import KForm, Metric, _star, form_inner, hodge_star, multi_indices, wedge
+from g2lab.exterior import (KForm, Metric, _complement_dense, _dense, _dense_tables, _star,
+                            form_inner, hodge_star, multi_indices, wedge)
 from g2lab.g2core import (G2Structure, PositivityError, TorsionForms, TorsionSolveError,
                           classify, lee_form, torsion_forms)
 from g2lab.inputfmt import parse_document
@@ -161,6 +162,45 @@ class TestGramMatrix:
            st.sampled_from([1.0, -1.0]))
     def test_random_positive_forms(self, phi, log10_scale, orientation):
         _assert_gram_matches_brute((orientation * 10.0 ** log10_scale) * phi.to_vector())
+
+
+def _assert_views_are_the_three_passes(phi_vec):
+    # the one gather's views against the dense tensor, the iota gather from
+    # it and the pairing scatter, each as a pass of its own
+    A, iota, iota_t, Q = g2core._phi_views(phi_vec)
+    dense = _dense(phi_vec, 7, 3)
+    want_iota = dense.reshape(7, 49)[:, _dense_tables(7, 2)[3]]
+    dst, src, sign = g2core._pairing_table()
+    want_q = np.zeros(441)
+    want_q[dst] = sign * phi_vec[src]
+    assert np.array_equal(A, dense)
+    assert np.array_equal(iota, want_iota)
+    assert np.array_equal(iota_t, want_iota.T) and iota_t.flags.c_contiguous
+    assert np.array_equal(Q, want_q.reshape(21, 21))
+
+
+class TestPhiViews:
+    """`_phi_views` reads A, iota, iota^T and Q from one gather of
+    (phi, -phi, 0); each equals its own pass bit for bit."""
+
+    @pytest.mark.parametrize("name", G2_CATALOG)
+    @pytest.mark.parametrize("scale", [-1.0, 1.0, 1e-8, 1e8])
+    def test_catalog(self, name, scale):
+        _assert_views_are_the_three_passes(scale * catalog(name).forms["phi"].to_vector())
+
+    @settings(max_examples=25, deadline=None)
+    @given(positive_3form_strategy(), st.floats(min_value=-2.0, max_value=2.0))
+    def test_random_positive_forms(self, phi, log10_scale):
+        _assert_views_are_the_three_passes(10.0 ** log10_scale * phi.to_vector())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_codifferential_matrix_is_minus_the_complement_scatter(self, seed):
+        # the 49 x 21 product of the codifferential against the scatter it
+        # replaces, negated: bit for bit on finite 5-forms
+        x = np.random.default_rng(seed).standard_normal(21)
+        minus, flat = g2core._codifferential_table()
+        assert np.array_equal(minus @ x, -_complement_dense(x, 7, 5))
+        assert np.array_equal(flat, _dense_tables(7, 2)[3])
 
 
 class TestSubspaceBases:

@@ -10,8 +10,7 @@ is its transpose).  The metric operations share one dense kernel: `_dense`
 expands a k-form to its antisymmetric n^k tensor, `_compound_dense` acts on
 every index of it, and `_star` is the Hodge star on coefficient vectors; a
 signed Hodge complement before or after it is precomposed into the scatter
-(`_complement_dense`) or the gather back (`_complement_of_compound`, whose
-index holds the complement's signs, read from the antisymmetric tensor).
+(`_complement_dense`) or the gather back (`_complement_of_compound`).
 
 Dimension is generic but capped at MAX_DIM: all operators here enumerate
 the full basis of each degree, which is only sensible for small n.
@@ -392,16 +391,11 @@ def _complement_dense_table(dim, degree):
 
 @lru_cache(maxsize=None)
 def _complement_flat_gather(dim, degree):
-    # (flat index,) of the gather back from a dense degree-k tensor, k >= 2,
-    # composed with the `_complement_gather` gather, the complement's sign put
-    # into the index: where sign(I, Ic) = -1 it reads I with its first two
-    # entries swapped, which is -t[I] in an antisymmetric tensor; so the signed
-    # complement of the k-form is one gather from its tensor
+    # (flat index, sign) of the gather back from a dense degree-k tensor
+    # composed with the `_complement_gather` gather: the signed complement of
+    # the k-form read straight from its tensor
     perm, sign = _complement_gather(dim, degree)
-    keys = _index_arrays(dim, degree)[0][perm]
-    swap = sign < 0
-    keys[swap, :2] = keys[swap, 1::-1]
-    return _read_only(keys @ dim ** np.arange(degree - 1, -1, -1, dtype=np.intp))
+    return _read_only(_dense_tables(dim, degree)[3][perm], sign)
 
 
 def _scatter(vec, src, dst, sgn, size):
@@ -432,17 +426,13 @@ def _complement_dense(vec, dim, degree):
 def _compound_dense(M, t, degree):
     """The degree-k compound of the n x n matrix M (the minors det M[I, J])
     on the flat dense tensor t of a k-form (`_dense`), as a flat dense tensor:
-    M acts on every index, the last one first as one product with M^T, then
-    the others, the leading ones first.  No stacked product takes the
-    transposed view M^T: numpy's stacked matmul takes about twice as long
-    with it as with a contiguous matrix (7 x 7 x 7 tensors)."""
+    M acts on every index, the leading ones first, then the last two at once."""
     n = M.shape[0]
     if degree < 2:  # the compound of degree 1 is M, of degree 0 the number 1
         return M @ t if degree else t
-    t = t.reshape(-1, n) @ M.T
-    for j in range(degree - 1):
+    for j in range(degree - 2):
         t = M @ t.reshape(n ** j, n, -1)
-    return t.reshape(-1)
+    return (M @ t.reshape(-1, n, n) @ M.T).reshape(-1)
 
 
 def _compound_apply(M, vec, degree):
@@ -463,14 +453,9 @@ def _compound_of_complement(M, vec, degree):
 
 def _complement_of_compound(M, t, degree):
     """The signed complement of the degree-k compound of M on the dense tensor
-    t (`_compound_dense`), gathered straight from the result tensor, which is
-    antisymmetric, with the signs in the gather's index."""
-    n = M.shape[0]
-    t = _compound_dense(M, t, degree)
-    if degree < 2:  # no index pair to swap: the signs are a product
-        perm, sign = _complement_gather(n, degree)
-        return sign * t[perm]
-    return t[_complement_flat_gather(n, degree)[0]]
+    t (`_compound_dense`), gathered straight from the result tensor."""
+    idx, sign = _complement_flat_gather(M.shape[0], degree)
+    return sign * _compound_dense(M, t, degree)[idx]
 
 
 def _star(vec, degree, metric):

@@ -9,9 +9,9 @@ matrix, the star of phi as one compound and the codifferential's 5-form
 complement as one product, which returns its metric factors (g, g^-1,
 sqrt(det g)) and delta phi with the Laplacian and builds no Metric.  Its
 values lie in d(Lambda^2), so a step leaves phi0 + d(Lambda^2) only by
-roundoff.  A step costs 4 evaluations (35-39 us each on a dense closed n4
+roundoff.  A step costs 4 evaluations (37-39 us each on a dense closed n4
 form, one CPU, one BLAS thread; a 20-step trajectory sampled every 5 steps
-takes 3.3-3.7 ms): the evaluation at each accepted point is both its
+takes 3.5-4.0 ms): the evaluation at each accepted point is both its
 positivity check and the next step's first stage; they take about nine
 tenths of a trajectory's time.  Sampled states build no G2Structure: their
 diagnostics come from that evaluation's metric factors and delta phi (see

@@ -21,11 +21,11 @@ from the same metric factors and codifferential (`_phi_codifferential`),
 builds no Metric, and hands the factors and delta phi on to the flow's
 sampled states.  On a dense closed n4 form (plain `perf_counter` loop,
 interquartile range of 31 rounds, one CPU of a shared 2-core host, one BLAS
-thread) `phi_laplacian` takes 58-67 us and `_closed_phi_laplacian` 35-39 us,
-of which `_phi_metric` is 29-31 us: B 8-9 us from one gather of phi
-(`_phi_views`), numpy's `cholesky` and `inv` of a 7 x 7 matrix about 10 us
+thread) `phi_laplacian` takes 61-67 us and `_closed_phi_laplacian` 37-39 us,
+of which `_phi_metric` is 31-34 us: B 8-10 us from one gather of phi
+(`_phi_views`), numpy's `cholesky` and `inv` of a 7 x 7 matrix 11-13 us
 together, about 6 us of that their Python wrappers, and star(phi) /
-sqrt(det g) about 6 us, the one star of phi that `G2Structure` and
+sqrt(det g) 7-10 us, the one star of phi that `G2Structure` and
 `_phi_codifferential` read.
 """
 from __future__ import annotations
@@ -126,28 +126,28 @@ def _phi_metric(phi_vec):
 
     g = (36 |det B|)^{-1/9} sign(det B) B.  One Cholesky factorisation
     L L^T = eps B, eps the sign of B_11, gives the orientation, positivity
-    and det B = eps (prod L_ii)^2, and so sqrt(det g); then one inverse.
-    Raises PositivityError when B is degenerate or not definite, or det B is
-    not representable.
+    and det B = eps (prod L_ii)^2; then one inverse.  Raises PositivityError
+    when B is degenerate or not definite, or det B is not representable.
     star(phi) / sqrt(det g) is phi with its indices raised by g^-1,
     complemented, as in `_star`.
     """
     A, B = _gram(phi_vec)
     eps = 1.0 if B[0, 0] > 0 else -1.0  # the sign of B when B is definite
     try:
-        # sqrt |det B|; may underflow or overflow
-        root = math.prod(np.linalg.cholesky(B if eps > 0 else -B).diagonal().tolist())
+        diag = np.linalg.cholesky(B if eps > 0 else -B).diagonal().tolist()
+        root = math.prod(diag)  # sqrt |det B|; may underflow or overflow
         det_b = eps * root * root
     except np.linalg.LinAlgError:  # B is not definite; det B only names the reason
-        root, det_b = None, float(np.linalg.det(B))
+        diag, det_b = None, float(np.linalg.det(B))
     if det_b == 0:
         raise PositivityError("not a positive G2 form (det B = 0)")
-    if root is None or not math.isfinite(det_b):
+    if diag is None or not math.isfinite(det_b):
         raise PositivityError("not a positive G2 form (metric not positive definite)")
     c = (36.0 * abs(det_b)) ** (-1.0 / 9.0)
     g = c * eps * B
-    # det g = c^7 |det B| = 36^(-7/9) |det B|^(2/9), taken from the finite, non-zero root
-    sqrt_det = 36.0 ** (-7.0 / 18.0) * root ** (2.0 / 9.0)
+    # sqrt(c) L is the Cholesky factor of g: sqrt(det g) is its diagonal product, as in Metric
+    sqrt_c = math.sqrt(c)
+    sqrt_det = math.prod([sqrt_c * x for x in diag])
     inverse = np.linalg.inv(g)
     return _complement_of_compound(inverse, A, 3), B, det_b, eps, (g, inverse, sqrt_det)
 
@@ -184,11 +184,11 @@ def _closed_phi_laplacian(algebra, phi_vec):
 
     The right-hand side of the flow: the metric factors with star(phi) (one
     gather of phi, one Cholesky factorisation, one inverse, one compound
-    read back by a gather with the signs in its index), delta phi (d, the
-    5-form complement as one product with a constant matrix, the congruence
-    by g and a gather) and d delta phi.  It builds no Metric: the flow's
-    sampled states read the factors and delta phi of their point.  Raises
-    PositivityError as `phi_laplacian` does.
+    read back by a signed gather), delta phi (d, the 5-form complement as
+    one product with a constant matrix, the congruence by g and a gather)
+    and d delta phi.  It builds no Metric: the flow's sampled states read
+    the factors and delta phi of their point.  Raises PositivityError as
+    `phi_laplacian` does.
     """
     factors, delta_phi = _phi_codifferential(algebra, phi_vec)
     return factors, delta_phi, algebra.diff_matrix(2) @ delta_phi

@@ -131,7 +131,7 @@ class TestCachedTables:
         (interior_table, (7, 3)), (_dense_tables, (7, 3)), (_complement_dense_table, (7, 2)),
         (_complement_flat_gather, (7, 2)), (_diff_table, (7, 3)), (_diff_table, (7, 0)),
         (_derivation_indices, (7,)), (_line_positions, (7, 3)), (_pairing_table, ()),
-        (_complement_flat_gather, (7, 3)), (_phi_gather_table, ()), (_codifferential_table, ())],
+        (_phi_gather_table, ()), (_codifferential_table, ())],
         ids=lambda x: getattr(x, "__name__", None))
     def test_tables_are_read_only(self, table, args):
         # every later caller shares the cached arrays; a write must not corrupt them
@@ -311,11 +311,7 @@ def test_dense_tables_match_loop_at_max_dim(degree):
 def test_complement_tables_are_the_two_step_path(dim):
     """The precomposed complement scatter and gather equal `_dense` after the
     complement gather, and the complement gather after the compound's gather
-    back.  The gather back reads the complement's signs from an antisymmetric
-    tensor through its index, so it is the two-step path bit for bit where the
-    compound is exactly antisymmetric (that of the identity, and every
-    compound of degree 0 or 1), and to roundoff of the entries' magnitudes
-    for a general M, whose compound is antisymmetric to roundoff."""
+    back, bit for bit, in every degree."""
     rng = np.random.default_rng(dim)
     a = rng.standard_normal((dim, dim))
     M = a @ a.T + np.eye(dim)
@@ -328,29 +324,8 @@ def test_complement_tables_are_the_two_step_path(dim):
         assert np.array_equal(_compound_of_complement(M, v, degree),
                               _compound_dense(M, two_step, dim - degree)[flat])
         t = _dense(rng.standard_normal(len(perm)), dim, degree)
-        flat = _dense_tables(dim, degree)[3]
-        assert np.array_equal(_complement_of_compound(np.eye(dim), t, degree),
-                              sign * t[flat][perm])
-        got = _complement_of_compound(M, t, degree)
-        want = sign * _compound_dense(M, t, degree)[flat][perm]
-        if degree < 2:
-            assert np.array_equal(got, want)
-        else:
-            size = _compound_dense(np.abs(M), np.abs(t), degree)[flat][perm]
-            assert (np.abs(got - want) <= 4 * degree * dim * np.finfo(float).eps * size).all()
-
-
-@pytest.mark.parametrize("dim", range(2, 8))
-def test_signed_index_gather_on_antisymmetric_tensors(dim):
-    """On exactly antisymmetric `_dense` tensors, the gather with the
-    complement's signs in its index equals the signs times the gather at the
-    increasing indices, bit for bit, in every degree it serves (k >= 2)."""
-    rng = np.random.default_rng(300 + dim)
-    for degree in range(2, dim + 1):
-        perm, sign = _complement_gather(dim, degree)
-        t = _dense(rng.standard_normal(len(perm)), dim, degree)
-        (index,) = _complement_flat_gather(dim, degree)
-        assert np.array_equal(t[index], sign * t[_dense_tables(dim, degree)[3]][perm])
+        gathered = _compound_dense(M, t, degree)[_dense_tables(dim, degree)[3]]
+        assert np.array_equal(_complement_of_compound(M, t, degree), sign * gathered[perm])
 
 
 @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))

@@ -20,8 +20,10 @@ stderr. Scratch files live in a temporary directory written `<tmp>` in the
 record.
 
 The second form prints how many reports are byte-identical and, for each one
-that is not, the largest relative difference of its numeric leaves. It exits
-1 when any report differs.
+that is not, the largest relative difference of its numeric leaves outside
+`residuals` and, apart, the largest absolute difference of its `residuals.*`
+leaves: a residual is roundoff itself, so a relative change of it says
+nothing about the results. It exits 1 when any report differs.
 """
 import argparse
 import contextlib
@@ -173,11 +175,11 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _relative_difference(a, b):
+def _difference(a, b, relative):
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if math.isfinite(scale) and scale > 0 else math.inf
+    d = abs(a - b) / (max(abs(a), abs(b)) if relative else 1.0)
+    return d if math.isfinite(d) else math.inf
 
 
 def describe(a, b):
@@ -187,13 +189,17 @@ def describe(a, b):
         left, right = (dict(_leaves(json.loads(x[1]))) for x in (a, b))
     except json.JSONDecodeError:
         return line + ", stdout is not JSON on at least one side"
-    rel = [_relative_difference(left[k], right[k]) for k in left.keys() & right.keys()
-           if _is_number(left[k]) and _is_number(right[k])]
+    numeric = [k for k in left.keys() & right.keys()
+               if _is_number(left[k]) and _is_number(right[k])]
+    residual = {k for k in numeric if k.startswith(".residuals.")}
+    rel = [_difference(left[k], right[k], True) for k in numeric if k not in residual]
+    res = [_difference(left[k], right[k], False) for k in residual]
     other = sum(1 for k in left.keys() | right.keys()
                 if not (_is_number(left.get(k)) and _is_number(right.get(k)))
                 and left.get(k, ()) != right.get(k, ()))
-    return line + f", largest relative difference {max(rel, default=0.0):.3g}, " \
-                  f"{other} non-numeric leaves differ"
+    return line + f", largest relative difference {max(rel, default=0.0):.3g} outside " \
+                  f"residuals, largest absolute difference {max(res, default=0.0):.3g} " \
+                  f"in residuals, {other} non-numeric leaves differ"
 
 
 def diff(path_a, path_b):

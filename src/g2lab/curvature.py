@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import (KForm, _compound_apply, _dense, _line_positions, _star, form_inner,
+from .exterior import (KForm, _dense, _inner, _line_positions, _star, form_inner,
                        multi_indices)
 from .g2core import VANISH_TOL, classify, torsion_forms
 from .liealg import _RANK_CUTOFF, LieAlgebra, _derivation_basis, ce_diff, derivation_residual
@@ -81,7 +81,7 @@ def scal_from_torsion(structure):
 
     On the coefficient vectors of the structure's torsion: delta tau1 =
     -star d star tau1 through `_star` and the differential matrix, each
-    |tau_k|^2 = tau_k . C_k(g^-1) tau_k as in `form_inner`.
+    |tau_k|^2 through `_inner`, as in `form_inner`.
     """
     t = torsion_forms(structure)
     m = structure.metric
@@ -89,9 +89,9 @@ def scal_from_torsion(structure):
     delta_tau1 = -float(_star(structure.algebra.diff_matrix(6) @ _star(v1, 1, m), 7, m)[0])
     return (12.0 * delta_tau1
             + (21.0 / 8.0) * t.tau0 ** 2
-            + 30.0 * float(v1 @ _compound_apply(m.inverse, v1, 1))
-            - 0.5 * float(v2 @ _compound_apply(m.inverse, v2, 2))
-            - 0.5 * float(v3 @ _compound_apply(m.inverse, v3, 3)))
+            + 30.0 * _inner(v1, v1, 1, m)
+            - 0.5 * _inner(v2, v2, 2, m)
+            - 0.5 * _inner(v3, v3, 3, m))
 
 
 def star_ricci(structure):
@@ -99,7 +99,7 @@ def star_ricci(structure):
     bilinear form in the e_i basis (the two upper indices raised with g^-1)."""
     g = structure.metric
     r4 = riemann(structure.algebra, g).reshape(-1, 7) @ g.g
-    p = (g.inverse @ _dense(structure._phi_vec, 7, 3).reshape(7, 49)).reshape(7, 7, 7)
+    p = (g.inverse @ _dense(structure.phi.to_vector(), 7, 3).reshape(7, 49)).reshape(7, 7, 7)
     p = (g.inverse @ p).reshape(49, 7)
     ric = p.T @ (r4.reshape(49, 49) @ p)
     return (ric + ric.T) / 2.0

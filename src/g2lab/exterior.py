@@ -6,11 +6,12 @@ entries below PRUNE_TOL stored as zero.  Forms are immutable and all
 operations are pure functions, so values can be shared freely.
 
 Products scatter through cached COO tables (`wedge_table`; `interior_table`
-is its transpose).  The metric operations share one dense kernel: `_dense`
-expands a k-form to its antisymmetric n^k tensor, `_compound_dense` acts on
-every index of it, and `_star` is the Hodge star on coefficient vectors; a
-signed Hodge complement before or after it is precomposed into the scatter
-(`_complement_dense`) or the gather back (`_complement_of_compound`).
+is its transpose).  The metric operations are compositions of three plain
+steps: `_complement`, the signed Hodge complement as one gather; `_dense`,
+which expands a k-form to its antisymmetric n^k tensor; and
+`_compound_dense`, which acts with a matrix on every index of that tensor
+(`_compound_apply` gathers the k-form back).  `_star` is the Hodge star and
+`_inner` the inner product on coefficient vectors.
 
 Dimension is generic but capped at MAX_DIM: all operators here enumerate
 the full basis of each degree, which is only sensible for small n.
@@ -120,6 +121,13 @@ def _complement_gather(dim, degree):
     # sum_I sign(I, Ic) v_I e^Ic of a degree-k form v is the gather sign * v[perm]
     perm = complement_data(dim, dim - degree)[0]
     return _read_only(perm, complement_data(dim, degree)[1][perm])
+
+
+def _complement(vec, dim, degree):
+    """Signed Hodge complement sum_I sign(I, Ic) v_I e^Ic of a `degree`-form's
+    coefficients v, as one gather (`_complement_gather`)."""
+    perm, sign = _complement_gather(dim, degree)
+    return sign * vec[perm]
 
 
 def wedge_matrix(dim, k, l, vec_l):
@@ -379,48 +387,15 @@ def _dense_tables(dim, degree):
                       keys @ weights)
 
 
-@lru_cache(maxsize=None)
-def _complement_dense_table(dim, degree):
-    # (src, dst, sign) of `_dense` composed with the `_complement_gather`
-    # gather: the dense tensor of a degree-k form's signed complement,
-    # scattered straight from the form
-    perm, sign = _complement_gather(dim, degree)
-    src, dst, sgn, _ = _dense_tables(dim, dim - degree)
-    return _read_only(perm[src], dst, sgn * sign[src])
-
-
-@lru_cache(maxsize=None)
-def _complement_flat_gather(dim, degree):
-    # (flat index, sign) of the gather back from a dense degree-k tensor
-    # composed with the `_complement_gather` gather: the signed complement of
-    # the k-form read straight from its tensor
-    perm, sign = _complement_gather(dim, degree)
-    return _read_only(_dense_tables(dim, degree)[3][perm], sign)
-
-
-def _scatter(vec, src, dst, sgn, size):
-    t = np.zeros(size)
-    t[dst] = sgn * vec[src]
-    return t
-
-
 def _dense(vec, dim, degree):
     """Flat dense antisymmetric dim^degree tensor of a k-form's coefficients;
     a 0- or 1-form is its own."""
     if degree < 2:
         return vec
     src, dst, sgn, _ = _dense_tables(dim, degree)
-    return _scatter(vec, src, dst, sgn, dim ** degree)
-
-
-def _complement_dense(vec, dim, degree):
-    """`_dense` of the signed complement of a `degree`-form's coefficients, as
-    one scatter from them (a gather when the complement has degree 0 or 1)."""
-    if dim - degree < 2:
-        perm, sign = _complement_gather(dim, degree)
-        return sign * vec[perm]
-    src, dst, sgn = _complement_dense_table(dim, degree)
-    return _scatter(vec, src, dst, sgn, dim ** (dim - degree))
+    t = np.zeros(dim ** degree)
+    t[dst] = sgn * vec[src]
+    return t
 
 
 def _compound_dense(M, t, degree):
@@ -443,34 +418,19 @@ def _compound_apply(M, vec, degree):
     return t if degree < 2 else t[_dense_tables(n, degree)[3]]
 
 
-def _compound_of_complement(M, vec, degree):
-    """`_compound_apply` of M, degree n-k, to the signed complement of a
-    k-form's coefficients, the complement scattered straight into the tensor."""
-    n = M.shape[0]
-    t = _compound_dense(M, _complement_dense(vec, n, degree), n - degree)
-    return t if n - degree < 2 else t[_dense_tables(n, n - degree)[3]]
-
-
-def _complement_of_compound(M, t, degree):
-    """The signed complement of the degree-k compound of M on the dense tensor
-    t (`_compound_dense`), gathered straight from the result tensor."""
-    idx, sign = _complement_flat_gather(M.shape[0], degree)
-    return sign * _compound_dense(M, t, degree)[idx]
-
-
 def _star(vec, degree, metric):
     """Hodge star of a k-form's coefficients, positively oriented on e^{1..n}.
 
-    Degrees k <= n/2 raise every index with g^{-1}; higher degrees place the
-    signed complement first and lower its n-k indices with g (Jacobi's
+    Degrees k <= n/2 raise every index with g^{-1}, then complement; higher
+    degrees complement first and lower the n-k indices with g (Jacobi's
     complementary-minor identity: the degree-k Gram of g^{-1} is
     sign(I,Ic) sign(J,Jc) det(g[Jc,Ic]) / det g), so no tensor exceeds rank n/2.
     """
     n = metric.dim
     if 2 * degree <= n:
-        return metric.sqrt_det * _complement_of_compound(metric.inverse, _dense(vec, n, degree),
-                                                         degree)
-    return _compound_of_complement(metric.g, vec, degree) / metric.sqrt_det
+        return metric.sqrt_det * _complement(_compound_apply(metric.inverse, vec, degree),
+                                             n, degree)
+    return _compound_apply(metric.g, _complement(vec, n, degree), n - degree) / metric.sqrt_det
 
 
 def hodge_star(metric, a):
@@ -482,18 +442,26 @@ def hodge_star(metric, a):
     return KForm.from_vector(a.dim, a.dim - a.degree, _star(a.to_vector(), a.degree, metric))
 
 
+def _inner(u, v, degree, metric):
+    """Metric inner product u . C_k(g^{-1}) v of two k-forms' coefficients.
+
+    Degrees k > n/2 use Jacobi's identity, as in `_star`: <u, v> =
+    sum_I sign(I, Ic) u_I (C_{n-k}(g) sv)_Ic / det g, sv the signed complement
+    of v, which holds for indefinite g too.  The outer complement reads
+    sign(Ic, I) = (-1)^{k(n-k)} sign(I, Ic).
+    """
+    n = metric.dim
+    if 2 * degree <= n:
+        return float(u @ _compound_apply(metric.inverse, v, degree))
+    c = _compound_apply(metric.g, _complement(v, n, degree), n - degree)
+    c = _complement(c, n, n - degree)
+    return (-1.0) ** (degree * (n - degree)) * float(u @ c) / metric.det
+
+
 def form_inner(metric, a, b):
     """Metric inner product of equal-degree forms; <a, b> dV = a ^ star(b)."""
     if a.dim != b.dim or metric.dim != a.dim:
         raise ValueError("dimension mismatch")
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    n, k = a.dim, a.degree
-    if 2 * k <= n:
-        return float(a.to_vector() @ _compound_apply(metric.inverse, b.to_vector(), k))
-    # Jacobi's identity, as in _star: <a, b> = sum_I sign(I, Ic) a_I (C_{n-k}(g) sb)_Ic
-    # / det g, sb the signed complement of b; defined for indefinite g too.  The
-    # gather reads sign(Ic, I) = (-1)^{k(n-k)} sign(I, Ic)
-    t = _complement_dense(b.to_vector(), n, k)
-    c = _complement_of_compound(metric.g, t, n - k)
-    return (-1.0) ** (k * (n - k)) * float(a.to_vector() @ c) / metric.det
+    return _inner(a.to_vector(), b.to_vector(), a.degree, metric)

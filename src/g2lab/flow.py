@@ -9,11 +9,10 @@ matrix, the star of phi as one compound and the codifferential's 5-form
 complement as one product, which returns its metric factors (g, g^-1,
 sqrt(det g)) and delta phi with the Laplacian and builds no Metric.  Its
 values lie in d(Lambda^2), so a step leaves phi0 + d(Lambda^2) only by
-roundoff.  A step costs 4 evaluations (37-39 us each on a dense closed n4
-form, one CPU, one BLAS thread; a 20-step trajectory sampled every 5 steps
-takes 3.5-4.0 ms): the evaluation at each accepted point is both its
-positivity check and the next step's first stage; they take about nine
-tenths of a trajectory's time.  Sampled states build no G2Structure: their
+roundoff.  A step costs 4 evaluations: the evaluation at each accepted
+point is both its positivity check and the next step's first stage; they
+take most of a trajectory's time (ROADMAP's per-call table has the
+measured times).  Sampled states build no G2Structure: their
 diagnostics come from that evaluation's metric factors and delta phi (see
 `_state`), with tau2 = delta phi, which holds on closed forms.
 `oracle_residual` keeps the full Laplacian.  No re-projection onto closed
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import KForm, Metric, _compound_apply, multi_indices
+from .exterior import KForm, Metric, _inner, multi_indices
 from .g2core import PositivityError, _closed_phi_laplacian, phi_laplacian
 from .curvature import scalar_curvature
 
@@ -108,7 +107,7 @@ def _state(algebra, t, vec, point, closedness):
     """
     factors, delta_phi, lap = point
     metric = Metric._from_factors(*factors)
-    tau2_sq = float(delta_phi @ _compound_apply(metric.inverse, delta_phi, 2))
+    tau2_sq = _inner(delta_phi, delta_phi, 2, metric)
     return FlowState(t, KForm.from_vector(7, 3, vec), {
         "closedness": closedness,
         "tau2_norm": math.sqrt(max(tau2_sq, 0.0)),

@@ -19,14 +19,11 @@ the flow oracle use it.  On closed forms delta d phi = 0, so the flow's
 right-hand side `_closed_phi_laplacian` evaluates only the d delta phi half
 from the same metric factors and codifferential (`_phi_codifferential`),
 builds no Metric, and hands the factors and delta phi on to the flow's
-sampled states.  On a dense closed n4 form (plain `perf_counter` loop,
-interquartile range of 31 rounds, one CPU of a shared 2-core host, one BLAS
-thread) `phi_laplacian` takes 61-67 us and `_closed_phi_laplacian` 37-39 us,
-of which `_phi_metric` is 31-34 us: B 8-10 us from one gather of phi
-(`_phi_views`), numpy's `cholesky` and `inv` of a 7 x 7 matrix 11-13 us
-together, about 6 us of that their Python wrappers, and star(phi) /
-sqrt(det g) 7-10 us, the one star of phi that `G2Structure` and
-`_phi_codifferential` read.
+sampled states.  Most of an evaluation is `_phi_metric`: B from one gather
+of phi (`_phi_views`), numpy's `cholesky` and `inv` of a 7 x 7 matrix, much
+of whose cost is their Python wrappers, and star(phi) / sqrt(det g), the one
+star of phi that `G2Structure` and `_phi_codifferential` read.  ROADMAP's
+per-call table has the measured times.
 """
 from __future__ import annotations
 
@@ -36,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import (KForm, Metric, _complement_dense_table, _complement_of_compound,
-                       _compound_of_complement, _dense_tables, _read_only, _star,
-                       _wedge_vec, complement_data, form_inner, hodge_star, wedge_table)
+from .exterior import (KForm, Metric, _complement, _complement_gather, _compound_apply,
+                       _compound_dense, _dense_tables, _read_only, _star, _wedge_vec,
+                       complement_data, form_inner, hodge_star, wedge_table)
 
 VANISH_TOL = 1e-8
 #: the tau1 disagreement beyond which `torsion_forms` raises TorsionSolveError
@@ -120,7 +117,7 @@ def _gram(phi_vec):
 
 
 def _phi_metric(phi_vec):
-    """(star(phi) / sqrt(det g), B, det B, orientation, (g, g^-1, sqrt(det g)))
+    """(star(phi) / sqrt(det g), det B, orientation, (g, g^-1, sqrt(det g)))
     of a 3-form's coefficients; the last three are `Metric._from_factors`'s
     arguments, so a caller that only reads them builds no Metric.
 
@@ -149,18 +146,21 @@ def _phi_metric(phi_vec):
     sqrt_c = math.sqrt(c)
     sqrt_det = math.prod([sqrt_c * x for x in diag])
     inverse = np.linalg.inv(g)
-    return _complement_of_compound(inverse, A, 3), B, det_b, eps, (g, inverse, sqrt_det)
+    star_phi = _complement(_compound_dense(inverse, A, 3)[_dense_tables(7, 3)[3]], 7, 3)
+    return star_phi, det_b, eps, (g, inverse, sqrt_det)
 
 
 @lru_cache(maxsize=None)
 def _codifferential_table():
     # (the 49 x 21 matrix taking a 5-form's coefficients to minus the dense
     # 7 x 7 tensor of its signed complement, the flat 2-tuple indices that
-    # gather a 2-form back from such a tensor)
-    src, dst, sign = _complement_dense_table(7, 5)
+    # gather a 2-form back from such a tensor): the `_complement` gather
+    # composed with the `_dense` scatter of a 2-form
+    perm, sign = _complement_gather(7, 5)
+    src, dst, sgn, flat = _dense_tables(7, 2)
     minus = np.zeros((49, 21))
-    minus[dst, src] = -sign
-    return _read_only(minus, _dense_tables(7, 2)[3])
+    minus[dst, perm[src]] = -(sgn * sign[src])
+    return _read_only(minus, flat)
 
 
 def _phi_codifferential(algebra, phi_vec):
@@ -168,7 +168,7 @@ def _phi_codifferential(algebra, phi_vec):
     phi = -star d star phi."""
     if algebra.dim != 7:
         raise ValueError("G2 structures need a 7-dimensional algebra")
-    star_phi, _, _, _, factors = _phi_metric(phi_vec)
+    star_phi, _, _, factors = _phi_metric(phi_vec)
     g = factors[0]
     minus, flat = _codifferential_table()
     # star_phi is star(phi) / sqrt(det g); the 5-form star is C_2(g) on the
@@ -184,7 +184,7 @@ def _closed_phi_laplacian(algebra, phi_vec):
 
     The right-hand side of the flow: the metric factors with star(phi) (one
     gather of phi, one Cholesky factorisation, one inverse, one compound
-    read back by a signed gather), delta phi (d, the 5-form complement as
+    and its complement), delta phi (d, the 5-form complement as
     one product with a constant matrix, the congruence by g and a gather)
     and d delta phi.  It builds no Metric: the flow's sampled states read
     the factors and delta phi of their point.  Raises PositivityError as
@@ -201,8 +201,8 @@ def phi_laplacian(algebra, phi_vec):
     PositivityError when phi is not a positive form.  One evaluation costs the
     metric (`_phi_metric`: B, one Cholesky and one inverse of a 7 x 7 matrix,
     star(phi)), delta phi (`_phi_codifferential`), the two 4-form stars of
-    delta d phi (each complement precomposed into the compound's scatter) and
-    four products with the differential matrices.  `G2Structure.laplacian_vec` and
+    delta d phi (each a complement, then the compound of g) and four products
+    with the differential matrices.  `G2Structure.laplacian_vec` and
     the flow oracle use this full operator; `flow_integrate`, whose states are
     closed, evaluates only its d delta phi half (`_closed_phi_laplacian`).
     """
@@ -210,8 +210,8 @@ def phi_laplacian(algebra, phi_vec):
     d3 = algebra.diff_matrix(3)
     # delta d phi = star d star d phi; a 4-form star is C_3(g) on the signed
     # complement over sqrt(det g), so star_dphi is star(d phi) sqrt(det g)
-    star_dphi = _compound_of_complement(g, d3 @ phi_vec, 4)
-    delta_dphi = _compound_of_complement(g, d3 @ star_dphi, 4) / (sqrt_det * sqrt_det)
+    star_dphi = _compound_apply(g, _complement(d3 @ phi_vec, 7, 4), 3)
+    delta_dphi = _compound_apply(g, _complement(d3 @ star_dphi, 7, 4), 3) / (sqrt_det * sqrt_det)
     return algebra.diff_matrix(2) @ delta_phi + delta_dphi
 
 
@@ -233,24 +233,21 @@ class G2Structure:
     first use fills it (`_torsion`, by `torsion_forms`).
     """
 
-    __slots__ = ("algebra", "phi", "metric", "gram_det", "b_matrix", "orientation",
-                 "_phi_vec", "_star_phi_vec", "_torsion")
+    __slots__ = ("algebra", "phi", "metric", "gram_det", "orientation", "_star_phi_vec",
+                 "_torsion")
 
     def __init__(self, algebra, phi):
         if algebra.dim != 7:
             raise ValueError("G2 structures need a 7-dimensional algebra")
         if phi.dim != 7 or phi.degree != 3:
             raise ValueError("phi must be a 3-form in dimension 7")
-        v = phi.to_vector()
-        star_phi, B, det_b, eps, factors = _phi_metric(v)
+        star_phi, det_b, eps, factors = _phi_metric(phi.to_vector())
         metric = Metric._from_factors(*factors)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "gram_det", det_b)
-        object.__setattr__(self, "b_matrix", B)
         object.__setattr__(self, "orientation", eps)
-        object.__setattr__(self, "_phi_vec", v)
         object.__setattr__(self, "_star_phi_vec", metric.sqrt_det * star_phi)
         object.__setattr__(self, "_torsion", None)
 
@@ -274,7 +271,7 @@ class G2Structure:
 
     def laplacian_vec(self):
         """Coefficient vector of the Hodge Laplacian of phi (degree 3)."""
-        return phi_laplacian(self.algebra, self._phi_vec)
+        return phi_laplacian(self.algebra, self.phi.to_vector())
 
     def __repr__(self):
         return f"G2Structure(algebra={self.algebra!r}, det_B={self.gram_det:.6g})"
@@ -322,7 +319,7 @@ def torsion_forms(structure):
 def _torsion(structure):
     """The unchecked TorsionForms of `torsion_forms`, on coefficient vectors."""
     G = structure
-    m, phi, psi = G.metric, G._phi_vec, G._star_phi_vec
+    m, phi, psi = G.metric, G.phi.to_vector(), G._star_phi_vec
     dphi = G.algebra.diff_matrix(3) @ phi
     dpsi = G.algebra.diff_matrix(4) @ psi
 

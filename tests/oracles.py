@@ -163,7 +163,7 @@ def lambda2_14_basis(structure):
 
 def lambda3_27_basis(structure):
     """Orthonormal basis of {beta in Lambda^3 : beta ^ phi = 0, beta ^ star(phi) = 0}."""
-    return _null_space(np.vstack([wedge_matrix(7, 3, 3, structure._phi_vec),
+    return _null_space(np.vstack([wedge_matrix(7, 3, 3, structure.phi.to_vector()),
                                   wedge_matrix(7, 3, 4, structure._star_phi_vec)])).T
 
 
@@ -418,7 +418,7 @@ def lstsq_torsion(structure, tau1_tol=1e-8):
     basis14 = lambda2_14_basis(G)
     basis27 = lambda3_27_basis(G)
 
-    e_wedge_phi = wedge_matrix(7, 1, 3, G._phi_vec)
+    e_wedge_phi = wedge_matrix(7, 1, 3, G.phi.to_vector())
     pos, s = loop_complement_data(7, 3)
     star27 = np.empty_like(basis27)
     star27[pos] = s[:, None] * (G.metric.sqrt_det * (compound_matrix(G.metric.inverse, 3)
@@ -428,7 +428,7 @@ def lstsq_torsion(structure, tau1_tol=1e-8):
     x, *_ = np.linalg.lstsq(A1, b1, rcond=None)
 
     e_wedge_star = wedge_matrix(7, 1, 4, G._star_phi_vec)
-    phi_wedge = wedge_matrix(7, 2, 3, G._phi_vec)
+    phi_wedge = wedge_matrix(7, 2, 3, G.phi.to_vector())
     A2 = np.column_stack([4.0 * e_wedge_star, phi_wedge @ basis14])
     b2 = dstar.to_vector()
     y, *_ = np.linalg.lstsq(A2, b2, rcond=None)

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
-from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, _complement_dense,
-                            _complement_dense_table, _complement_flat_gather,
-                            _complement_gather, _complement_of_compound, _compound_apply,
-                            _compound_dense, _compound_of_complement, _dense, _dense_tables,
-                            _index_arrays, _line_positions, complement_data, form_inner,
+from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, _complement, _complement_gather,
+                            _compound_apply, _compound_dense, _dense, _dense_tables,
+                            _index_arrays, _inner, _line_positions, complement_data, form_inner,
                             hodge_star, index_positions, interior_table, multi_indices, wedge,
                             wedge_matrix, wedge_table)
 from g2lab.g2core import _codifferential_table, _pairing_table, _phi_gather_table
@@ -128,8 +126,8 @@ class TestKForm:
 class TestCachedTables:
     @pytest.mark.parametrize("table, args", [
         (_index_arrays, (7, 3)), (wedge_table, (7, 2, 3)), (_complement_gather, (7, 3)),
-        (interior_table, (7, 3)), (_dense_tables, (7, 3)), (_complement_dense_table, (7, 2)),
-        (_complement_flat_gather, (7, 2)), (_diff_table, (7, 3)), (_diff_table, (7, 0)),
+        (interior_table, (7, 3)), (_dense_tables, (7, 3)), (_complement_gather, (7, 5)),
+        (_dense_tables, (7, 2)), (_diff_table, (7, 3)), (_diff_table, (7, 0)),
         (_derivation_indices, (7,)), (_line_positions, (7, 3)), (_pairing_table, ()),
         (_phi_gather_table, ()), (_codifferential_table, ())],
         ids=lambda x: getattr(x, "__name__", None))
@@ -275,16 +273,15 @@ def test_complement_data_matches_loop(dim):
 
 @pytest.mark.parametrize("dim", range(1, MAX_DIM + 1))
 def test_complement_gather_is_the_scatter(dim):
-    """The gather form of the signed complement equals the scatter through
-    complement_data bit for bit, in every degree."""
+    """`_complement`, the gather form of the signed complement, equals the
+    scatter through complement_data bit for bit, in every degree."""
     rng = np.random.default_rng(dim)
     for degree in range(dim + 1):
         pos, s = complement_data(dim, degree)
         v = rng.standard_normal(len(pos))
         want = np.empty(len(pos))
         want[pos] = s * v
-        perm, sign = _complement_gather(dim, degree)
-        assert np.array_equal(sign * v[perm], want)
+        assert np.array_equal(_complement(v, dim, degree), want)
 
 
 def _assert_tables_equal(got, want):
@@ -307,36 +304,20 @@ def test_dense_tables_match_loop_at_max_dim(degree):
     _assert_tables_equal(_dense_tables(MAX_DIM, degree), loop_dense_tables(MAX_DIM, degree))
 
 
-@pytest.mark.parametrize("dim", range(1, 9))
-def test_complement_tables_are_the_two_step_path(dim):
-    """The precomposed complement scatter and gather equal `_dense` after the
-    complement gather, and the complement gather after the compound's gather
-    back, bit for bit, in every degree."""
-    rng = np.random.default_rng(dim)
-    a = rng.standard_normal((dim, dim))
-    M = a @ a.T + np.eye(dim)
-    for degree in range(dim + 1):
-        perm, sign = _complement_gather(dim, degree)
-        v = rng.standard_normal(len(perm))
-        two_step = _dense(sign * v[perm], dim, dim - degree)
-        assert np.array_equal(_complement_dense(v, dim, degree), two_step)
-        flat = _dense_tables(dim, dim - degree)[3]
-        assert np.array_equal(_compound_of_complement(M, v, degree),
-                              _compound_dense(M, two_step, dim - degree)[flat])
-        t = _dense(rng.standard_normal(len(perm)), dim, degree)
-        gathered = _compound_dense(M, t, degree)[_dense_tables(dim, degree)[3]]
-        assert np.array_equal(_complement_of_compound(M, t, degree), sign * gathered[perm])
-
-
 @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
 def test_complement_matrix_is_the_scatter(dim):
-    """The dense tensor of a signed complement of degree 2 is the scatter
-    through `_complement_dense_table`, bit for bit, up to MAX_DIM."""
+    """The dense tensor of a signed complement of degree 2, `_dense` after
+    `_complement` (the path of the 5-form star and of `_codifferential_table`
+    in dimension 7), is the scatter through `complement_data` and the
+    loop-built dense tables, bit for bit, up to MAX_DIM."""
     v = np.random.default_rng(200 + dim).standard_normal(len(multi_indices(dim, dim - 2)))
-    src, dst, sgn = _complement_dense_table(dim, dim - 2)
+    pos, s = complement_data(dim, dim - 2)
+    complement = np.empty(len(pos))
+    complement[pos] = s * v
+    src, dst, sgn, _ = loop_dense_tables(dim, 2)
     want = np.zeros(dim * dim)
-    want[dst] = sgn * v[src]
-    assert np.array_equal(_complement_dense(v, dim, dim - 2), want)
+    want[dst] = sgn * complement[src]
+    assert np.array_equal(_dense(_complement(v, dim, dim - 2), dim, 2), want)
 
 
 @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
@@ -354,9 +335,9 @@ def test_line_positions_match_index_loop(dim):
 
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_compound_results_are_the_gathered_tensor(dim):
-    """`_compound_apply` and `_compound_of_complement` equal the compound's
-    dense tensor gathered back through `_dense_tables`, bit for bit, in every
-    degree; in degrees 0 and 1, where they skip it, that gather is the identity."""
+    """`_compound_apply` equals the compound's dense tensor gathered back
+    through `_dense_tables`, bit for bit, in every degree; in degrees 0 and 1,
+    where it skips it, that gather is the identity."""
     rng = np.random.default_rng(100 + dim)
     a = rng.standard_normal((dim, dim))
     M = a @ a.T + np.eye(dim)
@@ -365,10 +346,6 @@ def test_compound_results_are_the_gathered_tensor(dim):
         flat = _dense_tables(dim, degree)[3]
         assert np.array_equal(_compound_apply(M, v, degree),
                               _compound_dense(M, _dense(v, dim, degree), degree)[flat])
-        flat = _dense_tables(dim, dim - degree)[3]
-        assert np.array_equal(_compound_of_complement(M, v, degree),
-                              _compound_dense(M, _complement_dense(v, dim, degree),
-                                              dim - degree)[flat])
     for degree in (0, 1):
         assert np.array_equal(_dense_tables(dim, degree)[3], np.arange(dim ** degree))
 
@@ -475,8 +452,9 @@ def _random_metric(rng, n, definite=True):
 
 @pytest.mark.parametrize("dim, degree", [(n, k) for n in range(1, 9) for k in range(n + 1)])
 def test_star_and_inner_against_compound_gram(dim, degree):
-    """hodge_star and form_inner in every (n, k), both branches of the dense
-    kernel, against the compound Gram matrix of the metric inverse."""
+    """hodge_star, and form_inner and `_inner` on coefficient vectors, in every
+    (n, k), both branches of the dense kernel, against the compound Gram
+    matrix of the metric inverse."""
     rng = np.random.default_rng(1000 * dim + degree)
     count = len(multi_indices(dim, degree))
     for definite in (True, False):
@@ -486,7 +464,8 @@ def test_star_and_inner_against_compound_gram(dim, degree):
         b = KForm.from_vector(dim, degree, rng.uniform(-3, 3, count))
         gram_b = compound_matrix(g.inverse, degree) @ b.to_vector()
         scale = np.linalg.norm(a.to_vector()) * np.linalg.norm(gram_b)
-        assert abs(form_inner(g, a, b) - compound_inner(g, a, b)) <= 1e-13 * scale
+        for got in (form_inner(g, a, b), _inner(a.to_vector(), b.to_vector(), degree, g)):
+            assert abs(got - compound_inner(g, a, b)) <= 1e-13 * scale
         if definite:
             want = compound_star(g, a)
             assert hodge_star(g, a).allclose(want, tol=1e-13 * want.sup_norm())

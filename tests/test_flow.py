@@ -13,7 +13,7 @@ import g2lab.flow as flow_mod
 import g2lab.g2core as g2core_mod
 from g2lab.catalog import catalog
 from g2lab.curvature import scalar_curvature
-from g2lab.exterior import (PRUNE_TOL, KForm, Metric, _complement_dense, _complement_gather,
+from g2lab.exterior import (PRUNE_TOL, KForm, Metric, _complement, _complement_gather,
                             _compound_apply, _compound_dense, _dense, _dense_tables)
 from g2lab.flow import (CSV_COLUMNS, MAX_STEPS, FlowOptions, closed_form_n2,
                         closed_form_n2_velocity, closed_form_n12,
@@ -164,7 +164,7 @@ class TestPhiLaplacianKernel:
 
     def test_structure_method_is_the_kernel(self, catalog_structures):
         for G in catalog_structures.values():
-            assert np.array_equal(G.laplacian_vec(), phi_laplacian(G.algebra, G._phi_vec))
+            assert np.array_equal(G.laplacian_vec(), phi_laplacian(G.algebra, G.phi.to_vector()))
 
     def test_degenerate_rejected(self):
         with pytest.raises(PositivityError, match="det B = 0"):
@@ -345,7 +345,7 @@ def _delta_phi_magnitudes(algebra, v, g, ginv):
     psi = _magnitude(ginv, _dense(v, 7, 3), 3, _dense_tables(7, 3)[3][perm])
     x = np.abs(algebra.diff_matrix(4)) @ psi
     flat2 = _dense_tables(7, 2)[3]
-    delta = _magnitude(g, _complement_dense(x, 7, 5), 2, flat2)
+    delta = _magnitude(g, _dense(_complement(x, 7, 5), 7, 2), 2, flat2)
     return psi, delta, float(delta @ _magnitude(ginv, _dense(delta, 7, 2), 2, flat2))
 
 
@@ -454,8 +454,8 @@ def _assert_scal_identity(algebra, state, v):
     n = 7
     # the metric's error
     A = np.abs(_dense(v, 7, 3).reshape(7, 49))
-    B_mag = A @ (np.abs(_complement_dense(v, 7, 3)).reshape(49, 49) @ A.T) / 4.0
-    B = G.b_matrix
+    B_mag = A @ (np.abs(_dense(_complement(v, 7, 3), 7, 4)).reshape(49, 49) @ A.T) / 4.0
+    B = g2core_mod._gram(G.phi.to_vector())[1]
     L = np.linalg.cholesky(G.orientation * B)
     binv = np.linalg.norm(np.linalg.inv(B), 2)
     dB = _gamma(99) * np.linalg.norm(B_mag, 2)

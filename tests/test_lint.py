@@ -284,18 +284,34 @@ def test_detects_uncalled_defaults():
         ("a.py", 24, "D.z")]
 
 
+def _member_names(cls, item):
+    """Names that the class body statement `item` of `cls` defines as members:
+    a method or property, the entries of `__slots__`, or a dataclass field."""
+    if isinstance(item, ast.FunctionDef):
+        return [item.name]
+    if isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+        return [e.value for e in ast.walk(item.value)
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+    if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and _is_dataclass(cls)):
+        return [item.target.id]
+    return []
+
+
 def public_definitions(source):
     """(first line, last line, name, is_method) of the public module-level
-    functions and classes of `source`, and of the public methods and
-    properties of those classes."""
+    functions and classes of `source`, and of the public members of those
+    classes: methods, properties, `__slots__` entries and dataclass fields,
+    all read as attributes (is_method True)."""
     out = []
     for node in ast.parse(source).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
         out.append((node.lineno, node.end_lineno, node.name, False))
         if isinstance(node, ast.ClassDef):
-            out += [(item.lineno, item.end_lineno, item.name, True) for item in node.body
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+            out += [(item.lineno, item.end_lineno, name, True) for item in node.body
+                    for name in _member_names(node, item) if not name.startswith("_")]
     return out
 
 
@@ -382,11 +398,16 @@ def test_detects_uncalled_public_names():
                  "def packaged():\n    pass\n"
                  "def renamed():\n    pass\n"
                  "def same_name():\n    pass\n"
-                 "def wrong_module():\n    pass\n"),
+                 "def wrong_module():\n    pass\n"
+                 # slots and dataclass fields are members, read as attributes
+                 "class Slotted:\n    __slots__ = ('read', 'unread', '_private')\n"
+                 "@dataclass(frozen=True)\nclass D:\n    kept: int\n    dropped: int = 0\n"
+                 "class Plain:\n    annotated: int\n"),
         "b.py": ("from a import used\nused()\nshadowed = 1\nprint(shadowed)\n"
                  "import a as mod\nimport g2lab\nfrom g2lab import renamed as r\n"
                  "mod.qualified()\ng2lab.packaged()\nr()\n"
-                 "same_name = 2\nprint(same_name, S.hat, S.wrong_module)\n"),
+                 "same_name = 2\nprint(same_name, S.hat, S.wrong_module)\n"
+                 "from a import Slotted, D, Plain\nprint(Slotted().read, D(1).kept, Plain)\n"),
     }
     callers = dict(definitions)
     callers["c.py"] = "TARGETS = ('a.traced', 'not a.dotted.alone', 'b.wrong_module')\n"
@@ -395,4 +416,5 @@ def test_detects_uncalled_public_names():
     assert uncalled_public_names(definitions, callers) == [
         ("a.py", 3, "recursive"), ("a.py", 12, "alone"), ("a.py", 17, "shadowed"),
         ("a.py", 21, "Unused"), ("a.py", 23, "hat"), ("a.py", 31, "same_name"),
-        ("a.py", 33, "wrong_module")]
+        ("a.py", 33, "wrong_module"), ("a.py", 36, "unread"), ("a.py", 40, "dropped")]
+

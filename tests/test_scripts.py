@@ -61,5 +61,16 @@ def test_report_digest_runs_and_diffs(tmp_path):
     proc = _run_script("report_digest.py", "--diff", str(record), str(changed))
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[1:] == [
-        "metric --catalog std_g2: exit 0 -> 0, largest relative difference 0.000999, "
-        "0 non-numeric leaves differ"]
+        "metric --catalog std_g2: exit 0 -> 0, largest relative difference 0.000999 outside "
+        "residuals, largest absolute difference 0 in residuals, 0 non-numeric leaves differ"]
+
+    # a residual that moves by roundoff is reported apart, as an absolute change
+    report = json.loads(out)
+    report["residuals"]["metric_symmetry"] += 3e-16
+    reports["metric --catalog std_g2"] = [code, json.dumps(report)]
+    changed.write_text(json.dumps(reports))
+    proc = _run_script("report_digest.py", "--diff", str(record), str(changed))
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[1:] == [
+        "metric --catalog std_g2: exit 0 -> 0, largest relative difference 0 outside "
+        "residuals, largest absolute difference 3e-16 in residuals, 0 non-numeric leaves differ"]

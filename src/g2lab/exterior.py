@@ -5,13 +5,14 @@ index tuples of length k, in lexicographic order (`multi_indices`), with
 entries below PRUNE_TOL stored as zero.  Forms are immutable and all
 operations are pure functions, so values can be shared freely.
 
-Products scatter through cached COO tables (`wedge_table`; `interior_table`
-is its transpose).  The metric operations are compositions of three plain
-steps: `_complement`, the signed Hodge complement as one gather; `_dense`,
-which expands a k-form to its antisymmetric n^k tensor; and
-`_compound_dense`, which acts with a matrix on every index of that tensor
-(`_compound_apply` gathers the k-form back).  `_star` is the Hodge star and
-`_inner` the inner product on coefficient vectors.
+Products scatter through cached COO tables (`wedge_table` for `_wedge_vec`;
+`interior_table`, its transpose, for `_interior_vec`).  The metric
+operations are compositions of three plain steps: `_complement`, the signed
+Hodge complement as one gather; `_dense`, which expands a k-form to its
+antisymmetric n^k tensor; and `_compound_dense`, which acts with a matrix
+on every index of that tensor (`_compound_apply` gathers the k-form back).
+`_star` is the Hodge star and `_inner` the inner product on coefficient
+vectors.
 
 Dimension is generic but capped at MAX_DIM: all operators here enumerate
 the full basis of each degree, which is only sensible for small n.
@@ -152,6 +153,14 @@ def interior_table(dim, degree):
     of e^J -> e^J ^ e^i (`wedge_table(dim, degree - 1, 1)`) times (-1)^{degree-1}."""
     row, i, col, sg = wedge_table(dim, degree - 1, 1)
     return _read_only(row, i, col, (-1.0) ** (degree - 1) * sg)
+
+
+def _interior_vec(dim, degree, v, a):
+    """Coefficients of iota_v a from a vector's components v and a `degree`-form's
+    coefficients a: one scatter through `interior_table`."""
+    row, i, col, sg = interior_table(dim, degree)
+    return np.bincount(row, weights=sg * v[i] * a[col],
+                       minlength=len(multi_indices(dim, degree - 1)))
 
 
 def _check_space(dim, degree):

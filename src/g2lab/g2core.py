@@ -8,7 +8,11 @@ Cholesky factorisation of +-B gives the orientation, positivity and det B.
 The torsion of the structure is read off from d phi and d star(phi) in
 closed form, by Bryant's explicit projections onto the G2-invariant parts
 (R. Bryant, Some remarks on G2-structures, arXiv:math/0305124), on
-coefficient vectors with `exterior._star`.
+coefficient vectors with `exterior._star`; tau3 and tau2 reuse the stars of
+d phi and d star(phi) that tau1 takes, through the G2 contraction identities
+star(alpha ^ phi) = -iota_{alpha#} star(phi) and star(alpha ^ star(phi)) =
+iota_{alpha#} phi, alpha# = g^-1 alpha, and star(star(phi)) = phi
+(S. Karigiannis, Flows of G2-structures I, Q. J. Math. 60, 2009).
 It is computed once per structure, at the first `torsion_forms` call, and
 kept on the structure; the tau1 consistency check is applied on every call.
 
@@ -34,8 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import (KForm, Metric, _complement, _complement_gather, _compound_apply,
-                       _compound_dense, _dense_tables, _read_only, _star, _wedge_vec,
-                       complement_data, form_inner, hodge_star, wedge_table)
+                       _compound_dense, _dense_tables, _interior_vec, _read_only, _star,
+                       _wedge_vec, complement_data, form_inner, hodge_star, wedge_table)
 
 VANISH_TOL = 1e-8
 #: the tau1 disagreement beyond which `torsion_forms` raises TorsionSolveError
@@ -295,12 +299,17 @@ def torsion_forms(structure):
         tau0 = 1/7 star(phi ^ d phi)
         tau1 = -1/12 star(star(d phi) ^ phi) = 1/12 star(star(d star phi) ^ star phi)
         tau3 = star(d phi - tau0 star(phi) - 3 tau1 ^ phi)
+             = star(d phi) - tau0 phi + 3 iota_v star(phi)
         tau2 = -epsilon star(d star(phi) - 4 tau1 ^ star(phi))
+             = -epsilon (star(d star(phi)) - 4 iota_v phi)
 
-    with epsilon the orientation.  The two formulas for tau1 read it from the
-    two equations; `tau1_consistency` is their disagreement, and one beyond
-    `TAU1_TOL` means the input did not come from a positive G2 form and
-    raises TorsionSolveError.  `residual` is the largest of |tau3 ^ phi|,
+    with epsilon the orientation and v = g^-1 tau1.  The second lines, which
+    are computed, follow from star(alpha ^ phi) = -iota_{alpha#} star(phi) and
+    star(alpha ^ star(phi)) = iota_{alpha#} phi (Karigiannis 2009; they hold in
+    either orientation) and star(star(phi)) = phi.  The two formulas for tau1
+    read it from the two equations; `tau1_consistency` is their disagreement,
+    and one beyond `TAU1_TOL` means the input did not come from a positive G2
+    form and raises TorsionSolveError.  `residual` is the largest of |tau3 ^ phi|,
     |tau3 ^ star(phi)| and |tau2 ^ star(phi)|, the part of the data outside
     tau2 in Lambda^2_14 and tau3 in Lambda^3_27.
 
@@ -322,18 +331,20 @@ def _torsion(structure):
     m, phi, psi = G.metric, G.phi.to_vector(), G._star_phi_vec
     dphi = G.algebra.diff_matrix(3) @ phi
     dpsi = G.algebra.diff_matrix(4) @ psi
+    star_dphi, star_dpsi = _star(dphi, 4, m), _star(dpsi, 5, m)
 
     tau0 = float(_star(_wedge_vec(7, 4, 3, dphi, phi), 7, m)[0]) / 7.0
-    tau1 = -_star(_wedge_vec(7, 3, 3, _star(dphi, 4, m), phi), 6, m) / 12.0
-    tau1_b = _star(_wedge_vec(7, 2, 4, _star(dpsi, 5, m), psi), 6, m) / 12.0
-    tau3 = _star(dphi - tau0 * psi - 3.0 * _wedge_vec(7, 1, 3, tau1, phi), 4, m)
-    tau2 = -G.orientation * _star(dpsi - 4.0 * _wedge_vec(7, 1, 4, tau1, psi), 5, m)
-    residual = max(float(np.linalg.norm(_wedge_vec(7, 3, 3, tau3, phi))),
-                   float(np.linalg.norm(_wedge_vec(7, 3, 4, tau3, psi))),
-                   float(np.linalg.norm(_wedge_vec(7, 2, 4, tau2, psi))))
+    tau1 = -_star(_wedge_vec(7, 3, 3, star_dphi, phi), 6, m) / 12.0
+    tau1_b = _star(_wedge_vec(7, 2, 4, star_dpsi, psi), 6, m) / 12.0
+    v = m.inverse @ tau1  # tau1 with its index raised
+    tau3 = star_dphi - tau0 * phi + 3.0 * _interior_vec(7, 4, v, psi)
+    tau2 = -G.orientation * (star_dpsi - 4.0 * _interior_vec(7, 3, v, phi))
+    residual = max(math.sqrt(x @ x) for x in (_wedge_vec(7, 3, 3, tau3, phi),
+                                              _wedge_vec(7, 3, 4, tau3, psi),
+                                              _wedge_vec(7, 2, 4, tau2, psi)))
+    gap = tau1 - tau1_b
     return TorsionForms(tau0, KForm.from_vector(7, 1, tau1), KForm.from_vector(7, 2, tau2),
-                        KForm.from_vector(7, 3, tau3), residual,
-                        float(np.linalg.norm(tau1 - tau1_b)))
+                        KForm.from_vector(7, 3, tau3), residual, math.sqrt(gap @ gap))
 
 
 def lee_form(structure):

@@ -14,8 +14,9 @@ import numpy as np
 
 from g2lab import curvature
 from g2lab.curvature import SolitonCertificate, riemann
-from g2lab.exterior import (KForm, Metric, _star, form_inner, hodge_star, index_positions,
-                            interior_table, multi_indices, sort_with_sign, wedge, wedge_matrix)
+from g2lab.exterior import (KForm, Metric, _interior_vec, _star, _wedge_vec, form_inner,
+                            hodge_star, index_positions, multi_indices, sort_with_sign, wedge,
+                            wedge_matrix)
 from g2lab.g2core import PositivityError, TorsionForms, TorsionSolveError, torsion_forms
 from g2lab.liealg import _RANK_CUTOFF, _null_space, ce_diff, derivation_space
 from g2lab.su3 import SU3Class, hitchin_j
@@ -116,16 +117,14 @@ def brute_interior(vector, a):
 
 def interior(vector, a):
     """Interior product iota_v a for a coefficient vector v over the basis, as
-    one scatter through `interior_table`; raises on 0-forms."""
+    one scatter through `interior_table` (`exterior._interior_vec`); raises on 0-forms."""
     v = np.asarray(vector, dtype=float)
     if v.shape != (a.dim,):
         raise ValueError(f"vector has shape {v.shape}, expected ({a.dim},)")
     if a.degree == 0:
         raise ValueError("interior product of a 0-form is undefined")
     n, k = a.dim, a.degree
-    row, i, col, sg = interior_table(n, k)
-    return KForm.from_vector(n, k - 1, np.bincount(row, weights=sg * v[i] * a.to_vector()[col],
-                                                   minlength=len(multi_indices(n, k - 1))))
+    return KForm.from_vector(n, k - 1, _interior_vec(n, k, v, a.to_vector()))
 
 
 def embed(form, dim):
@@ -443,6 +442,32 @@ def lstsq_torsion(structure, tau1_tol=1e-8):
     tau2 = KForm.from_vector(7, 2, basis14 @ y[7:])
     residual = max(float(np.linalg.norm(A1 @ x - b1)), float(np.linalg.norm(A2 @ y - b2)))
     return TorsionForms(tau0, tau1, tau2, tau3, residual, tau1_mismatch)
+
+
+def bryant_torsion(structure):
+    """The unchecked TorsionForms of `g2core.torsion_forms` by Bryant's four
+    projections alone, on coefficient vectors: seven stars and eight wedges,
+
+        tau3 = star(d phi - tau0 star(phi) - 3 tau1 ^ phi)
+        tau2 = -epsilon star(d star(phi) - 4 tau1 ^ star(phi)),
+
+    with tau0, tau1 and its consistency gap as `g2core._torsion` takes them."""
+    G = structure
+    m, phi, psi = G.metric, G.phi.to_vector(), G._star_phi_vec
+    dphi = G.algebra.diff_matrix(3) @ phi
+    dpsi = G.algebra.diff_matrix(4) @ psi
+
+    tau0 = float(_star(_wedge_vec(7, 4, 3, dphi, phi), 7, m)[0]) / 7.0
+    tau1 = -_star(_wedge_vec(7, 3, 3, _star(dphi, 4, m), phi), 6, m) / 12.0
+    tau1_b = _star(_wedge_vec(7, 2, 4, _star(dpsi, 5, m), psi), 6, m) / 12.0
+    tau3 = _star(dphi - tau0 * psi - 3.0 * _wedge_vec(7, 1, 3, tau1, phi), 4, m)
+    tau2 = -G.orientation * _star(dpsi - 4.0 * _wedge_vec(7, 1, 4, tau1, psi), 5, m)
+    residual = max(float(np.linalg.norm(_wedge_vec(7, 3, 3, tau3, phi))),
+                   float(np.linalg.norm(_wedge_vec(7, 3, 4, tau3, psi))),
+                   float(np.linalg.norm(_wedge_vec(7, 2, 4, tau2, psi))))
+    return TorsionForms(tau0, KForm.from_vector(7, 1, tau1), KForm.from_vector(7, 2, tau2),
+                        KForm.from_vector(7, 3, tau3), residual,
+                        float(np.linalg.norm(tau1 - tau1_b)))
 
 
 def kform_scal_from_torsion(structure):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from g2lab.catalog import catalog
 from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, _complement, _complement_gather,
                             _compound_apply, _compound_dense, _dense, _dense_tables,
-                            _index_arrays, _inner, _line_positions, complement_data, form_inner,
-                            hodge_star, index_positions, interior_table, multi_indices, wedge,
-                            wedge_matrix, wedge_table)
+                            _index_arrays, _inner, _interior_vec, _line_positions,
+                            complement_data, form_inner, hodge_star, index_positions,
+                            interior_table, multi_indices, wedge, wedge_matrix, wedge_table)
 from g2lab.g2core import _codifferential_table, _pairing_table, _phi_gather_table
 from g2lab.liealg import _derivation_indices, _diff_table
 
@@ -124,13 +124,24 @@ class TestKForm:
 
 
 class TestCachedTables:
+    # explicit ids, so that editing the list renames no other case; the first
+    # fourteen keep the positional ids they had, so no existing test id changes
     @pytest.mark.parametrize("table, args", [
-        (_index_arrays, (7, 3)), (wedge_table, (7, 2, 3)), (_complement_gather, (7, 3)),
-        (interior_table, (7, 3)), (_dense_tables, (7, 3)), (_complement_gather, (7, 5)),
-        (_dense_tables, (7, 2)), (_diff_table, (7, 3)), (_diff_table, (7, 0)),
-        (_derivation_indices, (7,)), (_line_positions, (7, 3)), (_pairing_table, ()),
-        (_phi_gather_table, ()), (_codifferential_table, ())],
-        ids=lambda x: getattr(x, "__name__", None))
+        pytest.param(_index_arrays, (7, 3), id="_index_arrays-args0"),
+        pytest.param(wedge_table, (7, 2, 3), id="wedge_table-args1"),
+        pytest.param(_complement_gather, (7, 3), id="_complement_gather-args2"),
+        pytest.param(interior_table, (7, 3), id="interior_table-args3"),
+        pytest.param(_dense_tables, (7, 3), id="_dense_tables-args4"),
+        pytest.param(_complement_gather, (7, 5), id="_complement_gather-args5"),
+        pytest.param(_dense_tables, (7, 2), id="_dense_tables-args6"),
+        pytest.param(_diff_table, (7, 3), id="_diff_table-args7"),
+        pytest.param(_diff_table, (7, 0), id="_diff_table-args8"),
+        pytest.param(_derivation_indices, (7,), id="_derivation_indices-args9"),
+        pytest.param(_line_positions, (7, 3), id="_line_positions-args10"),
+        pytest.param(_pairing_table, (), id="_pairing_table-args11"),
+        pytest.param(_phi_gather_table, (), id="_phi_gather_table-args12"),
+        pytest.param(_codifferential_table, (), id="_codifferential_table-args13"),
+        pytest.param(interior_table, (7, 4), id="interior_table-7-4")])
     def test_tables_are_read_only(self, table, args):
         # every later caller shares the cached arrays; a write must not corrupt them
         for array in table(*args):
@@ -259,6 +270,16 @@ class TestInterior:
         for _ in range(3):
             a = KForm.from_vector(dim, degree, rng.uniform(-3, 3, len(multi_indices(dim, degree))))
             assert interior(v, a).allclose(brute_interior(v, a), tol=1e-12)
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_interior_vec_against_dense_contraction(self, degree):
+        # the unpruned scatter that `_torsion` calls, against the dense contraction
+        rng = np.random.default_rng(degree)
+        for _ in range(5):
+            v = rng.uniform(-2.0, 2.0, 7)
+            a = rng.uniform(-3.0, 3.0, len(multi_indices(7, degree)))
+            want = brute_interior(v, KForm.from_vector(7, degree, a)).to_vector()
+            assert np.abs(_interior_vec(7, degree, v, a) - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("dim", range(1, MAX_DIM + 1))

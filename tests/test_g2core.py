@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,20 +10,27 @@ from g2lab.catalog import catalog
 from g2lab.curvature import einstein_calibrated_residual, scal_from_torsion
 from g2lab.exterior import (KForm, Metric, _complement, _dense, _dense_tables, _star,
                             form_inner, hodge_star, multi_indices, wedge)
-from g2lab.g2core import (G2Structure, PositivityError, TorsionForms, TorsionSolveError,
-                          classify, lee_form, torsion_forms)
+from g2lab.g2core import (TAU1_TOL, G2Structure, PositivityError, TorsionForms,
+                          TorsionSolveError, classify, lee_form, torsion_forms)
 from g2lab.inputfmt import parse_document
 from g2lab.liealg import ce_diff
+from g2lab.su3 import SU3Structure, g2_product
 
-from conftest import basis_changed_document, positive_3form_strategy
-from oracles import (brute_gram, brute_hodge, brute_wedge, fraction_det, kform_lee_form,
-                     lambda2_14_basis, lambda3_27_basis, lstsq_torsion)
+from conftest import (CLOSED_CATALOG, basis_changed_document, closed_perturbation,
+                      positive_3form_strategy)
+from oracles import (brute_gram, brute_hodge, brute_interior, brute_wedge, bryant_torsion,
+                     dict_wedge, fraction_det, kform_lee_form, lambda2_14_basis,
+                     lambda3_27_basis, lstsq_torsion)
 
 G2_CATALOG = ("std_g2", "n2", "n4", "n6", "n12_modified_basis", "s_ext_h2")
 
 STD = catalog("std_g2")
 N2 = catalog("n2")
 S_EXT = catalog("s_ext_h2")
+# the Heisenberg algebra, on which the standard form is coclosed: tau1 = tau2 = 0,
+# tau0 = 6/7 and tau3 != 0
+HEISENBERG = parse_document("algebra {\n  dim 7\n  d e7 = e12 + e34 + e56\n}\n").algebra
+U = np.finfo(float).eps / 2
 
 
 class TestMetricFromPhi:
@@ -288,6 +297,178 @@ class TestTorsionAgainstLeastSquares:
                 + np.linalg.norm(ce_diff(G.algebra, G.star_phi).to_vector()))
         tol = max(1e-10 * data, oracle.tau1_consistency)
         assert _torsion_gap(torsion_forms(G), oracle) <= tol
+
+
+def _scaled_structure(algebra, phi, log10_scale, orientation):
+    return G2Structure(algebra, (orientation * 10.0 ** log10_scale) * phi)
+
+
+class TestContractionIdentities:
+    """star(alpha ^ phi) = -iota_{alpha#} star(phi) and star(alpha ^ star(phi)) =
+    iota_{alpha#} phi with alpha# = g^-1 alpha, the identities `_torsion` reads
+    tau3 and tau2 through, checked on the public path: `hodge_star` and `wedge`
+    against the dense contraction `oracles.brute_interior`, which shares no
+    table with `exterior._interior_vec`."""
+
+    @staticmethod
+    def _check(G, seed):
+        alpha = np.random.default_rng(seed).uniform(-1.0, 1.0, 7)
+        a, sharp = KForm.from_vector(7, 1, alpha), G.metric.inverse @ alpha
+        for lhs, rhs in ((hodge_star(G.metric, wedge(a, G.phi)), -brute_interior(sharp, G.star_phi)),
+                         (hodge_star(G.metric, wedge(a, G.star_phi)), brute_interior(sharp, G.phi))):
+            # 64 u of the largest coefficient (a sweep of 1800 catalog and perturbed
+            # forms at scales 1e-3..1e3, both orientations, gave at most 26 u), and
+            # the KForm prune of an entry that is roundoff in one of the two
+            assert lhs.allclose(rhs, tol=64 * U * max(lhs.sup_norm(), rhs.sup_norm()) + 1e-13)
+            assert lhs.sup_norm() > 0
+
+    @pytest.mark.parametrize("orientation", [1.0, -1.0])
+    @pytest.mark.parametrize("name", G2_CATALOG)
+    def test_catalog(self, name, orientation):
+        entry = catalog(name)
+        G = _scaled_structure(entry.algebra, entry.forms["phi"], 0.0, orientation)
+        for seed in range(3):
+            self._check(G, seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(closed_perturbation(), st.sampled_from([1.0, -1.0]),
+           st.floats(min_value=-3.0, max_value=3.0), st.integers(0, 2 ** 32 - 1))
+    def test_closed_perturbations(self, start, orientation, log10_scale, seed):
+        algebra, phi = start
+        self._check(_scaled_structure(algebra, KForm.from_vector(7, 3, phi), log10_scale,
+                                      orientation), seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(positive_3form_strategy(), st.sampled_from([1.0, -1.0]),
+           st.floats(min_value=-3.0, max_value=3.0), st.integers(0, 2 ** 32 - 1))
+    def test_generic_perturbations(self, phi, orientation, log10_scale, seed):
+        self._check(_scaled_structure(STD.algebra, phi, log10_scale, orientation), seed)
+
+
+def _sizes(G, t):
+    """(tau3, tau2, residual) sizes of the data the seven-star torsion combines:
+    the terms of d phi - tau0 star(phi) - 3 tau1 ^ phi and of
+    d star(phi) - 4 tau1 ^ star(phi), Euclidean coefficient norms, times |g|^3
+    and |g|^2 over sqrt(det g), the norms of the 4- and 5-form stars; the
+    residual's is that of its three wedges."""
+    m, phi, psi = G.metric, G.phi.to_vector(), G._star_phi_vec
+    norm = np.linalg.norm
+    g, tau1 = norm(m.g, 2), norm(t.tau1.to_vector())
+    size3 = (norm(G.algebra.diff_matrix(3) @ phi) + abs(t.tau0) * norm(psi)
+             + 3.0 * tau1 * norm(phi)) * g ** 3 / m.sqrt_det
+    size2 = (norm(G.algebra.diff_matrix(4) @ psi) + 4.0 * tau1 * norm(psi)) * g ** 2 / m.sqrt_det
+    return size3, size2, size3 * (norm(phi) + norm(psi)) + size2 * norm(psi)
+
+
+#: tau2, tau3 and the residual of `_torsion` within this many u kappa(g) of the
+#: size of their data (`_sizes`) from the seven-star `oracles.bryant_torsion`.
+#: A sweep of 460 inputs (the catalog forms and the coclosed one at scales
+#: 1e-3..1e9, 160 closed and generic perturbations at scales 1e-3..1e3, both
+#: orientations, 161 basis changes of five catalog forms, cond g up to 2.5e6,
+#: and h2's product in the basis of seed 644) gave at most 7.2 (tau3, on
+#: n12_modified_basis in the basis of seed 2123), 1.4 (tau2) and 0.8 (residual).
+BRYANT_BOUND = 16.0
+
+
+def _assert_matches_bryant(G):
+    got, want = g2core._torsion(G), bryant_torsion(G)
+    # tau0, tau1 and the consistency gap take the same operations in the same order
+    assert got.tau0 == want.tau0 and got.tau1_consistency == want.tau1_consistency
+    assert np.array_equal(got.tau1.to_vector(), want.tau1.to_vector())
+    # ... so TorsionSolveError fires on exactly the same inputs
+    assert (got.tau1_consistency > TAU1_TOL) == (want.tau1_consistency > TAU1_TOL)
+    scale = BRYANT_BOUND * U * np.linalg.cond(G.metric.g)
+    size3, size2, size_residual = _sizes(G, got)
+    assert np.abs(got.tau3.to_vector() - want.tau3.to_vector()).max() <= scale * size3
+    assert np.abs(got.tau2.to_vector() - want.tau2.to_vector()).max() <= scale * size2
+    assert abs(got.residual - want.residual) <= scale * size_residual
+    if got.tau1_consistency <= TAU1_TOL:
+        assert classify(got).labels == classify(want).labels
+
+
+class TestTorsionAgainstBryant:
+    """`_torsion`, which reads tau3 and tau2 off the stars of d phi and d star(phi)
+    through the contraction identities, against Bryant's projections with
+    every star taken (`oracles.bryant_torsion`)."""
+
+    @pytest.mark.parametrize("orientation", [1.0, -1.0])
+    @pytest.mark.parametrize("log10_scale", [-3.0, 0.0, 3.0, 8.0, 9.0])
+    @pytest.mark.parametrize("name", G2_CATALOG)
+    def test_catalog(self, name, log10_scale, orientation):
+        entry = catalog(name)
+        _assert_matches_bryant(_scaled_structure(entry.algebra, entry.forms["phi"], log10_scale,
+                                                 orientation))
+
+    def test_coclosed(self):
+        _assert_matches_bryant(G2Structure(HEISENBERG, STD.forms["phi"]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(closed_perturbation(), st.sampled_from([1.0, -1.0]),
+           st.floats(min_value=-3.0, max_value=3.0))
+    def test_closed_perturbations(self, start, orientation, log10_scale):
+        algebra, phi = start
+        _assert_matches_bryant(_scaled_structure(algebra, KForm.from_vector(7, 3, phi),
+                                                 log10_scale, orientation))
+
+    @settings(max_examples=20, deadline=None)
+    @given(positive_3form_strategy(), st.sampled_from(G2_CATALOG + ("heisenberg",)),
+           st.sampled_from([1.0, -1.0]), st.floats(min_value=-3.0, max_value=3.0))
+    def test_generic_perturbations(self, phi, name, orientation, log10_scale):
+        algebra = HEISENBERG if name == "heisenberg" else catalog(name).algebra
+        _assert_matches_bryant(_scaled_structure(algebra, phi, log10_scale, orientation))
+
+    @pytest.mark.parametrize("name", CLOSED_CATALOG[1:] + ("s_ext_h2",))
+    def test_basis_changes(self, name):
+        for seed in range(8):
+            doc = parse_document(basis_changed_document(name, seed))
+            _assert_matches_bryant(G2Structure(doc.algebra, doc.forms["phi"]))
+
+    def test_disagreeing_inputs_still_raise(self):
+        # the two bases of conftest.basis_changed_document whose tau1 equations disagree
+        doc = parse_document(basis_changed_document("h2", 644))
+        product = g2_product(SU3Structure(doc.algebra, doc.forms["omega"], doc.forms["psi"]))
+        for G in (_basis_changed_n12(), product):
+            _assert_matches_bryant(G)
+            with pytest.raises(TorsionSolveError) as raised:
+                torsion_forms(G)
+            assert raised.value.consistency == bryant_torsion(G).tau1_consistency
+
+
+def _stand_in(G, psi):
+    """The attributes `_torsion` reads of G, with psi in place of star(phi)."""
+    return types.SimpleNamespace(algebra=G.algebra, metric=G.metric, phi=G.phi,
+                                 orientation=G.orientation, _star_phi_vec=psi)
+
+
+class TestResidualOffTheIdentities:
+    """`residual` is the largest of |tau3 ^ phi|, |tau3 ^ psi| and |tau2 ^ psi|.
+    On a real structure all three are roundoff; on a stand-in whose psi is
+    moved off star(phi) they are not, and each case makes a different one the
+    largest by at least twice, so a wrong wedge in any of the three shows."""
+
+    @pytest.mark.parametrize("case, largest", [("far", 0), ("closed_shift", 1), ("near", 2)])
+    def test_against_dict_wedges(self, case, largest):
+        rng = np.random.default_rng(7)
+        if case == "closed_shift":
+            # coclosed, so tau1 = 0 and tau2 stays 0 under a closed change of psi;
+            # tau3 ^ psi is then the one that is not roundoff
+            G = G2Structure(HEISENBERG, STD.forms["phi"])
+            shift = HEISENBERG.diff_matrix(3) @ rng.uniform(-1.0, 1.0, 35)
+        else:
+            # the lcc form (tau1 != 0): psi replaced by a small random 4-form makes
+            # tau3 ^ phi = -3 iota_v star(phi) ^ phi the largest, a small shift of
+            # psi tau2 ^ psi
+            G = G2Structure(S_EXT.algebra, S_EXT.forms["phi"])
+            shift = rng.uniform(-1.0, 1.0, 35)
+        psi = G._star_phi_vec
+        shift *= np.linalg.norm(psi) / np.linalg.norm(shift)
+        psi = 0.01 * shift if case == "far" else psi + 0.1 * shift
+        t = g2core._torsion(_stand_in(G, psi))
+        psi_form = KForm.from_vector(7, 4, psi)
+        norms = [dict_wedge(t.tau3, G.phi).norm(), dict_wedge(t.tau3, psi_form).norm(),
+                 dict_wedge(t.tau2, psi_form).norm()]
+        assert sorted(norms)[1] * 2.0 <= norms[largest]
+        assert t.residual == pytest.approx(norms[largest], rel=1e-12)
 
 
 class TestStarAndInner:

@@ -4,6 +4,9 @@ The Levi-Civita connection comes from the Koszul formula, which for
 left-invariant fields has no derivative terms; Ricci is the trace of the
 full curvature tensor taken inside its formula, so one code path serves
 nilpotent and solvable (non-unimodular) algebras alike.
+
+The two scalar curvatures take no connection and no Hodge star: each is
+a sum of contractions of the bracket or the torsion forms.
 """
 from __future__ import annotations
 
@@ -11,10 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import (KForm, _dense, _inner, _line_positions, _star, form_inner,
-                       multi_indices)
+from .exterior import KForm, _complement, _dense, _line_positions, form_inner, multi_indices
 from .g2core import VANISH_TOL, classify, torsion_forms
 from .liealg import _RANK_CUTOFF, LieAlgebra, _derivation_basis, ce_diff, derivation_residual
+
+
+def _check_metric(algebra, metric):
+    if metric.dim != algebra.dim:
+        raise ValueError(f"dimension mismatch: algebra {algebra.dim}, metric {metric.dim}")
+    if not metric.positive_definite:
+        raise ValueError("metric is not positive definite")
 
 
 def levi_civita(algebra, metric):
@@ -22,10 +31,7 @@ def levi_civita(algebra, metric):
 
     2 <nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y> on basis triples.
     """
-    if metric.dim != algebra.dim:
-        raise ValueError(f"dimension mismatch: algebra {algebra.dim}, metric {metric.dim}")
-    if not metric.positive_definite:
-        raise ValueError("metric is not positive definite")
+    _check_metric(algebra, metric)
     bg = algebra.bracket @ metric.g
     k = 0.5 * (bg - bg.transpose(2, 0, 1) + bg.transpose(1, 2, 0))
     return k @ metric.inverse.T
@@ -60,7 +66,25 @@ def ricci_operator(algebra, metric):
 
 
 def scalar_curvature(algebra, metric):
-    return float(np.trace(ricci_operator(algebra, metric)))
+    """The trace of the Ricci operator, by the formula for left-invariant
+    metrics (A. Besse, Einstein Manifolds, 1987, Cor. 7.39; J. Milnor, Adv.
+    Math. 21, 1976, for unimodular algebras):
+
+        scal = -1/4 |mu|_g^2 - 1/2 tr(g^-1 K) - h^T g^-1 h,
+
+    |mu|_g^2 = c_ijk c_abl g^ia g^jb g_kl the squared norm of the bracket
+    c = `algebra.bracket`, K the Killing form and h the trace vector h_i =
+    tr ad_{e_i} (`LieAlgebra._ad_traces`)."""
+    _check_metric(algebra, metric)
+    n, c, ginv = algebra.dim, algebra.bracket, metric.inverse
+    killing, h = algebra._ad_traces
+    # c^ab_k = g^ai g^bj c_ijk, then P_kl = c^ab_k c_abl and |mu|_g^2 = g_kl P_kl
+    raised = ginv @ (ginv @ c.reshape(n, n * n)).reshape(n, n, n)
+    pairing = raised.reshape(n * n, n).T @ c.reshape(n * n, n)
+    mu2 = float(metric.g.reshape(-1) @ pairing.reshape(-1))
+    # 0.0 - keeps a zero scal +0.0
+    return 0.0 - (0.25 * mu2 + 0.5 * float(ginv.reshape(-1) @ killing.reshape(-1))
+                  + float(h @ ginv @ h))
 
 
 def _einstein_gap(ric, metric):
@@ -76,22 +100,33 @@ def einstein_residual(algebra, metric):
 
 
 def scal_from_torsion(structure):
-    """Scalar curvature from the torsion forms (Bryant):
+    """Scalar curvature from the torsion forms (R. Bryant, Some remarks on
+    G2-structures, arXiv:math/0305124):
     12 delta(tau1) + 21/8 tau0^2 + 30 |tau1|^2 - 1/2 |tau2|^2 - 1/2 |tau3|^2.
 
-    On the coefficient vectors of the structure's torsion: delta tau1 =
-    -star d star tau1 through `_star` and the differential matrix, each
-    |tau_k|^2 through `_inner`, as in `form_inner`.
+    Each term is a contraction, with no star.  With v = g^-1 tau1, psi =
+    star(phi), epsilon the orientation and c the signed complement
+    (`exterior._complement`):
+
+      * 12 delta(tau1) + 30 |tau1|^2 = v . (12 h + 30 tau1), since on a Lie
+        algebra delta(alpha) = h(alpha#), h the trace vector
+        (`LieAlgebra._ad_traces`);
+      * |tau3|^2 = tau3 . c(d phi) / sqrt(det g), the pairing <tau3, star(d phi)>,
+        as tau3 is orthogonal to the Lambda^3_1 and Lambda^3_7 parts of star(d phi);
+      * |tau2|^2 = -epsilon tau2 . c(d psi) / sqrt(det g), since d psi =
+        4 tau1 ^ psi - epsilon star(tau2) and tau2 ^ psi = 0.
     """
-    t = torsion_forms(structure)
-    m = structure.metric
-    v1, v2, v3 = (form.to_vector() for form in (t.tau1, t.tau2, t.tau3))
-    delta_tau1 = -float(_star(structure.algebra.diff_matrix(6) @ _star(v1, 1, m), 7, m)[0])
-    return (12.0 * delta_tau1
+    G = structure
+    t, m = torsion_forms(G), G.metric
+    tau1 = t.tau1.to_vector()
+    dphi = G.algebra.diff_matrix(3) @ G.phi.to_vector()
+    dpsi = G.algebra.diff_matrix(4) @ G._star_phi_vec
+    tau3_sq = float(t.tau3.to_vector() @ _complement(dphi, 7, 4)) / m.sqrt_det
+    tau2_sq = -G.orientation * float(t.tau2.to_vector() @ _complement(dpsi, 7, 5)) / m.sqrt_det
+    return (float((m.inverse @ tau1) @ (12.0 * G.algebra._ad_traces[1] + 30.0 * tau1))
             + (21.0 / 8.0) * t.tau0 ** 2
-            + 30.0 * _inner(v1, v1, 1, m)
-            - 0.5 * _inner(v2, v2, 2, m)
-            - 0.5 * _inner(v3, v3, 3, m))
+            - 0.5 * tau2_sq
+            - 0.5 * tau3_sq)
 
 
 def star_ricci(structure):

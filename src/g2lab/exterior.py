@@ -410,13 +410,15 @@ def _dense(vec, dim, degree):
 def _compound_dense(M, t, degree):
     """The degree-k compound of the n x n matrix M (the minors det M[I, J])
     on the flat dense tensor t of a k-form (`_dense`), as a flat dense tensor:
-    M acts on every index, the leading ones first, then the last two at once."""
+    M acts on every index, the leading ones first, then the last two at once,
+    with M^T as a contiguous copy (a stacked matmul with the transposed view
+    is slower)."""
     n = M.shape[0]
     if degree < 2:  # the compound of degree 1 is M, of degree 0 the number 1
         return M @ t if degree else t
     for j in range(degree - 2):
         t = M @ t.reshape(n ** j, n, -1)
-    return (M @ t.reshape(-1, n, n) @ M.T).reshape(-1)
+    return (M @ t.reshape(-1, n, n) @ M.T.copy()).reshape(-1)
 
 
 def _compound_apply(M, vec, degree):

@@ -98,12 +98,14 @@ def _state(algebra, t, vec, point, closedness):
 
     All are taken at `vec` itself (the state's phi is its pruned KForm).  The
     state's Metric is the one Metric the flow builds, from the kernel's
-    factors.  `volume_density` is its sqrt(det g), `scalar_curvature` the
-    trace of its Ricci operator, `laplacian_norm` the Euclidean norm of the
-    Laplacian's coefficients.  `tau2_norm` is |delta phi|_g: on a closed
-    phi, d star(phi) = tau2 ^ phi and star(tau2 ^ phi) = -tau2 (Bryant), so
-    delta phi = -star d star(phi) is tau2 up to the orientation's sign and
-    this is |tau2|_g; no G2Structure or torsion is built.
+    factors.  `volume_density` is its sqrt(det g), `scalar_curvature` its
+    `curvature.scalar_curvature` (Besse's formula: the bracket, the Killing
+    form and the trace vector contracted with g and g^-1), `laplacian_norm`
+    the Euclidean norm of the Laplacian's coefficients.  `tau2_norm` is
+    |delta phi|_g: on a closed phi, d star(phi) = tau2 ^ phi and
+    star(tau2 ^ phi) = -tau2 (Bryant), so delta phi = -star d star(phi) is
+    tau2 up to the orientation's sign and this is |tau2|_g; no G2Structure
+    or torsion is built.
     """
     factors, delta_phi, lap = point
     metric = Metric._from_factors(*factors)

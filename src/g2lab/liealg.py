@@ -24,11 +24,13 @@ _RANK_CUTOFF = 1e-10
 
 class LieAlgebra:
     """A Lie algebra from d e^1, ..., d e^n, with its bracket and differential
-    matrices.  Immutable and shareable; derived data that only some callers
-    need sits in a private slot that is None until its first use fills it
-    (`_line`, the trivial line extension that `su3.g2_product` attaches)."""
+    matrices.  `_ad_traces` is (K, h), the Killing form K_ij = tr(ad_i ad_j)
+    and the trace vector h_i = tr ad_{e_i}, read-only, built with the bracket.
+    Immutable and shareable; derived data that only some callers need sits in
+    a private slot that is None until its first use fills it (`_line`, the
+    trivial line extension that `su3.g2_product` attaches)."""
 
-    __slots__ = ("dim", "dual_differential", "bracket", "name", "_diff", "_line")
+    __slots__ = ("dim", "dual_differential", "bracket", "name", "_ad_traces", "_diff", "_line")
 
     def __init__(self, dual_differential, name=None):
         duals = tuple(dual_differential)
@@ -50,6 +52,10 @@ class LieAlgebra:
         bracket[a, b] = 0.0 - s[:, None] * weights[:, pair].T
         bracket.setflags(write=False)
         object.__setattr__(self, "bracket", bracket)
+        # (ad_i)_km = c_imk, so tr(ad_i ad_j) = sum_km c_imk c_jkm; K symmetrised
+        killing = bracket.transpose(0, 2, 1).reshape(n, n * n) @ bracket.reshape(n, n * n).T
+        object.__setattr__(self, "_ad_traces", _read_only((killing + killing.T) / 2.0,
+                                                          np.einsum("ijj->i", bracket)))
 
         weights = weights.reshape(-1)
         diff = []
@@ -71,8 +77,7 @@ class LieAlgebra:
         return self._diff[degree]
 
     def is_unimodular(self):
-        traces = np.einsum("ijj->i", self.bracket)
-        return bool(np.all(np.abs(traces) <= 1e-12))
+        return bool(np.all(np.abs(self._ad_traces[1]) <= 1e-12))
 
     def lower_central_series_dims(self):
         """Dimensions of g >= [g,g] >= [g,[g,g]] >= ... until it stabilizes."""

@@ -76,6 +76,35 @@ def closed_perturbation(draw):
     return entry.algebra, phi
 
 
+#: so(3) and sl(2, R) plus an abelian R^4, as d e^1, d e^2, d e^3 with the other four
+#: closed: unimodular algebras whose Killing form is not zero.  The brackets are
+#: [e2, e3] = -e1, [e1, e3] = e2, [e1, e2] = -e3 (K = -2 on e1..e3) and
+#: [e1, e2] = 2 e2, [e1, e3] = -2 e3, [e2, e3] = e1 (K_11 = 8, K_23 = 4).
+SEMISIMPLE_PLUS_R4 = {
+    "so3+R4": ({(2, 3): 1.0}, {(1, 3): -1.0}, {(1, 2): 1.0}),
+    "sl2+R4": ({(2, 3): -1.0}, {(1, 2): -2.0}, {(1, 3): 2.0}),
+}
+
+
+def semisimple_plus_r4(name):
+    duals = [KForm(7, 2, d) for d in SEMISIMPLE_PLUS_R4[name]] + [KForm.zero(7, 2)] * 4
+    return LieAlgebra(duals, name=name)
+
+
+def scal_magnitude(algebra, g, ginv):
+    """`curvature.scalar_curvature`'s formula, Besse's, with every term counted
+    positive: 1/4 |c|_ijk |c|_abl ginv_ia ginv_jb g_kl + 1/2 ginv_ij K'_ij +
+    h'_i ginv_ij h'_j, with K'_ij = sum_km |c_imk| |c_jkm| and h'_i = sum_j |c_ijj|
+    the Killing form's and the trace vector's terms by absolute value.  Pass the
+    entrywise absolute values of g and g^-1 (or larger matrices)."""
+    c = np.abs(algebra.bracket)
+    raised = np.einsum("ia,jb,ijk->abk", ginv, ginv, c)
+    mu = np.einsum("abk,abl,kl->", raised, c, g)
+    killing = np.einsum("imk,jkm->ij", c, c)
+    h = np.einsum("ijj->i", c)
+    return float(0.25 * mu + 0.5 * np.sum(ginv * killing) + h @ ginv @ h)
+
+
 def basis_changed_document(name, seed):
     """Catalog entry `name` written in the basis f = A e, as document text.
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from g2lab import curvature
 from g2lab.curvature import SolitonCertificate, riemann
-from g2lab.exterior import (KForm, Metric, _interior_vec, _star, _wedge_vec, form_inner,
+from g2lab.exterior import (KForm, Metric, _inner, _interior_vec, _star, _wedge_vec, form_inner,
                             hodge_star, index_positions, multi_indices, sort_with_sign, wedge,
                             wedge_matrix)
 from g2lab.g2core import PositivityError, TorsionForms, TorsionSolveError, torsion_forms
@@ -468,6 +468,43 @@ def bryant_torsion(structure):
     return TorsionForms(tau0, KForm.from_vector(7, 1, tau1), KForm.from_vector(7, 2, tau2),
                         KForm.from_vector(7, 3, tau3), residual,
                         float(np.linalg.norm(tau1 - tau1_b)))
+
+
+def ricci_trace_scalar_curvature(algebra, metric):
+    """Scalar curvature as the trace of `curvature.ricci_operator`: the
+    Levi-Civita connection, the contracted Ricci tensor and g^-1 Ric."""
+    return float(np.trace(curvature.ricci_operator(algebra, metric)))
+
+
+def star_torsion_terms(structure):
+    """(delta tau1, |tau1|^2, |tau2|^2, |tau3|^2) on coefficient vectors with
+    stars and compounds: delta tau1 = -star d star tau1 through `_star` and
+    the differential matrix, each |tau_k|^2 through `_inner`."""
+    t = torsion_forms(structure)
+    m = structure.metric
+    v1, v2, v3 = (form.to_vector() for form in (t.tau1, t.tau2, t.tau3))
+    delta_tau1 = -float(_star(structure.algebra.diff_matrix(6) @ _star(v1, 1, m), 7, m)[0])
+    return delta_tau1, _inner(v1, v1, 1, m), _inner(v2, v2, 2, m), _inner(v3, v3, 3, m)
+
+
+def star_scal_from_torsion(structure):
+    """12 delta(tau1) + 21/8 tau0^2 + 30 |tau1|^2 - 1/2 |tau2|^2 - 1/2 |tau3|^2
+    from `star_torsion_terms`, two stars and three compounds."""
+    delta_tau1, tau1_sq, tau2_sq, tau3_sq = star_torsion_terms(structure)
+    return (12.0 * delta_tau1
+            + (21.0 / 8.0) * torsion_forms(structure).tau0 ** 2
+            + 30.0 * tau1_sq
+            - 0.5 * tau2_sq
+            - 0.5 * tau3_sq)
+
+
+def transposed_view_compound_dense(M, t, degree):
+    """`exterior._compound_dense` with the last product taken against the
+    transposed view M.T rather than a contiguous copy of it; degree >= 2."""
+    n = M.shape[0]
+    for j in range(degree - 2):
+        t = M @ t.reshape(n ** j, n, -1)
+    return (M @ t.reshape(-1, n, n) @ M.T).reshape(-1)
 
 
 def kform_scal_from_torsion(structure):

@@ -9,13 +9,15 @@ from g2lab.curvature import (SolitonCertificate, einstein_calibrated_residual,
                              einstein_residual, levi_civita, rank_one_extension,
                              ricci, ricci_operator, riemann, scal_from_torsion,
                              scalar_curvature, soliton_solve, star_ricci)
-from g2lab.exterior import PRUNE_TOL, KForm, Metric, form_inner, hodge_star, wedge
+from g2lab.exterior import PRUNE_TOL, KForm, Metric, _complement, form_inner, hodge_star, wedge
 from g2lab.g2core import G2Structure, torsion_forms
 from g2lab.liealg import ce_diff, jacobi_residual
 
-from conftest import closed_perturbation, metric_strategy, positive_3form_strategy
-from oracles import (codifferential, frame_star_ricci, kform_scal_from_torsion, lstsq_soliton,
-                     projected_einstein_calibrated_residual)
+from conftest import (SEMISIMPLE_PLUS_R4, closed_perturbation, metric_strategy,
+                      positive_3form_strategy, scal_magnitude, semisimple_plus_r4)
+from oracles import (codifferential, compound_matrix, frame_star_ricci, kform_scal_from_torsion,
+                     lstsq_soliton, projected_einstein_calibrated_residual,
+                     ricci_trace_scalar_curvature, star_scal_from_torsion, star_torsion_terms)
 
 N2 = catalog("n2").algebra
 H2 = catalog("h2").algebra
@@ -140,6 +142,71 @@ class TestRicci:
         assert np.abs(r4 - np.einsum("klij->ijkl", r4)).max() < 1e-10
 
 
+EPS = np.finfo(float).eps
+U = EPS / 2
+
+
+def _ill_conditioned_spd(n, seed):
+    """Q diag(d) Q^T with log10 d uniform in [-2, 2]: cond g up to ~1e4."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Metric((q * 10.0 ** rng.uniform(-2.0, 2.0, n)) @ q.T)
+
+
+def _besse_terms(algebra, m):
+    """(1/4 |mu|_g^2, 1/2 tr(g^-1 K), h^T g^-1 h) by einsum from the bracket."""
+    c, ginv = algebra.bracket, m.inverse
+    mu = np.einsum("ijk,abl,ia,jb,kl->", c, c, ginv, ginv, m.g)
+    killing = np.einsum("imk,jkm->ij", c, c)
+    h = np.einsum("ijj->i", c)
+    return 0.25 * mu, 0.5 * float(np.sum(ginv * killing.T)), float(h @ ginv @ h)
+
+
+#: Besse's scal within this many u cond(g) of the sum of its terms' magnitudes
+#: (`_besse_terms`) from the trace of the Ricci operator; both sides read the
+#: same g and g^-1, and the identity between them holds only where g^-1 g = I,
+#: which the computed inverse meets within ~cond(g) u.  A sweep of 30400 metrics
+#: (every catalog algebra, so(3) + R^4 and sl(2, R) + R^4; `_random_spd` and
+#: `_ill_conditioned_spd` of 400 seeds each, at scales 1e-3, 1 and 1e3) gave at
+#: most 9.5 (n12, cond g 4.3e3).
+BESSE_BOUND = 32.0
+
+
+class TestBesseScalarCurvature:
+    @pytest.mark.parametrize("name", catalog_names() + tuple(SEMISIMPLE_PLUS_R4))
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_against_ricci_trace(self, name, scale):
+        algebra = (semisimple_plus_r4(name) if name in SEMISIMPLE_PLUS_R4
+                   else catalog(name).algebra)
+        n = algebra.dim
+        for seed in range(4):
+            for m in (_random_spd(n, seed), _ill_conditioned_spd(n, seed)):
+                m = Metric(scale * m.g)
+                size = sum(abs(term) for term in _besse_terms(algebra, m))
+                bound = BESSE_BOUND * U * np.linalg.cond(m.g) * size
+                assert abs(scalar_curvature(algebra, m)
+                           - ricci_trace_scalar_curvature(algebra, m)) <= bound
+
+    @pytest.mark.parametrize("name", tuple(SEMISIMPLE_PLUS_R4))
+    def test_killing_term_at_the_identity(self, name):
+        # so(3): |mu|^2 = 6, tr K = -6, so scal = -3/2 + 3 = 3/2, the round S^3
+        # of radius 2; sl(2, R): |mu|^2 = 2 (1 + 4 + 4) = 18, tr K = 8, scal = -17/2
+        want = {"so3+R4": 1.5, "sl2+R4": -8.5}[name]
+        assert abs(scalar_curvature(semisimple_plus_r4(name), I7) - want) <= 8 * EPS * 8.5
+
+    def test_zero_is_positive_zero(self):
+        # an abelian algebra has scal +0.0, as the trace of the zero Ricci operator
+        scal = scalar_curvature(catalog("n1").algebra, I7)
+        assert scal == 0.0 and np.copysign(1.0, scal) == 1.0
+
+    @pytest.mark.parametrize("op", [scalar_curvature, ricci_trace_scalar_curvature])
+    def test_rejects_what_levi_civita_rejects(self, op):
+        with pytest.raises(ValueError, match="dimension mismatch: algebra 7, metric 6"):
+            op(N2, I6)
+        with pytest.raises(ValueError, match="metric is not positive definite"):
+            op(N2, Metric(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0])))
+
+
 class TestScalFromTorsion:
     def test_torsion_free_is_zero(self):
         G = G2Structure(catalog("std_g2").algebra, catalog("std_g2").forms["phi"])
@@ -163,9 +230,6 @@ class TestScalFromTorsion:
                    - scalar_curvature(G.algebra, G.metric)) < 1e-8
 
 
-EPS = np.finfo(float).eps
-
-
 def _torsion_term_sizes(G):
     """|12 delta tau1| + 21/8 tau0^2 + 30 |tau1|^2 + 1/2 |tau2|^2 + 1/2 |tau3|^2."""
     t, g = torsion_forms(G), G.metric
@@ -174,33 +238,108 @@ def _torsion_term_sizes(G):
             + 0.5 * form_inner(g, t.tau2, t.tau2) + 0.5 * form_inner(g, t.tau3, t.tau3))
 
 
-def _assert_scal_from_torsion(G):
-    """The vector scal_from_torsion against the KForm path and against the
-    Ricci trace (Bryant's identity).
+def _contraction_terms(G):
+    """(delta tau1, |tau2|^2, |tau3|^2) as `scal_from_torsion` contracts them:
+    h . g^-1 tau1, -epsilon tau2 . c(d psi) / sqrt(det g) and
+    tau3 . c(d phi) / sqrt(det g), c the signed complement."""
+    t, m = torsion_forms(G), G.metric
+    dphi = G.algebra.diff_matrix(3) @ G.phi.to_vector()
+    dpsi = G.algebra.diff_matrix(4) @ G._star_phi_vec
+    return (float((m.inverse @ t.tau1.to_vector()) @ G.algebra._ad_traces[1]),
+            -G.orientation * float(t.tau2.to_vector() @ _complement(dpsi, 7, 5)) / m.sqrt_det,
+            float(t.tau3.to_vector() @ _complement(dphi, 7, 4)) / m.sqrt_det)
 
-    The KForm path runs the same floating-point operations except that it
-    prunes each intermediate form at PRUNE_TOL: star(tau1) loses at most
-    PRUNE_TOL in each of its 7 entries, d of it then PRUNE_TOL more, the
-    7-form star divides that by sqrt(det g), and the 0-form is pruned once
-    more; delta tau1 enters with weight 12.  Rounding the changed term and
-    the sum adds a few units of roundoff on the terms' sizes S.
+
+def _contraction_units(G):
+    """(units, prunes) of the three contractions against `star_torsion_terms`.
+
+    Units, for delta tau1: h' . |g^-1| |tau1|, h'_i = sum_j |c_ijj|, the
+    magnitude of both sides (the star path's d on 6-forms has the entries of
+    h).  For |tau_k|^2, k = 2, 3: kappa(g) s_k (|d_k| / sqrt(det g) +
+    |g^-1|^k s_k), s_k the size of tau_k's data (`test_g2core._sizes`: the
+    Euclidean norms of the terms it combines times |g|^(5-k) / sqrt(det g)),
+    |d_k| that of d psi or d phi, which the contraction pairs tau_k with.
+
+    Prunes: the identities hold for the unpruned tau_k, and KForm zeroed
+    entries of at most PRUNE_TOL where the stored tau_k is 0.  Such an error e
+    moves tau_k . c(d) by |e| . |c(d)| and tau_k . C_k(g^-1) tau_k by
+    2 |e| . |C_k(g^-1)| |tau_k| + |e| . |C_k(g^-1)| |e|."""
+    t, m = torsion_forms(G), G.metric
+    norm = np.linalg.norm
+    phi, psi = G.phi.to_vector(), G._star_phi_vec
+    dphi, dpsi = G.algebra.diff_matrix(3) @ phi, G.algebra.diff_matrix(4) @ psi
+    g, ginv, kappa = norm(m.g, 2), norm(m.inverse, 2), np.linalg.cond(m.g)
+    tau1 = t.tau1.to_vector()
+    h = np.einsum("ijj->i", np.abs(G.algebra.bracket))
+    size2 = (norm(dpsi) + 4.0 * norm(tau1) * norm(psi)) * g ** 2 / m.sqrt_det
+    size3 = ((norm(dphi) + abs(t.tau0) * norm(psi) + 3.0 * norm(tau1) * norm(phi))
+             * g ** 3 / m.sqrt_det)
+    units = (float(h @ (np.abs(m.inverse) @ np.abs(tau1))),
+             kappa * size2 * (norm(dpsi) / m.sqrt_det + ginv ** 2 * size2),
+             kappa * size3 * (norm(dphi) / m.sqrt_det + ginv ** 3 * size3))
+    prunes = [0.0]
+    for tau, d, k in ((t.tau2.to_vector(), dpsi, 2), (t.tau3.to_vector(), dphi, 3)):
+        lost = tau == 0
+        C = np.abs(compound_matrix(m.inverse, k))
+        pair = np.abs(_complement(d, 7, 7 - k))[lost].sum() / m.sqrt_det
+        prunes.append(PRUNE_TOL * (pair + 2.0 * (C @ np.abs(tau))[lost].sum()
+                                   + PRUNE_TOL * C[np.ix_(lost, lost)].sum()))
+    return units, prunes
+
+
+#: Each contraction of `scal_from_torsion`, and their sum, within this many u of
+#: its units (`_contraction_units`, past the prunes) from the star and compound
+#: path of `oracles.star_torsion_terms`.  A sweep of 642 inputs (the six G2
+#: catalog forms at scales -1e3..1e2, 300 closed and 300 generic perturbations at
+#: scales 1e-3..1e3, both orientations) gave at most 1.4 (delta tau1), 1.4
+#: (|tau2|^2), 3.5 (|tau3|^2) and 1.4 (the sum); 721 basis-changed catalog forms
+#: (cond g up to 8.9e3) and n2's form with a 2.6e-13 entry gave at most 0.8.
+CONTRACTION_BOUND = 16.0
+
+
+def _assert_scal_from_torsion(G):
+    """scal_from_torsion against the star and compound path, the KForm path
+    and the Ricci trace (Bryant's identity).
+
+    Each contraction is checked against `oracles.star_torsion_terms` within
+    CONTRACTION_BOUND u of its units, past its prunes; the sum against
+    `oracles.star_scal_from_torsion` within the same count of the weighted
+    units.
+
+    The star path runs the same floating-point operations as the KForm path
+    `oracles.kform_scal_from_torsion` except that the latter prunes each
+    intermediate form at PRUNE_TOL: star(tau1) loses at most PRUNE_TOL in each
+    of its 7 entries, d of it then PRUNE_TOL more, the 7-form star divides that
+    by sqrt(det g), and the 0-form is pruned once more; delta tau1 enters with
+    weight 12.  Rounding the changed term and the sum adds a few units of
+    roundoff on the terms' sizes S.
 
     Against the Ricci trace the two sides share only the metric.  First-order
     rounding of a sum of N terms is within gamma_N = N u of the sum of their
-    magnitudes; the longest sum on either side has N = 7^3 = 343 (the
-    degree-3 compound on the dense tensor), taken over S plus the magnitudes
-    sum |g^-1| |Ric| of the trace, and the metric's own error, which moves
-    both sides, enters through cond(g).
+    magnitudes; the longest sum is the torsion's, N = 7^3 = 343 (the degree-3
+    compound on the dense tensor, in the stars of d phi), taken over S plus the
+    magnitude of Besse's formula (`conftest.scal_magnitude`, whose longest
+    chain of sums is 114 deep), and the metric's own error, which moves both
+    sides, enters through cond(g).
     """
     got = scal_from_torsion(G)
+    units, prunes = _contraction_units(G)
+    terms = star_torsion_terms(G)
+    for new, old, unit, prune in zip(_contraction_terms(G), (terms[0],) + terms[2:], units,
+                                     prunes):
+        assert abs(new - old) <= CONTRACTION_BOUND * U * unit + prune
+    star = star_scal_from_torsion(G)
+    weighted = 12.0 * units[0] + 30.0 * abs(terms[1]) + 0.5 * (units[1] + units[2])
+    assert abs(got - star) <= CONTRACTION_BOUND * U * weighted + 0.5 * (prunes[1] + prunes[2])
+
     size = _torsion_term_sizes(G)
     d6 = np.linalg.norm(G.algebra.diff_matrix(6), 2)
     prune = 12.0 * ((np.sqrt(7.0) * d6 + 1.0) * PRUNE_TOL / G.metric.sqrt_det + PRUNE_TOL)
-    assert abs(got - kform_scal_from_torsion(G)) <= prune + 4.0 * EPS * size
-    scal = scalar_curvature(G.algebra, G.metric)
-    trace = float(np.sum(np.abs(G.metric.inverse) * np.abs(ricci(G.algebra, G.metric))))
-    bound = np.linalg.cond(G.metric.g) * 343 * EPS * (size + trace)
-    assert abs(got - scal) <= bound
+    assert abs(star - kform_scal_from_torsion(G)) <= prune + 4.0 * EPS * size
+    m = G.metric
+    scal = scalar_curvature(G.algebra, m)
+    magnitude = scal_magnitude(G.algebra, np.abs(m.g), np.abs(m.inverse))
+    assert abs(got - scal) <= np.linalg.cond(m.g) * 343 * EPS * (size + magnitude)
 
 
 class TestScalFromTorsionOnVectors:

@@ -17,7 +17,7 @@ from g2lab.liealg import _derivation_indices, _diff_table
 from conftest import form_strategy, metric_strategy
 from oracles import (brute_hodge, brute_inner, brute_interior, brute_wedge, compound_inner,
                      compound_matrix, compound_star, dict_wedge, interior, loop_complement_data,
-                     loop_dense_tables, loop_wedge_table)
+                     loop_dense_tables, loop_wedge_table, transposed_view_compound_dense)
 
 PHI_STD = catalog("std_g2").forms["phi"]
 I7 = Metric.identity(7)
@@ -369,6 +369,25 @@ def test_compound_results_are_the_gathered_tensor(dim):
                               _compound_dense(M, _dense(v, dim, degree), degree)[flat])
     for degree in (0, 1):
         assert np.array_equal(_dense_tables(dim, degree)[3], np.arange(dim ** degree))
+
+
+@pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
+def test_compound_matches_the_transposed_view_kernel(dim):
+    """`_compound_dense`, whose last product reads M^T as a contiguous copy,
+    bit for bit against the same kernel on the transposed view
+    (`oracles.transposed_view_compound_dense`), for a general and a symmetric
+    M in every degree >= 2 whose dense tensor has at most 10^6 entries: every
+    degree up to dimension 7 and up to degree 6 beyond, past dim / 2, the
+    highest degree a star or inner product takes."""
+    rng = np.random.default_rng(200 + dim)
+    a = rng.standard_normal((dim, dim))
+    for degree in range(2, dim + 1):
+        if dim ** degree > 10 ** 6:
+            break
+        t = _dense(rng.standard_normal(len(multi_indices(dim, degree))), dim, degree)
+        for M in (a, a @ a.T + np.eye(dim)):
+            assert np.array_equal(_compound_dense(M, t, degree),
+                                  transposed_view_compound_dense(M, t, degree))
 
 
 @pytest.mark.parametrize("dim", range(1, 8))

@@ -23,7 +23,7 @@ from g2lab.g2core import (G2Structure, PositivityError, _closed_phi_laplacian, p
 from g2lab.inputfmt import parse_document
 from g2lab.liealg import ce_diff
 
-from conftest import CLOSED_CATALOG, closed_perturbation, positive_3form_strategy
+from conftest import CLOSED_CATALOG, closed_perturbation, positive_3form_strategy, scal_magnitude
 from oracles import brute_hodge, codifferential, dense, metric_star_laplacian, perm_sign
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -349,17 +349,6 @@ def _delta_phi_magnitudes(algebra, v, g, ginv):
     return psi, delta, float(delta @ _magnitude(ginv, _dense(delta, 7, 2), 2, flat2))
 
 
-def _scal_magnitude(algebra, g, ginv):
-    """`curvature.scalar_curvature`'s formula with every term counted positive."""
-    n, c = 7, np.abs(algebra.bracket)
-    bg = c @ g
-    gamma = 0.5 * (bg + bg.transpose(2, 0, 1) + bg.transpose(1, 2, 0)) @ ginv.T
-    ric = (gamma @ np.einsum("imi->m", gamma)
-           + gamma.reshape(n, n * n) @ gamma.transpose(2, 0, 1).reshape(n * n, n)
-           + c.transpose(1, 2, 0).reshape(n, n * n) @ gamma.transpose(0, 2, 1).reshape(n * n, n))
-    return float(np.trace(ginv @ (ric + ric.T) / 2.0))
-
-
 def _tau1_bound(g, sqrt_det, v, dphi):
     """|tau1| = |1/12 star_6(star_4(d phi) ^ phi)| <= 1/12 (|g|^4 / det g) sqrt(20)
     |phi| |d phi|: a 4-form star is C_3(g) / sqrt(det g) (norm |g|^3 / sqrt(det g)),
@@ -435,8 +424,11 @@ def _assert_scal_identity(algebra, state, v):
     The two sides share only the metric (g, g^-1); the identity holds for the
     exact metric of phi and exact d phi = 0.  First-order terms, |.| the
     formulas on absolute values:
-      * rounding of scal: gamma_98 |scal| (Gamma: 16 terms deep, Ric: twice
-        that plus 52, the trace of g^-1 Ric: 14);
+      * rounding of scal: gamma_114 |scal| (Besse's formula,
+        `conftest.scal_magnitude`: |mu|_g^2 raises two indices, 7 terms deep
+        each, pairs with the bracket over 49 and contracts with g over 49,
+        112; the Killing term 49 + 1 + 49 and the trace term 6 + 7 + 7 are
+        shallower; two sums combine the three);
       * rounding of tau2_norm^2: gamma_178 |delta phi|_g^2 / 2 (delta phi twice
         gamma_70, the quadratic form gamma_35, root and square 3 u);
       * the metric's own error: B within gamma_99 |A| |C| |A|^T / 4, Cholesky
@@ -466,7 +458,7 @@ def _assert_scal_identity(algebra, state, v):
     Ei = eps_i * np.linalg.norm(ginv, 2) * np.ones((n, n))
 
     def side_magnitudes(gm, im):
-        return _scal_magnitude(algebra, gm, im), _delta_phi_magnitudes(algebra, v, gm, im)[2]
+        return scal_magnitude(algebra, gm, im), _delta_phi_magnitudes(algebra, v, gm, im)[2]
 
     scal_mag, q = side_magnitudes(np.abs(g), np.abs(ginv))
     scal_up, q_up = side_magnitudes(np.abs(g) + E, np.abs(ginv) + Ei)
@@ -478,7 +470,7 @@ def _assert_scal_identity(algebra, state, v):
     ng, ni = np.linalg.norm(np.abs(g), 2), np.linalg.norm(ginv, 2)
     torsion = (12.0 * np.linalg.norm(algebra.diff_matrix(6), 2) * ni * tau1
                + t * ni * ng ** 2 * 4.0 * math.sqrt(5.0) * tau1 * np.linalg.norm(psi))
-    bound = (_gamma(98) * scal_mag + _gamma(178) * q / 2.0
+    bound = (_gamma(114) * scal_mag + _gamma(178) * q / 2.0
              + (scal_up - scal_mag) + (q_up - q) / 2.0 + torsion)
     assert abs(got + 0.5 * t * t) <= bound
 

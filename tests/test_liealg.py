@@ -12,7 +12,7 @@ from g2lab.liealg import (LieAlgebra, _derivation_equations, ce_diff, derivation
                           derivation_space, jacobi_residual)
 from g2lab.su3 import SU3Structure, g2_product
 
-from conftest import form_strategy, metric_strategy
+from conftest import SEMISIMPLE_PLUS_R4, form_strategy, metric_strategy, semisimple_plus_r4
 from oracles import codifferential, leibniz_diff_matrix, loop_derivation_equations
 
 N2 = catalog("n2").algebra
@@ -237,6 +237,28 @@ class TestBracketConventions:
         assert catalog("n6").algebra.lower_central_series_dims() == [7, 4, 2, 0]
         # the solvable extension is not nilpotent: the series stabilizes
         assert catalog("s_ext_h2").algebra.lower_central_series_dims()[-1] == 6
+
+    @pytest.mark.parametrize("name", catalog_names() + tuple(SEMISIMPLE_PLUS_R4))
+    def test_ad_traces(self, name):
+        # the Killing form tr(ad_i ad_j) and the trace vector tr ad_{e_i}, with
+        # (ad_i)_km = c_imk, against einsum; read-only, and h decides unimodularity
+        algebra = (semisimple_plus_r4(name) if name in SEMISIMPLE_PLUS_R4
+                   else catalog(name).algebra)
+        killing, h = algebra._ad_traces
+        c = algebra.bracket
+        want = np.einsum("imk,jkm->ij", c, c)
+        assert np.abs(killing - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+        assert np.array_equal(killing, killing.T)
+        assert np.array_equal(h, np.einsum("ijj->i", c))
+        assert not killing.flags.writeable and not h.flags.writeable
+        assert algebra.is_unimodular() == (name != "s_ext_h2")
+
+    def test_killing_forms_of_so3_and_sl2(self):
+        k_so3 = semisimple_plus_r4("so3+R4")._ad_traces[0]
+        k_sl2 = semisimple_plus_r4("sl2+R4")._ad_traces[0]
+        assert np.array_equal(k_so3[:3, :3], -2.0 * np.eye(3))
+        assert np.array_equal(k_sl2[:3, :3], [[8.0, 0.0, 0.0], [0.0, 0.0, 4.0], [0.0, 4.0, 0.0]])
+        assert not k_so3[3:].any() and not k_sl2[3:].any()
 
     def test_lower_central_series_every_catalog_entry(self):
         assert {name: catalog(name).algebra.lower_central_series_dims()

@@ -10,9 +10,10 @@ key on failure; a tau1 disagreement is the failure report's
 residuals.tau1_consistency, and `su3` keeps its SU(3) results when only its
 G2 product's torsion fails.  Reports go to stdout as JSON, normalised and
 written in one pass by one function (`_json`), with floats printed to 17
-significant digits.  An integral double is written as a JSON integer (1.0 as
-1, -0.0 as -0), so a reader gets every double back, -0.0 included, only if
-it parses numbers as doubles.
+significant digits.  A form lists its entries with |c| > PRUNE_TOL = 1e-13,
+and NaN: the one place a coefficient is cut.  An integral double is written
+as a JSON integer (1.0 as 1, -0.0 as -0), so a reader gets every double
+back, -0.0 included, only if it parses numbers as doubles.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from .su3 import SU3Structure, g2_product, su3_classify
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
+PRUNE_TOL = 1e-13
 
 _ORACLES = {
     "n2": (closed_form_n2, closed_form_n2_velocity),
@@ -56,13 +58,14 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _json(value, indent=""):
     """JSON text of a report value in the layout of `json.dumps(indent=2)`;
-    KForms, ndarrays (of floats), numpy scalars and tuples are normalised as
-    they are written, and floats have 17 significant digits, as
-    `format(x, ".17g")`: an integral double reads as an integer (1.0 as 1,
-    -0.0 as -0), which a reader that parses it as an int gets back as 0
-    without its sign."""
+    KForms (their entries not within PRUNE_TOL of 0), ndarrays (of floats),
+    numpy scalars and tuples are normalised as they are written, and floats
+    have 17 significant digits, as `format(x, ".17g")`: an integral double
+    reads as an integer (1.0 as 1, -0.0 as -0), which a reader that parses it
+    as an int gets back as 0 without its sign."""
     if isinstance(value, KForm):
-        value = {"e" + "".join(map(str, key)): c for key, c in value.items()}
+        value = {"e" + "".join(map(str, key)): c for key, c in value.items()
+                 if not abs(c) <= PRUNE_TOL}
     elif isinstance(value, np.ndarray):
         value = value.astype(float).tolist()
     if isinstance(value, (bool, np.bool_)):

@@ -1,9 +1,9 @@
 """Exterior algebra over a fixed basis e1..en, on coefficient vectors.
 
 A k-form is one read-only float vector over the strictly increasing 1-based
-index tuples of length k, in lexicographic order (`multi_indices`), with
-entries below PRUNE_TOL stored as zero.  Forms are immutable and all
-operations are pure functions, so values can be shared freely.
+index tuples of length k, in lexicographic order (`multi_indices`), holding
+every entry as computed.  Forms are immutable and all operations are pure
+functions, so values can be shared freely.
 
 Products scatter through cached COO tables (`wedge_table` for `_wedge_vec`;
 `interior_table`, its transpose, for `_interior_vec`).  The metric
@@ -27,7 +27,6 @@ from types import MappingProxyType
 import numpy as np
 
 MAX_DIM = 10
-PRUNE_TOL = 1e-13
 
 
 def sort_with_sign(indices):
@@ -174,8 +173,8 @@ class KForm:
     """Alternating form of fixed degree, stored as one read-only coefficient
     vector over `multi_indices(dim, degree)`.
 
-    Entries with |v| <= PRUNE_TOL, and NaN, are stored as +0.0; no -0.0 is
-    ever stored.  Dict input (`KForm(dim, k, {...})`, `basis`) is
+    Every entry is stored as given, NaN and roundoff included, except that
+    -0.0 is stored as +0.0.  Dict input (`KForm(dim, k, {...})`, `basis`) is
     canonicalized first: keys sorted with sign, repeated indices dropped,
     duplicates merged.  `coeffs` and `items` give the nonzero entries in
     index order.  Degrees above `dim` are allowed and necessarily empty,
@@ -199,8 +198,7 @@ class KForm:
         self._store(dim, degree, np.array(vec))
 
     def _store(self, dim, degree, vec):
-        # the prune keeps |v| > PRUNE_TOL only, so NaN and -0.0 become +0.0
-        vec = np.where(np.abs(vec) > PRUNE_TOL, vec, 0.0)
+        vec = vec + 0.0  # a copy, with -0.0 made +0.0
         vec.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "degree", degree)
@@ -221,7 +219,7 @@ class KForm:
     @classmethod
     def from_vector(cls, dim, degree, vec):
         """Form with coefficients `vec` over `multi_indices(dim, degree)`.  The
-        entries are copied and pruned; the input array is not kept."""
+        entries are copied; the input array is not kept."""
         _check_space(dim, degree)
         vec = np.asarray(vec, dtype=float)
         count = len(multi_indices(dim, degree))
@@ -261,15 +259,13 @@ class KForm:
         return float(np.max(np.abs(self._vec), initial=0.0))
 
     def is_zero(self, tol=0.0):
-        v = self._vec
-        return bool(np.all(np.abs(v[v != 0]) <= tol))
+        return bool(np.all(np.abs(self._vec) <= tol))
 
     def allclose(self, other, tol=1e-10):
-        """Every coefficient within `tol`, compared where either form is nonzero."""
+        """Every coefficient within `tol`."""
         if self.dim != other.dim or self.degree != other.degree:
             return False
-        a, b = self._vec, other._vec
-        return bool(np.all(np.abs(a - b)[(a != 0) | (b != 0)] <= tol))
+        return bool(np.all(np.abs(self._vec - other._vec) <= tol))
 
     def __eq__(self, other):
         if not isinstance(other, KForm):

@@ -57,10 +57,8 @@ class FlowOptions:
 
 @dataclass(frozen=True)
 class FlowState:
-    """A sampled point of a trajectory.  `phi` is the pruned KForm of the
-    integrated coefficient vector (`KForm.from_vector`); the diagnostics are
-    taken at that unpruned vector, which lies at most `exterior.PRUNE_TOL`
-    away from `phi` in each coefficient."""
+    """A sampled point of a trajectory: `phi` is the integrated coefficient
+    vector as a KForm, and the diagnostics are taken at it."""
     t: float
     phi: KForm
     diagnostics: dict
@@ -96,16 +94,15 @@ def _state(algebra, t, vec, point, closedness):
     kernel's `point` = ((g, g^-1, sqrt(det g)), delta phi, Laplacian) and
     |d phi| `closedness`.
 
-    All are taken at `vec` itself (the state's phi is its pruned KForm).  The
-    state's Metric is the one Metric the flow builds, from the kernel's
-    factors.  `volume_density` is its sqrt(det g), `scalar_curvature` its
-    `curvature.scalar_curvature` (Besse's formula: the bracket, the Killing
-    form and the trace vector contracted with g and g^-1), `laplacian_norm`
-    the Euclidean norm of the Laplacian's coefficients.  `tau2_norm` is
-    |delta phi|_g: on a closed phi, d star(phi) = tau2 ^ phi and
-    star(tau2 ^ phi) = -tau2 (Bryant), so delta phi = -star d star(phi) is
-    tau2 up to the orientation's sign and this is |tau2|_g; no G2Structure
-    or torsion is built.
+    All are taken at `vec`, the state's phi.  The state's Metric is the one
+    Metric the flow builds, from the kernel's factors.  `volume_density` is
+    its sqrt(det g), `scalar_curvature` its `curvature.scalar_curvature`
+    (Besse's formula: the bracket, the Killing form and the trace vector
+    contracted with g and g^-1), `laplacian_norm` the Euclidean norm of the
+    Laplacian's coefficients.  `tau2_norm` is |delta phi|_g: on a closed
+    phi, d star(phi) = tau2 ^ phi and star(tau2 ^ phi) = -tau2 (Bryant), so
+    delta phi = -star d star(phi) is tau2 up to the orientation's sign and
+    this is |tau2|_g; no G2Structure or torsion is built.
     """
     factors, delta_phi, lap = point
     metric = Metric._from_factors(*factors)

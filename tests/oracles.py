@@ -244,21 +244,15 @@ def brute_gram(phi_vec):
     """B_ij, the e^{1..7} coefficient of iota_i phi ^ iota_j phi ^ phi, from
     `brute_interior` and `brute_wedge`: the 4-form iota_i phi ^ iota_j phi
     by the alternation sum, and its top coefficient against phi by
-    bilinearity, through the brute-force wedges of basis forms in `_top_pairing`.
-
-    The forms are built from phi times 2^k, which puts its largest
-    coefficient near 2^100, so the KForm prune (1e-13 absolute) drops
-    nothing above ~1e-43 of it; a power of two scales every rounding
-    exactly, and B is cubic in phi, so B is divided by 2^{3k} at the end."""
-    k = 100 - math.frexp(float(np.abs(phi_vec).max(initial=0.0)))[1]
-    phi = KForm.from_vector(7, 3, np.ldexp(phi_vec, k))
+    bilinearity, through the brute-force wedges of basis forms in `_top_pairing`."""
+    phi = KForm.from_vector(7, 3, phi_vec)
     iota = [brute_interior(e, phi) for e in np.eye(7)]
     top = _top_pairing(7, 4) @ phi.to_vector()
     B = np.empty((7, 7))
     for i in range(7):
         for j in range(i, 7):
             B[i, j] = B[j, i] = brute_wedge(iota[i], iota[j]).to_vector() @ top
-    return np.ldexp(B, -3 * k)
+    return B
 
 
 def brute_hodge(metric, a):
@@ -273,20 +267,15 @@ def brute_hodge(metric, a):
 def loop_hitchin_j(psi):
     """(J, lambda) of a stable 3-form in dimension 6, one basis vector at a
     time: K[i, j] = (-1)^i times the e^{1..6 - (i+1)} coefficient of
-    iota_{e_j} psi ^ psi, with the brute-force interior and the dict wedge.
-
-    The loops run on psi / s, s its largest coefficient, so that the KForm
-    prune of the intermediate forms stays below 1e-13 relative at any scale;
-    J is scale-invariant and lambda = s^4 lambda(psi / s)."""
-    s = psi.sup_norm()
+    iota_{e_j} psi ^ psi, with the brute-force interior and the dict wedge."""
     K = np.zeros((6, 6))
     full = tuple(range(1, 7))
     for j in range(6):
-        mu = dict_wedge(brute_interior(np.eye(6)[j], psi / s), psi / s)
+        mu = dict_wedge(brute_interior(np.eye(6)[j], psi), psi)
         for i in range(6):
             K[i, j] = ((-1.0) ** i) * mu.coefficient(full[:i] + full[i + 1:])
     lam = float(np.trace(K @ K)) / 6.0
-    return K / np.sqrt(-lam), s ** 4 * lam
+    return K / np.sqrt(-lam), lam
 
 
 def loop_psi_hat(psi, J):
@@ -509,8 +498,8 @@ def transposed_view_compound_dense(M, t, degree):
 
 def kform_scal_from_torsion(structure):
     """12 delta(tau1) + 21/8 tau0^2 + 30 |tau1|^2 - 1/2 |tau2|^2 - 1/2 |tau3|^2
-    on KForms: `codifferential` of tau1 (two `hodge_star`s and `ce_diff`, each
-    result pruned) and three `form_inner` calls."""
+    on KForms: `codifferential` of tau1 (two `hodge_star`s and `ce_diff`) and
+    three `form_inner` calls."""
     t = torsion_forms(structure)
     delta_tau1 = codifferential(structure.algebra, structure.metric, t.tau1).coefficient(())
     return (12.0 * delta_tau1

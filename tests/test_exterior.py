@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
-from g2lab.exterior import (MAX_DIM, PRUNE_TOL, KForm, Metric, _complement, _complement_gather,
+from g2lab.exterior import (MAX_DIM, KForm, Metric, _complement, _complement_gather,
                             _compound_apply, _compound_dense, _dense, _dense_tables,
                             _index_arrays, _inner, _interior_vec, _line_positions,
                             complement_data, form_inner, hodge_star, index_positions,
@@ -32,8 +32,16 @@ class TestKForm:
     def test_repeated_index_drops(self):
         assert KForm(7, 2, {(3, 3): 5.0}).is_zero()
 
-    def test_pruning(self):
-        assert KForm(7, 1, {(1,): 1e-14}).is_zero()
+    def test_small_entries_are_kept(self):
+        src = np.array([1e-20, -1e-20, math.nan, -0.0, 0.0, 5e-324, -1e-300])
+        form = KForm.from_vector(7, 1, src)
+        v = form.to_vector()
+        assert not np.shares_memory(v, src)
+        assert v.tolist()[:2] == [1e-20, -1e-20] and math.isnan(v[2])
+        assert v.tolist()[5:] == [5e-324, -1e-300]
+        assert not np.signbit(v[3]) and not np.signbit(v[4])
+        assert list(form.coeffs) == [(1,), (2,), (3,), (6,), (7,)]
+        assert not KForm(7, 1, {(1,): 1e-20}).is_zero()
 
     def test_vector_round_trip(self):
         vec = PHI_STD.to_vector()
@@ -42,7 +50,7 @@ class TestKForm:
     @pytest.mark.parametrize("seed", range(5))
     def test_from_vector_matches_canonical_constructor(self, seed):
         rng = np.random.default_rng(seed)
-        edge = [PRUNE_TOL, -PRUNE_TOL, 2 * PRUNE_TOL, -2 * PRUNE_TOL, -0.0, math.nan]
+        edge = [1e-13, -1e-13, 1e-20, -5e-324, -0.0, math.nan]
         for dim in range(1, 8):
             for k in range(dim + 1):
                 keys = multi_indices(dim, k)
@@ -53,7 +61,8 @@ class TestKForm:
                 got = KForm.from_vector(dim, k, vec)
                 want = KForm(dim, k, dict(zip(keys, vec)))
                 assert (got.dim, got.degree) == (dim, k)
-                assert dict(got.coeffs) == dict(want.coeffs)
+                # bit for bit: NaN is stored, and NaN != NaN in a dict compare
+                assert got.to_vector().tobytes() == want.to_vector().tobytes()
                 assert list(got.coeffs) == list(want.coeffs)
 
     def test_from_vector_rejects_bad_input(self):
@@ -89,8 +98,8 @@ class TestKForm:
         assert form.to_vector().tobytes() == before
         assert form.coefficient((1,)) == 1.0
 
-    @pytest.mark.parametrize("value", [PRUNE_TOL, -PRUNE_TOL, 2 * PRUNE_TOL, -2 * PRUNE_TOL,
-                                       math.nan, -0.0, 0.0, math.inf, -1.5])
+    @pytest.mark.parametrize("value", [1e-13, -1e-13, 2e-13, -2e-13, math.nan, -0.0, 0.0,
+                                       math.inf, -1.5])
     def test_dict_and_vector_construction_agree_bit_for_bit(self, value):
         for dim, degree in ((7, 3), (6, 2), (4, 0), (3, 5)):
             keys = multi_indices(dim, degree)
@@ -273,7 +282,7 @@ class TestInterior:
 
     @pytest.mark.parametrize("degree", range(1, 8))
     def test_interior_vec_against_dense_contraction(self, degree):
-        # the unpruned scatter that `_torsion` calls, against the dense contraction
+        # the scatter that `_torsion` calls, against the dense contraction
         rng = np.random.default_rng(degree)
         for _ in range(5):
             v = rng.uniform(-2.0, 2.0, 7)
@@ -534,6 +543,14 @@ class TestMetric:
         assert g.positive_definite
         np.testing.assert_allclose(g.inverse, ref.inverse / scale, rtol=1e-13)
         assert math.isclose(g.sqrt_det, ref.sqrt_det * scale ** 3.5, rel_tol=1e-13)
+
+    def test_star_at_small_scale(self):
+        # star(e^1) = sqrt(det g) g^11 e^{234567} = 1e-175 * 1e50 e^{234567}:
+        # a correct result that only an absolute cut would drop
+        got = hodge_star(Metric(1e-50 * np.eye(7)), KForm.basis(7, (1,)))
+        want = 1e-125 * KForm.basis(7, range(2, 8))
+        assert got.allclose(want, tol=4 * np.finfo(float).eps * 1e-125)
+        assert not got.is_zero()
 
     def test_singular_has_no_inverse(self):
         assert Metric(np.diag([1.0, 0.0, 2.0])).inverse is None

@@ -19,11 +19,15 @@ is recorded as exit code 1, as the interpreter would exit, and named on
 stderr. Scratch files live in a temporary directory written `<tmp>` in the
 record.
 
-The second form prints how many reports are byte-identical and, for each one
-that is not, the largest relative difference of its numeric leaves outside
-`residuals` and, apart, the largest absolute difference of its `residuals.*`
-leaves: a residual is roundoff itself, so a relative change of it says
-nothing about the results. It exits 1 when any report differs.
+The second form prints how many reports are byte-identical and how many are
+equal in value: the same exit code and the same leaves, numbers equal as
+doubles (NaN equal to NaN, an integer equal to the double it writes) and
+other leaves equal, so that two JSON writers of the same values agree. For
+each report that differs in value it prints the largest relative difference
+of its numeric leaves outside `residuals` and, apart, the largest absolute
+difference of its `residuals.*` leaves: a residual is roundoff itself, so a
+relative change of it says nothing about the results. It exits 1 when a
+report differs in value or is in one record only.
 """
 import argparse
 import contextlib
@@ -182,6 +186,24 @@ def _difference(a, b, relative):
     return d if math.isfinite(d) else math.inf
 
 
+def equal_in_value(a, b):
+    """Whether reports `a` and `b` have the same exit code and the same leaves,
+    numbers equal as doubles; stdout that is not JSON must be the same text."""
+    try:
+        left, right = (dict(_leaves(json.loads(x[1]))) for x in (a, b))
+    except json.JSONDecodeError:
+        return a == b
+    return a[0] == b[0] and left.keys() == right.keys() and all(
+        _same_leaf(left[k], right[k]) for k in left)
+
+
+def _same_leaf(x, y):
+    """Numbers equal as doubles, NaN equal to NaN; other leaves equal."""
+    if _is_number(x) and _is_number(y):
+        return _difference(x, y, False) == 0.0
+    return not (_is_number(x) or _is_number(y)) and x == y
+
+
 def describe(a, b):
     """One line on how report `b` differs from report `a`."""
     line = f"exit {a[0]} -> {b[0]}"
@@ -196,7 +218,7 @@ def describe(a, b):
     res = [_difference(left[k], right[k], False) for k in residual]
     other = sum(1 for k in left.keys() | right.keys()
                 if not (_is_number(left.get(k)) and _is_number(right.get(k)))
-                and left.get(k, ()) != right.get(k, ()))
+                and not _same_leaf(left.get(k, ()), right.get(k, ())))
     return line + f", largest relative difference {max(rel, default=0.0):.3g} outside " \
                   f"residuals, largest absolute difference {max(res, default=0.0):.3g} " \
                   f"in residuals, {other} non-numeric leaves differ"
@@ -206,14 +228,15 @@ def diff(path_a, path_b):
     a = json.loads(pathlib.Path(path_a).read_text())
     b = json.loads(pathlib.Path(path_b).read_text())
     same = sum(1 for argv in a if b.get(argv) == a[argv])
+    equal = sum(1 for argv in a if argv in b and equal_in_value(a[argv], b[argv]))
     argvs = list(a) + [argv for argv in b if argv not in a]
-    print(f"{same} of {len(argvs)} reports identical")
+    print(f"{same} of {len(argvs)} reports identical, {equal} equal in value")
     for argv in argvs:
         if argv not in a or argv not in b:
             print(f"{argv}: only in {path_a if argv in a else path_b}")
-        elif a[argv] != b[argv]:
+        elif not equal_in_value(a[argv], b[argv]):
             print(f"{argv}: {describe(a[argv], b[argv])}")
-    return 0 if same == len(a) == len(b) else 1
+    return 0 if equal == len(a) == len(b) else 1
 
 
 def main():

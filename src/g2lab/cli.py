@@ -8,12 +8,12 @@ torsion equations).  Every report, failures included, has the keys command,
 input, results, residuals and tolerances in that order, and a final error
 key on failure; a tau1 disagreement is the failure report's
 residuals.tau1_consistency, and `su3` keeps its SU(3) results when only its
-G2 product's torsion fails.  Reports go to stdout as JSON, normalised and
-written in one pass by one function (`_json`), with floats printed to 17
-significant digits.  A form lists its entries with |c| > PRUNE_TOL = 1e-13,
-and NaN: the one place a coefficient is cut.  An integral double is written
-as a JSON integer (1.0 as 1, -0.0 as -0), so a reader gets every double
-back, -0.0 included, only if it parses numbers as doubles.
+G2 product's torsion fails.  Reports go to stdout as `json.dumps(report,
+indent=2)`, whose one normaliser `_plain` turns KForms, ndarrays and numpy
+scalars into plain values; floats are written as `repr`, the shortest text
+that reads back as the same double (1.0 as 1.0, -0.0 as -0.0).  A form lists
+its entries with |c| > PRUNE_TOL = 1e-13, and NaN: the one place a
+coefficient is cut.
 """
 from __future__ import annotations
 
@@ -52,41 +52,22 @@ class ValidationFailure(Exception):
     """A failure reported as a JSON error with exit code 2."""
 
 
-# JSON's spellings of the non-finite floats, keyed by their ".17g" text
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json(value, indent=""):
-    """JSON text of a report value in the layout of `json.dumps(indent=2)`;
-    KForms (their entries not within PRUNE_TOL of 0), ndarrays (of floats),
-    numpy scalars and tuples are normalised as they are written, and floats
-    have 17 significant digits, as `format(x, ".17g")`: an integral double
-    reads as an integer (1.0 as 1, -0.0 as -0), which a reader that parses it
-    as an int gets back as 0 without its sign."""
+def _plain(value):
+    """A report value that `json` cannot write, as one it can: a KForm as its
+    entries not within PRUNE_TOL of 0, an ndarray as nested lists of floats,
+    a numpy scalar as the Python number it holds."""
     if isinstance(value, KForm):
-        value = {"e" + "".join(map(str, key)): c for key, c in value.items()
-                 if not abs(c) <= PRUNE_TOL}
-    elif isinstance(value, np.ndarray):
-        value = value.astype(float).tolist()
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        text = format(float(value), ".17g")
-        return _NON_FINITE.get(text, text)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{inner}{json.dumps(str(k))}: {_json(v, inner)}" for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [inner + _json(v, inner) for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
-    return json.dumps(value)
+        return {"e" + "".join(map(str, key)): c for key, c in value.items()
+                if not abs(c) <= PRUNE_TOL}
+    if isinstance(value, np.ndarray):
+        return value.astype(float).tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not a report value")
 
 
 def emit(report):
-    print(_json(report))
+    print(json.dumps(report, indent=2, default=_plain))
 
 
 def _body(doc, source, results=None, residuals=None, **tolerances):

@@ -70,10 +70,6 @@ class FlowTrajectory:
     termination: str
 
     @property
-    def times(self):
-        return [s.t for s in self.states]
-
-    @property
     def final(self):
         return self.states[-1]
 

@@ -20,13 +20,13 @@ kept on the structure; the tau1 consistency check is applied on every call.
 homogeneous flow (J. Lauret, Laplacian flow of homogeneous G2-structures and
 its solitons, Proc. LMS 2017) as one kernel; `G2Structure.laplacian_vec` and
 the flow oracle use it.  On closed forms delta d phi = 0, so the flow's
-right-hand side `_closed_phi_laplacian` evaluates only the d delta phi half
-from the same metric factors and codifferential (`_phi_codifferential`),
-builds no Metric, and hands the factors and delta phi on to the flow's
-sampled states.  Most of an evaluation is `_phi_metric`: B from one gather
-of phi (`_phi_views`), numpy's `cholesky` and `inv` of a 7 x 7 matrix, much
-of whose cost is their Python wrappers, and star(phi) / sqrt(det g), the one
-star of phi that `G2Structure` and `_phi_codifferential` read.  ROADMAP's
+right-hand side `_closed_phi_laplacian` evaluates only the d delta phi half,
+which `phi_laplacian` completes with delta d phi; it builds no Metric, and
+hands its metric factors and delta phi on to the flow's sampled states.
+Most of an evaluation is `_phi_metric`: B from one gather of phi
+(`_phi_views`), numpy's `cholesky` and `inv` of a 7 x 7 matrix, much of
+whose cost is their Python wrappers, and star(phi) / sqrt(det g), the one
+star of phi that `G2Structure` and `_closed_phi_laplacian` read.  ROADMAP's
 per-call table has the measured times.
 """
 from __future__ import annotations
@@ -167,24 +167,10 @@ def _codifferential_table():
     return _read_only(minus, flat)
 
 
-def _phi_codifferential(algebra, phi_vec):
-    """((g, g^-1, sqrt(det g)), delta phi) of a 3-form's coefficients, delta
-    phi = -star d star phi."""
-    if algebra.dim != 7:
-        raise ValueError("G2 structures need a 7-dimensional algebra")
-    star_phi, _, _, factors = _phi_metric(phi_vec)
-    g = factors[0]
-    minus, flat = _codifferential_table()
-    # star_phi is star(phi) / sqrt(det g); the 5-form star is C_2(g) on the
-    # signed complement over sqrt(det g), so the two factors cancel
-    t = (minus @ (algebra.diff_matrix(4) @ star_phi)).reshape(7, 7)
-    return factors, (g @ t @ g).reshape(-1)[flat]  # g is symmetric: C_2(g) t = g t g
-
-
 def _closed_phi_laplacian(algebra, phi_vec):
     """((g, g^-1, sqrt(det g)), delta phi, d delta phi) of a 3-form's
-    coefficients; d delta phi is the Hodge Laplacian of a closed 3-form, where
-    delta d phi = 0.
+    coefficients, delta phi = -star d star phi; d delta phi is the Hodge
+    Laplacian of a closed 3-form, where delta d phi = 0.
 
     The right-hand side of the flow: the metric factors with star(phi) (one
     gather of phi, one Cholesky factorisation, one inverse, one compound
@@ -194,7 +180,15 @@ def _closed_phi_laplacian(algebra, phi_vec):
     the factors and delta phi of their point.  Raises PositivityError as
     `phi_laplacian` does.
     """
-    factors, delta_phi = _phi_codifferential(algebra, phi_vec)
+    if algebra.dim != 7:
+        raise ValueError("G2 structures need a 7-dimensional algebra")
+    star_phi, _, _, factors = _phi_metric(phi_vec)
+    g = factors[0]
+    minus, flat = _codifferential_table()
+    # star_phi is star(phi) / sqrt(det g); the 5-form star is C_2(g) on the
+    # signed complement over sqrt(det g), so the two factors cancel
+    t = (minus @ (algebra.diff_matrix(4) @ star_phi)).reshape(7, 7)
+    delta_phi = (g @ t @ g).reshape(-1)[flat]  # g is symmetric: C_2(g) t = g t g
     return factors, delta_phi, algebra.diff_matrix(2) @ delta_phi
 
 
@@ -202,21 +196,19 @@ def phi_laplacian(algebra, phi_vec):
     """Coefficients of the Hodge Laplacian d delta phi + delta d phi of a 3-form.
 
     Works on the 35 coefficients of phi alone, in the metric phi induces; raises
-    PositivityError when phi is not a positive form.  One evaluation costs the
-    metric (`_phi_metric`: B, one Cholesky and one inverse of a 7 x 7 matrix,
-    star(phi)), delta phi (`_phi_codifferential`), the two 4-form stars of
-    delta d phi (each a complement, then the compound of g) and four products
-    with the differential matrices.  `G2Structure.laplacian_vec` and
-    the flow oracle use this full operator; `flow_integrate`, whose states are
-    closed, evaluates only its d delta phi half (`_closed_phi_laplacian`).
+    PositivityError when phi is not a positive form.  It adds delta d phi, two
+    4-form stars (each a complement, then the compound of g), to the d delta
+    phi of `_closed_phi_laplacian`, the half that `flow_integrate`, whose
+    states are closed, evaluates alone.  `G2Structure.laplacian_vec` and the
+    flow oracle use this full operator.
     """
-    (g, _, sqrt_det), delta_phi = _phi_codifferential(algebra, phi_vec)
+    (g, _, sqrt_det), _, d_delta_phi = _closed_phi_laplacian(algebra, phi_vec)
     d3 = algebra.diff_matrix(3)
     # delta d phi = star d star d phi; a 4-form star is C_3(g) on the signed
     # complement over sqrt(det g), so star_dphi is star(d phi) sqrt(det g)
     star_dphi = _compound_apply(g, _complement(d3 @ phi_vec, 7, 4), 3)
     delta_dphi = _compound_apply(g, _complement(d3 @ star_dphi, 7, 4), 3) / (sqrt_det * sqrt_det)
-    return algebra.diff_matrix(2) @ delta_phi + delta_dphi
+    return d_delta_phi + delta_dphi
 
 
 class G2Structure:

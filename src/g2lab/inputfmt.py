@@ -15,9 +15,10 @@ Grammar (whitespace-insensitive):
 Monomial indices need not be increasing: they are sorted with the
 permutation sign.  A repeated index or an index above the dimension is an
 error.  Unlisted basis differentials default to zero.  Coefficients are
-evaluated to floats at parse time; the formatter emits them as shortest
-round-trip decimals, so canonical documents survive parse/format cycles
-bit-identically.
+evaluated to floats at parse time, and a term whose coefficient, or the sum
+of its monomial's coefficients so far, is not a finite double is an error;
+the formatter emits them as shortest round-trip decimals, so canonical
+documents survive parse/format cycles bit-identically.
 """
 from __future__ import annotations
 
@@ -162,22 +163,26 @@ class _Parser:
         return InputDocument(algebra, forms)
 
     def expr(self, dim):
-        sign = 1.0
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in "+-":
-            self.next()
-            sign = -1.0 if tok.text == "-" else 1.0
-        coeff, key, degree = self.term(dim)
-        total = {key: sign * coeff}
-        result_degree = degree
-        while self.peek().kind == "punct" and self.peek().text in "+-":
-            op = self.next()
-            sign = -1.0 if op.text == "-" else 1.0
+        start, total, result_degree = self.peek(), {}, None
+        while True:  # a sign before the first term is optional, before the others not
+            op, sign = self.peek(), 1.0
+            if op.kind == "punct" and op.text in "+-":
+                self.next()
+                sign = -1.0 if op.text == "-" else 1.0
+            elif result_degree is not None:
+                break
+            tok = self.peek()
             coeff, key, degree = self.term(dim)
-            if degree != result_degree:
+            if result_degree not in (None, degree):
                 self.fail(f"mixed degrees {result_degree} and {degree} in one expression", op)
+            result_degree = degree
             total[key] = total.get(key, 0.0) + sign * coeff
-        return KForm(dim, result_degree, total)
+            if not math.isfinite(total[key]):  # the coefficient, or the running sum
+                self.fail(f"coefficient of e{''.join(map(str, key))} is not a finite double", tok)
+        form = KForm(dim, result_degree, total)
+        if not math.isfinite(form.sup_norm()):  # one monomial in two index orders
+            self.fail("a coefficient is not a finite double once monomials are sorted", start)
+        return form
 
     def term(self, dim):
         coeff = 1.0
@@ -212,7 +217,7 @@ class _Parser:
             if "." in arg.text:
                 self.fail("sqrt takes an integer argument", arg)
             self.expect("punct", ")")
-            value = math.sqrt(int(arg.text))
+            value = math.sqrt(float(arg.text))  # as of int(arg.text), with no digit limit
         else:
             self.fail(f"expected a coefficient, found {tok.text!r}", tok)
         if self.peek().kind == "punct" and self.peek().text == "/":
@@ -260,6 +265,8 @@ def format_form(form):
     parts = []
     for key, value in form.items():
         mono = "e" + "".join(map(str, key))
+        if not math.isfinite(value):
+            raise ValueError(f"{mono} has the non-finite coefficient {value}")
         mag = abs(value)
         body = mono if mag == 1.0 else f"{_format_number(mag)} {mono}"
         if not parts:

@@ -86,8 +86,7 @@ class LieAlgebra:
         dims = [n]
         while True:
             prods = np.einsum("ijk,ja->iak", self.bracket, current).reshape(n * current.shape[1], n)
-            _, s, vh = np.linalg.svd(prods, full_matrices=False)
-            rank = int((s > _RANK_CUTOFF * max(1.0, s[0])).sum())
+            rank, vh = _rank(prods)
             dims.append(rank)
             if rank == 0 or rank == dims[-2]:
                 break
@@ -161,11 +160,12 @@ def _derivation_equations(algebra):
     return eqs.reshape(len(i) * n, n * n)
 
 
-def _null_space(mat):
-    """Orthonormal null-space basis of `mat` as rows, with singular-value cutoff
-    `_RANK_CUTOFF * max(s0, 1)`; the SVD is full when a thin one would lose null vectors."""
+def _rank(mat):
+    """(rank, vh) of `mat` by its SVD, counting the singular values above
+    `_RANK_CUTOFF * max(s0, 1)`; the rows of vh past the rank are an orthonormal
+    null-space basis, as the SVD is full when a thin one would lose some."""
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    return vh[int((s > _RANK_CUTOFF * max(s[0] if s.size else 0.0, 1.0)).sum()):]
+    return int((s > _RANK_CUTOFF * max(s[0] if s.size else 0.0, 1.0)).sum()), vh
 
 
 def _derivation_basis(algebra):
@@ -173,7 +173,8 @@ def _derivation_basis(algebra):
     array (row-major n x n matrices): the null space of the derivation
     equations, which are linear in the entries of D."""
     eqs = _derivation_equations(algebra)
-    return _null_space(eqs[np.any(eqs, axis=1)])  # a zero row constrains nothing
+    rank, vh = _rank(eqs[np.any(eqs, axis=1)])  # a zero row constrains nothing
+    return vh[rank:]
 
 
 def derivation_space(algebra):

@@ -18,7 +18,7 @@ from g2lab.exterior import (KForm, Metric, _inner, _interior_vec, _star, _wedge_
                             hodge_star, index_positions, multi_indices, sort_with_sign, wedge,
                             wedge_matrix)
 from g2lab.g2core import PositivityError, TorsionForms, TorsionSolveError, torsion_forms
-from g2lab.liealg import _RANK_CUTOFF, _null_space, ce_diff, derivation_space
+from g2lab.liealg import _RANK_CUTOFF, _rank, ce_diff, derivation_space
 from g2lab.su3 import SU3Class, hitchin_j
 
 
@@ -153,6 +153,12 @@ def kform_lee_form(structure):
     G = structure
     inner = wedge(hodge_star(G.metric, ce_diff(G.algebra, G.phi)), G.phi)
     return -0.25 * hodge_star(G.metric, inner)
+
+
+def _null_space(mat):
+    """Orthonormal null-space basis of `mat` as rows, past its `_rank`."""
+    rank, vh = _rank(mat)
+    return vh[rank:]
 
 
 def lambda2_14_basis(structure):

@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import json
 import math
 import pathlib
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2lab.catalog import catalog_names
-from g2lab.cli import PRUNE_TOL, _json, main
+from g2lab.cli import PRUNE_TOL, emit, main
 from g2lab.curvature import einstein_calibrated_residual
 from g2lab.exterior import KForm
 from g2lab.g2core import VANISH_TOL, G2Structure, classify
@@ -400,7 +402,7 @@ class TestVanishingTolerance:
 
 
 class TestFloatPrecision:
-    def test_seventeen_significant_digits(self, capsys):
+    def test_shortest_round_trip_digits(self, capsys):
         import re
 
         main(["torsion", "--catalog", "s_ext_h2"])
@@ -409,8 +411,8 @@ class TestFloatPrecision:
         value = report["results"]["tau1"]["e7"]
         assert value == pytest.approx(-1.0 / 3.0, abs=1e-14)
         literal = re.search(r'"e7": (-0\.\d+)', raw).group(1)
-        assert len(literal.lstrip("-0.")) >= 16   # 17 significant digits emitted
-        assert float(literal) == value            # lossless decimal round trip
+        assert literal == repr(value)             # the shortest text of the double
+        assert len(literal.lstrip("-0.")) >= 16   # all the digits a third needs
 
     def test_env_tolerance_override(self, capsys, monkeypatch):
         monkeypatch.setenv("G2_TOL", "1e-2")
@@ -435,15 +437,68 @@ def _leaves(value):
     return [value]
 
 
+def _emitted(report):
+    """The text `emit` prints for `report`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(report)
+    return out.getvalue()
+
+
+def _pairs(children):
+    """(report value, plain value) lists and dicts of (report, plain) children."""
+    def split(items):
+        return [r for r, _ in items], [p for _, p in items]
+
+    def split_dict(items):
+        return {k: r for k, (r, _) in items.items()}, {k: p for k, (_, p) in items.items()}
+
+    return (st.lists(children, max_size=4).map(split)
+            | st.dictionaries(st.text(max_size=6), children, max_size=4).map(split_dict))
+
+
+def _form_entries(values):
+    # the writer's one cut: a form's entries within PRUNE_TOL of 0
+    return {f"e{i}": x for i, x in enumerate(values, 1) if not abs(x) <= PRUNE_TOL}
+
+
+# (report value, the plain value json.dumps should see in its place): plain
+# JSON values as themselves, and the KForms, arrays and numpy scalars that
+# reports hold as their entries, nested lists of floats and Python numbers
+REPORT_LEAVES = st.one_of(
+    JSON_VALUES.map(lambda v: (v, v)),
+    st.floats().map(lambda x: (np.float64(x), x)),
+    st.floats(width=32).map(lambda x: (np.float32(x), x)),
+    st.integers(-2**63, 2**63 - 1).map(lambda i: (np.int64(i), i)),
+    st.integers(0, 255).map(lambda i: (np.uint8(i), i)),
+    st.booleans().map(lambda b: (np.bool_(b), b)),
+    st.lists(st.floats(), min_size=7, max_size=7).map(
+        lambda v: (KForm.from_vector(7, 1, v), _form_entries(v))),
+    st.lists(st.floats() | st.integers(-9, 9), max_size=5).map(
+        lambda v: (np.array(v, dtype=float), [float(x) for x in v])),
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=3).map(
+        lambda rows: (np.array(rows, dtype=np.int64).reshape(-1, 2),
+                      [[float(a), float(b)] for a, b in rows])),
+)
+
+
 class TestReportWriter:
     @settings(max_examples=200, deadline=None)
-    @given(JSON_VALUES)
-    def test_layout_is_json_dumps_indent_2(self, value):
-        assert _json(value) == json.dumps(value, indent=2)
+    @given(st.recursive(REPORT_LEAVES, _pairs, max_leaves=20))
+    def test_layout_is_json_dumps_indent_2(self, pair):
+        report, plain = pair
+        assert _emitted(report) == json.dumps(plain, indent=2) + "\n"
 
     def test_numpy_scalars_are_python_numbers(self):
-        value = {"int": np.int64(-3), "bool": np.bool_(False), "uint": np.uint8(7)}
-        assert _json(value) == json.dumps({"int": -3, "bool": False, "uint": 7}, indent=2)
+        report = {"int": np.int64(-3), "bool": np.bool_(False), "uint": np.uint8(7),
+                  "float32": np.float32(0.1), "float64": np.float64(-0.0)}
+        want = {"int": -3, "bool": False, "uint": 7, "float32": float(np.float32(0.1)),
+                "float64": -0.0}
+        assert _emitted(report) == json.dumps(want, indent=2) + "\n"
+
+    def test_other_values_are_rejected(self):
+        with pytest.raises(TypeError, match="object is not a report value"):
+            emit({"x": object()})
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(), min_size=7, max_size=7))
@@ -452,27 +507,26 @@ class TestReportWriter:
         report = {"floats": values, "numpy": [np.float64(x) for x in values],
                   "vector": np.array(values), "matrix": np.array([values, values[::-1]]),
                   "tuple": tuple(values), "form": form,
-                  "special": [math.nan, math.inf, -math.inf, np.float32(0.1)]}
+                  "special": [math.nan, math.inf, -math.inf, np.float32(0.1), -0.0, 1.0,
+                              np.float64(-0.0), 1e16]}
         want = {"floats": values, "numpy": values, "vector": values,
-                "matrix": [values, values[::-1]], "tuple": values,
-                # the writer's one cut: a form's entries within PRUNE_TOL of 0
-                "form": {f"e{i}": x for i, x in enumerate(values, 1)
-                         if not abs(x) <= PRUNE_TOL},
-                "special": [math.nan, math.inf, -math.inf, float(np.float32(0.1))]}
-        text = _json(report)
-        # each number is written as format(x, ".17g"), 17 significant digits
-        # with trailing zeros dropped, or as NaN / Infinity / -Infinity
+                "matrix": [values, values[::-1]], "tuple": values, "form": _form_entries(values),
+                "special": [math.nan, math.inf, -math.inf, float(np.float32(0.1)), -0.0, 1.0,
+                            -0.0, 1e16]}
+        text = _emitted(report)
+        # each number is written as repr(x), the shortest text that reads
+        # back as x, or as NaN / Infinity / -Infinity
         literals = json.loads(text, parse_float=str, parse_int=str, parse_constant=str)
         assert literals.keys() == want.keys()
         assert literals["form"].keys() == want["form"].keys()
         special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-        # an integral double is written as a JSON integer ("1", "-0"): reading
-        # numbers as doubles, as parse_int=float does, restores it and its sign
-        read = json.loads(text, parse_int=float)
-        assert len(_leaves(read)) == len(_leaves(want)) == 6 * 7 + len(want["form"]) + 4
+        # so a plain json.loads gives back every double, as a float, with its
+        # sign: an integral double such as 1.0 or -0.0 is not written as an integer
+        read = json.loads(text)
+        assert len(_leaves(read)) == len(_leaves(want)) == 6 * 7 + len(want["form"]) + 8
         for x, literal, back in zip(_leaves(want), _leaves(literals), _leaves(read)):
-            text_x = format(x, ".17g")
-            assert literal == special.get(text_x, text_x)
+            assert literal == special.get(repr(x), repr(x))
+            assert type(back) is float
             assert (math.isnan(x) and math.isnan(back)
                     or struct.pack("<d", back) == struct.pack("<d", x))
 

@@ -233,12 +233,13 @@ class TestClosedKernel:
         v = scale * entry.forms["phi"].to_vector()
         (g, inverse, sqrt_det), delta_phi, lap = _closed_phi_laplacian(entry.algebra, v)
         assert np.array_equal(lap, phi_laplacian(entry.algebra, v))
-        # the metric factors and delta phi it returns are those of the codifferential
-        (want_g, want_inverse, want_sqrt_det), want_delta = g2core_mod._phi_codifferential(
-            entry.algebra, v)
-        assert np.array_equal(delta_phi, want_delta)
-        assert np.array_equal(g, want_g) and np.array_equal(inverse, want_inverse)
-        assert sqrt_det == want_sqrt_det
+        # the metric factors it returns are the structure's, bit for bit, and
+        # delta phi is the codifferential taken through KForm stars
+        G = G2Structure(entry.algebra, KForm.from_vector(7, 3, v))
+        assert np.array_equal(g, G.metric.g) and np.array_equal(inverse, G.metric.inverse)
+        assert sqrt_det == G.metric.sqrt_det
+        want = codifferential(entry.algebra, G.metric, G.phi).to_vector()
+        assert np.abs(delta_phi - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(closed_perturbation())
@@ -265,17 +266,12 @@ class TestClosedKernel:
         phi0, n_steps, h = KForm.from_vector(7, 3, v0), 200, 1e-3
         assert np.count_nonzero(v0) > np.count_nonzero(phi)
         deltas, points, stages, gaps = [], [], [], []
-        real_codifferential = g2core_mod._phi_codifferential
-
-        def recorded_codifferential(algebra, v):
-            m, delta = real_codifferential(algebra, v)
-            deltas.append(np.linalg.norm(delta))
-            return m, delta
 
         def recorded(kernel):
             def rhs(algebra, v):
                 point = kernel(algebra, v)
                 points.append(v)
+                deltas.append(np.linalg.norm(point[1]))
                 stages.append(np.linalg.norm(point[2]))
                 return point
             return rhs
@@ -286,7 +282,6 @@ class TestClosedKernel:
             gaps.append(np.linalg.norm(lap - closed_lap))
             return m, delta_phi, lap
 
-        monkeypatch.setattr(g2core_mod, "_phi_codifferential", recorded_codifferential)
         monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", recorded(_closed_phi_laplacian))
         closed = flow_integrate(algebra, phi0, n_steps * h, h, FlowOptions(sample_every=n_steps))
         monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", recorded(full_laplacian))
@@ -496,7 +491,7 @@ class TestSampledStates:
     @pytest.mark.parametrize("name", CLOSED_CATALOG)
     def test_state_reads_the_codifferential(self, name):
         # each sampled state's metric factors and delta phi, which the kernel
-        # returned at its vector, against `_phi_codifferential` there afresh,
+        # returned at its vector, against `_closed_phi_laplacian` there afresh,
         # and its diagnostics against those fresh values
         entry, points, real = catalog(name), [], flow_mod._closed_phi_laplacian
 
@@ -511,8 +506,7 @@ class TestSampledStates:
                                   FlowOptions(sample_every=1))
         assert len(traj.states) == 4 and len(points) == 13
         for state, (v, ((g, inverse, sqrt_det), delta_phi, _)) in zip(traj.states, points[::4]):
-            (want_g, want_inverse, want_sqrt_det), want_delta = (
-                g2core_mod._phi_codifferential(entry.algebra, v))
+            (want_g, want_inverse, want_sqrt_det), want_delta, _ = real(entry.algebra, v)
             for got, want in ((g, want_g), (inverse, want_inverse), (delta_phi, want_delta)):
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
             d = state.diagnostics
@@ -614,7 +608,7 @@ class TestIntegration:
     def test_states_and_diagnostics(self):
         traj = flow_integrate(N2, closed_form_n2(0.0), 0.2, 1e-2,
                               FlowOptions(sample_every=5))
-        times = traj.times
+        times = [s.t for s in traj.states]
         assert times[0] == 0.0
         assert all(b > a for a, b in zip(times, times[1:]))
         for s in traj.states:

@@ -144,7 +144,7 @@ def _assert_star_phi_is_star(algebra, phi):
 
 class TestStarPhi:
     """The kept star(phi) is sqrt(det g) times `_phi_metric`'s star(phi) /
-    sqrt(det g), the one `_phi_codifferential` reads, and equals `_star` of phi
+    sqrt(det g), the one `_closed_phi_laplacian` reads, and equals `_star` of phi
     in the structure's metric bit for bit."""
 
     @pytest.mark.parametrize("name", G2_CATALOG)

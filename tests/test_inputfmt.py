@@ -74,6 +74,52 @@ class TestParseErrors:
         assert err.value.column == 10
 
 
+# a decimal past the largest double, which float() reads as inf
+HUGE = "1" + "0" * 400
+# a decimal a little above half the largest double: two of them sum past it
+HALF_MAX = "1" + "0" * 308
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("before,term", [
+        ("", f"{HUGE} e123"),
+        ("- ", f"{HUGE} e123"),
+        ("e124 + ", f"{HUGE} e123 - {HUGE} e123"),
+        ("", f"{HALF_MAX[:200]} * {HALF_MAX[:200]} e12"),
+        ("", f"{HALF_MAX} / 0.001 e12"),
+        ("", f"{HUGE} * 0 e12"),
+        ("", f"sqrt({HUGE}) e12"),
+        ("", f"sqrt(1{'0' * 5000}) e12"),
+        (f"{HALF_MAX} e12 + ", f"{HALF_MAX} e12"),
+    ], ids=["coefficient", "negated", "later_term", "product", "quotient", "times_zero",
+            "sqrt", "sqrt_past_int_digit_limit", "running_sum"])
+    def test_parse_error_at_the_term(self, before, term):
+        with pytest.raises(ParseError) as err:
+            parse_document(f"algebra {{ dim 7 }} form f {{ {before}{term} }}")
+        monomial = term.split()[-1]
+        assert str(err.value).endswith(f"coefficient of {monomial} is not a finite double")
+        assert (err.value.line, err.value.column) == (1, 28 + len(before))
+
+    def test_sum_of_one_monomial_in_two_index_orders(self):
+        # finite per written monomial, infinite once e21 is sorted to -e12
+        with pytest.raises(ParseError, match="not a finite double once monomials are sorted"):
+            parse_document(f"algebra {{ dim 7 }} form f {{ {HALF_MAX} e12 - {HALF_MAX} e21 }}")
+
+    def test_finite_extremes_parse(self):
+        doc = parse_document(f"algebra {{ dim 7 }} form f {{ {HALF_MAX} e12 - {HALF_MAX} e12 }}")
+        assert doc.forms["f"].is_zero()
+        doc = parse_document(f"algebra {{ dim 7 }} form f {{ sqrt({HALF_MAX}) e12 }}")
+        assert doc.forms["f"].coefficient((1, 2)) == math.sqrt(1e308)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_format_rejects_non_finite(self, value):
+        form = KForm(7, 3, {(1, 2, 4): 1.0, (1, 2, 3): value})
+        with pytest.raises(ValueError, match=f"e123 has the non-finite coefficient {value}"):
+            format_form(form)
+        with pytest.raises(ValueError, match="non-finite"):
+            format_document(InputDocument(catalog("n2").algebra, {"f": form}))
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", catalog_names())
     def test_catalog_round_trip_bit_identical(self, name):

@@ -8,9 +8,8 @@ solutions the maximum deviation is reported as well.
 import argparse
 import pathlib
 
-from g2lab import FlowOptions, catalog, closed_form_n2, closed_form_n12, flow_integrate
-
-ORACLES = {"n2": closed_form_n2, "n12_modified_basis": closed_form_n12}
+from g2lab import FlowOptions, catalog, flow_integrate
+from g2lab.flow import EXACT_FLOWS
 
 
 def run(name, t_end, dt, outdir):
@@ -26,9 +25,9 @@ def run(name, t_end, dt, outdir):
             f"  Scal={final.diagnostics['scalar_curvature']:+.5f}"
             f"  vol={final.diagnostics['volume_density']:.4f}"
             f"  |Lap|={final.diagnostics['laplacian_norm']:.4f}")
-    if name in ORACLES:
-        deviation = max((s.phi - ORACLES[name](s.t)).sup_norm()
-                        for s in trajectory.states)
+    if name in EXACT_FLOWS:
+        solution = EXACT_FLOWS[name][0]
+        deviation = max((s.phi - solution(s.t)).sup_norm() for s in trajectory.states)
         line += f"  max-dev={deviation:.2e}"
     print(line)
     print(f"{'':>22}wrote {path}")

@@ -1,12 +1,15 @@
 """Command-line surface: JSON reports over the library.
 
-Exit codes: 0 success, 1 input parse error, 2 validation failure (bad
-Jacobi, non-positive forms, unknown catalog name, unreadable input file, bad
---times, --tol or G2_TOL, a non-finite or non-positive --t-end or --dt,
---sample-every < 1, failed preconditions, tau1 disagreeing between the two
-torsion equations).  Every report, failures included, has the keys command,
-input, results, residuals and tolerances in that order, and a final error
-key on failure; a tau1 disagreement is the failure report's
+Forms are read by name: `phi`, and `omega` and `psi` for `su3`.  Only the
+subcommands whose tests a tolerance decides take `--tol` (default 1e-8) and
+echo it: check (Jacobi), torsion and classify, einstein, su3, and flow
+(closedness, at least 1e-10).  Exit codes: 0 success, 1 input parse error, 2
+validation failure (bad Jacobi, non-positive forms, unknown catalog name,
+unreadable input file, bad --times or --tol, a non-finite or non-positive
+--t-end or --dt, --sample-every < 1, failed preconditions, tau1 disagreeing
+between the two torsion equations).  Every report, failures included, has the
+keys command, input, results, residuals and tolerances in that order, and a
+final error key on failure; a tau1 disagreement is the failure report's
 residuals.tau1_consistency, and `su3` keeps its SU(3) results when only its
 G2 product's torsion fails.  Reports go to stdout as `json.dumps(report,
 indent=2)`, whose one normaliser `_plain` turns KForms, ndarrays and numpy
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,9 +30,7 @@ from .catalog import catalog, catalog_names
 from .curvature import (einstein_calibrated_residual, einstein_residual, ricci,
                         ricci_operator, scalar_curvature, soliton_solve, star_ricci)
 from .exterior import KForm, Metric
-from .flow import (FlowOptions, closed_form_n2, closed_form_n2_velocity,
-                   closed_form_n12, closed_form_n12_velocity, flow_integrate,
-                   oracle_residual)
+from .flow import EXACT_FLOWS, FlowOptions, flow_integrate, oracle_residual
 from .g2core import (VANISH_TOL, G2Structure, PositivityError, TorsionSolveError, classify,
                      lee_form, phi_laplacian, torsion_forms)
 from .inputfmt import ParseError, format_document, parse_document
@@ -41,11 +41,6 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 PRUNE_TOL = 1e-13
-
-_ORACLES = {
-    "n2": (closed_form_n2, closed_form_n2_velocity),
-    "n12_modified_basis": (closed_form_n12, closed_form_n12_velocity),
-}
 
 
 class ValidationFailure(Exception):
@@ -107,17 +102,17 @@ def _load(name, path):
     return parse_document(text), path
 
 
-def _get_form(doc, name, degree=None):
+def _get_form(doc, name, degree):
     if name not in doc.forms:
         raise ValidationFailure(f"document has no form named {name!r}")
     form = doc.forms[name]
-    if degree is not None and form.degree != degree:
+    if form.degree != degree:
         raise ValidationFailure(f"form {name!r} has degree {form.degree}, expected {degree}")
     return form
 
 
-def _structure(doc, form_name):
-    phi = _get_form(doc, form_name, degree=3)
+def _structure(doc):
+    phi = _get_form(doc, "phi", 3)
     if doc.algebra.dim != 7:
         raise ValidationFailure("G2 commands need a 7-dimensional algebra")
     try:
@@ -128,33 +123,34 @@ def _structure(doc, form_name):
 
 def _chosen_metric(doc, args):
     """(metric, metric source, G2Structure or None) a curvature command runs
-    with: induced by the named 3-form when present (and --metric is not
+    with: induced by the 3-form phi when present (and --metric is not
     'identity'), the identity otherwise."""
-    if args.metric != "identity" and doc.algebra.dim == 7 and args.form in doc.forms:
-        G = _structure(doc, args.form)
-        return G.metric, f"phi:{args.form}", G
+    if args.metric != "identity" and doc.algebra.dim == 7 and "phi" in doc.forms:
+        G = _structure(doc)
+        return G.metric, "phi:phi", G
     return Metric.identity(doc.algebra.dim), "identity", None
 
 
 def _oracle(name):
     """(solution, velocity) of the closed-form flow on catalog entry `name`;
     a file input (no name) has none."""
+    names = ", ".join(EXACT_FLOWS)
     if name is None:
-        raise ValidationFailure("oracle mode needs --catalog with one of " + ", ".join(_ORACLES))
-    if name not in _ORACLES:
-        raise ValidationFailure(
-            f"no closed-form solution for {name!r}; oracle mode supports " + ", ".join(_ORACLES))
-    return _ORACLES[name]
+        raise ValidationFailure("oracle mode needs --catalog with one of " + names)
+    if name not in EXACT_FLOWS:
+        raise ValidationFailure(f"no closed-form solution for {name!r}; oracle mode supports "
+                                + names)
+    return EXACT_FLOWS[name]
 
 
 # --- commands ----------------------------------------------------------
 
 
-def cmd_check(args, tol):
+def cmd_check(args):
     doc, source = _load(args.catalog, args.input)
     jac = jacobi_residual(doc.algebra)
     forms_report = {}
-    ok = jac <= tol
+    ok = jac <= args.tol
     for name, form in doc.forms.items():
         info = {"degree": form.degree, "norm": form.norm()}
         if form.degree == 3 and doc.algebra.dim == 7:
@@ -170,12 +166,12 @@ def cmd_check(args, tol):
                "unimodular": doc.algebra.is_unimodular(),
                "lower_central_series": doc.algebra.lower_central_series_dims()}
     code = EXIT_OK if ok else EXIT_INVALID
-    return _body(doc, source, results, {"jacobi": jac}, jacobi=tol), code
+    return _body(doc, source, results, {"jacobi": jac}, jacobi=args.tol), code
 
 
-def cmd_metric(args, tol):
+def cmd_metric(args):
     doc, source = _load(args.catalog, args.input)
-    G = _structure(doc, args.form)
+    G = _structure(doc)
     results = {
         "metric": G.metric.g,
         "volume_coefficient": G.metric.sqrt_det,
@@ -184,15 +180,15 @@ def cmd_metric(args, tol):
         "positive_definite": G.metric.positive_definite,
     }
     residuals = {"metric_symmetry": float(np.abs(G.metric.g - G.metric.g.T).max())}
-    return _body(doc, source, results, residuals, vanishing=tol), EXIT_OK
+    return _body(doc, source, results, residuals), EXIT_OK
 
 
-def cmd_torsion(args, tol):
+def cmd_torsion(args):
     """`torsion`, and `classify`, which keeps the class entries of its results."""
     doc, source = _load(args.catalog, args.input)
-    G = _structure(doc, args.form)
+    G = _structure(doc)
     t = torsion_forms(G)
-    cls = classify(t, tol=tol)
+    cls = classify(t, tol=args.tol)
     theta = lee_form(G)
     results = {
         "tau0": t.tau0,
@@ -219,10 +215,10 @@ def cmd_torsion(args, tol):
     }
     if args.command == "classify":
         results = {k: results[k] for k in ("class", "classes", "vanishing", "norms")}
-    return _body(doc, source, results, residuals, vanishing=tol), EXIT_OK
+    return _body(doc, source, results, residuals, vanishing=args.tol), EXIT_OK
 
 
-def cmd_ricci(args, tol):
+def cmd_ricci(args):
     doc, source = _load(args.catalog, args.input)
     metric, metric_source, _ = _chosen_metric(doc, args)
     ric = ricci(doc.algebra, metric)
@@ -233,10 +229,10 @@ def cmd_ricci(args, tol):
         "scalar_curvature": scalar_curvature(doc.algebra, metric),
     }
     residuals = {"ricci_symmetry": float(np.abs(ric - ric.T).max())}
-    return _body(doc, source, results, residuals, vanishing=tol), EXIT_OK
+    return _body(doc, source, results, residuals), EXIT_OK
 
 
-def cmd_soliton(args, tol):
+def cmd_soliton(args):
     doc, source = _load(args.catalog, args.input)
     metric, metric_source, _ = _chosen_metric(doc, args)
     cert = soliton_solve(doc.algebra, metric)
@@ -247,10 +243,10 @@ def cmd_soliton(args, tol):
         "derivation_diagonal": cert.derivation_diagonal,
         "classification": cert.classification,
     }
-    return _body(doc, source, results, {"soliton": cert.residual}, vanishing=tol), EXIT_OK
+    return _body(doc, source, results, {"soliton": cert.residual}), EXIT_OK
 
 
-def cmd_einstein(args, tol):
+def cmd_einstein(args):
     doc, source = _load(args.catalog, args.input)
     metric, metric_source, G = _chosen_metric(doc, args)
     scal = scalar_curvature(doc.algebra, metric)
@@ -258,32 +254,30 @@ def cmd_einstein(args, tol):
     results = {
         "metric_source": metric_source,
         "scalar_curvature": scal,
-        "einstein": residuals["einstein"] <= tol,
+        "einstein": residuals["einstein"] <= args.tol,
         "einstein_constant": scal / doc.algebra.dim,
     }
-    if doc.algebra.dim == 7 and args.form in doc.forms:
-        G = G or _structure(doc, args.form)
+    if doc.algebra.dim == 7 and "phi" in doc.forms:
+        G = G or _structure(doc)
         try:
-            residuals["einstein_calibrated"] = einstein_calibrated_residual(G, tol)
+            residuals["einstein_calibrated"] = einstein_calibrated_residual(G, args.tol)
         except ValueError:  # not calibrated: the condition does not apply
             pass
         ric_star = star_ricci(G)
         results["star_scal"] = float(np.trace(G.metric.inverse @ ric_star))
         results["star_ricci"] = ric_star
-    return _body(doc, source, results, residuals, vanishing=tol), EXIT_OK
+    return _body(doc, source, results, residuals, vanishing=args.tol), EXIT_OK
 
 
-def cmd_su3(args, tol):
+def cmd_su3(args):
     doc, source = _load(args.catalog, args.input)
     if doc.algebra.dim != 6:
         raise ValidationFailure("su3 needs a 6-dimensional algebra")
-    omega = _get_form(doc, args.omega, degree=2)
-    psi = _get_form(doc, args.psi, degree=3)
     try:
-        S = SU3Structure(doc.algebra, omega, psi)
+        S = SU3Structure(doc.algebra, _get_form(doc, "omega", 2), _get_form(doc, "psi", 3))
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
-    cls = su3_classify(S, tol=tol)
+    cls = su3_classify(S, tol=args.tol)
     results = {
         "lambda_psi": S.lam,
         "J": S.J,
@@ -296,7 +290,7 @@ def cmd_su3(args, tol):
         "coupled_constant": cls.c,
     }
     try:
-        results["product_class"] = classify(torsion_forms(g2_product(S)), tol=tol).label
+        results["product_class"] = classify(torsion_forms(g2_product(S)), tol=args.tol).label
     except TorsionSolveError as exc:  # the SU(3) results stand; only the product failed
         return _failure(args, exc, results), EXIT_INVALID
     residuals = {
@@ -304,14 +298,14 @@ def cmd_su3(args, tol):
         "normalization": S.normalization_residual(),
         **{f"classify_{k}": v for k, v in cls.residuals.items()},
     }
-    return _body(doc, source, results, residuals, vanishing=tol), EXIT_OK
+    return _body(doc, source, results, residuals, vanishing=args.tol), EXIT_OK
 
 
-def cmd_flow(args, tol):
+def cmd_flow(args):
     doc, source = _load(args.catalog, args.input)
-    phi0 = _get_form(doc, args.form, degree=3)
+    phi0 = _get_form(doc, "phi", 3)
     solution = _oracle(args.catalog)[0] if args.oracle else None
-    options = FlowOptions(sample_every=args.sample_every, closedness_tol=max(tol, 1e-10))
+    options = FlowOptions(sample_every=args.sample_every, closedness_tol=max(args.tol, 1e-10))
     try:
         trajectory = flow_integrate(doc.algebra, phi0, args.t_end, args.dt, options)
     except (ValueError, PositivityError) as exc:
@@ -335,11 +329,11 @@ def cmd_flow(args, tol):
         results["oracle_max_deviation"] = deviation
         residuals["oracle"] = deviation
     code = EXIT_OK if trajectory.termination == "reached_t_end" else EXIT_INVALID
-    return _body(doc, source, results, residuals, vanishing=tol,
+    return _body(doc, source, results, residuals, vanishing=args.tol,
                  closedness=options.closedness_tol), code
 
 
-def cmd_oracle(args, tol):
+def cmd_oracle(args):
     doc, source = _load(args.catalog, args.input)
     solution, velocity = _oracle(args.catalog)
     try:
@@ -356,30 +350,30 @@ def cmd_oracle(args, tol):
     return _body(doc, source, results, {"ode_max": max(residuals.values())}, ode=1e-9), EXIT_OK
 
 
-def cmd_catalog(args, tol):
-    name = args.name or args.catalog
-    if not name:
+def cmd_catalog(args):
+    if not args.name:
         return _body(None, "builtin", {"names": list(catalog_names())}), EXIT_OK
-    doc, source = _load(name, None)
+    doc, source = _load(args.name, None)
     jac = jacobi_residual(doc.algebra)
     results = {
-        "name": name,
-        "description": catalog(name).description,
+        "name": args.name,
+        "description": catalog(args.name).description,
         "document": format_document(doc),
         "jacobi_residual": jac,
     }
-    return _body(doc, source, results, {"jacobi": jac}, jacobi=tol), EXIT_OK
+    return _body(doc, source, results, {"jacobi": jac}), EXIT_OK
 
 
 def _add_command(subs, name, run):
-    """Subparser `name` that runs `run`, with the input and tolerance options."""
+    """Subparser `name` that runs `run` on a document or catalog entry, with
+    --tol when a tolerance decides one of its tests."""
     sub = subs.add_parser(name)
     sub.set_defaults(run=run)
     sub.add_argument("input", nargs="?", help="input document path")
     sub.add_argument("--catalog", help="use a built-in entry instead of a file")
-    sub.add_argument("--form", default="phi",
-                     help="name of the 3-form to use (default 'phi')")
-    sub.add_argument("--tol", help="vanishing tolerance (overrides G2_TOL; default 1e-8)")
+    if name in ("check", "torsion", "classify", "einstein", "su3", "flow"):
+        sub.add_argument("--tol", default=VANISH_TOL,
+                         help="tolerance of the command's tests (default 1e-8)")
     return sub
 
 
@@ -397,11 +391,9 @@ def build_parser():
                       ("einstein", cmd_einstein)):
         sub = _add_command(subs, name, run)
         sub.add_argument("--metric", choices=("phi", "identity"), default="phi",
-                         help="metric choice: induced by the 3-form when present "
+                         help="metric choice: induced by the 3-form phi when present "
                               "(default) or the identity inner product")
-    sub = _add_command(subs, "su3", cmd_su3)
-    sub.add_argument("--omega", default="omega", help="name of the 2-form")
-    sub.add_argument("--psi", default="psi", help="name of the 3-form")
+    _add_command(subs, "su3", cmd_su3)
 
     sub = _add_command(subs, "flow", cmd_flow)
     sub.add_argument("--t-end", type=float, default=1.0)
@@ -417,28 +409,27 @@ def build_parser():
 
     sub = subs.add_parser("catalog")
     sub.add_argument("name", nargs="?", help="entry to print (omit to list)")
-    sub.add_argument("--catalog", help=argparse.SUPPRESS)
-    sub.add_argument("--tol")
     sub.set_defaults(run=cmd_catalog)
     return parser
 
 
-def _tolerance(arg):
-    """--tol, else G2_TOL, else VANISH_TOL; it must be a finite number >= 0."""
-    source, text = ("--tol", arg) if arg is not None else ("G2_TOL", os.environ.get("G2_TOL"))
+def _tolerance(text):
+    """--tol (VANISH_TOL when not given) as a finite number >= 0."""
     try:
-        tol = float(text) if text or arg is not None else VANISH_TOL
+        tol = float(text)
         if 0 <= tol < np.inf:
             return tol
     except ValueError:
         pass
-    raise ValidationFailure(f"bad {source} {text!r}: expected a finite number >= 0")
+    raise ValidationFailure(f"bad --tol {text!r}: expected a finite number >= 0")
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        body, code = args.run(args, _tolerance(args.tol))
+        if "tol" in args:
+            args.tol = _tolerance(args.tol)
+        body, code = args.run(args)
     except (ParseError, ValidationFailure, TorsionSolveError) as exc:
         body = _failure(args, exc)
         code = EXIT_PARSE if isinstance(exc, ParseError) else EXIT_INVALID

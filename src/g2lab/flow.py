@@ -116,11 +116,12 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
     """Integrate the Laplacian flow from a closed positive 3-form.
 
     Returns a FlowTrajectory of sampled states (every `sample_every` steps,
-    plus the initial and final ones).  Loss of positivity, or closedness
-    drift past max(10 ||d phi0||, closedness_tol ||phi0||), relative to phi0
-    like the closedness check of phi0 itself, truncates the trajectory with
-    the corresponding termination reason instead of raising.  Raises
-    ValueError when ||d phi0|| exceeds 1e-10 ||phi0||.
+    plus the initial and final ones); the last step is t_end minus the time
+    reached, so a run that reaches t_end ends there exactly.  Loss of
+    positivity, or closedness drift past max(10 ||d phi0||, closedness_tol
+    ||phi0||), relative to phi0 like the closedness check of phi0 itself,
+    truncates the trajectory with the corresponding termination reason
+    instead of raising.  Raises ValueError when ||d phi0|| exceeds 1e-10 ||phi0||.
     """
     if algebra.dim != 7:
         raise ValueError("the flow runs on 7-dimensional algebras")
@@ -159,7 +160,7 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
     termination = TERMINATION_REACHED
     t = 0.0
     for step in range(1, n_steps + 1):
-        h = min(dt, t_end - t)
+        h = t_end - t if step == n_steps else dt
         half, k1 = 0.5 * h, point[2]
         try:
             k2 = rhs(vec + half * k1)
@@ -227,6 +228,11 @@ def closed_form_n12_velocity(t):
     _check_interval(t, -3.0, "the n12 solution")
     a = 0.25 * (t / 3.0 + 1.0) ** (-0.25)
     return KForm(7, 3, {(1, 3, 5): a, (2, 3, 6): -a})
+
+
+#: catalog name -> (solution, velocity) of its closed-form flow
+EXACT_FLOWS = {"n2": (closed_form_n2, closed_form_n2_velocity),
+               "n12_modified_basis": (closed_form_n12, closed_form_n12_velocity)}
 
 
 def oracle_residual(algebra, solution, velocity, times):

@@ -120,9 +120,10 @@ class _Parser:
         dim_tok = self.expect("number")
         if "." in dim_tok.text:
             self.fail("dimension must be an integer", dim_tok)
-        dim = int(dim_tok.text)
-        if not 1 <= dim <= 9:
-            self.fail(f"dimension {dim} outside the supported range 1..9", dim_tok)
+        digits = dim_tok.text.lstrip("0")  # converted once it is one digit
+        if len(digits) != 1:
+            self.fail(f"dimension {digits or 0} outside the supported range 1..9", dim_tok)
+        dim = int(digits)
         duals = {}
         while self.peek().kind == "word" and self.peek().text == "d":
             self.next()

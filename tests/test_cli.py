@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import inspect
 import io
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2lab.catalog import catalog_names
-from g2lab.cli import PRUNE_TOL, emit, main
+from g2lab.cli import PRUNE_TOL, build_parser, emit, main
 from g2lab.curvature import einstein_calibrated_residual
 from g2lab.exterior import KForm
 from g2lab.g2core import VANISH_TOL, G2Structure, classify
@@ -305,28 +306,15 @@ class TestFailuresAreReports:
         assert report["error"] == "t_end and dt must be positive"
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "-1e-12", ""])
-    def test_bad_tol_option(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("G2_TOL", "1e-2")
+    def test_bad_tol_option(self, capsys, value):
         code, report = run_cli(capsys, "check", "--catalog", "n2", f"--tol={value}")
         assert code == 2
         assert report["command"] == "check"
         assert report["error"] == f"bad --tol {value!r}: expected a finite number >= 0"
 
-    @pytest.mark.parametrize("value", ["abc", "nan", "-inf", "-0.5"])
-    def test_bad_tol_environment(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("G2_TOL", value)
-        code, report = run_cli(capsys, "catalog", "n2")
-        assert code == 2
-        assert report["error"] == f"bad G2_TOL {value!r}: expected a finite number >= 0"
-
-    @pytest.mark.parametrize("env, option, want", [
-        (None, None, VANISH_TOL), ("", None, VANISH_TOL), ("1e-3", None, 1e-3),
-        ("abc", "0", 0.0), (None, "2.5e-4", 2.5e-4)])
-    def test_tolerance_sources(self, capsys, monkeypatch, env, option, want):
-        if env is None:
-            monkeypatch.delenv("G2_TOL", raising=False)
-        else:
-            monkeypatch.setenv("G2_TOL", env)
+    @pytest.mark.parametrize("option, want", [(None, VANISH_TOL), ("0", 0.0),
+                                              ("2.5e-4", 2.5e-4)])
+    def test_tolerance_sources(self, capsys, option, want):
         argv = ["classify", "--catalog", "n2"] + ([f"--tol={option}"] if option else [])
         code, report = run_cli(capsys, *argv)
         assert code == 0
@@ -393,12 +381,69 @@ class TestVanishingTolerance:
         with pytest.raises(SystemExit):
             main(["check", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        default = re.search(r"overrides G2_TOL; default (\S+)\)", help_text).group(1)
+        default = re.search(r"tests \(default (\S+)\)", help_text).group(1)
         assert (default, float(default)) == ("1e-8", VANISH_TOL)
 
     @pytest.mark.parametrize("fn", [classify, su3_classify, einstein_calibrated_residual])
     def test_library_defaults(self, fn):
         assert inspect.signature(fn).parameters["tol"].default == VANISH_TOL
+
+    def test_tol_sets_the_class(self, capsys):
+        labels = [run_cli(capsys, "classify", "--catalog", "s_ext_h2", *tol)[1]["results"]["class"]
+                  for tol in ([], ["--tol", "1e-20"])]
+        assert labels == ["locally conformal calibrated", "generic"]
+
+    @pytest.mark.parametrize("argv", [["metric", "--catalog", "n2"], ["ricci", "--catalog", "n2"],
+                                      ["soliton", "--catalog", "n2"], ["catalog", "n2"]],
+                             ids=lambda argv: argv[0])
+    def test_no_tolerance_no_echo(self, capsys, argv):
+        code, report = run_cli(capsys, *argv)
+        assert code == 0
+        assert report["tolerances"] == {}
+
+
+#: subcommand -> its settings, help aside: each one applied, each one set by a caller
+SETTINGS = {
+    "check": ["input", "--catalog", "--tol"],
+    "metric": ["input", "--catalog"],
+    "torsion": ["input", "--catalog", "--tol"],
+    "classify": ["input", "--catalog", "--tol"],
+    "ricci": ["input", "--catalog", "--metric"],
+    "soliton": ["input", "--catalog", "--metric"],
+    "einstein": ["input", "--catalog", "--tol", "--metric"],
+    "su3": ["input", "--catalog", "--tol"],
+    "flow": ["input", "--catalog", "--tol", "--t-end", "--dt", "--sample-every", "--out",
+             "--oracle"],
+    "oracle": ["input", "--catalog", "--times"],
+    "catalog": ["name"],
+}
+
+#: (subcommand, option) of the settings that their subcommand ignored or no caller set
+REMOVED = ([(command, ["--form", "phi"]) for command in SETTINGS if command != "catalog"]
+           + [("su3", ["--omega", "omega"]), ("su3", ["--psi", "psi"]),
+              ("catalog", ["--catalog", "n2"])]
+           + [(command, ["--tol", "1e-8"])
+              for command in ("metric", "ricci", "soliton", "oracle", "catalog")])
+
+
+class TestOptions:
+    def test_settings(self):
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        settings = {name: [a.option_strings[0] if a.option_strings else a.dest
+                           for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+                    for name, sub in subs.choices.items()}
+        assert settings == SETTINGS
+        assert sum(map(len, settings.values())) == 36
+
+    @pytest.mark.parametrize("command, option", REMOVED,
+                             ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_removed_option_is_a_usage_error(self, capsys, command, option):
+        source = {"catalog": [], "su3": ["--catalog", "h2"]}.get(command, ["--catalog", "n2"])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source, *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + option[0] in capsys.readouterr().err
 
 
 class TestFloatPrecision:
@@ -413,11 +458,6 @@ class TestFloatPrecision:
         literal = re.search(r'"e7": (-0\.\d+)', raw).group(1)
         assert literal == repr(value)             # the shortest text of the double
         assert len(literal.lstrip("-0.")) >= 16   # all the digits a third needs
-
-    def test_env_tolerance_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("G2_TOL", "1e-2")
-        code, report = run_cli(capsys, "classify", "--catalog", "s_ext_h2")
-        assert report["tolerances"]["vanishing"] == 1e-2
 
 
 # float-free JSON values: tuples are written as lists, empty containers included

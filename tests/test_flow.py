@@ -600,6 +600,16 @@ class TestIntegration:
         exact = (0.5 / 3.0 + 1.0) ** 0.75
         assert abs(traj.final.phi.coefficient((1, 3, 5)) - exact) < 1e-8
 
+    def test_last_step_lands_on_t_end(self):
+        # n steps of dt sum to t_end only up to roundoff (ten steps of 0.1 sum
+        # to 0.9999999999999999); the last step is what is left of t_end
+        for t_end in (0.1, 0.3, 1.0, 1.1, 2.0):
+            for dt in (0.1, 0.3, 0.01, 0.2, 0.07):
+                traj = flow_integrate(N2, closed_form_n2(0.0), t_end, dt,
+                                      FlowOptions(sample_every=1000))
+                assert traj.termination == "reached_t_end"
+                assert traj.final.t == t_end, (t_end, dt)
+
     def test_torsion_free_is_stationary(self):
         traj = flow_integrate(STD.algebra, STD.forms["phi"], 1.0, 1e-2)
         diff = traj.final.phi - STD.forms["phi"]

@@ -42,6 +42,9 @@ class TestParse:
         doc = parse_document("algebra { dim 7 d e5 = 0 }")
         assert doc.algebra.dual_differential[4].is_zero()
 
+    def test_dimension_with_leading_zeros(self):
+        assert parse_document("algebra { dim 0007 }").algebra.dim == 7
+
     def test_leading_sign(self):
         doc = parse_document("algebra { dim 7 } form f { - e12 + e13 }")
         assert doc.forms["f"].coefficient((1, 2)) == -1.0
@@ -54,6 +57,10 @@ class TestParseErrors:
         ("algebra { dim 7 d e5 = e12", "expected"),
         ("algebra { dim 0 }", "range"),
         ("algebra { dim 12 }", "range"),
+        ("algebra { dim 010 }", "dimension 10 outside the supported range 1..9"),
+        # past Python's int() digit limit: the same error, with no conversion
+        pytest.param(f"algebra {{ dim {'1' * 5001} }}", "outside the supported range 1..9",
+                     id="dim_past_int_digit_limit"),
         ("algebra { dim 7 } form f { e12 + e345 }", "mixed degrees"),
         ("algebra { dim 7 d e5 = e12 d e5 = e13 }", "duplicate"),
         ("algebra { dim 7 } form f { e12 } form f { e13 }", "duplicate"),

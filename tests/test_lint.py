@@ -418,3 +418,76 @@ def test_detects_uncalled_public_names():
         ("a.py", 21, "Unused"), ("a.py", 23, "hat"), ("a.py", 31, "same_name"),
         ("a.py", 33, "wrong_module"), ("a.py", 36, "unread"), ("a.py", 40, "dropped")]
 
+
+
+def cli_options(source):
+    """(line, option string) of each option that an `add_argument` call of
+    `source` defines: its string arguments that start with "-"."""
+    return [(node.lineno, arg.value) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+            for arg in node.args
+            if isinstance(arg, ast.Constant) and str(arg.value).startswith("-")]
+
+
+def uncalled_options(cli_source, sources, readme):
+    """(line, option) of the options of `cli_source` that are neither a string
+    literal of `sources` nor a word of a `g2 ...` line of `readme`, an
+    `--option=value` word counting as its option."""
+    called = {node.value for source in sources for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    called |= {word.split("=")[0] for line in readme.splitlines()
+               if line.lstrip().startswith("g2 ") for word in line.split()}
+    return sorted(entry for entry in cli_options(cli_source) if entry[1] not in called)
+
+
+def test_every_option_has_a_caller():
+    # tests are not callers: an option that only a test sets has no user
+    sources = [p.read_text() for d in ("scripts", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert uncalled_options((SRC / "cli.py").read_text(), sources,
+                            (ROOT / "README.md").read_text()) == []
+
+
+def test_detects_uncalled_options():
+    cli = ("sub.add_argument('input', nargs='?')\nsub.add_argument('--catalog')\n"
+           "sub.add_argument('--tol', default=1.0)\nsub.add_argument('-o', '--out')\n"
+           "sub.add_argument('--form')\nsub.add_argument('--times')\n"
+           "sub.add_argument('--dt')\n")
+    sources = ["ARGV = ['check', '--catalog', 'n2']\n", "print('--out is set', '-o')\n"]
+    readme = "```\ng2 flow --times=0,1\n  g2 flow --dt 1e-3\n```\nsee --form and --tol\n"
+    assert uncalled_options(cli, sources, readme) == [(3, "--tol"), (4, "--out"), (5, "--form")]
+
+
+_ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(source):
+    """Lines of `source` that use `environ` or `getenv` (as a name or an
+    attribute) other than as the target of an item assignment or of a
+    `setdefault` call whose value is discarded: the reads of the environment."""
+    tree = ast.parse(source)
+    writes = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "attr", None) == "setdefault"):
+            writes.add(id(node.value.func.value))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            writes.add(id(node.value))
+    return [node.lineno for node in ast.walk(tree)
+            if (getattr(node, "attr", None) or getattr(node, "id", None)) in _ENVIRONMENT
+            and id(node) not in writes]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    # __init__ sets the BLAS thread defaults with os.environ.setdefault
+    assert environment_reads(path.read_text()) == []
+
+
+def test_detects_environment_reads():
+    source = ("import os\nfrom os import environ, getenv\n"
+              "os.environ.setdefault('A', '1')\nos.environ['B'] = '2'\n"
+              "x = os.environ.get('C')\ny = os.environ['D']\nz = os.getenv('E')\n"
+              "w = environ.get('F') or getenv('G')\nv = dict(os.environ)\n"
+              "u = os.environ.setdefault('H', '1')\n")
+    assert sorted(environment_reads(source)) == [5, 6, 7, 8, 8, 9, 10]

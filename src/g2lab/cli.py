@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .catalog import catalog, catalog_names
 from .curvature import (einstein_calibrated_residual, einstein_residual, ricci,
-                        ricci_operator, scalar_curvature, soliton_solve, star_ricci)
-from .exterior import KForm, Metric
+                        scalar_curvature, soliton_solve, star_ricci)
+from .exterior import KForm, Metric, form_inner
 from .flow import EXACT_FLOWS, FlowOptions, flow_integrate, oracle_residual
 from .g2core import (VANISH_TOL, G2Structure, PositivityError, TorsionSolveError, classify,
                      lee_form, phi_laplacian, torsion_forms)
@@ -190,13 +191,17 @@ def cmd_torsion(args):
     t = torsion_forms(G)
     cls = classify(t, tol=args.tol)
     theta = lee_form(G)
+
+    def norm(a):
+        return math.sqrt(max(form_inner(G.metric, a, a), 0.0))
+
     results = {
         "tau0": t.tau0,
         "tau1": t.tau1,
         "tau2": t.tau2,
         "tau3": t.tau3,
-        "norms": {"tau0": abs(t.tau0), "tau1": G.norm(t.tau1),
-                  "tau2": G.norm(t.tau2), "tau3": G.norm(t.tau3)},
+        "norms": {"tau0": abs(t.tau0), "tau1": norm(t.tau1),
+                  "tau2": norm(t.tau2), "tau3": norm(t.tau3)},
         "lee_form": theta,
         "class": cls.label,
         "classes": list(cls.labels),
@@ -225,7 +230,7 @@ def cmd_ricci(args):
     results = {
         "metric_source": metric_source,
         "ricci": ric,
-        "ricci_operator": ricci_operator(doc.algebra, metric),
+        "ricci_operator": metric.inverse @ ric,
         "scalar_curvature": scalar_curvature(doc.algebra, metric),
     }
     residuals = {"ricci_symmetry": float(np.abs(ric - ric.T).max())}

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import KForm, _complement, _dense, _line_positions, form_inner, multi_indices
+from .exterior import (KForm, _complement, _dense, _line_positions, form_inner, hodge_star,
+                       multi_indices)
 from .g2core import VANISH_TOL, classify, torsion_forms
 from .liealg import _RANK_CUTOFF, LieAlgebra, _derivation_basis, ce_diff, derivation_residual
 
@@ -22,8 +23,6 @@ from .liealg import _RANK_CUTOFF, LieAlgebra, _derivation_basis, ce_diff, deriva
 def _check_metric(algebra, metric):
     if metric.dim != algebra.dim:
         raise ValueError(f"dimension mismatch: algebra {algebra.dim}, metric {metric.dim}")
-    if not metric.positive_definite:
-        raise ValueError("metric is not positive definite")
 
 
 def levi_civita(algebra, metric):
@@ -87,16 +86,12 @@ def scalar_curvature(algebra, metric):
                   + float(h @ ginv @ h))
 
 
-def _einstein_gap(ric, metric):
-    """Spectral norm of the symmetric Ric - (Scal/n) g, Scal the g-trace of the
-    bilinear form `ric`: its largest |eigenvalue|, with no SVD."""
+def einstein_residual(algebra, metric):
+    """Spectral norm of Ric - (Scal/n) g, zero exactly for Einstein metrics:
+    the largest |eigenvalue| of that symmetric matrix, with no SVD."""
+    ric = ricci(algebra, metric)
     scal = float(np.trace(metric.inverse @ ric))
     return float(np.abs(np.linalg.eigvalsh(ric - (scal / metric.dim) * metric.g)).max())
-
-
-def einstein_residual(algebra, metric):
-    """Spectral norm of Ric - (Scal/n) g; zero exactly for Einstein metrics."""
-    return _einstein_gap(ricci(algebra, metric), metric)
 
 
 def scal_from_torsion(structure):
@@ -205,7 +200,7 @@ def einstein_calibrated_residual(structure, tol=VANISH_TOL):
     g = structure.metric
     d_tau2 = ce_diff(structure.algebra, t.tau2)
     rhs = ((3.0 / 14.0) * form_inner(g, t.tau2, t.tau2)) * structure.phi \
-        + 0.5 * structure.star(t.tau2.wedge(t.tau2))
+        + 0.5 * hodge_star(g, t.tau2.wedge(t.tau2))
     diff = d_tau2 - rhs
     return float(np.sqrt(max(form_inner(g, diff, diff), 0.0)))
 

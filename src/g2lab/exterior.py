@@ -320,10 +320,15 @@ def wedge(a, b):
 
 
 class Metric:
-    """Inner product on the base space as a symmetric matrix, with cached
-    inverse/determinant data (computed eagerly so instances are freely shareable)."""
+    """Positive definite inner product on the base space as a symmetric
+    matrix, with its inverse and sqrt(det g) computed eagerly, so instances
+    are freely shareable.  Any other matrix raises ValueError: every Metric
+    has an inverse and a volume, and no caller checks again."""
 
-    __slots__ = ("dim", "g", "det", "positive_definite", "inverse", "sqrt_det")
+    __slots__ = ("dim", "g", "inverse", "sqrt_det")
+
+    #: every Metric is; kept as an attribute for the reports that state it
+    positive_definite = True
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
@@ -331,35 +336,30 @@ class Metric:
             raise ValueError(f"metric must be a square matrix, got shape {m.shape}")
         g = (m + m.T) / 2.0
         try:
-            # sqrt(det g) is the product of the Cholesky diagonal, which stays
-            # representable when det g itself under- or overflows
-            sqrt_det = float(np.prod(np.diag(np.linalg.cholesky(g))))
-            det, pd = sqrt_det * sqrt_det, True
+            diag = np.linalg.cholesky(g).diagonal().tolist()
         except np.linalg.LinAlgError:
-            det, pd = float(np.linalg.det(g)), False
-            sqrt_det = math.sqrt(det) if det > 0 else float("nan")
-        try:
-            inv = np.linalg.inv(g)
-        except np.linalg.LinAlgError:  # exactly singular, whatever the scale
-            inv = None
-        self._set(g, det, pd, inv, sqrt_det)
+            raise ValueError("metric is not positive definite") from None
+        # sqrt(det g) is the product of the Cholesky diagonal, which stays
+        # representable when det g itself under- or overflows; NaN or inf
+        # entries, which the factorisation lets through, leave it non-finite
+        sqrt_det = math.prod(diag)
+        if not 0.0 < sqrt_det < math.inf:
+            raise ValueError(f"metric has no finite nonzero volume (sqrt(det g) = {sqrt_det})")
+        self._set(g, np.linalg.inv(g), sqrt_det)
 
     @classmethod
     def _from_factors(cls, g, inverse, sqrt_det):
-        """Positive definite metric from a symmetric g whose inverse and
+        """Metric from a positive definite symmetric g whose inverse and
         sqrt(det g) the caller already has from its own factorisation."""
         metric = object.__new__(cls)
-        metric._set(g, sqrt_det * sqrt_det, True, inverse, sqrt_det)
+        metric._set(g, inverse, sqrt_det)
         return metric
 
-    def _set(self, g, det, pd, inverse, sqrt_det):
+    def _set(self, g, inverse, sqrt_det):
         g.setflags(write=False)
-        if inverse is not None:
-            inverse.setflags(write=False)
+        inverse.setflags(write=False)
         object.__setattr__(self, "dim", g.shape[0])
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "positive_definite", pd)
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "sqrt_det", sqrt_det)
 
@@ -371,7 +371,7 @@ class Metric:
         return cls(np.eye(dim))
 
     def __repr__(self):
-        return f"Metric(dim={self.dim}, det={self.det:.6g})"
+        return f"Metric(dim={self.dim}, sqrt_det={self.sqrt_det:.6g})"
 
 
 @lru_cache(maxsize=None)
@@ -444,8 +444,6 @@ def hodge_star(metric, a):
     """Hodge star of a k-form: a ^ star(b) = <a, b> dV, dV = sqrt(det g) e^{1..n}."""
     if metric.dim != a.dim:
         raise ValueError(f"dimension mismatch: metric {metric.dim}, form {a.dim}")
-    if not metric.positive_definite:
-        raise ValueError("metric is not positive definite")
     return KForm.from_vector(a.dim, a.dim - a.degree, _star(a.to_vector(), a.degree, metric))
 
 
@@ -454,15 +452,14 @@ def _inner(u, v, degree, metric):
 
     Degrees k > n/2 use Jacobi's identity, as in `_star`: <u, v> =
     sum_I sign(I, Ic) u_I (C_{n-k}(g) sv)_Ic / det g, sv the signed complement
-    of v, which holds for indefinite g too.  The outer complement reads
-    sign(Ic, I) = (-1)^{k(n-k)} sign(I, Ic).
+    of v.  The outer complement reads sign(Ic, I) = (-1)^{k(n-k)} sign(I, Ic).
     """
     n = metric.dim
     if 2 * degree <= n:
         return float(u @ _compound_apply(metric.inverse, v, degree))
     c = _compound_apply(metric.g, _complement(v, n, degree), n - degree)
     c = _complement(c, n, n - degree)
-    return (-1.0) ** (degree * (n - degree)) * float(u @ c) / metric.det
+    return (-1.0) ** (degree * (n - degree)) * float(u @ c) / (metric.sqrt_det * metric.sqrt_det)
 
 
 def form_inner(metric, a, b):

@@ -116,12 +116,13 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
     """Integrate the Laplacian flow from a closed positive 3-form.
 
     Returns a FlowTrajectory of sampled states (every `sample_every` steps,
-    plus the initial and final ones); the last step is t_end minus the time
-    reached, so a run that reaches t_end ends there exactly.  Loss of
-    positivity, or closedness drift past max(10 ||d phi0||, closedness_tol
-    ||phi0||), relative to phi0 like the closedness check of phi0 itself,
-    truncates the trajectory with the corresponding termination reason
-    instead of raising.  Raises ValueError when ||d phi0|| exceeds 1e-10 ||phi0||.
+    plus the initial and final ones).  Step k ends at t = k dt, a product
+    and not a running sum, so sample times are exact multiples of dt; the
+    last step is t_end minus the time reached, so a run that reaches t_end
+    ends there exactly.  Loss of positivity, or closedness drift past
+    max(10 ||d phi0||, closedness_tol ||phi0||), relative to phi0 like the
+    closedness check of phi0 itself, truncates the trajectory with the
+    corresponding termination reason instead of raising.  Raises ValueError when ||d phi0|| exceeds 1e-10 ||phi0||.
     """
     if algebra.dim != 7:
         raise ValueError("the flow runs on 7-dimensional algebras")
@@ -177,7 +178,7 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
             termination = TERMINATION_CLOSEDNESS
             break
         vec, point, closedness = new_vec, new_point, new_closedness
-        t += h
+        t = t_end if step == n_steps else step * dt  # a product: no running sum drifts
         if step % options.sample_every == 0 or step == n_steps:
             states.append(_state(algebra, t, vec, point, closedness))
     if termination != TERMINATION_REACHED and states[-1].t < t:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .exterior import (KForm, Metric, _complement, _complement_gather, _compound_apply,
                        _compound_dense, _dense_tables, _interior_vec, _read_only, _star,
-                       _wedge_vec, complement_data, form_inner, hodge_star, wedge_table)
+                       _wedge_vec, complement_data, wedge_table)
 
 VANISH_TOL = 1e-8
 #: the tau1 disagreement beyond which `torsion_forms` raises TorsionSolveError
@@ -254,16 +254,6 @@ class G2Structure:
     def star_phi(self):
         """The 4-form star(phi)."""
         return KForm.from_vector(7, 4, self._star_phi_vec)
-
-    def star(self, a):
-        """Hodge star in this structure's metric, positively oriented on e^{1..7}."""
-        return hodge_star(self.metric, a)
-
-    def inner(self, a, b):
-        return form_inner(self.metric, a, b)
-
-    def norm(self, a):
-        return float(np.sqrt(max(self.inner(a, a), 0.0)))
 
     def laplacian_vec(self):
         """Coefficient vector of the Hodge Laplacian of phi (degree 3)."""

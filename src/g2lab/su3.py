@@ -96,9 +96,10 @@ class SU3Structure:
         if g[0, 0] < 0:  # a definite g has the sign of its diagonal
             J = -J
             g = W @ J
-        metric = Metric(g)
-        if not metric.positive_definite:
-            raise ValueError("omega(., J.) is not positive definite for either sign of J")
+        try:
+            metric = Metric(g)
+        except ValueError:
+            raise ValueError("omega(., J.) is not positive definite for either sign of J") from None
         j2 = float(np.linalg.norm(J @ J + np.eye(6)))
         if j2 > 1e-8:
             raise ValueError(f"J^2 != -I (residual {j2:.3e})")

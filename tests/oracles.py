@@ -300,13 +300,14 @@ def two_attempt_su3_frame(algebra, omega, psi):
     not positive definite."""
     J, _ = hitchin_j(algebra, psi)
     w = dense(omega)
-    metric = Metric(w @ J)
-    if not metric.positive_definite:
-        J = -J
-        metric = Metric(w @ J)
-    if not metric.positive_definite:
-        raise ValueError("omega(., J.) is not positive definite for either sign of J")
-    return J, metric
+    try:
+        return J, Metric(w @ J)
+    except ValueError:
+        pass
+    try:
+        return -J, Metric(w @ -J)
+    except ValueError:
+        raise ValueError("omega(., J.) is not positive definite for either sign of J") from None
 
 
 def kform_normalization_residual(structure):
@@ -595,9 +596,10 @@ def metric_star_laplacian(algebra, phi_vec):
     if det_b == 0:
         raise PositivityError("not a positive G2 form (det B = 0)")
     eps = 1.0 if det_b > 0 else -1.0
-    metric = Metric((36.0 * abs(det_b)) ** (-1.0 / 9.0) * eps * B)
-    if not metric.positive_definite:
-        raise PositivityError("not a positive G2 form (metric not positive definite)")
+    try:
+        metric = Metric((36.0 * abs(det_b)) ** (-1.0 / 9.0) * eps * B)
+    except ValueError:
+        raise PositivityError("not a positive G2 form (metric not positive definite)") from None
     d2, d3, d4 = algebra.diff_matrix(2), algebra.diff_matrix(3), algebra.diff_matrix(4)
     delta_phi = -_star(d4 @ _star(phi_vec, 3, metric), 5, metric)
     delta_dphi = _star(d3 @ _star(d3 @ phi_vec, 4, metric), 4, metric)

@@ -286,11 +286,14 @@ def test_detects_uncalled_defaults():
 
 def _member_names(cls, item):
     """Names that the class body statement `item` of `cls` defines as members:
-    a method or property, the entries of `__slots__`, or a dataclass field."""
+    a method or property, the entries of `__slots__`, a class attribute, or a
+    dataclass field."""
     if isinstance(item, ast.FunctionDef):
         return [item.name]
-    if isinstance(item, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+    if isinstance(item, ast.Assign):
+        targets = [e.id for t in item.targets for e in ast.walk(t) if isinstance(e, ast.Name)]
+        if targets != ["__slots__"]:
+            return targets
         return [e.value for e in ast.walk(item.value)
                 if isinstance(e, ast.Constant) and isinstance(e.value, str)]
     if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
@@ -302,8 +305,8 @@ def _member_names(cls, item):
 def public_definitions(source):
     """(first line, last line, name, is_method) of the public module-level
     functions and classes of `source`, and of the public members of those
-    classes: methods, properties, `__slots__` entries and dataclass fields,
-    all read as attributes (is_method True)."""
+    classes: methods, properties, `__slots__` entries, class attributes and
+    dataclass fields, all read as attributes (is_method True)."""
     out = []
     for node in ast.parse(source).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
@@ -418,6 +421,20 @@ def test_detects_uncalled_public_names():
         ("a.py", 21, "Unused"), ("a.py", 23, "hat"), ("a.py", 31, "same_name"),
         ("a.py", 33, "wrong_module"), ("a.py", 36, "unread"), ("a.py", 40, "dropped")]
 
+
+def test_detects_uncalled_class_attributes():
+    definitions = {"a.py": ("class M:\n"
+                            "    __slots__ = ('g',)\n"
+                            "    flag = True\n"
+                            "    read = 1\n"
+                            "    __hash__ = None\n"
+                            "    _private = 2\n"
+                            "    low, high = 0, 1\n"
+                            "    alias = other = 3\n")}
+    callers = dict(definitions)
+    callers["b.py"] = "from a import M\nprint(M.read, M().g, M().low, M.other)\n"
+    assert uncalled_public_names(definitions, callers) == [
+        ("a.py", 3, "flag"), ("a.py", 7, "high"), ("a.py", 8, "alias")]
 
 
 def cli_options(source):

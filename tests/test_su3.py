@@ -383,7 +383,7 @@ def assert_same_frame(S):
     assert np.array_equal(S.J, J)
     for key in ("g", "inverse"):
         assert np.array_equal(getattr(S.metric, key), getattr(metric, key))
-    assert (S.metric.det, S.metric.sqrt_det) == (metric.det, metric.sqrt_det)
+    assert S.metric.sqrt_det == metric.sqrt_det
 
 
 class TestSignFirst:

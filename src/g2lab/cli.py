@@ -296,7 +296,7 @@ def cmd_su3(args):
     }
     try:
         results["product_class"] = classify(torsion_forms(g2_product(S)), tol=args.tol).label
-    except TorsionSolveError as exc:  # the SU(3) results stand; only the product failed
+    except (TorsionSolveError, PositivityError) as exc:  # the SU(3) results stand
         return _failure(args, exc, results), EXIT_INVALID
     residuals = {
         "j_squared": float(np.linalg.norm(S.J @ S.J + np.eye(6))),

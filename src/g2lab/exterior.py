@@ -459,7 +459,8 @@ def _inner(u, v, degree, metric):
         return float(u @ _compound_apply(metric.inverse, v, degree))
     c = _compound_apply(metric.g, _complement(v, n, degree), n - degree)
     c = _complement(c, n, n - degree)
-    return (-1.0) ** (degree * (n - degree)) * float(u @ c) / (metric.sqrt_det * metric.sqrt_det)
+    # sqrt(det g) twice, not its square, which underflows before it does
+    return (-1.0) ** (degree * (n - degree)) * float(u @ c) / metric.sqrt_det / metric.sqrt_det
 
 
 def form_inner(metric, a, b):

@@ -5,8 +5,9 @@ the 35 coefficients of phi, with positivity and closedness re-validated
 after every accepted step.  On closed forms delta d phi = 0, so the
 right-hand side is the d delta phi half alone, `g2core._closed_phi_laplacian`:
 one gather of phi, one Cholesky factorisation and one inverse of a 7 x 7
-matrix, the star of phi as one compound and the codifferential's 5-form
-complement as one product, which returns its metric factors (g, g^-1,
+matrix, phi raised by g^-1 as one compound, and the codifferential as one
+product of the algebra's 49 x 35 map with a gather of the raised phi (no
+star of phi is formed), which returns its metric factors (g, g^-1,
 sqrt(det g)) and delta phi with the Laplacian and builds no Metric.  Its
 values lie in d(Lambda^2), so a step leaves phi0 + d(Lambda^2) only by
 roundoff.  A step costs 4 evaluations: the evaluation at each accepted
@@ -24,8 +25,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .exterior import KForm, Metric, _inner, multi_indices
 from .g2core import PositivityError, _closed_phi_laplacian, phi_laplacian
@@ -108,7 +107,7 @@ def _state(algebra, t, vec, point, closedness):
         "tau2_norm": math.sqrt(max(tau2_sq, 0.0)),
         "scalar_curvature": scalar_curvature(algebra, metric),
         "volume_density": metric.sqrt_det,
-        "laplacian_norm": float(np.linalg.norm(lap)),
+        "laplacian_norm": math.sqrt(lap @ lap),  # np.linalg.norm's value
     })
 
 

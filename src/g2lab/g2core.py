@@ -25,9 +25,11 @@ which `phi_laplacian` completes with delta d phi; it builds no Metric, and
 hands its metric factors and delta phi on to the flow's sampled states.
 Most of an evaluation is `_phi_metric`: B from one gather of phi
 (`_phi_views`), numpy's `cholesky` and `inv` of a 7 x 7 matrix, much of
-whose cost is their Python wrappers, and star(phi) / sqrt(det g), the one
-star of phi that `G2Structure` and `_closed_phi_laplacian` read.  ROADMAP's
-per-call table has the measured times.
+whose cost is their Python wrappers, and phi raised by g^-1, the dense
+tensor that `G2Structure` complements into its star(phi) and that
+`_closed_phi_laplacian` takes to delta phi by one fixed linear map per
+algebra, with no star(phi) of its own.  `scripts/percall.py` times each
+layer; ROADMAP's per-call table has the measured times.
 """
 from __future__ import annotations
 
@@ -121,16 +123,18 @@ def _gram(phi_vec):
 
 
 def _phi_metric(phi_vec):
-    """(star(phi) / sqrt(det g), det B, orientation, (g, g^-1, sqrt(det g)))
-    of a 3-form's coefficients; the last three are `Metric._from_factors`'s
-    arguments, so a caller that only reads them builds no Metric.
+    """(raised phi, det B, orientation, (g, g^-1, sqrt(det g))) of a 3-form's
+    coefficients; the last three are `Metric._from_factors`'s arguments, so a
+    caller that only reads them builds no Metric.
 
     g = (36 |det B|)^{-1/9} sign(det B) B.  One Cholesky factorisation
     L L^T = eps B, eps the sign of B_11, gives the orientation, positivity
     and det B = eps (prod L_ii)^2; then one inverse.  Raises PositivityError
     when B is degenerate or not definite, or det B is not representable.
-    star(phi) / sqrt(det g) is phi with its indices raised by g^-1,
-    complemented, as in `_star`.
+    The raised phi is the flat dense 7^3 tensor of phi with every index
+    raised by g^-1 (`_compound_dense`); the signed complement of its
+    increasing entries is star(phi) / sqrt(det g), as in `_star`, which
+    `G2Structure` takes and `_closed_phi_laplacian` composes into its map.
     """
     A, B = _gram(phi_vec)
     eps = 1.0 if B[0, 0] > 0 else -1.0  # the sign of B when B is definite
@@ -150,21 +154,22 @@ def _phi_metric(phi_vec):
     sqrt_c = math.sqrt(c)
     sqrt_det = math.prod([sqrt_c * x for x in diag])
     inverse = np.linalg.inv(g)
-    star_phi = _complement(_compound_dense(inverse, A, 3)[_dense_tables(7, 3)[3]], 7, 3)
-    return star_phi, det_b, eps, (g, inverse, sqrt_det)
+    return _compound_dense(inverse, A, 3), det_b, eps, (g, inverse, sqrt_det)
 
 
 @lru_cache(maxsize=None)
 def _codifferential_table():
     # (the 49 x 21 matrix taking a 5-form's coefficients to minus the dense
-    # 7 x 7 tensor of its signed complement, the flat 2-tuple indices that
-    # gather a 2-form back from such a tensor): the `_complement` gather
-    # composed with the `_dense` scatter of a 2-form
+    # 7 x 7 tensor of its signed complement, the `_complement` gather composed
+    # with the `_dense` scatter of a 2-form; the signs and the flat indices
+    # that read star(phi) / sqrt(det g) off the raised phi as `_complement`
+    # does; the flat 2-tuple indices that gather a 2-form back)
     perm, sign = _complement_gather(7, 5)
     src, dst, sgn, flat = _dense_tables(7, 2)
     minus = np.zeros((49, 21))
     minus[dst, perm[src]] = -(sgn * sign[src])
-    return _read_only(minus, flat)
+    perm, sign = _complement_gather(7, 3)
+    return _read_only(minus, sign, _dense_tables(7, 3)[3][perm], flat)
 
 
 def _closed_phi_laplacian(algebra, phi_vec):
@@ -172,22 +177,31 @@ def _closed_phi_laplacian(algebra, phi_vec):
     coefficients, delta phi = -star d star phi; d delta phi is the Hodge
     Laplacian of a closed 3-form, where delta d phi = 0.
 
-    The right-hand side of the flow: the metric factors with star(phi) (one
-    gather of phi, one Cholesky factorisation, one inverse, one compound
-    and its complement), delta phi (d, the 5-form complement as
-    one product with a constant matrix, the congruence by g and a gather)
-    and d delta phi.  It builds no Metric: the flow's sampled states read
-    the factors and delta phi of their point.  Raises PositivityError as
+    The right-hand side of the flow: the metric factors with the raised phi
+    (one gather of phi, one Cholesky factorisation, one inverse, one
+    compound), delta phi (a gather of the raised phi, one product with the
+    algebra's 49 x 35 map K, the congruence by g and a gather) and
+    d delta phi.  K = minus d4 diag(sign) (`_codifferential_table`) is the
+    complement into star(phi), d on 4-forms and the 5-form complement as
+    one map, built at the first call and kept in the algebra's `_codiff`
+    slot; a row of minus has at most one +-1, so every entry of K is
+    exactly +- one of d4 and delta phi is that of the three steps, bit for
+    bit.  It builds no Metric: the flow's sampled states read the factors
+    and delta phi of their point.  Raises PositivityError as
     `phi_laplacian` does.
     """
     if algebra.dim != 7:
         raise ValueError("G2 structures need a 7-dimensional algebra")
-    star_phi, _, _, factors = _phi_metric(phi_vec)
+    raised, _, _, factors = _phi_metric(phi_vec)
     g = factors[0]
-    minus, flat = _codifferential_table()
-    # star_phi is star(phi) / sqrt(det g); the 5-form star is C_2(g) on the
-    # signed complement over sqrt(det g), so the two factors cancel
-    t = (minus @ (algebra.diff_matrix(4) @ star_phi)).reshape(7, 7)
+    minus, sign, index, flat = _codifferential_table()
+    K = algebra._codiff
+    if K is None:
+        K = _read_only(minus @ (algebra.diff_matrix(4) * sign))[0]
+        object.__setattr__(algebra, "_codiff", K)
+    # sign * raised[index] is star(phi) / sqrt(det g); the 5-form star is C_2(g)
+    # on the signed complement over sqrt(det g), so the two factors cancel
+    t = (K @ raised[index]).reshape(7, 7)
     delta_phi = (g @ t @ g).reshape(-1)[flat]  # g is symmetric: C_2(g) t = g t g
     return factors, delta_phi, algebra.diff_matrix(2) @ delta_phi
 
@@ -221,8 +235,9 @@ class G2Structure:
     form and the Hodge star are always taken positively oriented on
     e^{1..7}, which is the convention the torsion conventions below assume.
 
-    The metric and the coefficients of the star of phi are computed at
-    construction; `star_phi` is a KForm built from them when read.  Stars
+    The metric and the coefficients of the star of phi, the signed
+    complement of `_phi_metric`'s raised phi times sqrt(det g), are computed
+    at construction; `star_phi` is a KForm built from them when read.  Stars
     and inner products of other forms are `hodge_star` and `form_inner` in
     that metric.  Instances are immutable and shareable.  Derived data that
     not every caller needs sits in a private slot that is None until its
@@ -237,8 +252,9 @@ class G2Structure:
             raise ValueError("G2 structures need a 7-dimensional algebra")
         if phi.dim != 7 or phi.degree != 3:
             raise ValueError("phi must be a 3-form in dimension 7")
-        star_phi, det_b, eps, factors = _phi_metric(phi.to_vector())
+        raised, det_b, eps, factors = _phi_metric(phi.to_vector())
         metric = Metric._from_factors(*factors)
+        star_phi = _complement(raised[_dense_tables(7, 3)[3]], 7, 3)  # over sqrt(det g)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "metric", metric)

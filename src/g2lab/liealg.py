@@ -28,9 +28,11 @@ class LieAlgebra:
     and the trace vector h_i = tr ad_{e_i}, read-only, built with the bracket.
     Immutable and shareable; derived data that only some callers need sits in
     a private slot that is None until its first use fills it (`_line`, the
-    trivial line extension that `su3.g2_product` attaches)."""
+    trivial line extension that `su3.g2_product` attaches, and `_codiff`, the
+    codifferential map that `g2core._closed_phi_laplacian` composes)."""
 
-    __slots__ = ("dim", "dual_differential", "bracket", "name", "_ad_traces", "_diff", "_line")
+    __slots__ = ("dim", "dual_differential", "bracket", "name", "_ad_traces", "_diff", "_line",
+                 "_codiff")
 
     def __init__(self, dual_differential, name=None):
         duals = tuple(dual_differential)
@@ -68,6 +70,7 @@ class LieAlgebra:
             diff.append(mat)
         object.__setattr__(self, "_diff", tuple(diff))
         object.__setattr__(self, "_line", None)
+        object.__setattr__(self, "_codiff", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")

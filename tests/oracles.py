@@ -14,10 +14,11 @@ import numpy as np
 
 from g2lab import curvature
 from g2lab.curvature import SolitonCertificate, riemann
-from g2lab.exterior import (KForm, Metric, _inner, _interior_vec, _star, _wedge_vec, form_inner,
-                            hodge_star, index_positions, multi_indices, sort_with_sign, wedge,
-                            wedge_matrix)
-from g2lab.g2core import PositivityError, TorsionForms, TorsionSolveError, torsion_forms
+from g2lab.exterior import (KForm, Metric, _complement, _dense_tables, _inner, _interior_vec,
+                            _star, _wedge_vec, form_inner, hodge_star, index_positions,
+                            multi_indices, sort_with_sign, wedge, wedge_matrix)
+from g2lab.g2core import (PositivityError, TorsionForms, TorsionSolveError, _codifferential_table,
+                          _phi_metric, torsion_forms)
 from g2lab.liealg import _RANK_CUTOFF, _rank, ce_diff, derivation_space
 from g2lab.su3 import SU3Class, hitchin_j
 
@@ -145,6 +146,21 @@ def codifferential(algebra, metric, a):
     p = n - k + 1
     inv_sign = (-1.0) ** (p * (n - p))
     return ((-1.0) ** k) * inv_sign * hodge_star(metric, da)
+
+
+def stepwise_codifferential(algebra, phi_vec):
+    """(star(phi), delta phi, d delta phi) of a 3-form's coefficients, the
+    codifferential a step at a time: star(phi) / sqrt(det g) as the signed
+    complement of the raised phi's increasing entries (`_phi_metric`), then
+    d on 4-forms, then the 49 x 21 matrix of `_codifferential_table`, the
+    congruence by g and the gather of the 2-form.  star(phi) is that
+    complement times sqrt(det g), as `G2Structure` keeps it."""
+    raised, _, _, (g, _, sqrt_det) = _phi_metric(phi_vec)
+    star_phi = _complement(raised[_dense_tables(7, 3)[3]], 7, 3)
+    minus, _, _, flat = _codifferential_table()
+    t = (minus @ (algebra.diff_matrix(4) @ star_phi)).reshape(7, 7)
+    delta_phi = (g @ t @ g).reshape(-1)[flat]
+    return sqrt_det * star_phi, delta_phi, algebra.diff_matrix(2) @ delta_phi
 
 
 def kform_lee_form(structure):

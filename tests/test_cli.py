@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2lab.catalog import catalog_names
+from g2lab.catalog import catalog, catalog_names
 from g2lab.cli import PRUNE_TOL, build_parser, emit, main
 from g2lab.curvature import einstein_calibrated_residual
 from g2lab.exterior import KForm
 from g2lab.g2core import VANISH_TOL, G2Structure, classify
-from g2lab.inputfmt import parse_document
+from g2lab.inputfmt import InputDocument, format_document, parse_document
 from g2lab.su3 import SU3Structure, su3_classify
 
 from conftest import basis_changed_document
@@ -280,6 +280,27 @@ class TestFailuresAreReports:
             "symplectic_half_flat": cls.symplectic_half_flat,
             "nearly_kahler": cls.nearly_kahler, "coupled_constant": cls.c}
         jsonschema.validate(report, SCHEMA)
+
+    @pytest.mark.parametrize("scale", [1e15, 1e30])
+    def test_su3_keeps_its_results_when_the_product_is_not_positive(self, capsys, tmp_path,
+                                                                      scale):
+        # h2's pair scaled up: the SU(3) data are computed, and det B of the
+        # G2 product overflows, so the product is no positive form; one JSON
+        # report (json.loads rejects a second document) with the SU(3) results
+        # and the reason, not a traceback
+        h2 = catalog("h2")
+        forms = {key: scale * form for key, form in h2.forms.items()}
+        path = tmp_path / "h2_scaled.g2"
+        path.write_text(format_document(InputDocument(h2.algebra, forms)))
+        code, report = run_cli(capsys, "su3", str(path))
+        assert code == 2
+        assert report["error"] == "not a positive G2 form (metric not positive definite)"
+        assert report["residuals"] == {} and report["tolerances"] == {}  # no tau1 gap
+        doc = parse_document(path.read_text())
+        S = SU3Structure(doc.algebra, doc.forms["omega"], doc.forms["psi"])
+        assert report["results"]["lambda_psi"] == S.lam
+        assert report["results"]["metric"] == S.metric.g.tolist()
+        assert "product_class" not in report["results"]
 
     @pytest.mark.parametrize("times,reason", [
         ("abc", "could not convert string to float: 'abc'"),

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -483,6 +484,17 @@ class TestFormInner:
     @given(form_strategy(5, 3), form_strategy(5, 3), metric_strategy(5))
     def test_against_brute_force(self, a, b, g):
         assert abs(form_inner(g, a, b) - brute_inner(g, a, b)) < 1e-8
+
+    @pytest.mark.parametrize("scale", [1e-44, 1e-45, 1e-50, 1.0, 3.0])
+    def test_jacobi_branch_at_small_scale(self, scale):
+        # |e^1234|^2 = c^-4 under c I; the Jacobi branch divides by sqrt(det g)
+        # = c^3.5 twice, as its square is subnormal at 1e-45 (which cost 9
+        # digits) and 0 at 1e-50.  The bound is a few roundings of the
+        # volume's product and the compound, as at c = 1 and 3; the reference
+        # is exact for the double c
+        e = KForm.basis(7, (1, 2, 3, 4))
+        got, want = form_inner(Metric(scale * np.eye(7)), e, e), 1 / Fraction(scale) ** 4
+        assert abs(Fraction(got) - want) <= 1e-15 * want
 
 
 def _random_metric(rng, n):

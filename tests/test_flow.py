@@ -21,10 +21,11 @@ from g2lab.flow import (CSV_COLUMNS, MAX_STEPS, FlowOptions, closed_form_n2,
 from g2lab.g2core import (G2Structure, PositivityError, _closed_phi_laplacian, phi_laplacian,
                           torsion_forms)
 from g2lab.inputfmt import parse_document
-from g2lab.liealg import ce_diff
+from g2lab.liealg import LieAlgebra, ce_diff
 
 from conftest import CLOSED_CATALOG, closed_perturbation, positive_3form_strategy, scal_magnitude
-from oracles import brute_hodge, codifferential, dense, metric_star_laplacian, perm_sign
+from oracles import (brute_hodge, codifferential, dense, metric_star_laplacian, perm_sign,
+                     stepwise_codifferential)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 N2 = catalog("n2").algebra
@@ -221,6 +222,94 @@ def _jacobian_norm(algebra, v, step=1e-6):
     cols = [(_closed_phi_laplacian(algebra, v + step * e)[2]
              - _closed_phi_laplacian(algebra, v - step * e)[2]) / (2.0 * step) for e in np.eye(35)]
     return float(np.linalg.norm(cols))
+
+
+def _assert_kernel_is_stepwise(algebra, v):
+    star_phi, delta_phi, d_delta_phi = stepwise_codifferential(algebra, v)
+    _, got_delta_phi, got_d_delta_phi = _closed_phi_laplacian(algebra, v)
+    assert np.array_equal(got_delta_phi, delta_phi)
+    assert np.array_equal(got_d_delta_phi, d_delta_phi)
+    assert np.array_equal(G2Structure(algebra, KForm.from_vector(7, 3, v))._star_phi_vec, star_phi)
+
+
+class TestCodifferentialMap:
+    """The kernel's per-algebra 49 x 35 map K against the composition it
+    replaces, a step at a time (`oracles.stepwise_codifferential`): every
+    entry of K is exactly +- one of d4, so delta phi and d delta phi are the
+    same bit for bit, and so is the star(phi) that `G2Structure` keeps."""
+
+    @pytest.mark.parametrize("name", ["std_g2", "n2", "n4", "n6", "n12_modified_basis",
+                                      "s_ext_h2"])
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 1e-3, 1e3])
+    def test_catalog(self, name, scale):
+        entry = catalog(name)
+        _assert_kernel_is_stepwise(entry.algebra, scale * entry.forms["phi"].to_vector())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_closed_perturbations(self, seed):
+        # a closed catalog form plus an exact 3-form a tenth of its size
+        rng = np.random.default_rng(seed)
+        entry = catalog(CLOSED_CATALOG[1 + seed % 4])
+        d2 = entry.algebra.diff_matrix(2)
+        phi, dbeta = entry.forms["phi"].to_vector(), d2 @ rng.standard_normal(d2.shape[1])
+        v = phi + 0.1 * np.linalg.norm(phi) * dbeta / np.linalg.norm(dbeta)
+        _assert_kernel_is_stepwise(entry.algebra, rng.choice([-1.0, 1.0]) * v)
+
+    def test_entries_are_signed_entries_of_d4(self):
+        # column j of K holds, up to sign, entries of column j of d4 (or zeros)
+        algebra, v = catalog("n6").algebra, catalog("n6").forms["phi"].to_vector()
+        _closed_phi_laplacian(algebra, v)
+        K, d4 = algebra._codiff, algebra.diff_matrix(4)
+        assert K.shape == (49, 35)
+        for j in range(35):
+            assert set(np.abs(K[:, j])) <= set(np.abs(d4[:, j])) | {0.0}
+
+    def test_slot_is_filled_once_and_read_only(self):
+        # a LieAlgebra of its own, since catalog entries are shared
+        entry = catalog("n4")
+        algebra, v = LieAlgebra(entry.algebra.dual_differential), entry.forms["phi"].to_vector()
+        assert algebra._codiff is None
+        G2Structure(algebra, entry.forms["phi"])
+        phi_laplacian(algebra, v)
+        K = algebra._codiff  # phi_laplacian's d delta phi half is the kernel
+        assert K is not None and not K.flags.writeable
+        with pytest.raises(ValueError):
+            K[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            algebra._codiff = None
+        _closed_phi_laplacian(algebra, v)
+        assert algebra._codiff is K
+        # another algebra of the same dimension gets a map of its own
+        other = LieAlgebra(catalog("n2").algebra.dual_differential)
+        _closed_phi_laplacian(other, catalog("n2").forms["phi"].to_vector())
+        assert other._codiff is not K and not np.array_equal(other._codiff, K)
+        assert algebra._codiff is K
+
+    def test_built_once_per_flow(self, monkeypatch):
+        # the map is composed from d4 at the first kernel call of the run and
+        # read, the same array, by all 4 n + 1 of them
+        entry = catalog("n6")
+        algebra = LieAlgebra(entry.algebra.dual_differential)
+        maps, reads, real = [], [], flow_mod._closed_phi_laplacian
+        real_diff_matrix = LieAlgebra.diff_matrix
+
+        def recorded(alg, v):
+            point = real(alg, v)
+            maps.append(alg._codiff)
+            return point
+
+        def counted_diff_matrix(self, degree):
+            reads.append(degree)
+            return real_diff_matrix(self, degree)
+
+        monkeypatch.setattr(flow_mod, "_closed_phi_laplacian", recorded)
+        monkeypatch.setattr(LieAlgebra, "diff_matrix", counted_diff_matrix)
+        assert algebra._codiff is None
+        traj = flow_integrate(algebra, entry.forms["phi"], 0.05, 1e-2, FlowOptions(sample_every=2))
+        assert traj.termination == "reached_t_end"
+        assert len(maps) == 4 * 5 + 1
+        assert maps[0] is not None and all(K is maps[0] for K in maps)
+        assert reads.count(4) == 1
 
 
 class TestClosedKernel:

@@ -213,9 +213,13 @@ class TestPhiViews:
         # the 49 x 21 product of the codifferential against the scatter it
         # replaces, negated: bit for bit on finite 5-forms
         x = np.random.default_rng(seed).standard_normal(21)
-        minus, flat = g2core._codifferential_table()
+        minus, sign, index, flat = g2core._codifferential_table()
         assert np.array_equal(minus @ x, -_dense(_complement(x, 7, 5), 7, 2))
         assert np.array_equal(flat, _dense_tables(7, 2)[3])
+        # the raised phi's gather and signs are `_complement` of its increasing entries
+        raised = np.random.default_rng(seed).standard_normal(343)
+        assert np.array_equal(sign * raised[index],
+                              _complement(raised[_dense_tables(7, 3)[3]], 7, 3))
 
 
 class TestSubspaceBases:

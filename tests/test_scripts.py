@@ -105,3 +105,18 @@ def test_report_digest_values(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout.splitlines() == ["1 of 2 reports identical, 1 equal in value",
                                         f"y: only in {a}"]
+
+
+def test_percall_times_every_layer_of_a_tree():
+    # one round: every layer of ROADMAP's per-call table, timed in the tree given
+    proc = _run_script("percall.py", str(ROOT), "--rounds", "1")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["tree"] == str(ROOT) and result["rounds"] == 1
+    layers = result["layers"]
+    assert len(layers) == 20
+    assert {"_phi_metric", "_closed_phi_laplacian", "G2Structure",
+            "flow_integrate, 20 steps of 1e-3"} <= set(layers)
+    for name, row in layers.items():
+        assert row["calls"] >= 1, name
+        assert 0 < row["fastest_us"] == row["median_us"] < math.inf, name

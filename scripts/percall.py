@@ -65,6 +65,7 @@ def layers(g2lab):
         ("LieAlgebra", lambda: g2lab.LieAlgebra(algebra.dual_differential)),
         ("_phi_metric", lambda: g2core._phi_metric(v)),
         ("G2Structure", lambda: g2lab.G2Structure(algebra, phi)),
+        ("Metric", lambda: g2lab.Metric(metric.g)),
         ("_closed_phi_laplacian", lambda: g2core._closed_phi_laplacian(algebra, v)),
         ("phi_laplacian", lambda: g2core.phi_laplacian(algebra, v)),
         ("G2Structure + _torsion", lambda: g2core._torsion(g2lab.G2Structure(algebra, phi))),

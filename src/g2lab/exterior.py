@@ -14,6 +14,10 @@ on every index of that tensor (`_compound_apply` gathers the k-form back).
 `_star` is the Hodge star and `_inner` the inner product on coefficient
 vectors.
 
+Metric matrices are factored here alone, by `_cholesky_diagonal` and
+`_inverse`: the LAPACK gufuncs that `np.linalg.cholesky` and `np.linalg.inv`
+wrap, without those wrappers' per-call Python.
+
 Dimension is generic but capped at MAX_DIM: all operators here enumerate
 the full basis of each degree, which is only sensible for small n.
 """
@@ -25,6 +29,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 MAX_DIM = 10
 
@@ -319,6 +324,34 @@ def wedge(a, b):
     return KForm.from_vector(n, k + l, _wedge_vec(n, k, l, a.to_vector(), b.to_vector()))
 
 
+def _not_positive_definite(err, flag):
+    raise LinAlgError("Matrix is not positive definite")
+
+
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+# Both run under the floating-point flags np.linalg sets around the same
+# gufuncs: LAPACK's failure sets `invalid`, which raises numpy's LinAlgError
+# with numpy's message, and overflow, division and underflow pass into the
+# result silently.  The decorator form sets them per call at half the cost of
+# a `with` block.
+@np.errstate(call=_not_positive_definite, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _cholesky_diagonal(m):
+    """The diagonal of the lower Cholesky factor of a float64 symmetric
+    matrix, as a list: `np.linalg.cholesky`'s values and LinAlgError."""
+    return _umath_linalg.cholesky_lo(m, signature="d->d").diagonal().tolist()
+
+
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _inverse(m):
+    """The inverse of a float64 square matrix: `np.linalg.inv`'s values and
+    LinAlgError."""
+    return _umath_linalg.inv(m, signature="d->d")
+
+
 class Metric:
     """Positive definite inner product on the base space as a symmetric
     matrix, with its inverse and sqrt(det g) computed eagerly, so instances
@@ -336,8 +369,8 @@ class Metric:
             raise ValueError(f"metric must be a square matrix, got shape {m.shape}")
         g = (m + m.T) / 2.0
         try:
-            diag = np.linalg.cholesky(g).diagonal().tolist()
-        except np.linalg.LinAlgError:
+            diag = _cholesky_diagonal(g)
+        except LinAlgError:
             raise ValueError("metric is not positive definite") from None
         # sqrt(det g) is the product of the Cholesky diagonal, which stays
         # representable when det g itself under- or overflows; NaN or inf
@@ -345,7 +378,7 @@ class Metric:
         sqrt_det = math.prod(diag)
         if not 0.0 < sqrt_det < math.inf:
             raise ValueError(f"metric has no finite nonzero volume (sqrt(det g) = {sqrt_det})")
-        self._set(g, np.linalg.inv(g), sqrt_det)
+        self._set(g, _inverse(g), sqrt_det)
 
     @classmethod
     def _from_factors(cls, g, inverse, sqrt_det):

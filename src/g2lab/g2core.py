@@ -24,12 +24,13 @@ right-hand side `_closed_phi_laplacian` evaluates only the d delta phi half,
 which `phi_laplacian` completes with delta d phi; it builds no Metric, and
 hands its metric factors and delta phi on to the flow's sampled states.
 Most of an evaluation is `_phi_metric`: B from one gather of phi
-(`_phi_views`), numpy's `cholesky` and `inv` of a 7 x 7 matrix, much of
-whose cost is their Python wrappers, and phi raised by g^-1, the dense
-tensor that `G2Structure` complements into its star(phi) and that
-`_closed_phi_laplacian` takes to delta phi by one fixed linear map per
-algebra, with no star(phi) of its own.  `scripts/percall.py` times each
-layer; ROADMAP's per-call table has the measured times.
+(`_phi_views`), one Cholesky factorisation and one inverse of a 7 x 7
+matrix, and phi raised by g^-1, the dense tensor that `G2Structure`
+complements into its star(phi) and that `_closed_phi_laplacian` takes to
+delta phi by one fixed linear map per algebra, with no star(phi) of its
+own.  Both factorisations are `exterior`'s, bare LAPACK calls: at this size
+`np.linalg`'s wrappers cost more than LAPACK.  `scripts/percall.py` times
+each layer; ROADMAP's per-call table has the measured times.
 """
 from __future__ import annotations
 
@@ -39,9 +40,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import (KForm, Metric, _complement, _complement_gather, _compound_apply,
-                       _compound_dense, _dense_tables, _interior_vec, _read_only, _star,
-                       _wedge_vec, complement_data, wedge_table)
+from .exterior import (KForm, Metric, _cholesky_diagonal, _complement, _complement_gather,
+                       _compound_apply, _compound_dense, _dense_tables, _interior_vec, _inverse,
+                       _read_only, _star, _wedge_vec, complement_data, wedge_table)
 
 VANISH_TOL = 1e-8
 #: the tau1 disagreement beyond which `torsion_forms` raises TorsionSolveError
@@ -129,8 +130,9 @@ def _phi_metric(phi_vec):
 
     g = (36 |det B|)^{-1/9} sign(det B) B.  One Cholesky factorisation
     L L^T = eps B, eps the sign of B_11, gives the orientation, positivity
-    and det B = eps (prod L_ii)^2; then one inverse.  Raises PositivityError
-    when B is degenerate or not definite, or det B is not representable.
+    and det B = eps (prod L_ii)^2; then one inverse of g (`exterior`'s
+    `_cholesky_diagonal` and `_inverse`).  Raises PositivityError when B is
+    degenerate or not definite, or det B is not representable.
     The raised phi is the flat dense 7^3 tensor of phi with every index
     raised by g^-1 (`_compound_dense`); the signed complement of its
     increasing entries is star(phi) / sqrt(det g), as in `_star`, which
@@ -139,7 +141,7 @@ def _phi_metric(phi_vec):
     A, B = _gram(phi_vec)
     eps = 1.0 if B[0, 0] > 0 else -1.0  # the sign of B when B is definite
     try:
-        diag = np.linalg.cholesky(B if eps > 0 else -B).diagonal().tolist()
+        diag = _cholesky_diagonal(B if eps > 0 else -B)
         root = math.prod(diag)  # sqrt |det B|; may underflow or overflow
         det_b = eps * root * root
     except np.linalg.LinAlgError:  # B is not definite; det B only names the reason
@@ -153,7 +155,7 @@ def _phi_metric(phi_vec):
     # sqrt(c) L is the Cholesky factor of g: sqrt(det g) is its diagonal product, as in Metric
     sqrt_c = math.sqrt(c)
     sqrt_det = math.prod([sqrt_c * x for x in diag])
-    inverse = np.linalg.inv(g)
+    inverse = _inverse(g)
     return _compound_dense(inverse, A, 3), det_b, eps, (g, inverse, sqrt_det)
 
 

@@ -69,6 +69,9 @@ class SU3Structure:
 
     Validation: omega^3 nondegenerate, omega ^ psi = 0, psi stable of
     complex type, J^2 = -I, and g = omega(., J.) positive definite.  The
+    first two are relative, so they answer alike at every scale: omega is
+    degenerate when |omega^3| <= 1e-12 |omega|^3, and omega ^ psi != 0 when
+    |omega ^ psi| > 1e-10 |omega| |psi|.  The
     residual sign freedom in J is resolved by this last requirement: a
     definite g has the sign of its diagonal, so the sign of g[0, 0] picks J
     and one Metric is built.  The checks run on coefficient vectors.
@@ -84,12 +87,14 @@ class SU3Structure:
         if psi.dim != 6 or psi.degree != 3:
             raise ValueError("psi must be a 3-form in dimension 6")
         w, p = omega.to_vector(), psi.to_vector()
-        scale = max(omega.norm(), 1.0) ** 3
-        if abs(_omega_cubed(w)) <= 1e-12 * scale:
+        u, q = _unit(w), _unit(p)  # the tests are homogeneous: no scale over- or underflows
+        size_u, size_q = float(np.linalg.norm(u)), float(np.linalg.norm(q))
+        if not size_u or abs(_omega_cubed(u)) <= 1e-12 * size_u ** 3:
             raise ValueError("omega is degenerate (omega^3 = 0)")
-        compat = float(np.linalg.norm(_wedge_vec(6, 2, 3, w, p)))
-        if compat > 1e-10 * max(1.0, omega.norm() * psi.norm()):
-            raise ValueError(f"omega ^ psi != 0 (norm {compat:.3e})")
+        compat = float(np.linalg.norm(_wedge_vec(6, 2, 3, u, q)))
+        if compat > 1e-10 * size_u * size_q:
+            raise ValueError(f"omega ^ psi != 0 (|omega ^ psi| / (|omega| |psi|) = "
+                             f"{compat / (size_u * size_q):.3e})")
         J, lam = hitchin_j(algebra, psi)
         W = _dense(w, 6, 2).reshape(6, 6)
         g = W @ J
@@ -121,6 +126,12 @@ class SU3Structure:
 
     def __repr__(self):
         return f"SU3Structure(algebra={self.algebra!r})"
+
+
+def _unit(v):
+    # v over its largest |coefficient|; the zero form stays zero
+    top = float(np.abs(v).max())
+    return v / top if top else v
 
 
 def _omega_cubed(w):

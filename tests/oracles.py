@@ -83,30 +83,36 @@ def dict_wedge(a, b):
     return KForm(a.dim, a.degree + b.degree, out)
 
 
-def _leibniz_d_basis(algebra, key):
+def _leibniz_d_basis(n, terms, key):
     # Leibniz: d e^{i1..ik} = sum_m (-1)^{m-1} e^{<m} ^ de^{im} ^ e^{>m};
-    # de^{im} has even degree, so it can be pulled to the front.
-    n = algebra.dim
-    out = KForm.zero(n, len(key) + 1)
+    # de^{im} has even degree, so it can be pulled to the front.  terms[i - 1]
+    # are the (key, coefficient) pairs of de^i; each coefficient of d e^I is
+    # summed in one dict, term by term in increasing m.
+    out = {}
     for m, i in enumerate(key):
         rest = key[:m] + key[m + 1:]
-        term = algebra.dual_differential[i - 1]
-        if rest:
-            term = dict_wedge(term, KForm.basis(n, rest))
-        out = out + ((-1.0) ** m) * term
-    return out
+        for pair, value in terms[i - 1]:
+            merged, sign = sort_with_sign(pair + rest)
+            if sign:
+                out[merged] = out.get(merged, 0.0) + ((-1.0) ** m * sign) * value
+    vec = np.zeros(len(multi_indices(n, len(key) + 1)))
+    pos = index_positions(n, len(key) + 1)
+    for merged, value in out.items():
+        vec[pos[merged]] = value
+    return vec
 
 
 def leibniz_diff_matrix(algebra, k):
     """Matrix of d on k-forms, column by column: the Leibniz expansion of each
-    basis form through KForm sums and the dict-loop wedge."""
+    basis form, merging each product's indices with their sign in a dict."""
     n = algebra.dim
     keys = multi_indices(n, k)
     rows = len(multi_indices(n, k + 1))
     mat = np.zeros((rows, len(keys)))
     if k > 0:
+        terms = [tuple(form.items()) for form in algebra.dual_differential]
         for col, key in enumerate(keys):
-            mat[:, col] = _leibniz_d_basis(algebra, key).to_vector()
+            mat[:, col] = _leibniz_d_basis(n, terms, key)
     return mat
 
 

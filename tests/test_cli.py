@@ -302,6 +302,38 @@ class TestFailuresAreReports:
         assert report["results"]["metric"] == S.metric.g.tolist()
         assert "product_class" not in report["results"]
 
+    @staticmethod
+    def _scaled_h2(tmp_path, scale):
+        h2 = catalog("h2")
+        path = tmp_path / "h2_scaled.g2"
+        path.write_text(format_document(InputDocument(
+            h2.algebra, {key: scale * form for key, form in h2.forms.items()})))
+        return path
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4])
+    def test_su3_small_scales_are_coupled(self, capsys, tmp_path, scale):
+        # |omega^3| is compared with |omega|^3, with no absolute floor: h2's
+        # pair scaled down is still nondegenerate and coupled, as the library says
+        path = self._scaled_h2(tmp_path, scale)
+        code, report = run_cli(capsys, "su3", str(path))
+        assert code == 0 and "error" not in report
+        assert report["results"]["coupled"] is True
+        doc = parse_document(path.read_text())
+        S = SU3Structure(doc.algebra, doc.forms["omega"], doc.forms["psi"])
+        assert report["results"]["metric"] == S.metric.g.tolist()
+        jsonschema.validate(report, SCHEMA)
+
+    def test_su3_huge_scale_is_a_report(self, capsys, tmp_path):
+        # at 1e120 no power of |omega| overflows; K @ K in hitchin_j still
+        # does (numpy's overflow warning, silenced here), and g = omega(., J.)
+        # is then no metric: a typed report with exit 2, not a traceback
+        path = self._scaled_h2(tmp_path, 1e120)
+        with np.errstate(over="ignore"):
+            code, report = run_cli(capsys, "su3", str(path))
+        assert code == 2
+        assert report["error"] == "omega(., J.) is not positive definite for either sign of J"
+        jsonschema.validate(report, SCHEMA)
+
     @pytest.mark.parametrize("times,reason", [
         ("abc", "could not convert string to float: 'abc'"),
         ("-1", "t = -1.0 outside the existence interval"),

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2lab.catalog import catalog
-from g2lab.exterior import (MAX_DIM, KForm, Metric, _complement, _complement_gather,
-                            _compound_apply, _compound_dense, _dense, _dense_tables,
-                            _index_arrays, _inner, _interior_vec, _line_positions,
-                            complement_data, form_inner, hodge_star, index_positions,
-                            interior_table, multi_indices, wedge, wedge_matrix, wedge_table)
+from g2lab.exterior import (MAX_DIM, KForm, Metric, _cholesky_diagonal, _complement,
+                            _complement_gather, _compound_apply, _compound_dense, _dense,
+                            _dense_tables, _index_arrays, _inner, _interior_vec, _inverse,
+                            _line_positions, complement_data, form_inner, hodge_star,
+                            index_positions, interior_table, multi_indices, wedge, wedge_matrix,
+                            wedge_table)
 from g2lab.g2core import _codifferential_table, _pairing_table, _phi_gather_table
 from g2lab.liealg import _derivation_indices, _diff_table
 
@@ -564,3 +565,98 @@ class TestMetric:
     def test_rejects_not_positive_definite(self, matrix, message):
         with pytest.raises(ValueError, match=message):
             Metric(matrix)
+
+
+def _spd(n, seed):
+    """A seeded n x n symmetric positive definite matrix at a log-uniform
+    scale in 1e-150..1e150."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    return 10.0 ** rng.uniform(-150.0, 150.0) * (a @ a.T + 0.5 * np.eye(n))
+
+
+def _outcome(call, m):
+    # (the value as an array, None) or (None, (exception type, message))
+    try:
+        return np.asarray(call(m)), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+_SPD_FAILURES = {
+    "indefinite": np.diag([1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0]),
+    "zero": np.zeros((7, 7)),
+    "rank_deficient": np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0]),
+    "rank_3": np.arange(21.0).reshape(7, 3) @ np.arange(21.0).reshape(7, 3).T,
+    "nan": np.full((7, 7), np.nan),
+    "nan_off_diagonal": np.where(np.eye(7) > 0, 1.0, np.nan),
+    "inf": np.full((7, 7), np.inf),
+    "inf_diagonal": np.diag([np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+    "underflow": 1e-200 * np.eye(7),
+    "subnormal": 1e-310 * np.eye(6),
+    "overflow": 1e300 * (np.eye(6) + 0.5),
+}
+
+
+class TestSPDFactorisation:
+    """`_cholesky_diagonal` and `_inverse` call the LAPACK gufuncs that
+    np.linalg.cholesky and np.linalg.inv wrap: the same values bit for bit,
+    and the same error where the wrappers raise one.  Warnings are errors in
+    this suite, so no RuntimeWarning escapes either."""
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_numpy_at_any_scale(self, n, seed):
+        m = _spd(n, 100 * n + seed)
+        diag = _cholesky_diagonal(m)
+        assert type(diag) is list and np.array_equal(diag, np.linalg.cholesky(m).diagonal())
+        inverse = _inverse(m)
+        assert inverse.dtype == np.float64 and np.array_equal(inverse, np.linalg.inv(m))
+
+    @pytest.mark.parametrize("name", _SPD_FAILURES)
+    @pytest.mark.parametrize("ours, numpys", [
+        (_cholesky_diagonal, lambda m: np.linalg.cholesky(m).diagonal()),
+        (_inverse, np.linalg.inv),
+    ], ids=["cholesky", "inverse"])
+    def test_fails_as_numpy_does(self, name, ours, numpys):
+        m = _SPD_FAILURES[name]
+        got, got_error = _outcome(ours, m)
+        want, want_error = _outcome(numpys, m)
+        assert got_error == want_error
+        if want_error is None:
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_caller_flags_do_not_leak_in(self):
+        # the helpers set their own flags: a caller's errstate changes neither
+        # the error nor the silence about overflow and invalid results
+        with np.errstate(all="raise"):
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                _cholesky_diagonal(-np.eye(7))
+            m = _SPD_FAILURES["subnormal"]
+            # 1 / 1e-310 overflows, and LAPACK's solve turns the inf into NaN
+            assert np.array_equal(_inverse(m), np.linalg.inv(m), equal_nan=True)
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                _inverse(np.zeros((7, 7)))
+
+
+class TestMetricErrors:
+    """Metric's error messages at the inputs the factorisation rejects or lets
+    through, each the text that the Metric built on np.linalg gave."""
+
+    @pytest.mark.parametrize("name, message", [
+        ("indefinite", "metric is not positive definite"),
+        ("zero", "metric is not positive definite"),
+        ("rank_deficient", "metric is not positive definite"),
+        ("rank_3", "metric is not positive definite"),
+        ("nan", "metric has no finite nonzero volume (sqrt(det g) = nan)"),
+        ("nan_off_diagonal", "metric has no finite nonzero volume (sqrt(det g) = nan)"),
+        ("inf", "metric has no finite nonzero volume (sqrt(det g) = inf)"),
+        ("inf_diagonal", "metric has no finite nonzero volume (sqrt(det g) = inf)"),
+        ("underflow", "metric has no finite nonzero volume (sqrt(det g) = 0.0)"),
+        ("subnormal", "metric has no finite nonzero volume (sqrt(det g) = 0.0)"),
+        ("overflow", "metric has no finite nonzero volume (sqrt(det g) = inf)"),
+    ])
+    def test_message(self, name, message):
+        with pytest.raises(ValueError) as info:
+            Metric(_SPD_FAILURES[name])
+        assert type(info.value) is ValueError and str(info.value) == message

@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -650,3 +651,69 @@ class TestTorsionOncePerStructure:
         torsion_forms(G)
         with pytest.raises(AttributeError, match="immutable"):
             setattr(G, name, None)
+
+
+def _std_with(at, value):
+    # std_g2's coefficients with those at the positions `at` set to value
+    v = STD.forms["phi"].to_vector().copy()
+    v[at] = value
+    return v
+
+
+_STD_TERMS = np.flatnonzero(STD.forms["phi"].to_vector())
+_STD_ZEROS = np.flatnonzero(STD.forms["phi"].to_vector() == 0)
+_NOT_DEFINITE = "not a positive G2 form (metric not positive definite)"
+_DEGENERATE = "not a positive G2 form (det B = 0)"
+_EITHER_BUILD = pytest.mark.parametrize("build", [
+    lambda phi: G2Structure(STD.algebra, KForm.from_vector(7, 3, phi)),
+    lambda phi: g2core._closed_phi_laplacian(STD.algebra, phi),
+], ids=["G2Structure", "_closed_phi_laplacian"])
+
+
+class TestPositivityErrors:
+    """`_phi_metric`'s factorisation through `exterior._cholesky_diagonal` and
+    `_inverse`: the PositivityError of each rejected form is the one the
+    factorisation through np.linalg raised, type and text, from `G2Structure`
+    and from the flow kernel alike; no warning escapes (warnings are errors)."""
+
+    @pytest.mark.parametrize("phi, message", [
+        # B of the split form has signature (4, 3), det B = -6^7
+        (_std_with(at=_STD_TERMS[0], value=-1.0), _NOT_DEFINITE),
+        (np.zeros(35), _DEGENERATE),
+        (KForm(7, 3, {(1, 2, 3): 1.0, (4, 5, 6): 1.0}).to_vector(), _DEGENERATE),
+        (KForm.basis(7, (1, 2, 7)).to_vector(), _DEGENERATE),
+        (np.full(35, np.nan), _NOT_DEFINITE),
+        (_std_with(at=_STD_ZEROS[0], value=np.nan), _NOT_DEFINITE),
+        (_std_with(at=_STD_TERMS[0], value=np.nan), _NOT_DEFINITE),
+        # det B ~ c^21 underflows below 1e-15 and overflows above 1e14
+        (1e-20 * STD.forms["phi"].to_vector(), _DEGENERATE),
+        (1e20 * STD.forms["phi"].to_vector(), _NOT_DEFINITE),
+    ], ids=["indefinite", "zero", "rank_deficient", "rank_one", "nan", "nan_off_the_form",
+            "nan_on_the_form", "underflow", "overflow"])
+    @_EITHER_BUILD
+    def test_message(self, build, phi, message):
+        with pytest.raises(PositivityError) as info:
+            build(phi)
+        assert type(info.value) is PositivityError and str(info.value) == message
+
+    @pytest.mark.parametrize("at", [_STD_TERMS, _STD_TERMS[:1]], ids=["all", "one"])
+    @_EITHER_BUILD
+    def test_inf(self, build, at):
+        # inf * 0 in the products that form B is numpy's invalid warning, the
+        # caller's to silence; the factorisation then rejects the NaN it left
+        with np.errstate(invalid="ignore"), pytest.raises(PositivityError) as info:
+            build(_std_with(at=at, value=np.inf))
+        assert str(info.value) == _NOT_DEFINITE
+
+    @pytest.mark.parametrize("name", G2_CATALOG)
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_factors_are_numpys(self, name, scale):
+        # det B from np.linalg.cholesky's diagonal, g^-1 = np.linalg.inv(g),
+        # and sqrt(det g) from the scaled diagonal, bit for bit
+        v = scale * catalog(name).forms["phi"].to_vector()
+        _, det_b, eps, (g, inverse, sqrt_det) = g2core._phi_metric(v)
+        diag = np.linalg.cholesky(eps * g2core._gram(v)[1]).diagonal().tolist()
+        assert det_b == eps * math.prod(diag) * math.prod(diag)
+        sqrt_c = math.sqrt((36.0 * abs(det_b)) ** (-1.0 / 9.0))
+        assert sqrt_det == math.prod([sqrt_c * x for x in diag])
+        assert np.array_equal(inverse, np.linalg.inv(g))

@@ -114,8 +114,8 @@ def test_percall_times_every_layer_of_a_tree():
     result = json.loads(proc.stdout)
     assert result["tree"] == str(ROOT) and result["rounds"] == 1
     layers = result["layers"]
-    assert len(layers) == 20
-    assert {"_phi_metric", "_closed_phi_laplacian", "G2Structure",
+    assert len(layers) == 21
+    assert {"_phi_metric", "_closed_phi_laplacian", "G2Structure", "Metric",
             "flow_integrate, 20 steps of 1e-3"} <= set(layers)
     for name, row in layers.items():
         assert row["calls"] >= 1, name

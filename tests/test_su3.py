@@ -97,6 +97,37 @@ class TestSU3Structure:
             SU3Structure(ABELIAN6, KForm.basis(6, (1, 2)), PSI_STD)
 
 
+class TestScaleFreeValidity:
+    """The degeneracy and compatibility tests compare |omega^3| with |omega|^3
+    and |omega ^ psi| with |omega| |psi|: the same answer at every scale, with
+    no absolute floor and no power that overflows."""
+
+    @pytest.mark.parametrize("scale", [1e-60, 1e-30, 1e-8, 1e-4, 1.0, 1e8, 1e30, 1e60])
+    def test_h2_pair_at_any_scale(self, scale):
+        S = SU3Structure(H2.algebra, scale * H2.forms["omega"], scale * H2.forms["psi"])
+        # J is homogeneous of degree 0 and g of degree 1
+        assert np.abs(S.J - su3_h2().J).max() < 1e-12
+        assert np.abs(S.metric.g / scale - np.eye(6)).max() < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-8, 1.0, 1e200])
+    def test_degenerate_omega_at_any_scale(self, scale):
+        omega = scale * KForm(6, 2, {(1, 2): 1.0, (3, 4): 1.0})  # omega^3 = 0
+        with pytest.raises(ValueError, match=r"^omega is degenerate \(omega\^3 = 0\)$"):
+            SU3Structure(ABELIAN6, omega, PSI_STD)
+
+    def test_zero_omega_is_degenerate(self):
+        with pytest.raises(ValueError, match="omega is degenerate"):
+            SU3Structure(ABELIAN6, KForm.zero(6, 2), PSI_STD)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-8, 1.0, 1e200])
+    def test_incompatible_pair_at_any_scale(self, scale):
+        # omega ^ psi = e^{34} ^ e^{125}: |omega ^ psi| / (|omega| |psi|) = 1 / sqrt(15)
+        psi = PSI_STD + KForm.basis(6, (1, 2, 5))
+        with pytest.raises(ValueError) as info:
+            SU3Structure(ABELIAN6, scale * OMEGA_STD, scale * psi)
+        assert str(info.value) == "omega ^ psi != 0 (|omega ^ psi| / (|omega| |psi|) = 2.582e-01)"
+
+
 class TestPsiHat:
     def test_standard_value(self):
         S = su3_std()

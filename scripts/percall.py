@@ -7,9 +7,9 @@ Imports g2lab from TREE/src alone, so that two trees (a parent and a change)
 are timed by the same code.  The process pins itself to one CPU and BLAS to
 one thread.  Every layer runs on the same inputs: n6's catalog text and
 algebra, n6's form plus 0.05 d(beta) with beta seeded, the structure and
-metric of that form, and h2's SU(3) pair.  A round times a fixed number of
-calls of one layer, about 50 ms of them, with the garbage collector off, as
-`timeit` does.  Prints, as JSON, the fastest and the median per-call time in
+metric of that form, h2's SU(3) pair, and t = 0.5 for the exact n2 flow.  A
+round times a fixed number of calls of one layer, about 50 ms of them, with
+the garbage collector off, as `timeit` does.  Prints, as JSON, the fastest and the median per-call time in
 microseconds over N rounds (7 by default) of each layer: the rows of
 ROADMAP's per-call table.
 """
@@ -83,6 +83,8 @@ def layers(g2lab):
         ("g2_product (h2)", lambda: g2lab.g2_product(S)),
         ("flow_integrate, 20 steps of 1e-3", lambda: g2lab.flow_integrate(
             algebra, phi, 20 * 1e-3, 1e-3, options)),
+        ("closed_form_n2(t)", lambda: g2lab.closed_form_n2(0.5)),
+        ("closed_form_n2_velocity(t)", lambda: g2lab.closed_form_n2_velocity(0.5)),
     ]
 
 

@@ -136,7 +136,6 @@ def record(tree, out):
     tree = pathlib.Path(tree).resolve()
     out = pathlib.Path(out).resolve()
     sys.path.insert(0, str(tree / "src"))
-    os.environ.pop("G2_TOL", None)  # older trees read it as a default --tol
     cli = importlib.import_module("g2lab.cli")
     names = importlib.import_module("g2lab.catalog").catalog_names()
     os.chdir(tree)

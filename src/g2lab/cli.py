@@ -31,7 +31,7 @@ from .catalog import catalog, catalog_names
 from .curvature import (einstein_calibrated_residual, einstein_residual, ricci,
                         scalar_curvature, soliton_solve, star_ricci)
 from .exterior import KForm, Metric, form_inner
-from .flow import EXACT_FLOWS, FlowOptions, flow_integrate, oracle_residual
+from .flow import EXACT_FLOWS, TERMINATION_REACHED, FlowOptions, flow_integrate, oracle_residual
 from .g2core import (VANISH_TOL, G2Structure, PositivityError, TorsionSolveError, classify,
                      lee_form, phi_laplacian, torsion_forms)
 from .inputfmt import ParseError, format_document, parse_document
@@ -333,7 +333,7 @@ def cmd_flow(args):
                         for state in trajectory.states)
         results["oracle_max_deviation"] = deviation
         residuals["oracle"] = deviation
-    code = EXIT_OK if trajectory.termination == "reached_t_end" else EXIT_INVALID
+    code = EXIT_OK if trajectory.termination == TERMINATION_REACHED else EXIT_INVALID
     return _body(doc, source, results, residuals, vanishing=args.tol,
                  closedness=options.closedness_tol), code
 

@@ -1,32 +1,32 @@
 """Hodge Laplacian and the Laplacian flow d/dt phi = Delta phi on closed forms.
 
-The integrator is a fixed-step classical 4th-order Runge-Kutta scheme on
-the 35 coefficients of phi, with positivity and closedness re-validated
-after every accepted step.  On closed forms delta d phi = 0, so the
-right-hand side is the d delta phi half alone, `g2core._closed_phi_laplacian`:
-one gather of phi, one Cholesky factorisation and one inverse of a 7 x 7
-matrix, phi raised by g^-1 as one compound, and the codifferential as one
-product of the algebra's 49 x 35 map with a gather of the raised phi (no
-star of phi is formed), which returns its metric factors (g, g^-1,
-sqrt(det g)) and delta phi with the Laplacian and builds no Metric.  Its
-values lie in d(Lambda^2), so a step leaves phi0 + d(Lambda^2) only by
-roundoff.  A step costs 4 evaluations: the evaluation at each accepted
-point is both its positivity check and the next step's first stage; they
-take most of a trajectory's time (ROADMAP's per-call table has the
-measured times).  Sampled states build no G2Structure: their
-diagnostics come from that evaluation's metric factors and delta phi (see
-`_state`), with tau2 = delta phi, which holds on closed forms.
-`oracle_residual` keeps the full Laplacian.  No re-projection onto closed
-forms is done: |d phi| is measured after every step, and drift aborts the
-trajectory instead of being hidden.
+The integrator is a fixed-step classical 4th-order Runge-Kutta scheme on the
+35 coefficients of phi.  On closed forms delta d phi = 0, so the right-hand
+side is d delta phi alone, `g2core._closed_phi_laplacian`, which also returns
+its metric factors and delta phi and builds no Metric.  Its values lie in
+d(Lambda^2), so a step leaves phi0 + d(Lambda^2) only by roundoff.  A step
+costs 4 evaluations: the one at each accepted point is both its positivity
+check and the next step's first stage.  Sampled states build no G2Structure:
+their diagnostics come from that evaluation (see `_state`).  No re-projection
+onto closed forms is done: |d phi| is measured after every step, and drift
+aborts the trajectory instead of being hidden.
+
+The exact flows, `EXACT_FLOWS`, are self-similar: the catalog's n2 and
+n12_modified_basis forms are Laplacian solitons, Delta phi0 = lam phi0 +
+D.phi0 with D a diagonal derivation (Lauret, Proc. LMS 2017), so each
+coefficient of phi(t) is phi0_I times a power of 1 + 2 lam t / 3.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
-from .exterior import KForm, Metric, _inner, multi_indices
+import numpy as np
+
+from .catalog import catalog
+from .exterior import KForm, Metric, _inner, index_positions, multi_indices
 from .g2core import PositivityError, _closed_phi_laplacian, phi_laplacian
 from .curvature import scalar_curvature
 
@@ -185,54 +185,40 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
     return FlowTrajectory(states, termination)
 
 
-def _check_interval(t, lower, label):
-    if not math.isfinite(t) or t <= lower:
-        raise ValueError(f"t = {t} outside the existence interval ({lower}, +inf) of {label}")
+def _soliton_flow(name, lam, diagonal):
+    """(solution, velocity) of the flow from the catalog's `name` phi0, where
+    Delta phi0 = lam phi0 + D.phi0 and D = diag(diagonal): phi0_I u^{p_I} and
+    its t-derivative, with u = 2 lam t / 3 + 1 > 0, p_I = 3/2 - 3 d_I / (2 lam)
+    and d_I the sum of D over I.  phi0 is read at the first call, not at import."""
+    lower = -3.0 / (2.0 * lam)
+    label = f"the {name.partition('_')[0]} solution"  # the algebra, in any basis
+
+    @functools.cache
+    def terms():  # phi0's coefficients, and (position, phi0_I, p_I) where p_I != 0
+        phi0, positions = catalog(name).forms["phi"], index_positions(7, 3)
+        entries = [(positions[key], c, 1.5 - 3.0 * sum(diagonal[i - 1] for i in key) / (2.0 * lam))
+                   for key, c in phi0.items()]
+        return phi0.to_vector(), [entry for entry in entries if entry[2]]
+
+    def at(t, velocity):
+        if not math.isfinite(t) or t <= lower:
+            raise ValueError(f"t = {t} outside the existence interval ({lower}, +inf) of {label}")
+        u = 2.0 * lam * t / 3.0 + 1.0
+        phi0, moving = terms()
+        vec = np.zeros(35) if velocity else phi0.copy()
+        for pos, c, p in moving:
+            vec[pos] = c * (p * 2.0 * lam / 3.0) * u ** (p - 1.0) if velocity else c * u ** p
+        return KForm.from_vector(7, 3, vec)
+
+    return functools.partial(at, velocity=False), functools.partial(at, velocity=True)
 
 
-_N2_CONSTANT = {(1, 4, 7): 1.0, (2, 6, 7): 1.0, (3, 5, 7): 1.0,
-                (1, 5, 6): 1.0, (2, 4, 5): 1.0, (3, 4, 6): -1.0}
-
-_N12_CONSTANT = {(1, 2, 4): -1.0, (1, 6, 7): 1.0, (2, 5, 7): 1.0,
-                 (3, 4, 7): 1.0, (4, 5, 6): -1.0}
-
-
-def closed_form_n2(t):
-    """Exact flow solution on the complex-Heisenberg-times-line algebra:
-    only the e^{123} coefficient moves, as (10/3 t + 1)^{3/5}; t > -3/10."""
-    _check_interval(t, -0.3, "the n2 solution")
-    coeffs = dict(_N2_CONSTANT)
-    coeffs[(1, 2, 3)] = (10.0 * t / 3.0 + 1.0) ** 0.6
-    return KForm(7, 3, coeffs)
-
-
-def closed_form_n2_velocity(t):
-    """Analytic time derivative of closed_form_n2."""
-    _check_interval(t, -0.3, "the n2 solution")
-    return KForm(7, 3, {(1, 2, 3): 2.0 * (10.0 * t / 3.0 + 1.0) ** (-0.4)})
-
-
-def closed_form_n12(t):
-    """Exact flow solution in the modified basis: the e^{135} - e^{236}
-    component scales as (t/3 + 1)^{3/4}; t > -3."""
-    _check_interval(t, -3.0, "the n12 solution")
-    a = (t / 3.0 + 1.0) ** 0.75
-    coeffs = dict(_N12_CONSTANT)
-    coeffs[(1, 3, 5)] = a
-    coeffs[(2, 3, 6)] = -a
-    return KForm(7, 3, coeffs)
-
-
-def closed_form_n12_velocity(t):
-    """Analytic time derivative of closed_form_n12."""
-    _check_interval(t, -3.0, "the n12 solution")
-    a = 0.25 * (t / 3.0 + 1.0) ** (-0.25)
-    return KForm(7, 3, {(1, 3, 5): a, (2, 3, 6): -a})
-
-
-#: catalog name -> (solution, velocity) of its closed-form flow
-EXACT_FLOWS = {"n2": (closed_form_n2, closed_form_n2_velocity),
-               "n12_modified_basis": (closed_form_n12, closed_form_n12_velocity)}
+#: catalog name -> (solution, velocity) of its exact flow, from its soliton's lam and D
+EXACT_FLOWS = {"n2": _soliton_flow("n2", 5.0, (1, 1, 1, 2, 2, 2, 2)),
+               "n12_modified_basis": _soliton_flow("n12_modified_basis", 0.5,
+                                                   (1/8, 1/8, 0, 1/4, 1/8, 1/8, 1/4))}
+closed_form_n2, closed_form_n2_velocity = EXACT_FLOWS["n2"]
+closed_form_n12, closed_form_n12_velocity = EXACT_FLOWS["n12_modified_basis"]
 
 
 def oracle_residual(algebra, solution, velocity, times):

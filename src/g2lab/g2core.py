@@ -164,8 +164,8 @@ def _codifferential_table():
     # (the 49 x 21 matrix taking a 5-form's coefficients to minus the dense
     # 7 x 7 tensor of its signed complement, the `_complement` gather composed
     # with the `_dense` scatter of a 2-form; the signs and the flat indices
-    # that read star(phi) / sqrt(det g) off the raised phi as `_complement`
-    # does; the flat 2-tuple indices that gather a 2-form back)
+    # that read star(phi) / sqrt(det g) off the raised phi, for `G2Structure`
+    # too; the flat 2-tuple indices that gather a 2-form back)
     perm, sign = _complement_gather(7, 5)
     src, dst, sgn, flat = _dense_tables(7, 2)
     minus = np.zeros((49, 21))
@@ -256,7 +256,8 @@ class G2Structure:
             raise ValueError("phi must be a 3-form in dimension 7")
         raised, det_b, eps, factors = _phi_metric(phi.to_vector())
         metric = Metric._from_factors(*factors)
-        star_phi = _complement(raised[_dense_tables(7, 3)[3]], 7, 3)  # over sqrt(det g)
+        _, sign, index, _ = _codifferential_table()
+        star_phi = sign * raised[index]  # over sqrt(det g)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "metric", metric)

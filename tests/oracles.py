@@ -626,3 +626,57 @@ def metric_star_laplacian(algebra, phi_vec):
     delta_phi = -_star(d4 @ _star(phi_vec, 3, metric), 5, metric)
     delta_dphi = _star(d3 @ _star(d3 @ phi_vec, 4, metric), 4, metric)
     return d2 @ delta_phi + delta_dphi
+
+
+def _check_interval(t, lower, label):
+    if not math.isfinite(t) or t <= lower:
+        raise ValueError(f"t = {t} outside the existence interval ({lower}, +inf) of {label}")
+
+
+_N2_CONSTANT = {(1, 4, 7): 1.0, (2, 6, 7): 1.0, (3, 5, 7): 1.0,
+                (1, 5, 6): 1.0, (2, 4, 5): 1.0, (3, 4, 6): -1.0}
+
+_N12_CONSTANT = {(1, 2, 4): -1.0, (1, 6, 7): 1.0, (2, 5, 7): 1.0,
+                 (3, 4, 7): 1.0, (4, 5, 6): -1.0}
+
+
+def hand_closed_form_n2(t):
+    """The n2 flow written out: only the e^{123} coefficient moves, as
+    (10/3 t + 1)^{3/5}; t > -3/10."""
+    _check_interval(t, -0.3, "the n2 solution")
+    coeffs = dict(_N2_CONSTANT)
+    coeffs[(1, 2, 3)] = (10.0 * t / 3.0 + 1.0) ** 0.6
+    return KForm(7, 3, coeffs)
+
+
+def hand_closed_form_n2_velocity(t):
+    _check_interval(t, -0.3, "the n2 solution")
+    return KForm(7, 3, {(1, 2, 3): 2.0 * (10.0 * t / 3.0 + 1.0) ** (-0.4)})
+
+
+def hand_closed_form_n12(t):
+    """The n12_modified_basis flow written out: the e^{135} - e^{236}
+    component scales as (t/3 + 1)^{3/4}; t > -3."""
+    _check_interval(t, -3.0, "the n12 solution")
+    a = (t / 3.0 + 1.0) ** 0.75
+    coeffs = dict(_N12_CONSTANT)
+    coeffs[(1, 3, 5)] = a
+    coeffs[(2, 3, 6)] = -a
+    return KForm(7, 3, coeffs)
+
+
+def hand_closed_form_n12_velocity(t):
+    _check_interval(t, -3.0, "the n12 solution")
+    a = 0.25 * (t / 3.0 + 1.0) ** (-0.25)
+    return KForm(7, 3, {(1, 3, 5): a, (2, 3, 6): -a})
+
+
+def derivation_action(D, form):
+    """D.form for an endomorphism D of the algebra, from the dense tensor:
+    (D.a)(x1, ..., xk) = -sum_j a(x1, ..., D xj, ..., xk)."""
+    t = dense(form)
+    out = np.zeros_like(t)
+    for axis in range(form.degree):
+        # a(..., D x, ...) contracts D's output index with the slot's
+        out -= np.moveaxis(np.tensordot(t, D, axes=([axis], [0])), -1, axis)
+    return dense_to_form(form.dim, form.degree, out)

@@ -15,22 +15,34 @@ from g2lab.catalog import catalog
 from g2lab.curvature import scalar_curvature
 from g2lab.exterior import (KForm, Metric, _complement, _complement_gather,
                             _compound_apply, _compound_dense, _dense, _dense_tables, form_inner)
-from g2lab.flow import (CSV_COLUMNS, MAX_STEPS, FlowOptions, closed_form_n2,
+from g2lab.flow import (CSV_COLUMNS, EXACT_FLOWS, MAX_STEPS, FlowOptions, closed_form_n2,
                         closed_form_n2_velocity, closed_form_n12,
                         closed_form_n12_velocity, flow_integrate, oracle_residual)
 from g2lab.g2core import (G2Structure, PositivityError, _closed_phi_laplacian, phi_laplacian,
                           torsion_forms)
 from g2lab.inputfmt import parse_document
-from g2lab.liealg import LieAlgebra, ce_diff
+from g2lab.liealg import LieAlgebra, ce_diff, derivation_residual
 
 from conftest import CLOSED_CATALOG, closed_perturbation, positive_3form_strategy, scal_magnitude
-from oracles import (brute_hodge, codifferential, dense, metric_star_laplacian, perm_sign,
+from oracles import (brute_hodge, codifferential, dense, derivation_action,
+                     hand_closed_form_n2, hand_closed_form_n2_velocity, hand_closed_form_n12,
+                     hand_closed_form_n12_velocity, metric_star_laplacian, perm_sign,
                      stepwise_codifferential)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 N2 = catalog("n2").algebra
 N12M = catalog("n12_modified_basis").algebra
 STD = catalog("std_g2")
+#: each exact flow and its hand-written closed form, with the lower end of the existence interval
+CLOSED_FORMS = {
+    "closed_form_n2": (closed_form_n2, hand_closed_form_n2, -0.3),
+    "closed_form_n2_velocity": (closed_form_n2_velocity, hand_closed_form_n2_velocity, -0.3),
+    "closed_form_n12": (closed_form_n12, hand_closed_form_n12, -3.0),
+    "closed_form_n12_velocity": (closed_form_n12_velocity, hand_closed_form_n12_velocity, -3.0),
+}
+#: catalog name -> (lam, diagonal of D) of the soliton each exact flow starts at
+SOLITONS = {"n2": (5.0, (1, 1, 1, 2, 2, 2, 2)),
+            "n12_modified_basis": (0.5, (1/8, 1/8, 0, 1/4, 1/8, 1/8, 1/4))}
 
 
 def _laplacian_form(G):
@@ -626,11 +638,38 @@ class TestClosedFormSolutions:
         closed_form_n12(-2.9)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("fn", [closed_form_n2, closed_form_n2_velocity,
-                                    closed_form_n12, closed_form_n12_velocity])
+    @pytest.mark.parametrize("fn", [fn for fn, _, _ in CLOSED_FORMS.values()],
+                             ids=list(CLOSED_FORMS))
     def test_non_finite_time_rejected(self, fn, t):
         with pytest.raises(ValueError, match=f"t = {t} outside the existence interval"):
             fn(t)
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_bit_equal_to_hand_written(self, name):
+        fn, hand, lower = CLOSED_FORMS[name]
+        rng = np.random.default_rng(7)
+        times = np.concatenate([
+            rng.uniform(lower, 1e3, 1000),
+            lower + np.exp(rng.uniform(-30.0, 0.0, 200)),  # near the blow-up
+            rng.uniform(-1e-6, 1e-6, 100),
+            [np.nextafter(lower, 0.0), 0.0, -0.0, 1e-300, 1e10, 1e300]])
+        for t in times.tolist():
+            if t <= lower:  # a uniform draw can round onto the bound
+                continue
+            got, want = fn(t).to_vector(), hand(t).to_vector()
+            assert np.array_equal(got, want), t
+            assert np.array_equal(np.signbit(got), np.signbit(want)), t
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_errors_as_hand_written(self, name):
+        fn, hand, lower = CLOSED_FORMS[name]
+        for t in (lower, np.nextafter(lower, -math.inf), lower - 1.0, -1e300,
+                  math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError) as want:
+                hand(t)
+            with pytest.raises(ValueError) as got:
+                fn(t)
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 100.0])
     def test_ode_residual_n2(self, t):
@@ -670,6 +709,40 @@ class TestClosedFormSolutions:
             tf = torsion_forms(G)
             squares.append(form_inner(G.metric, tf.tau2, tf.tau2))
         assert all(b < a for a, b in zip(squares, squares[1:]))
+
+
+class TestSolitonCertificate:
+    """Each exact flow starts at a Laplacian soliton, Delta phi0 = lam phi0 +
+    D.phi0 with D a derivation, and its velocity at t = 0 is that Laplacian."""
+
+    def test_every_exact_flow_has_its_soliton(self):
+        assert set(SOLITONS) == set(EXACT_FLOWS)
+
+    @pytest.mark.parametrize("name", SOLITONS)
+    def test_d_is_a_derivation(self, name):
+        assert derivation_residual(catalog(name).algebra, np.diag(SOLITONS[name][1])) == 0.0
+
+    @pytest.mark.parametrize("name", SOLITONS)
+    def test_soliton_equation(self, name):
+        entry = catalog(name)
+        lam, diagonal = SOLITONS[name]
+        phi0 = entry.forms["phi"].to_vector()
+        d_phi0 = derivation_action(np.diag(diagonal), entry.forms["phi"]).to_vector()
+        # c phi0 is a soliton with lam and D scaled by c^(-2/3); over 2000
+        # log-uniform c in [e^-20, e^20] the worst residual was 3.7e-15
+        # relative to the Laplacian's largest coefficient (2.2e-16 at c = 1)
+        for c in [1.0] + np.logspace(-8, 8, 17).tolist():
+            lap = phi_laplacian(entry.algebra, c * phi0)
+            residual = lap - c ** (-2.0 / 3.0) * c * (lam * phi0 + d_phi0)
+            assert np.abs(residual).max() <= 8e-15 * np.abs(lap).max(), c
+
+    @pytest.mark.parametrize("name", SOLITONS)
+    def test_velocity_at_zero_is_the_soliton_laplacian(self, name):
+        lam, diagonal = SOLITONS[name]
+        phi0 = catalog(name).forms["phi"]
+        want = lam * phi0.to_vector() + derivation_action(np.diag(diagonal), phi0).to_vector()
+        got = EXACT_FLOWS[name][1](0.0).to_vector()
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestIntegration:

@@ -114,9 +114,10 @@ def test_percall_times_every_layer_of_a_tree():
     result = json.loads(proc.stdout)
     assert result["tree"] == str(ROOT) and result["rounds"] == 1
     layers = result["layers"]
-    assert len(layers) == 21
+    assert len(layers) == 23
     assert {"_phi_metric", "_closed_phi_laplacian", "G2Structure", "Metric",
-            "flow_integrate, 20 steps of 1e-3"} <= set(layers)
+            "flow_integrate, 20 steps of 1e-3", "closed_form_n2(t)",
+            "closed_form_n2_velocity(t)"} <= set(layers)
     for name, row in layers.items():
         assert row["calls"] >= 1, name
         assert 0 < row["fastest_us"] == row["median_us"] < math.inf, name

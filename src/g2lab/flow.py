@@ -19,9 +19,9 @@ coefficient of phi(t) is phi0_I times a power of 1 + 2 lam t / 3.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,10 +78,8 @@ class FlowTrajectory:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for state in self.states:
-                vec = state.phi.to_vector()
-                d = state.diagnostics
-                writer.writerow([repr(state.t)] + [repr(float(c)) for c in vec]
-                                + [repr(float(d[k])) for k in CSV_COLUMNS[36:]])
+                writer.writerow([repr(state.t)] + [repr(float(c)) for c in state.phi.to_vector()]
+                                + [repr(float(state.diagnostics[k])) for k in CSV_COLUMNS[36:]])
 
 
 def _state(algebra, t, vec, point, closedness):
@@ -185,37 +183,39 @@ def flow_integrate(algebra, phi0, t_end, dt, options=FlowOptions()):
     return FlowTrajectory(states, termination)
 
 
-def _soliton_flow(name, lam, diagonal):
-    """(solution, velocity) of the flow from the catalog's `name` phi0, where
-    Delta phi0 = lam phi0 + D.phi0 and D = diag(diagonal): phi0_I u^{p_I} and
-    its t-derivative, with u = 2 lam t / 3 + 1 > 0, p_I = 3/2 - 3 d_I / (2 lam)
-    and d_I the sum of D over I.  phi0 is read at the first call, not at import."""
+def _soliton_flow(name, label, lam, diagonal):
+    """(solution, velocity) from the catalog's `name` phi0, a soliton Delta phi0 = lam phi0
+    + D.phi0 with D = diag(diagonal): phi(t)_I = phi0_I u^{p_I}, u = 2 lam t / 3 + 1 > 0 and
+    p_I = 3/2 - 3 d_I / (2 lam), d_I the sum of D over I; phi0 is read at the first call."""
     lower = -3.0 / (2.0 * lam)
-    label = f"the {name.partition('_')[0]} solution"  # the algebra, in any basis
 
-    @functools.cache
-    def terms():  # phi0's coefficients, and (position, phi0_I, p_I) where p_I != 0
+    @lru_cache(maxsize=None)
+    def tables():  # (start, [(position, a_I, q_I)]) of phi and of its velocity: entry I = a_I u^q_I
         phi0, positions = catalog(name).forms["phi"], index_positions(7, 3)
-        entries = [(positions[key], c, 1.5 - 3.0 * sum(diagonal[i - 1] for i in key) / (2.0 * lam))
-                   for key, c in phi0.items()]
-        return phi0.to_vector(), [entry for entry in entries if entry[2]]
+        moving = [(positions[key], c, p) for key, c in phi0.items()
+                  if (p := 1.5 - 3.0 * sum(diagonal[i - 1] for i in key) / (2.0 * lam))]
+        return ((phi0.to_vector(), moving),
+                (np.zeros(35), [(pos, c * (p * 2.0 * lam / 3.0), p - 1.0) for pos, c, p in moving]))
 
-    def at(t, velocity):
-        if not math.isfinite(t) or t <= lower:
-            raise ValueError(f"t = {t} outside the existence interval ({lower}, +inf) of {label}")
-        u = 2.0 * lam * t / 3.0 + 1.0
-        phi0, moving = terms()
-        vec = np.zeros(35) if velocity else phi0.copy()
-        for pos, c, p in moving:
-            vec[pos] = c * (p * 2.0 * lam / 3.0) * u ** (p - 1.0) if velocity else c * u ** p
-        return KForm.from_vector(7, 3, vec)
+    def exact(which, suffix, doc):  # tables()[which] as a callable, closed_form_<label><suffix>
+        def at(t):
+            if not math.isfinite(t) or t <= lower:
+                raise ValueError(f"t = {t} outside the existence interval ({lower}, +inf) of the {label} solution")
+            u, (start, terms) = 2.0 * lam * t / 3.0 + 1.0, tables()[which]
+            vec = start.copy()
+            for pos, a, q in terms:
+                vec[pos] = a * u ** q
+            return KForm.from_vector(7, 3, vec)
+        at.__name__ = at.__qualname__ = f"closed_form_{label}{suffix}"
+        at.__doc__ = f"{doc}; ValueError unless t > -3/(2 lam) = {lower}, the blow-up time."
+        return at
 
-    return functools.partial(at, velocity=False), functools.partial(at, velocity=True)
+    return exact(0, "", "phi(t)"), exact(1, "_velocity", "d/dt phi(t), which is Delta phi(t)")
 
 
 #: catalog name -> (solution, velocity) of its exact flow, from its soliton's lam and D
-EXACT_FLOWS = {"n2": _soliton_flow("n2", 5.0, (1, 1, 1, 2, 2, 2, 2)),
-               "n12_modified_basis": _soliton_flow("n12_modified_basis", 0.5,
+EXACT_FLOWS = {"n2": _soliton_flow("n2", "n2", 5.0, (1, 1, 1, 2, 2, 2, 2)),
+               "n12_modified_basis": _soliton_flow("n12_modified_basis", "n12", 0.5,
                                                    (1/8, 1/8, 0, 1/4, 1/8, 1/8, 1/4))}
 closed_form_n2, closed_form_n2_velocity = EXACT_FLOWS["n2"]
 closed_form_n12, closed_form_n12_velocity = EXACT_FLOWS["n12_modified_basis"]

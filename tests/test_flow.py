@@ -638,11 +638,18 @@ class TestClosedFormSolutions:
         closed_form_n12(-2.9)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("fn", [fn for fn, _, _ in CLOSED_FORMS.values()],
-                             ids=list(CLOSED_FORMS))
+    @pytest.mark.parametrize("fn", [closed_form_n2, closed_form_n2_velocity,
+                                    closed_form_n12, closed_form_n12_velocity])
     def test_non_finite_time_rejected(self, fn, t):
         with pytest.raises(ValueError, match=f"t = {t} outside the existence interval"):
             fn(t)
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_named_and_documented(self, name):
+        fn = CLOSED_FORMS[name][0]
+        assert fn.__name__ == name and "ValueError unless t >" in fn.__doc__
+        with pytest.raises(TypeError):
+            fn(0.0, velocity=True)  # the callables take t alone
 
     @pytest.mark.parametrize("name", CLOSED_FORMS)
     def test_bit_equal_to_hand_written(self, name):
